@@ -15,7 +15,6 @@ from .exceptions import (
     InadmissibleDomainWarning,
     InvalidSplice,
     LeavesGLPlus,
-    NegativeRadicand,
     NonOrientationPreserving,
     NonPositiveArgument,
     NotConformal,
@@ -31,14 +30,12 @@ from .tensors import (
     det,
     dev,
     distortions,
-    frobenius_and_operator_norm,
     frobenius_norm,
     inverse,
     operator_norm,
     singular_values,
     svd,
     sym,
-    sym_dev_tr,
     transpose_inverse,
 )
 from .conformal import (

@@ -12,7 +12,7 @@ Three complementary instruments:
 
 The scan driver never silently promotes a borderline result: values inside
 the margin band count as "elliptic" only when the energy's second_form is
-analytic, otherwise the verdict is "inconclusive".
+analytic (energy.analytic), otherwise the verdict is "inconclusive".
 """
 
 import math
@@ -302,7 +302,6 @@ class ConvexityReport:
     min_lh_form: float
     n_samples: int
     witnesses: list = field(default_factory=list)  # (F, xi, eta, value) near the minimum
-    ks_grid: list = field(default_factory=list)
 
 
 def scan_rank_one_convexity(
@@ -332,7 +331,6 @@ def scan_rank_one_convexity(
     min_val = results[0][0]
     witnesses = [(F, xi, eta, float(v)) for v, F, xi, eta in results[:n_witnesses]]
 
-    analytic = energy.capabilities.get("second_form") == "analytic"
     if min_val > margin:
         verdict = "strictly-elliptic"
     elif min_val < -margin:
@@ -346,7 +344,7 @@ def scan_rank_one_convexity(
             confirmed = scan.verdict == "nonconvex"
         verdict = "violated" if confirmed else "inconclusive"
     else:
-        verdict = "elliptic" if analytic else "inconclusive"
+        verdict = "elliptic" if energy.analytic else "inconclusive"
     return ConvexityReport(
         verdict=verdict,
         min_lh_form=float(min_val),

@@ -7,10 +7,12 @@ Four families:
 * IsochoricNeoHooke    -- W(F) = ||F||^2 / det(F)^{2/3} - 3 in three dimensions
 * CompositeEnergy      -- isochoric part plus a volumetric splice f(det F)
 
-Every energy exposes value / first_derivative / second_form / cauchy_stress
-with a `capabilities` dict flagging which routes are analytic.  The module
-level fd_* functions are the independent oracles: they touch nothing but
-value() and are the comparison side of every derivative test.
+Every energy exposes value / first_derivative / second_form / cauchy_stress.
+The four families take closed-form profile derivatives and set the boolean
+`analytic`; an EnergyModel subclass that defines value() only inherits the
+finite-difference routes and keeps analytic = False.  The module level fd_*
+functions are the independent oracles: they touch nothing but value() and
+are the comparison side of every derivative test.
 
 Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
@@ -95,12 +97,7 @@ class EnergyModel:
 
     dim = None
     label = "energy"
-    capabilities = {
-        "value": "analytic",
-        "first_derivative": "finite-difference",
-        "second_form": "finite-difference",
-        "cauchy_stress": "finite-difference",
-    }
+    analytic = False  # True when first_derivative and second_form are closed forms
 
     def _check_dim(self, F):
         F = as_square(F)
@@ -132,54 +129,31 @@ class DistortionEnergy(EnergyModel):
     Parameters
     ----------
     psi : callable on [1, inf)
-    dpsi, d2psi : callables or None
-        Analytic derivatives of psi.  When omitted they are obtained by
-        central differences of psi (one-sided at the K = 1 boundary) and the
-        corresponding capability is downgraded to finite-difference.
+    dpsi, d2psi : callables
+        Analytic first and second derivatives of psi.
     """
 
     dim = 2
+    analytic = True
 
-    def __init__(self, psi, dpsi=None, d2psi=None, label="psi-distortion"):
+    def __init__(self, psi, dpsi, d2psi, label="psi-distortion"):
         self.psi = psi
         self.dpsi = dpsi
         self.d2psi = d2psi
         self.label = label
-        analytic = dpsi is not None and d2psi is not None
-        self.capabilities = {
-            "value": "analytic",
-            "first_derivative": "analytic" if dpsi is not None else "finite-difference",
-            "second_form": "analytic" if analytic else "finite-difference",
-            "cauchy_stress": "analytic" if dpsi is not None else "finite-difference",
-        }
 
     def _distortion(self, F):
         d = require_gl_plus(F)
         return 0.5 * float(np.sum(F * F)) / d, d
 
     def _psi_1(self, K):
-        if self.dpsi is not None:
-            v = float(self.dpsi(K))
-        else:
-            delta = 1e-6 * max(1.0, abs(K))
-            if K - delta >= 1.0:
-                v = (self.psi(K + delta) - self.psi(K - delta)) / (2.0 * delta)
-            else:
-                v = (self.psi(K + delta) - self.psi(K)) / delta
+        v = float(self.dpsi(K))
         if not np.isfinite(v):
             raise NotDifferentiable("psi' is not finite at K = %r" % (K,))
         return v
 
     def _psi_2(self, K):
-        if self.d2psi is not None:
-            v = float(self.d2psi(K))
-        else:
-            delta = 1e-4 * max(1.0, abs(K))
-            lo = max(K - delta, 1.0)
-            hi = K + delta
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            v = (self.psi(mid + half) - 2.0 * self.psi(mid) + self.psi(mid - half)) / half**2
+        v = float(self.d2psi(K))
         if not np.isfinite(v):
             raise NotDifferentiable("psi'' is not finite at K = %r" % (K,))
         return v
@@ -262,36 +236,13 @@ class PlanarRatioEnergy(EnergyModel):
     """
 
     dim = 2
+    analytic = True
 
-    def __init__(self, h, dh=None, d2h=None, label="ratio-energy"):
+    def __init__(self, h, dh, d2h, label="ratio-energy"):
         self.h = h
         self.dh = dh
         self.d2h = d2h
         self.label = label
-        analytic = dh is not None
-        self.capabilities = {
-            "value": "analytic",
-            "first_derivative": "analytic" if analytic else "finite-difference",
-            "second_form": "analytic" if analytic and d2h is not None else "finite-difference",
-            "cauchy_stress": "analytic" if analytic else "finite-difference",
-        }
-
-    def _h1(self, s):
-        if self.dh is not None:
-            return float(self.dh(s))
-        delta = 1e-6 * max(1.0, s)
-        if s - delta >= 1.0:
-            return (self.h(s + delta) - self.h(s - delta)) / (2.0 * delta)
-        return (self.h(s + delta) - self.h(s)) / delta
-
-    def _h2(self, s):
-        if self.d2h is not None:
-            return float(self.d2h(s))
-        delta = 1e-4 * max(1.0, s)
-        lo = max(s - delta, 1.0)
-        mid = 0.5 * (lo + s + delta)
-        half = 0.5 * (s + delta - lo)
-        return (self.h(mid + half) - 2.0 * self.h(mid) + self.h(mid - half)) / half**2
 
     def value(self, F):
         F = self._check_dim(F)
@@ -302,7 +253,7 @@ class PlanarRatioEnergy(EnergyModel):
         F = self._check_dim(F)
         U, s, V = svd(F)
         ratio = s[0] / s[1]
-        h1 = self._h1(ratio)
+        h1 = float(self.dh(ratio))
         if ratio - 1.0 < TIE_GAP:
             if h1 >= -1e-8:
                 # minimum of the energy on the conformal set; stress must vanish
@@ -317,17 +268,13 @@ class PlanarRatioEnergy(EnergyModel):
         H = as_square(H)
         U, s, V = svd(F)
         ratio = s[0] / s[1]
+        h1 = float(self.dh(ratio))
         if (s[0] - s[1]) / s[0] < NEAR_TIE_GAP:
-            if abs(self._h1(ratio)) <= 1e-8:
+            if abs(h1) <= 1e-8:
                 return fd_second_form(self, F, H)
             raise NotDifferentiable("no second derivative at coincident singular values")
-        g = _ratio_g_partials(self._h1(ratio), self._h2(ratio), ratio, s[1])
+        g = _ratio_g_partials(h1, float(self.d2h(ratio)), ratio, s[1])
         return _principal_second_form(*g, U, s, V, H)
-
-    def cauchy_stress(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
-        return (self.first_derivative(F) @ F.T) / d
 
 
 def linear_distortion_squared():
@@ -359,12 +306,7 @@ class IsochoricNeoHooke(EnergyModel):
 
     dim = 3
     label = "isochoric-neo-hooke"
-    capabilities = {
-        "value": "analytic",
-        "first_derivative": "analytic",
-        "second_form": "analytic",
-        "cauchy_stress": "analytic",
-    }
+    analytic = True
 
     def value(self, F):
         F = self._check_dim(F)
@@ -470,9 +412,7 @@ class CompositeEnergy(EnergyModel):
         a, b = iso.value(1.7 * probe), iso.value(probe)
         if abs(a - b) > 1e-8 * (1.0 + abs(b)):
             raise ValueError("iso part must be conformally invariant to compose")
-        caps = dict(iso.capabilities)
-        caps["cauchy_stress"] = caps["first_derivative"]
-        self.capabilities = caps
+        self.analytic = iso.analytic
 
     def value(self, F):
         F = self._check_dim(F)

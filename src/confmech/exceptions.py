@@ -41,14 +41,5 @@ class InvalidSplice(ConfmechError):
     """Volumetric splice point must lie strictly above e."""
 
 
-class NegativeRadicand(ConfmechError):
-    """Square root of a negative product requested.
-
-    Grid scans never raise this: a negative product of the diagonal second
-    derivatives already violates the first ellipticity condition and is
-    reported as such, with the radicand-dependent values set to NaN.
-    """
-
-
 class InadmissibleDomainWarning(UserWarning):
     """Determinant range of a sampled field leaves the admissible interval."""

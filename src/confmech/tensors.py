@@ -98,12 +98,6 @@ def dev(M):
     return M - (np.trace(M) / n) * np.eye(n)
 
 
-def sym_dev_tr(M):
-    """Symmetric part, trace-free symmetric part, and trace, in that order."""
-    S = sym(M)
-    return S, dev(S), float(np.trace(M))
-
-
 def frobenius_norm(M):
     M = as_square(M)
     return float(np.sqrt(np.sum(M * M)))
@@ -194,10 +188,6 @@ def singular_values(F):
 
 def operator_norm(M):
     return float(_semi_axes(M)[0])
-
-
-def frobenius_and_operator_norm(M):
-    return frobenius_norm(M), operator_norm(M)
 
 
 def svd(F):

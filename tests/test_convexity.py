@@ -16,6 +16,19 @@ class NegFrobenius(cm.EnergyModel):
         return -float(np.sum(np.asarray(F) ** 2))
 
 
+class Det2(cm.EnergyModel):
+    """Null Lagrangian: D^2 det(F)[H, H] = 2 det H vanishes on every rank-one H."""
+
+    dim = 2
+    label = "det"
+
+    def value(self, F):
+        return cm.det(F)
+
+    def second_form(self, F, H):
+        return 2.0 * cm.det(H)
+
+
 def test_lh_form_iso3d_at_identity():
     E = cm.builtin_energy("iso3d")
     e1 = np.array([1.0, 0.0, 0.0])
@@ -165,6 +178,14 @@ def test_scan_rank_one_convexity_detects_violation():
     rep = cm.scan_rank_one_convexity(NegFrobenius(), n_samples=200, seed=1)
     assert rep.verdict == "violated"
     assert rep.min_lh_form < -1.0
+
+
+def test_scan_borderline_verdict_needs_analytic_second_form():
+    E = Det2()
+    assert not E.analytic
+    assert cm.scan_rank_one_convexity(E, n_samples=50, seed=5).verdict == "inconclusive"
+    E.analytic = True
+    assert cm.scan_rank_one_convexity(E, n_samples=50, seed=5).verdict == "elliptic"
 
 
 def test_scan_is_deterministic_for_fixed_seed():

@@ -25,12 +25,7 @@ def test_builtin_registry():
     for name in cm.BUILTIN_ENERGIES:
         E = cm.builtin_energy(name)
         assert E.dim in (2, 3)
-        assert set(E.capabilities) == {
-            "value",
-            "first_derivative",
-            "second_form",
-            "cauchy_stress",
-        }
+        assert E.analytic is True
     with pytest.raises(ValueError):
         cm.builtin_energy("no-such-energy")
 
@@ -55,7 +50,16 @@ def test_klin2_matches_psi_representation_off_ties():
     def psi(K):
         return (K + np.sqrt(K * K - 1.0)) ** 2 - 1.0
 
-    Epsi = cm.DistortionEnergy(psi)
+    def dpsi(K):
+        r = np.sqrt(K * K - 1.0)
+        return 2.0 * (K + r) ** 2 / r
+
+    def d2psi(K):
+        r = np.sqrt(K * K - 1.0)
+        u = K + r
+        return 4.0 * u * u / (r * r) - 2.0 * u * u * K / r**3
+
+    Epsi = cm.DistortionEnergy(psi, dpsi, d2psi)
     Ek = cm.builtin_energy("iso2d-klin2")
     rng = np.random.default_rng(44)
     for _ in range(50):

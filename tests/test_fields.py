@@ -1,5 +1,6 @@
 """Field sampling, stress summaries, jump checks, CSV/JSON output, grid figures."""
 
+import hashlib
 import json
 import warnings
 
@@ -11,6 +12,10 @@ import confmech as cm
 
 def conformal_2x2(a, b):
     return np.array([[a, b], [-b, a]])
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_lcg_reproducible_stream():
@@ -37,6 +42,8 @@ def test_annulus_domain_validation():
         cm.AnnulusDomain(2, 0.9, 0.5)
     with pytest.raises(ValueError):
         cm.AnnulusDomain(2, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        cm.AnnulusDomain(2, 0.5, 0.5)  # sample_annulus would never return
 
 
 def test_admissible_annulus_radii():
@@ -172,6 +179,18 @@ def test_jump_check_rank_one_pair():
     assert abs(rep.det_difference) <= 1e-15
 
 
+def test_jump_check_exact_rank_one_jumps():
+    # F2 = F1 + a (x) b: eigenvalues of D^T D lose the zero singular values
+    # to cancellation, so the rank must come from an SVD of D itself
+    rng = np.random.default_rng(31)
+    for dim in (2, 3):
+        for _ in range(500):
+            F1 = cm.random_def_gradient(rng, dim)
+            F2 = F1 + np.outer(rng.standard_normal(dim), rng.standard_normal(dim))
+            rep = cm.jump_check(F1, F2)
+            assert rep.rank == 1 and rep.rank_one_connected
+
+
 def test_jump_check_equal_pair_rank_zero():
     F = conformal_2x2(1.5, -0.5)
     rep = cm.jump_check(F, F)
@@ -193,6 +212,7 @@ def test_field_csv_schema_and_determinism(tmp_path):
     header = b1.decode().splitlines()[0]
     assert header == "x1,x2,detF,s11,s12,s21,s22,energy"
     assert len(b1.decode().splitlines()) == 26
+    assert sha256(p1) == "344c2087b076f3a71fd4649864394047d0d4e5fed48eaac86c3517a198d00370"
 
 
 def test_field_csv_3d_header(tmp_path):
@@ -205,6 +225,16 @@ def test_field_csv_3d_header(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith("x1,x2,x3,detF,s11,s12,s13,s21")
     assert header.endswith("s33,energy")
+    assert sha256(path) == "ee07182fb0b32fddebe37eb7925f90830f15ad63935ddd6f3f2ba03c4db6ada0"
+
+
+def test_field_csv_demo_bytes(tmp_path):
+    # the field demos/04_stress_field_counterexample.py writes
+    E = cm.builtin_energy("composite2d")
+    samples, _ = cm.stress_field(E, cm.InversionFlip(2), cm.admissible_annulus("phi2d"), n=200, seed=0)
+    path = tmp_path / "composite2d_field.csv"
+    cm.write_field_csv(path, samples)
+    assert sha256(path) == "6a3347f223d8dcabd4f0d81304d771bdd141778d378a049c6b27ba5b49b45f48"
 
 
 def test_field_csv_rejects_empty():
