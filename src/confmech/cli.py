@@ -3,7 +3,8 @@
 Subcommands: stress-field, check-convexity, check-conformal, jump-check,
 render-grid, linearized-demo.  Exit codes: 0 on success, 1 when a
 verification fails (an inhomogeneous field, a violated or unconfirmed
-convexity scan, a failed conformality check), 2 on usage errors.
+convexity scan, a failed conformality check), 2 on usage errors and on
+arguments the library rejects with a ConfmechError.
 
 Map argument grammar: `phi2d`, `phi3d`, or `moebius:<spec>` where <spec> is
 reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
@@ -34,6 +35,7 @@ from .convexity import (
     scan_rank_one_convexity,
 )
 from .energies import BUILTIN_ENERGIES, builtin_energy
+from .exceptions import ConfmechError
 from .fields import (
     AnnulusDomain,
     admissible_annulus,
@@ -56,6 +58,20 @@ from .linearized import (
 from .tensors import dev, frobenius_norm, sym
 
 _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
+
+
+def count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def positive(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError("must be greater than 0, got %r" % value)
+    return value
 
 
 def parse_map_spec(spec, parser):
@@ -280,7 +296,7 @@ def build_parser():
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--map", required=True)
     p.add_argument("--c", type=float, default=np.e + 2.0, help="volumetric splice point")
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None, help="homogeneity tolerance")
     p.add_argument("--fd", action="store_true", help="finite-difference map gradients")
@@ -291,14 +307,14 @@ def build_parser():
     p = sub.add_parser("check-convexity", help="Monte-Carlo rank-one convexity scan")
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--c", type=float, default=np.e + 2.0)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check_convexity)
 
     p = sub.add_parser("check-conformal", help="conformality residuals of a map")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--fd", action="store_true", help="check the FD gradient instead")
@@ -315,15 +331,15 @@ def build_parser():
     p = sub.add_parser("render-grid", help="SVG of a gridded disk and its image")
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, default=42, help="samples per grid line")
-    p.add_argument("--spacing", type=float, default=0.0147)
+    p.add_argument("--resolution", type=count, default=42, help="samples per grid line")
+    p.add_argument("--spacing", type=positive, default=0.0147)
     p.add_argument("--cx", type=float, default=0.5)
     p.add_argument("--cy", type=float, default=0.0)
     p.add_argument("--radius", type=float, default=0.21)
     p.set_defaults(func=_cmd_render_grid)
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_linearized_demo)
@@ -333,7 +349,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ConfmechError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ fractional-linear map in complex form, and the inversion-with-flip map
 (x1, -x2 [, x3]) / |x|^2 whose gradient is hard coded in closed form.
 
 A map built from an odd number of reflections reverses orientation; its
-gradient is refused (the chain rule Jacobian is available to compositions
+gradient is refused (the chain-rule derivative is available to compositions
 internally, but a deformation gradient must have positive determinant).
 """
 
@@ -30,7 +30,7 @@ def _as_point(x, dim=None):
 
 
 class DeformationMap:
-    """Common behaviour: orientation-checked gradient on top of a raw Jacobian."""
+    """Common behaviour: orientation-checked gradient on top of a raw derivative matrix."""
 
     dim = None
 
@@ -247,7 +247,7 @@ class AffineMap(DeformationMap):
 
 
 def fd_gradient(mapping, x, h=1e-5):
-    """Central-difference Jacobian of a map; columns are d(map)/d(x_j)."""
+    """Central-difference derivative matrix of a map; columns are d(map)/d(x_j)."""
     x = _as_point(x, mapping.dim)
     n = x.shape[0]
     J = np.empty((n, n))

@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import InadmissibleDomainWarning, InvalidSplice
 from .energies import CompositeEnergy
 from .conformal import fd_gradient
-from .tensors import as_square, det, frobenius_norm, require_gl_plus
+from .tensors import _semi_axes, as_square, det, frobenius_norm, require_gl_plus
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -126,7 +126,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
     """Sample the Cauchy stress field sigma(x) of a deformation over an annulus.
 
     Returns (samples, summary).  With use_fd the deformation gradients come
-    from central differences of the map instead of the analytic Jacobian
+    from central differences of the map instead of the analytic gradient
     (tolerances around 1e-5 are then appropriate).  For composite energies
     an InadmissibleDomainWarning is emitted when the determinant range
     leaves [e, c].
@@ -197,7 +197,7 @@ def jump_check(F1, F2, tol=1e-9):
     if F1.shape != F2.shape:
         raise ValueError("gradients must have the same shape")
     D = F1 - F2
-    svals = np.linalg.svd(D, compute_uv=False)
+    svals = _semi_axes(D)
     thresh = tol * (1.0 + frobenius_norm(F1) + frobenius_norm(F2))
     rank = int(np.sum(svals > thresh))
     square_terms = None

@@ -1,9 +1,9 @@
-"""Closed-form algebra for 2x2 and 3x3 matrices.
+"""Small-matrix algebra for 2x2 and 3x3 matrices.
 
-Everything here is written out entry by entry so results are deterministic
-and independent of LAPACK: cofactor-expansion determinants, a stable
-closed-form symmetric 2x2 eigensolver, and a cyclic Jacobi sweep for
-symmetric 3x3 matrices (eigenvalue accumulation with a hard sweep cap).
+Determinants and cofactors are written out entry by entry.  Singular values
+come from numpy's SVD (LAPACK) of the matrix itself, never from M^T M, which
+would square the small ones away.  Only the planar ratio energy keeps a
+closed-form 2x2 route (eig_sym, svd); its arithmetic pins field CSV bytes.
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,6 @@ from .exceptions import NotInGLPlus
 
 # dets at or below this are treated as non-positive; no clamping anywhere
 DET_FLOOR = 1e-300
-
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 50
 
 
 def as_square(M):
@@ -108,13 +105,16 @@ def inner(A, B):
     return float(np.sum(np.asarray(A) * np.asarray(B)))
 
 
-def eig_sym_2(S):
+def eig_sym(S):
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 2x2.
 
     The half-gap is computed as hypot((a-c)/2, b), never via m^2 - det: the
     difference form cancels catastrophically for near-multiples of the
     identity, which is exactly the regime the conformality checks live in.
     """
+    S = np.asarray(S, dtype=float)
+    if S.shape != (2, 2):
+        raise ValueError("eig_sym takes a 2x2 matrix, got shape %s" % (S.shape,))
     a = S[0, 0]
     c = S[1, 1]
     b = 0.5 * (S[0, 1] + S[1, 0])
@@ -137,46 +137,9 @@ def eig_sym_2(S):
     return w, V
 
 
-def eig_sym_3(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi for a symmetric 3x3: eigenvalues descending, vectors in columns."""
-    A = 0.5 * (S + S.T)
-    V = np.eye(3)
-    scale = max(1.0, float(np.sqrt(np.sum(A * A))))
-    for _ in range(max_sweeps):
-        off = np.sqrt(A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2)
-        if off < tol * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
-            if apq == 0.0:
-                continue
-            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            R = np.eye(3)
-            R[p, p] = c
-            R[q, q] = c
-            R[p, q] = s
-            R[q, p] = -s
-            A = R.T @ A @ R
-            A = 0.5 * (A + A.T)
-            V = V @ R
-    w = np.diag(A).copy()
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
-
-
-def eig_sym(S):
-    S = as_square(S)
-    return eig_sym_2(S) if S.shape[0] == 2 else eig_sym_3(S)
-
-
 def _semi_axes(M):
     """Singular values of an arbitrary square matrix, descending (zeros allowed)."""
-    M = as_square(M)
-    w, _ = eig_sym(M.T @ M)
-    return np.sqrt(np.maximum(w, 0.0))
+    return np.linalg.svd(as_square(M), compute_uv=False)
 
 
 def singular_values(F):
@@ -191,11 +154,11 @@ def operator_norm(M):
 
 
 def svd(F):
-    """Deterministic SVD of F in GL+: returns (U, s, V) with F = U diag(s) V^T.
+    """Deterministic SVD of F in GL+(2): returns (U, s, V) with F = U diag(s) V^T.
 
-    Built on the symmetric eigensolvers above: V from F^T F, then U = F V / s.
-    U is re-orthonormalized by Gram-Schmidt, which matters only when the
-    singular values are strongly graded.
+    Built on eig_sym: V from F^T F, then U = F V / s.  U is re-orthonormalized
+    by Gram-Schmidt, which matters only when the singular values are strongly
+    graded.
     """
     F = as_square(F)
     require_gl_plus(F)

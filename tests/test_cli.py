@@ -150,13 +150,29 @@ def test_check_conformal_moebius(capsys):
     assert json.loads(out)["failures"] == 0
 
 
-def test_bad_map_spec_is_usage_error():
+def test_bad_map_spec_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check-conformal", "--map", "spiral"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc2:
         main(["check-conformal", "--map", "moebius:sphere(0,0)"])
     assert exc2.value.code == 2
+    # bad counts, a splice below e, an orientation-reversing chain, zero spacing
+    field = ["stress-field", "--energy", "composite2d", "--map", "phi2d"]
+    for argv in (
+        field + ["--n", "0"],
+        field + ["--n", "-3"],
+        field + ["--c", "2.0"],
+        ["stress-field", "--energy", "composite2d", "--map", "moebius:sphere(0,0;1)"],
+        ["check-conformal", "--map", "moebius:sphere(0,0;1)"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--spacing", "0"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--resolution", "0"],
+        ["check-convexity", "--energy", "iso3d", "--samples", "0"],
+        ["linearized-demo", "--n", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc3:
+            main(argv)
+        assert exc3.value.code == 2, argv
 
 
 def test_jump_check_conformal_pair(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import confmech as cm
-from confmech.tensors import eig_sym, eig_sym_2, eig_sym_3
+from confmech.tensors import eig_sym
 
 
 def test_det_and_cofactor_2x2():
@@ -49,7 +49,7 @@ def test_sym_dev_tr_decomposition():
 
 
 def test_eig_sym_2_known_values():
-    w, V = eig_sym_2(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    w, V = eig_sym(np.array([[2.0, 1.0], [1.0, 3.0]]))
     expect = np.array([(5.0 + np.sqrt(5.0)) / 2.0, (5.0 - np.sqrt(5.0)) / 2.0])
     assert np.allclose(w, expect, atol=1e-14)
     S = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -60,33 +60,16 @@ def test_eig_sym_2_known_values():
 def test_eig_sym_2_near_multiple_eigenvalue_is_stable():
     # a naive sqrt(mean^2 - det) half-gap loses half the digits here
     S = np.eye(2) + 1e-13 * np.array([[1.0, 0.5], [0.5, -1.0]])
-    w, V = eig_sym_2(S)
+    w, V = eig_sym(S)
     assert np.all(np.abs(w - 1.0) < 1e-12)
     assert np.allclose(V @ np.diag(w) @ V.T, S, atol=1e-15)
 
 
-def test_eig_sym_3_reconstructs():
-    S = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
-    w, V = eig_sym_3(S)
-    assert w[0] >= w[1] >= w[2]
-    assert np.allclose(V @ np.diag(w) @ V.T, S, atol=1e-12)
-    assert np.allclose(V.T @ V, np.eye(3), atol=1e-13)
-
-
-def test_eig_sym_3_random_spectra():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        A = rng.standard_normal((3, 3))
-        S = A + A.T
-        w, V = eig_sym_3(S)
-        assert np.allclose(V @ np.diag(w) @ V.T, S, atol=1e-11)
-        assert np.allclose(V.T @ V, np.eye(3), atol=1e-12)
-
-
 def test_eig_sym_dispatch():
     w2, _ = eig_sym(np.eye(2) * 3.0)
-    w3, _ = eig_sym(np.eye(3) * 3.0)
-    assert np.allclose(w2, [3.0, 3.0]) and np.allclose(w3, [3.0, 3.0, 3.0])
+    assert np.allclose(w2, [3.0, 3.0])
+    with pytest.raises(ValueError):
+        eig_sym(np.eye(3) * 3.0)
 
 
 def test_singular_values_and_operator_norm():
@@ -103,14 +86,28 @@ def test_singular_values_and_operator_norm():
 
 def test_svd_reconstruction_random():
     rng = np.random.default_rng(23)
-    for dim in (2, 3):
-        for _ in range(30):
-            F = cm.random_def_gradient(rng, dim, (0.2, 5.0))
-            U, s, V = cm.svd(F)
-            assert np.allclose(U @ np.diag(s) @ V.T, F, atol=1e-11 * max(1.0, s[0]))
-            assert np.allclose(U.T @ U, np.eye(dim), atol=1e-12)
-            assert np.allclose(V.T @ V, np.eye(dim), atol=1e-12)
-            assert s[0] >= s[-1] > 0
+    for _ in range(30):
+        F = cm.random_def_gradient(rng, 2, (0.2, 5.0))
+        U, s, V = cm.svd(F)
+        assert np.allclose(U @ np.diag(s) @ V.T, F, atol=1e-11 * max(1.0, s[0]))
+        assert np.allclose(U.T @ U, np.eye(2), atol=1e-12)
+        assert np.allclose(V.T @ V, np.eye(2), atol=1e-12)
+        assert s[0] >= s[-1] > 0
+    with pytest.raises(ValueError):
+        cm.svd(2.0 * np.eye(3))
+
+
+def test_graded_singular_values_are_not_squared_away():
+    # solving through F^T F would square 1e-9 below the rounding of 1, making lin_K inf
+    rng = np.random.default_rng(31)
+    for graded in ([1.0, 1e-9], [1.0, 1e-4, 1e-9]):
+        dim = len(graded)
+        for _ in range(20):
+            F = cm.random_rotation(rng, dim) @ np.diag(graded) @ cm.random_rotation(rng, dim)
+            s = cm.singular_values(F)
+            assert np.all(np.abs(s - graded) <= 1e-5 * np.asarray(graded))
+            lin_K = cm.distortions(F).lin_K
+            assert np.isfinite(lin_K) and abs(lin_K - 1e9) <= 1e-5 * 1e9
 
 
 def test_distortions_identity_and_diag():
