@@ -96,6 +96,7 @@ from .linearized import (
 from .fields import (
     AnnulusDomain,
     FieldSample,
+    FieldSamples,
     JumpReport,
     Lcg64,
     StressFieldSummary,

@@ -69,8 +69,15 @@ def count(text):
 
 def positive(text):
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be greater than 0, got %r" % value)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be finite and greater than 0, got %r" % value)
+    return value
+
+
+def tolerance(text):
+    value = float(text)
+    if not (value >= 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be finite and at least 0, got %r" % value)
     return value
 
 
@@ -298,7 +305,7 @@ def build_parser():
     p.add_argument("--c", type=float, default=np.e + 2.0, help="volumetric splice point")
     p.add_argument("--n", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="homogeneity tolerance")
+    p.add_argument("--tol", type=tolerance, default=None, help="homogeneity tolerance")
     p.add_argument("--fd", action="store_true", help="finite-difference map gradients")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--summary", default=None, help="JSON summary path")
@@ -316,7 +323,7 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
     p.add_argument("--fd", action="store_true", help="check the FD gradient instead")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check_conformal)
@@ -324,7 +331,7 @@ def build_parser():
     p = sub.add_parser("jump-check", help="rank-one compatibility of two gradients")
     p.add_argument("--f1", required=True, help="row-major entries, e.g. '1,0,0,1'")
     p.add_argument("--f2", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_jump_check)
 
@@ -335,7 +342,7 @@ def build_parser():
     p.add_argument("--spacing", type=positive, default=0.0147)
     p.add_argument("--cx", type=float, default=0.5)
     p.add_argument("--cy", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=0.21)
+    p.add_argument("--radius", type=positive, default=0.21)
     p.set_defaults(func=_cmd_render_grid)
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")

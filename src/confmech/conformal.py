@@ -5,6 +5,11 @@ spheres and hyperplanes, their compositions (Moebius maps), the planar
 fractional-linear map in complex form, and the inversion-with-flip map
 (x1, -x2 [, x3]) / |x|^2 whose gradient is hard coded in closed form.
 
+gradient takes one point or a stack of points (..., dim).  The
+inversion-flip computes its gradients for the whole stack at once (stacked
+= True); every other map's derivative goes through tensors.per_item, one
+point at a time.
+
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
 internally, but a deformation gradient must have positive determinant).
@@ -15,17 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonOrientationPreserving, NotConformal, SingularPoint
-from .tensors import as_square, conformality_residual, det, require_gl_plus
+from .tensors import (
+    as_square,
+    conformality_residual,
+    det,
+    first_true,
+    from_entries,
+    libm_pow,
+    per_item,
+    require_gl_plus,
+)
 
 SINGULAR_RADIUS = 1e-14
 
 
-def _as_point(x, dim=None):
+def _as_point(x, dim=None, stack=False):
+    """x as a 2- or 3-vector, or with stack=True as a stack (..., dim) of them."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] not in (2, 3):
+    if x.ndim == 0 or x.shape[-1] not in (2, 3) or (x.ndim > 1 and not stack):
         raise ValueError("expected a 2- or 3-vector, got shape %s" % (x.shape,))
-    if dim is not None and x.shape[0] != dim:
-        raise ValueError("expected a %d-vector, got %d" % (dim, x.shape[0]))
+    if dim is not None and x.shape[-1] != dim:
+        raise ValueError("expected a %d-vector, got %d" % (dim, x.shape[-1]))
     return x
 
 
@@ -33,6 +48,7 @@ class DeformationMap:
     """Common behaviour: orientation-checked gradient on top of a raw derivative matrix."""
 
     dim = None
+    stacked = False  # True when _jacobian takes a stack of points itself
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -44,11 +60,18 @@ class DeformationMap:
         return self.evaluate(x)
 
     def gradient(self, x):
-        """Deformation gradient at x; raises NonOrientationPreserving if det <= 0."""
-        J = self._jacobian(_as_point(x, self.dim))
-        if not det(J) > 0.0:
+        """Deformation gradient at x, or at each point of a stack x of shape (..., dim).
+
+        Raises NonOrientationPreserving, naming the first such point, where det <= 0.
+        """
+        x = _as_point(x, self.dim, stack=True)
+        J = self._jacobian(x) if self.stacked else per_item(self._jacobian, x, 1)
+        d = det(J)
+        i = first_true(~(d > 0.0))
+        if i is not None:
             raise NonOrientationPreserving(
-                "map reverses orientation at %s (det = %r)" % (x, det(J))
+                "map reverses orientation at %s (det = %r)"
+                % (x.reshape(-1, self.dim)[i], float(np.ravel(d)[i]))
             )
         return J
 
@@ -172,8 +195,10 @@ class InversionFlip(DeformationMap):
     In 2D this is the complex reciprocal z -> 1/z. Equals the unit-sphere
     inversion followed by a reflection of the second coordinate, hence
     orientation preserving; gradient and determinant are hard coded:
-    det grad = |x|^{-4} in 2D and |x|^{-6} in 3D.
+    det grad = |x|^{-4} in 2D and |x|^{-6} in 3D.  Both take stacks of points.
     """
+
+    stacked = True
 
     def __init__(self, dim):
         if dim not in (2, 3):
@@ -181,8 +206,9 @@ class InversionFlip(DeformationMap):
         self.dim = dim
 
     def _rho(self, x):
-        rho = float(x @ x)
-        if np.sqrt(rho) < SINGULAR_RADIUS:
+        # vecdot is BLAS ddot per point, the bits of x @ x
+        rho = np.vecdot(x, x)
+        if first_true(np.sqrt(rho) < SINGULAR_RADIUS) is not None:
             raise SingularPoint("origin is the singular point of the inversion")
         return rho
 
@@ -195,32 +221,26 @@ class InversionFlip(DeformationMap):
 
     def _jacobian(self, x):
         rho = self._rho(x)
+        # coordinates first: scalars for one point, arrays for a stack
+        coords = x if x.ndim == 1 else np.moveaxis(x, -1, 0)
         if self.dim == 2:
-            x1, x2 = x
-            return (
-                np.array(
-                    [
-                        [rho - 2.0 * x1 * x1, -2.0 * x1 * x2],
-                        [2.0 * x1 * x2, -rho + 2.0 * x2 * x2],
-                    ]
-                )
-                / rho**2
-            )
-        x1, x2, x3 = x
-        return (
-            np.array(
-                [
-                    [rho - 2.0 * x1 * x1, -2.0 * x1 * x2, -2.0 * x1 * x3],
-                    [2.0 * x1 * x2, -rho + 2.0 * x2 * x2, 2.0 * x2 * x3],
-                    [-2.0 * x1 * x3, -2.0 * x2 * x3, rho - 2.0 * x3 * x3],
-                ]
-            )
-            / rho**2
-        )
+            x1, x2 = coords
+            rows = [
+                [rho - 2.0 * x1 * x1, -2.0 * x1 * x2],
+                [2.0 * x1 * x2, -rho + 2.0 * x2 * x2],
+            ]
+        else:
+            x1, x2, x3 = coords
+            rows = [
+                [rho - 2.0 * x1 * x1, -2.0 * x1 * x2, -2.0 * x1 * x3],
+                [2.0 * x1 * x2, -rho + 2.0 * x2 * x2, 2.0 * x2 * x3],
+                [-2.0 * x1 * x3, -2.0 * x2 * x3, rho - 2.0 * x3 * x3],
+            ]
+        return from_entries(rows) / libm_pow(rho, 2.0)[..., None, None]
 
     def det_gradient(self, x):
-        rho = self._rho(_as_point(x, self.dim))
-        return rho**-2 if self.dim == 2 else rho**-3
+        rho = self._rho(_as_point(x, self.dim, stack=True))
+        return libm_pow(rho, -2.0 if self.dim == 2 else -3.0)
 
     def as_reflections(self):
         """The same map as an explicit two-reflection composition (cross-check)."""

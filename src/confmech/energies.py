@@ -17,8 +17,15 @@ are the comparison side of every derivative test.
 Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
 stress is sigma = (1/det F) D_F W F^T.
+
+value and cauchy_stress take one matrix or a stack (..., n, n).  The
+isochoric neo-Hooke and composite energies evaluate a stack in one pass
+(stacked = True); any other energy, a user's value-only subclass included,
+gets its one-matrix value and cauchy_stress lifted to stacks by
+tensors.per_item when the class is defined.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -28,8 +35,11 @@ from .tensors import (
     as_square,
     cofactor,
     det,
+    first_true,
     frobenius_norm,
     inner,
+    libm_pow,
+    per_item,
     require_gl_plus,
     svd,
     transpose_inverse,
@@ -92,19 +102,37 @@ def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
     return nrm**2 * (wp - 2.0 * w0 + wm) / step**2
 
 
+def _lift(method):
+    """A one-matrix method F -> result made to take stacks (..., n, n) too."""
+
+    @functools.wraps(method)
+    def lifted(self, F):
+        return per_item(lambda G: method(self, G), F, 2)
+
+    return lifted
+
+
 class EnergyModel:
     """Contract shared by all energies; derivative routes default to FD."""
 
     dim = None
     label = "energy"
     analytic = False  # True when first_derivative and second_form are closed forms
+    stacked = False  # True when the class's own value and cauchy_stress take stacks
 
-    def _check_dim(self, F):
-        F = as_square(F)
-        if F.shape[0] != self.dim:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not vars(cls).get("stacked", False):
+            for name in ("value", "cauchy_stress"):
+                if name in vars(cls):
+                    setattr(cls, name, _lift(vars(cls)[name]))
+
+    def _check_dim(self, F, stack=False):
+        F = as_square(F, stack)
+        if F.shape[-1] != self.dim:
             raise ValueError(
                 "%s is a %dD energy, got a %dx%d matrix"
-                % (self.label, self.dim, F.shape[0], F.shape[0])
+                % (self.label, self.dim, F.shape[-1], F.shape[-1])
             )
         return F
 
@@ -117,6 +145,7 @@ class EnergyModel:
     def second_form(self, F, H):
         return fd_second_form(self, self._check_dim(F), H)
 
+    @_lift
     def cauchy_stress(self, F):
         F = self._check_dim(F)
         d = require_gl_plus(F)
@@ -307,11 +336,12 @@ class IsochoricNeoHooke(EnergyModel):
     dim = 3
     label = "isochoric-neo-hooke"
     analytic = True
+    stacked = True
 
     def value(self, F):
-        F = self._check_dim(F)
+        F = self._check_dim(F, stack=True)
         d = require_gl_plus(F)
-        return float(np.sum(F * F)) / d ** (2.0 / 3.0) - 3.0
+        return np.sum(F * F, axis=(-2, -1)) / libm_pow(d, 2.0 / 3.0) - 3.0
 
     def first_derivative(self, F):
         F = self._check_dim(F)
@@ -336,10 +366,11 @@ class IsochoricNeoHooke(EnergyModel):
         )
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F)
+        F = self._check_dim(F, stack=True)
         d = require_gl_plus(F)
-        scale = d ** (5.0 / 3.0)
-        return 2.0 * (F @ F.T) / scale - (2.0 / 3.0) * float(np.sum(F * F)) / scale * np.eye(3)
+        scale = libm_pow(d, 5.0 / 3.0)[..., None, None]
+        n2 = np.sum(F * F, axis=(-2, -1))[..., None, None]
+        return 2.0 * (F @ np.swapaxes(F, -2, -1)) / scale - (2.0 / 3.0) * n2 / scale * np.eye(3)
 
 
 VolumetricValues = namedtuple("VolumetricValues", ["value", "d1", "d2"])
@@ -353,9 +384,11 @@ class VolumetricTerm:
         f(t) = 1 + (2/e) (exp(t - c) + c - e - 1)       t > c
 
     f is C^1 everywhere with f(1) = f'(1) = 0, f''(1) = 2, and f' = 2/e on
-    the whole band [e, c].  The second derivative jumps at t = c; evaluate()
-    reports d2 as a (left, right) pair exactly at the splice points and as a
-    plain float elsewhere.
+    the whole band [e, c].  value and slope take arrays, each branch
+    computed on its own entries only, with numpy's log and exp, which give
+    the same bits on an array as on one float.  The second derivative jumps
+    at t = c; evaluate() reports it for one t, as a (left, right) pair
+    exactly at the splice points and as a plain float elsewhere.
     """
 
     def __init__(self, c=np.e + 2.0):
@@ -363,26 +396,66 @@ class VolumetricTerm:
             raise InvalidSplice("splice point c = %r must lie strictly above e" % (c,))
         self.c = float(c)
 
-    def evaluate(self, t):
-        t = float(t)
-        if not t > 0.0:
-            raise NonPositiveArgument("volumetric argument t = %r must be positive" % (t,))
-        e = np.e
-        if t < e:
-            lg = np.log(t)
-            return VolumetricValues(lg * lg, 2.0 * lg / t, 2.0 * (1.0 - lg) / t**2)
-        if t == e:
-            return VolumetricValues(1.0, 2.0 / e, (0.0, 0.0))
-        if t < self.c:
-            return VolumetricValues(1.0 + 2.0 * (t - e) / e, 2.0 / e, 0.0)
-        if t == self.c:
-            return VolumetricValues(1.0 + 2.0 * (t - e) / e, 2.0 / e, (0.0, 2.0 / e))
-        ex = np.exp(t - self.c)
-        return VolumetricValues(
-            1.0 + (2.0 / e) * (ex + self.c - e - 1.0),
-            (2.0 / e) * ex,
-            (2.0 / e) * ex,
+    def _by_branch(self, t, low, band, high):
+        """low(t) where t < e, band(t) on [e, c], high(t) where t > c; one t or an array.
+
+        Each formula sees only the entries of its own branch.
+        """
+        if isinstance(t, float):
+            if not t > 0.0:
+                raise NonPositiveArgument(
+                    "volumetric argument t = %r must be positive" % (float(t),)
+                )
+            return low(t) if t < np.e else band(t) if t <= self.c else high(t)
+        t = np.asarray(t, dtype=float)
+        i = first_true(~(t > 0.0))
+        if i is not None:
+            bad = float(t.flat[i])
+            raise NonPositiveArgument("volumetric argument t = %r must be positive" % (bad,))
+        lo, hi = t < np.e, t > self.c
+        out = np.empty(t.shape)
+        for mask, formula in ((lo, low), (~(lo | hi), band), (hi, high)):
+            out[mask] = formula(t[mask])
+        return out[()]
+
+    def value(self, t):
+        """f(t), of one t or of each entry of an array."""
+        e, c = np.e, self.c
+        return self._by_branch(
+            t,
+            _log_squared,
+            lambda t: 1.0 + 2.0 * (t - e) / e,
+            lambda t: 1.0 + (2.0 / e) * (np.exp(t - c) + c - e - 1.0),
         )
+
+    def slope(self, t):
+        """f'(t), of one t or of each entry of an array."""
+        e, c = np.e, self.c
+        return self._by_branch(
+            t,
+            lambda t: 2.0 * np.log(t) / t,
+            lambda t: np.full_like(t, 2.0 / e),
+            lambda t: (2.0 / e) * np.exp(t - c),
+        )
+
+    def evaluate(self, t):
+        """f, f' and f'' at one t; f'' is a (left, right) pair at t = e and t = c."""
+        t = float(t)
+        e, c = np.e, self.c
+        d2 = {e: (0.0, 0.0), c: (0.0, 2.0 / e)}.get(t)
+        if d2 is None:
+            d2 = self._by_branch(
+                t,
+                lambda t: 2.0 * (1.0 - np.log(t)) / t**2,
+                lambda t: 0.0,
+                lambda t: (2.0 / e) * np.exp(t - c),
+            )
+        return VolumetricValues(float(self.value(t)), float(self.slope(t)), d2)
+
+
+def _log_squared(t):
+    lg = np.log(t)
+    return lg * lg
 
 
 def _d2_scalar(vol_values, t):
@@ -403,6 +476,8 @@ class CompositeEnergy(EnergyModel):
     fail it.
     """
 
+    stacked = True
+
     def __init__(self, iso, vol, label=None):
         self.iso = iso
         self.vol = vol
@@ -415,14 +490,14 @@ class CompositeEnergy(EnergyModel):
         self.analytic = iso.analytic
 
     def value(self, F):
-        F = self._check_dim(F)
+        F = self._check_dim(F, stack=True)
         d = require_gl_plus(F)
-        return self.iso.value(F / d ** (1.0 / self.dim)) + self.vol.evaluate(d).value
+        return self.iso.value(F / libm_pow(d, 1.0 / self.dim)[..., None, None]) + self.vol.value(d)
 
     def first_derivative(self, F):
         F = self._check_dim(F)
         d = require_gl_plus(F)
-        return self.iso.first_derivative(F) + self.vol.evaluate(d).d1 * cofactor(F)
+        return self.iso.first_derivative(F) + self.vol.slope(d) * cofactor(F)
 
     def second_form(self, F, H):
         F = self._check_dim(F)
@@ -441,9 +516,9 @@ class CompositeEnergy(EnergyModel):
         )
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F)
+        F = self._check_dim(F, stack=True)
         d = require_gl_plus(F)
-        return self.iso.cauchy_stress(F) + self.vol.evaluate(d).d1 * np.eye(self.dim)
+        return self.iso.cauchy_stress(F) + self.vol.slope(d)[..., None, None] * np.eye(self.dim)
 
 
 BUILTIN_ENERGIES = ("iso2d-klin2", "iso2d-psi", "iso3d", "composite2d", "composite3d")

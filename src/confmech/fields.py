@@ -1,12 +1,16 @@
 """Spatial stress fields of deformation maps, and jump compatibility checks.
 
-stress_field samples points of an annulus, pushes each through a map's
-gradient and an energy's Cauchy stress, and summarizes how homogeneous the
-resulting field is.  Point sampling uses a self-contained 64-bit linear
-congruential generator (Knuth's MMIX multiplier 6364136223846793005 and
-increment 1442695040888963407, top 53 bits as the uniform draw) advanced
-sequentially per coordinate, so a fixed seed reproduces the exact same
-bytes in the CSV output everywhere.
+stress_field samples points of an annulus, pushes the whole stack of points
+through a map's gradient and an energy's Cauchy stress, and summarizes how
+homogeneous the resulting field is.  Point sampling uses a self-contained
+64-bit linear congruential generator (Knuth's MMIX multiplier
+6364136223846793005 and increment 1442695040888963407, top 53 bits as the
+uniform draw), one draw per coordinate, so a fixed seed reproduces the
+exact same bytes in the CSV output everywhere.  The sampler takes its draws
+in blocks by jump-ahead, s_{i+m} = A_m s_i + C_m (mod 2^64), in uint64
+arithmetic (F. Brown, "Random number generation with arbitrary strides",
+Trans. ANS 1994); the blocks are the exact stream of Lcg64.next_uniform,
+and the points are the first n accepted, in stream order.
 
 jump_check measures rank-one compatibility of two gradients through
 numpy's SVD of F1 - F2, which resolves a zero singular value to rounding
@@ -15,7 +19,6 @@ conformal pairs it also reports det(F1 - F2) as the sum of two squares,
 the reason two distinct conformal states can never form a laminate.
 """
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -25,23 +28,45 @@ import numpy as np
 from .exceptions import InadmissibleDomainWarning, InvalidSplice
 from .energies import CompositeEnergy
 from .conformal import fd_gradient
-from .tensors import _semi_axes, as_square, det, frobenius_norm, require_gl_plus
+from .tensors import _semi_axes, as_square, det, frobenius_norm, per_item, require_gl_plus
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
+# points drawn per block at most, whatever the acceptance rate
+SAMPLER_BLOCK = 1 << 16
+
+
+def _lcg_step(state):
+    return (LCG_MULT * state + LCG_INC) & LCG_MASK
 
 
 class Lcg64:
     """Deterministic 64-bit linear congruential generator (documented in module docstring)."""
 
     def __init__(self, seed):
-        self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & LCG_MASK
-        self.next_uniform()  # decorrelate small seeds
+        # one step past the seed decorrelates small seeds
+        self.state = _lcg_step((int(seed) ^ 0x9E3779B97F4A7C15) & LCG_MASK)
 
     def next_uniform(self):
-        self.state = (LCG_MULT * self.state + LCG_INC) & LCG_MASK
+        self.state = _lcg_step(self.state)
         return (self.state >> 11) / float(1 << 53)
+
+    def uniforms(self, k):
+        """The next k >= 1 draws as an array, the values of k next_uniform calls.
+
+        Block m of the states follows from the first m by s_{i+m} = A_m s_i
+        + C_m, with (A_m, C_m) doubled to (A_m^2, A_m C_m + C_m) each step.
+        """
+        s = np.empty(k, dtype=np.uint64)
+        s[0] = _lcg_step(self.state)
+        a, c, m = LCG_MULT, LCG_INC, 1
+        while m < k:
+            j = min(m, k - m)
+            s[m:m + j] = s[:j] * np.uint64(a) + np.uint64(c)
+            a, c, m = a * a & LCG_MASK, (a * c + c) & LCG_MASK, 2 * m
+        self.state = int(s[-1])
+        return (s >> np.uint64(11)) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -55,6 +80,11 @@ class AnnulusDomain:
             raise ValueError("dim must be 2 or 3")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
+
+    def acceptance_rate(self):
+        """Share of the bounding box [-r_max, r_max]^dim inside the annulus."""
+        ball = np.pi / 4.0 if self.dim == 2 else np.pi / 6.0
+        return ball * (1.0 - (self.r_min / self.r_max) ** self.dim)
 
 
 def admissible_annulus(map_kind, c=np.e + 2.0):
@@ -73,26 +103,55 @@ def admissible_annulus(map_kind, c=np.e + 2.0):
 
 
 def sample_annulus(dom, n, seed=0):
-    """n points uniform in the annulus by seeded rejection from the bounding box."""
+    """n points uniform in the annulus by seeded rejection from the bounding box.
+
+    Each block draws about the number of points the rest of n needs at the
+    domain's acceptance rate, at most SAMPLER_BLOCK; |x|^2 comes from
+    vecdot, the BLAS ddot of x @ x.
+    """
+    n = int(n)
     gen = Lcg64(seed)
-    pts = np.empty((int(n), dom.dim))
+    rate = dom.acceptance_rate()
+    blocks = [np.empty((0, dom.dim))]
     have = 0
     while have < n:
-        x = np.array([(2.0 * gen.next_uniform() - 1.0) * dom.r_max for _ in range(dom.dim)])
-        r = np.sqrt(x @ x)
-        if dom.r_min <= r <= dom.r_max:
-            pts[have] = x
-            have += 1
-    return pts
+        size = min(SAMPLER_BLOCK, int(1.05 * (n - have) / rate) + 16)
+        x = ((2.0 * gen.uniforms(size * dom.dim) - 1.0) * dom.r_max).reshape(size, dom.dim)
+        r = np.sqrt(np.vecdot(x, x))
+        x = x[(dom.r_min <= r) & (r <= dom.r_max)][: n - have]
+        blocks.append(x)
+        have += len(x)
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
 class FieldSample:
+    """One point of a sampled field."""
+
     x: np.ndarray
     F: np.ndarray
     det_F: float
     sigma: np.ndarray
     energy: float
+
+
+@dataclass(frozen=True)
+class FieldSamples:
+    """A sampled field as stacks: point i is x[i], F[i], det_F[i], sigma[i], energy[i]."""
+
+    x: np.ndarray  # (n, dim)
+    F: np.ndarray  # (n, dim, dim)
+    det_F: np.ndarray  # (n,)
+    sigma: np.ndarray  # (n, dim, dim)
+    energy: np.ndarray  # (n,)
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return FieldSample(
+            self.x[i], self.F[i], float(self.det_F[i]), self.sigma[i], float(self.energy[i])
+        )
 
 
 @dataclass(frozen=True)
@@ -103,14 +162,20 @@ class StressFieldSummary:
     det_range: tuple
     admissible: bool  # det_range inside [e, c]
     homogeneous: bool  # max_deviation <= tol
+    worst_point: FieldSample  # the first point at max_deviation
+
+
+def _field(energy, x, F):
+    """The samples of an energy's field with gradients F at points x, all as stacks."""
+    return FieldSamples(x, F, require_gl_plus(F), energy.cauchy_stress(F), energy.value(F))
 
 
 def _summarize(samples, tol, energy):
-    sigmas = np.stack([s.sigma for s in samples])
-    mean = sigmas.mean(axis=0)
-    deviation = float(np.max(np.sqrt(np.sum((sigmas - mean) ** 2, axis=(1, 2)))))
-    dets = [s.det_F for s in samples]
-    lo, hi = float(min(dets)), float(max(dets))
+    mean = samples.sigma.mean(axis=0)
+    deviations = np.sqrt(np.sum((samples.sigma - mean) ** 2, axis=(1, 2)))
+    worst = int(np.argmax(deviations))
+    deviation = float(deviations[worst])
+    lo, hi = float(np.min(samples.det_F)), float(np.max(samples.det_F))
     band = (np.e, energy.vol.c) if isinstance(energy, CompositeEnergy) else (np.e, np.e + 2.0)
     return StressFieldSummary(
         n_samples=len(samples),
@@ -119,30 +184,27 @@ def _summarize(samples, tol, energy):
         det_range=(lo, hi),
         admissible=band[0] <= lo and hi <= band[1],
         homogeneous=deviation <= tol,
+        worst_point=samples[worst],
     )
 
 
 def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_step=1e-5):
     """Sample the Cauchy stress field sigma(x) of a deformation over an annulus.
 
-    Returns (samples, summary).  With use_fd the deformation gradients come
-    from central differences of the map instead of the analytic gradient
-    (tolerances around 1e-5 are then appropriate).  For composite energies
-    an InadmissibleDomainWarning is emitted when the determinant range
-    leaves [e, c].
+    Returns (samples, summary), samples a FieldSamples of stacks.  With
+    use_fd the deformation gradients come from central differences of the
+    map instead of the analytic gradient (tolerances around 1e-5 are then
+    appropriate).  For composite energies an InadmissibleDomainWarning is
+    emitted when the determinant range leaves [e, c].
     """
     if energy.dim != dom.dim:
         raise ValueError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
-    pts = sample_annulus(dom, n, seed)
-    samples = []
-    for x in pts:
-        F = fd_gradient(mapping, x, fd_step) if use_fd else mapping.gradient(x)
-        d = require_gl_plus(F)
-        samples.append(
-            FieldSample(
-                x=x, F=F, det_F=d, sigma=energy.cauchy_stress(F), energy=energy.value(F)
-            )
-        )
+    x = sample_annulus(dom, n, seed)
+    if use_fd:
+        F = per_item(lambda p: fd_gradient(mapping, p, fd_step), x, 1)
+    else:
+        F = mapping.gradient(x)
+    samples = _field(energy, x, F)
     summary = _summarize(samples, tol, energy)
     if isinstance(energy, CompositeEnergy) and not summary.admissible:
         warnings.warn(
@@ -156,12 +218,8 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
 def affine_reference_check(energy, A, dom, n, seed=0, tol=1e-14):
     """Constant-gradient control: the field of x -> A x must be exactly homogeneous."""
     A = as_square(A)
-    d = require_gl_plus(A)
-    pts = sample_annulus(dom, n, seed)
-    sigma = energy.cauchy_stress(A)
-    w = energy.value(A)
-    samples = [FieldSample(x=x, F=A, det_F=d, sigma=sigma, energy=w) for x in pts]
-    return _summarize(samples, tol, energy)
+    x = sample_annulus(dom, n, seed)
+    return _summarize(_field(energy, x, np.repeat(A[None], len(x), axis=0)), tol, energy)
 
 
 @dataclass(frozen=True)
@@ -221,26 +279,30 @@ CSV_DIGITS = "%.17g"
 
 
 def write_field_csv(path, samples):
-    """Write samples as CSV: x1,x2[,x3],detF,s11,s12,...,energy with 17 significant digits."""
-    if not samples:
+    """Write samples as CSV: x1,x2[,x3],detF,s11,s12,...,energy with 17 significant digits.
+
+    The table is formatted as one block, with the comma separators and the
+    \\r\\n line ends of the csv module's default dialect.
+    """
+    n = len(samples)
+    if n == 0:
         raise ValueError("no samples to write")
-    dim = samples[0].x.shape[0]
+    dim = samples.x.shape[1]
     header = ["x%d" % (i + 1) for i in range(dim)]
     header += ["detF"]
     header += ["s%d%d" % (i + 1, j + 1) for i in range(dim) for j in range(dim)]
     header += ["energy"]
+    table = np.column_stack(
+        [samples.x, samples.det_F, samples.sigma.reshape(n, -1), samples.energy]
+    )
+    row = ",".join([CSV_DIGITS] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in samples:
-            row = [CSV_DIGITS % v for v in s.x]
-            row.append(CSV_DIGITS % s.det_F)
-            row.extend(CSV_DIGITS % v for v in s.sigma.reshape(-1))
-            row.append(CSV_DIGITS % s.energy)
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * n) % tuple(table.ravel().tolist()))
 
 
 def summary_to_dict(summary):
+    worst = summary.worst_point
     return {
         "n_samples": summary.n_samples,
         "mean_sigma": summary.mean_sigma.tolist(),
@@ -248,6 +310,13 @@ def summary_to_dict(summary):
         "det_range": list(summary.det_range),
         "admissible": summary.admissible,
         "homogeneous": summary.homogeneous,
+        "worst_point": {
+            "x": worst.x.tolist(),
+            "F": worst.F.tolist(),
+            "det_F": worst.det_F,
+            "sigma": worst.sigma.tolist(),
+            "deviation": summary.max_deviation,
+        },
     }
 
 

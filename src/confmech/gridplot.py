@@ -20,6 +20,10 @@ class DiskRegion:
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive, got %r" % (self.radius,))
+
 
 def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     """Grid segments clipped to the disk plus its boundary circle.

@@ -1,11 +1,18 @@
-"""Small-matrix algebra for 2x2 and 3x3 matrices.
+"""Small-matrix algebra for 2x2 and 3x3 matrices, one at a time or in stacks.
 
-Determinants and cofactors are written out entry by entry.  Singular values
-come from numpy's SVD (LAPACK) of the matrix itself, never from M^T M, which
-would square the small ones away.  Only the planar ratio energy keeps a
-closed-form 2x2 route (eig_sym, svd); its arithmetic pins field CSV bytes.
+Determinants and cofactors are written out entry by entry on the matrix
+axes moved to the front, so they take one matrix or a stack of shape
+(..., n, n) alike, with scalar arithmetic for one matrix.
+Singular values come from numpy's SVD (LAPACK) of the matrix itself, never
+from M^T M, which would square the small ones away.  Only the planar ratio
+energy keeps a closed-form 2x2 route (eig_sym, svd); its arithmetic pins
+field CSV bytes.
+
+Powers of stacks go through libm_pow, one libm call per element: a stack
+then gives the bits that a scalar power of each element gives.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,71 +23,138 @@ from .exceptions import NotInGLPlus
 DET_FLOOR = 1e-300
 
 
-def as_square(M):
+def as_square(M, stack=False):
+    """M as a float 2x2 or 3x3 matrix, or with stack=True as a stack (..., n, n) of them."""
     M = np.asarray(M, dtype=float)
-    if M.shape not in ((2, 2), (3, 3)):
+    if M.shape[-2:] not in ((2, 2), (3, 3)) or (M.ndim > 2 and not stack):
         raise ValueError("expected a 2x2 or 3x3 matrix, got shape %s" % (M.shape,))
     return M
 
 
+def per_item(fn, a, core):
+    """fn applied to each item of a, an item being its last `core` axes.
+
+    The one lift from a one-item function to stacks: fn(a) itself when a is
+    a single item, else the results of fn on every item, stacked in the
+    shape of a's leading axes.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim <= core:
+        return fn(a)
+    lead = a.shape[: a.ndim - core]
+    out = np.array([fn(item) for item in a.reshape((-1,) + a.shape[a.ndim - core:])])
+    return out.reshape(lead + out.shape[1:])
+
+
+def libm_pow(a, p):
+    """a ** p element by element through libm pow, as a scalar power computes it.
+
+    numpy's array power takes a SIMD route on AVX-512 hosts that differs
+    from libm in the last bit on about 5 % of inputs, and its a ** 2 is
+    a * a, which differs from pow(a, 2) on about 1 in 1000.  Stacked
+    formulas therefore take every power from here.
+    """
+    if isinstance(a, float):
+        return np.float64(math.pow(a, p))
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel().tolist()
+    return np.fromiter(map(math.pow, flat, [p] * len(flat)), float, len(flat)).reshape(a.shape)[()]
+
+
+def first_true(mask):
+    """Index of the first True entry of a boolean scalar or array, or None if none is.
+
+    A numpy bool scalar is tested as it is: its .any() would cost a round
+    trip through an array, on every call for one matrix.
+    """
+    if not (mask.any() if mask.ndim else mask):
+        return None
+    return int(np.argmax(mask))
+
+
+def _entries(M):
+    """M with its two matrix axes first: m[i, j] is a scalar for one matrix, an array for a stack."""
+    return M if M.ndim == 2 else np.moveaxis(M, (-2, -1), (0, 1))
+
+
+def from_entries(rows):
+    """The matrix, or stack of matrices, whose (i, j) entry is rows[i][j] (scalars or arrays).
+
+    A stack comes back C-contiguous: matmul takes another BLAS route, with
+    other roundings, for a stack laid out matrix axes first.
+    """
+    M = np.array(rows)
+    return M if M.ndim == 2 else np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
+
+
 def det(M):
-    """Determinant by cofactor expansion."""
-    M = as_square(M)
-    if M.shape[0] == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    """Determinant by cofactor expansion, of one matrix or of each in a stack."""
+    m = _entries(as_square(M, stack=True))
+    if m.shape[0] == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
     )
 
 
 def cofactor(M):
-    """Cofactor matrix, Cof M = det(M) M^{-T} for invertible M."""
-    M = as_square(M)
-    if M.shape[0] == 2:
-        return np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]])
-    return np.array(
-        [
+    """Cofactor matrix, Cof M = det(M) M^{-T} for invertible M; stacks allowed."""
+    m = _entries(as_square(M, stack=True))
+    if m.shape[0] == 2:
+        rows = [[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]]
+    else:
+        rows = [
             [
-                M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1],
-                -(M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0]),
-                M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0],
+                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
+                -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0]),
+                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
             ],
             [
-                -(M[0, 1] * M[2, 2] - M[0, 2] * M[2, 1]),
-                M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0],
-                -(M[0, 0] * M[2, 1] - M[0, 1] * M[2, 0]),
+                -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1]),
+                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
+                -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0]),
             ],
             [
-                M[0, 1] * M[1, 2] - M[0, 2] * M[1, 1],
-                -(M[0, 0] * M[1, 2] - M[0, 2] * M[1, 0]),
-                M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0],
+                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
+                -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0]),
+                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
             ],
         ]
-    )
+    return from_entries(rows)
 
 
 def require_gl_plus(F):
-    """Return det F, raising NotInGLPlus when it is not strictly positive."""
+    """Return det F, raising NotInGLPlus when it is not strictly positive.
+
+    For a stack, the dets of all its matrices; the error names the first
+    matrix whose det fails.
+    """
     d = det(F)
-    if not d > DET_FLOOR:
-        raise NotInGLPlus("det = %r is not strictly positive" % (d,))
+    i = first_true(~(d > DET_FLOOR))
+    if i is not None:
+        where = " (matrix %d of the stack)" % i if np.ndim(d) else ""
+        raise NotInGLPlus(
+            "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), where)
+        )
     return d
 
 
 def inverse(M):
+    M = as_square(M)
     d = det(M)
     if abs(d) <= DET_FLOOR:
-        raise NotInGLPlus("matrix is numerically singular, det = %r" % (d,))
+        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(d),))
     return cofactor(M).T / d
 
 
 def transpose_inverse(F):
     """F^{-T} = Cof(F) / det(F)."""
+    F = as_square(F)
     d = det(F)
     if abs(d) <= DET_FLOOR:
-        raise NotInGLPlus("matrix is numerically singular, det = %r" % (d,))
+        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(d),))
     return cofactor(F) / d
 
 

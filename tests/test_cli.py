@@ -169,10 +169,49 @@ def test_bad_map_spec_is_usage_error(tmp_path):
         ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--resolution", "0"],
         ["check-convexity", "--energy", "iso3d", "--samples", "0"],
         ["linearized-demo", "--n", "0"],
+        # a negative or non-finite tolerance is a bad argument, not a refutation
+        field + ["--n", "5", "--tol", "-1"],
+        field + ["--n", "5", "--tol", "nan"],
+        ["check-conformal", "--map", "phi2d", "--n", "5", "--tol", "-1"],
+        ["check-conformal", "--map", "phi2d", "--n", "5", "--tol", "inf"],
+        ["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1", "--tol", "nan"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--radius", "0"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--radius", "-1"],
     ):
         with pytest.raises(SystemExit) as exc3:
             main(argv)
         assert exc3.value.code == 2, argv
+
+
+def test_usage_error_prints_plain_floats(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-conformal", "--map", "moebius:sphere(0,0;1)"])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "det = -" in line and "np.float64" not in line
+
+
+def test_stress_field_worst_point_in_payload_and_summary(capsys, tmp_path):
+    summary_path = tmp_path / "summary.json"
+    code, out = run(
+        capsys,
+        "stress-field",
+        "--energy", "composite3d",
+        "--map", "phi3d",
+        "--n", "300",
+        "--seed", "7",
+        "--summary", str(summary_path),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    saved = json.loads(summary_path.read_text())
+    assert all(payload[k] == v for k, v in saved.items())
+    worst = payload["worst_point"]
+    assert set(worst) == {"x", "F", "det_F", "sigma", "deviation"}
+    assert worst["deviation"] == payload["max_deviation"]
+    assert np.linalg.norm(worst["x"]) <= payload["domain"]["r_max"]
+    assert abs(worst["det_F"] - np.linalg.det(worst["F"])) <= 1e-12 * worst["det_F"]
+    assert np.max(np.abs(np.array(worst["sigma"]) - 2.0 / np.e * np.eye(3))) <= 1e-10
 
 
 def test_jump_check_conformal_pair(capsys):

@@ -193,3 +193,27 @@ def test_gradient_field_of_map_is_everywhere_conformal():
             x = rng.uniform(0.4, 1.2, size=dim) * rng.choice([-1.0, 1.0], size=dim)
             G = phi.gradient(x)
             assert cm.conformality_residual(G) <= 1e-10
+
+
+@pytest.mark.parametrize("n_stack", [1, 257])
+def test_stacked_gradients_match_one_point_bits(n_stack):
+    for dim in (2, 3):
+        dom = cm.AnnulusDomain(dim, 0.3, 1.2)
+        pts = cm.sample_annulus(dom, n_stack, seed=dim)
+        e2 = np.eye(dim)[1]
+        maps = [
+            cm.InversionFlip(dim),
+            cm.MoebiusMap([cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(e2)]),
+        ]
+        for phi in maps:
+            J = phi.gradient(pts)
+            assert J.shape == (n_stack, dim, dim)
+            assert np.array_equal(J, [phi.gradient(x) for x in pts])
+        assert np.array_equal(maps[0].det_gradient(pts), [maps[0].det_gradient(x) for x in pts])
+
+
+def test_stacked_gradient_names_first_orientation_reversing_point():
+    odd = cm.MoebiusMap([cm.SphereReflection([0.0, 0.0], 1.0)])
+    pts = np.array([[0.5, 0.25], [0.75, 0.5]])
+    with pytest.raises(cm.NonOrientationPreserving, match=r"at \[0\.5 +0\.25\] \(det = -"):
+        odd.gradient(pts)

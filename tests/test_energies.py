@@ -295,3 +295,42 @@ def test_composite_stress_is_two_over_e_on_admissible_conformal_gradients():
 def test_fd_second_form_zero_direction():
     E = cm.builtin_energy("iso3d")
     assert fd_second_form(E, np.eye(3), np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("n_stack", [1, 257])
+@pytest.mark.parametrize("name", cm.BUILTIN_ENERGIES)
+def test_stacked_value_and_stress_match_one_matrix_bits(name, n_stack):
+    # near-conformal gradients put composite dets on and off the [e, c] band
+    E = cm.builtin_energy(name)
+    rng = np.random.default_rng(50)
+    F = np.stack(
+        [
+            rng.uniform(0.8, 2.0) * cm.random_rotation(rng, E.dim)
+            + 0.05 * rng.standard_normal((E.dim, E.dim))
+            for _ in range(n_stack)
+        ]
+    )
+    assert np.array_equal(E.value(F), [E.value(f) for f in F])
+    assert np.array_equal(E.cauchy_stress(F), [E.cauchy_stress(f) for f in F])
+
+
+def test_value_only_subclass_is_lifted_to_stacks():
+    class SquaredNorm(cm.EnergyModel):
+        dim = 2
+
+        def value(self, F):
+            return float(np.sum(self._check_dim(F) ** 2))
+
+    F = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    assert np.array_equal(SquaredNorm().value(F), [2.0, 8.0])
+    assert SquaredNorm().cauchy_stress(F).shape == (2, 2, 2)
+
+
+def test_volumetric_arrays_match_scalar_evaluate():
+    vol = cm.VolumetricTerm()
+    t = np.concatenate([np.linspace(0.05, 6.0, 400), [np.e, vol.c]])
+    values = [vol.evaluate(s) for s in t]
+    assert np.array_equal(vol.value(t), [v.value for v in values])
+    assert np.array_equal(vol.slope(t), [v.d1 for v in values])
+    with pytest.raises(cm.NonPositiveArgument):
+        vol.value(np.array([1.0, 0.0]))

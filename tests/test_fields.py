@@ -261,7 +261,11 @@ def test_summary_json_round_trip(tmp_path):
         "det_range",
         "admissible",
         "homogeneous",
+        "worst_point",
     }
+    worst = loaded["worst_point"]
+    assert set(worst) == {"x", "F", "det_F", "sigma", "deviation"}
+    assert worst["deviation"] == loaded["max_deviation"]
 
 
 def test_grid_polylines_inside_region():
@@ -298,3 +302,75 @@ def test_render_grid_svg(tmp_path):
     assert text.count("<polyline") == len(ref) + len(img)
     assert text.count("<circle") == 2 * 9  # 8 boundary markers + center, per panel
     assert len(ref) == len(img)
+
+
+def scalar_rejection(dom, n, seed):
+    """The sampler one next_uniform draw at a time, as the stream defines it."""
+    gen = cm.Lcg64(seed)
+    pts = []
+    while len(pts) < n:
+        x = np.array([(2.0 * gen.next_uniform() - 1.0) * dom.r_max for _ in range(dom.dim)])
+        if dom.r_min <= np.sqrt(x @ x) <= dom.r_max:
+            pts.append(x)
+    return np.array(pts).reshape(n, dom.dim)
+
+
+def test_lcg_blocks_continue_the_scalar_stream():
+    g, ref = cm.Lcg64(7), cm.Lcg64(7)
+    for k in (1, 2, 3, 5, 64, 1000, 4097):
+        block = g.uniforms(k)
+        assert block.tolist() == [ref.next_uniform() for _ in range(k)]
+    assert g.state == ref.state
+
+
+@pytest.mark.parametrize(
+    "dom, n",
+    [
+        (cm.AnnulusDomain(2, 0.4, 0.9), 1),
+        (cm.AnnulusDomain(3, 0.4, 0.9), 1),
+        (cm.AnnulusDomain(2, 0.4, 0.9), 777),
+        (cm.admissible_annulus("phi3d"), 1000),
+        # thin shells: about 2e5 and 7e5 draws, several blocks of SAMPLER_BLOCK points
+        (cm.AnnulusDomain(2, 0.9999, 1.0), 15),
+        (cm.AnnulusDomain(3, 0.9999, 1.0), 16),
+    ],
+)
+def test_block_sampler_equals_scalar_stream(dom, n):
+    assert np.array_equal(cm.sample_annulus(dom, n, seed=n), scalar_rejection(dom, n, n))
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        # perfbench/reference.json, field3d-csv, n = 1000: CSVs of the seed commit
+        (0, "6d59eee173641ea812a9b689e066fe926fe7bb86e45f1bdcf52a4a94489af413"),
+        (10, "c619c2b7ff05e6387c6f819491286af731dcb0e0c31741d72c419238517546ee"),
+    ],
+)
+def test_field_csv_1000_point_bytes(tmp_path, seed, digest):
+    # pow(rho, 2) against rho * rho alone changes one of these files
+    E = cm.builtin_energy("composite3d")
+    samples, _ = cm.stress_field(E, cm.InversionFlip(3), cm.admissible_annulus("phi3d"), 1000, seed=seed)
+    path = tmp_path / "f.csv"
+    cm.write_field_csv(path, samples)
+    assert sha256(path) == digest
+
+
+def test_worst_point_is_the_largest_deviation():
+    E = cm.builtin_energy("composite2d")
+    wide = cm.AnnulusDomain(2, 0.5, 0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cm.InadmissibleDomainWarning)
+        samples, summary = cm.stress_field(E, cm.InversionFlip(2), wide, n=300, seed=11)
+    worst = summary.worst_point
+    deviations = [np.sqrt(np.sum((s.sigma - summary.mean_sigma) ** 2)) for s in samples]
+    i = int(np.argmax(deviations))
+    assert summary.max_deviation == deviations[i]
+    assert np.array_equal(worst.x, samples[i].x) and np.array_equal(worst.F, samples[i].F)
+    assert worst.det_F == cm.det(worst.F) and np.array_equal(worst.sigma, samples[i].sigma)
+
+
+def test_disk_region_rejects_nonpositive_radius():
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            cm.DiskRegion((0.5, 0.0), radius)

@@ -153,3 +153,32 @@ def test_conformality_residual_zero_iff_conformal():
     assert r > 0.1
     d = cm.distortions(np.diag([2.0, 1.0]))
     assert (d.conformality_residual <= 1e-12) == (abs(d.big_K - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("n_stack", [1, 257])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_det_cofactor_match_one_matrix_bits(dim, n_stack):
+    rng = np.random.default_rng(40 + dim)
+    F = np.stack([cm.random_def_gradient(rng, dim) for _ in range(n_stack)])
+    d = cm.det(F)
+    assert d.shape == (n_stack,)
+    assert np.array_equal(d, [cm.det(f) for f in F])
+    assert np.array_equal(cm.cofactor(F), [cm.cofactor(f) for f in F])
+    assert np.array_equal(cm.tensors.require_gl_plus(F), d)
+
+
+def test_stacked_gl_plus_guard_names_first_bad_matrix():
+    F = np.stack([np.eye(3), np.diag([1.0, 1.0, -2.0]), -np.eye(3)])
+    with pytest.raises(cm.NotInGLPlus, match=r"det = -2\.0 is not strictly positive \(matrix 1 "):
+        cm.tensors.require_gl_plus(F)
+    with pytest.raises(cm.NotInGLPlus) as exc:
+        cm.tensors.require_gl_plus(-np.eye(3))
+    assert str(exc.value) == "det = -1.0 is not strictly positive"
+
+
+def test_libm_pow_matches_scalar_power_bits():
+    # the scalar a ** p is libm's pow; an array np.power may take a SIMD route
+    a = np.random.default_rng(41).uniform(0.5, 6.0, 5000)
+    for p in (2.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 3.0, -3.0):
+        assert np.array_equal(cm.tensors.libm_pow(a, p), [float(v) ** p for v in a])
+    assert cm.tensors.libm_pow(2.0, 0.5) == 2.0**0.5
