@@ -14,6 +14,7 @@ is exactly phi2d.  Möbius maps are sampled on the default annulus
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -291,7 +292,9 @@ def _cmd_linearized_demo(args, parser):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="confmech",
         description="Conformal deformations, hyperelastic energies, and stress field checks.",

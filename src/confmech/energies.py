@@ -19,10 +19,11 @@ shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
 stress is sigma = (1/det F) D_F W F^T.
 
 value and cauchy_stress take one matrix or a stack (..., n, n).  The
-isochoric neo-Hooke and composite energies evaluate a stack in one pass
-(stacked = True); any other energy, a user's value-only subclass included,
-gets its one-matrix value and cauchy_stress lifted to stacks by
-tensors.per_item when the class is defined.
+planar ratio, isochoric neo-Hooke and composite energies evaluate a stack
+in one pass (stacked = True; the ratio energy's first_derivative takes
+stacks too); DistortionEnergy and any other energy, a user's value-only
+subclass included, gets its one-matrix value and cauchy_stress lifted to
+stacks by tensors.per_item when the class is defined.
 """
 
 import functools
@@ -128,13 +129,18 @@ class EnergyModel:
                     setattr(cls, name, _lift(vars(cls)[name]))
 
     def _check_dim(self, F, stack=False):
+        """F as a matrix of this energy's dimension, or with stack=True as a C-contiguous stack.
+
+        matmul rounds a stack laid out matrix axes first otherwise than a
+        C-contiguous one, so a stack's bits would depend on its layout.
+        """
         F = as_square(F, stack)
         if F.shape[-1] != self.dim:
             raise ValueError(
                 "%s is a %dD energy, got a %dx%d matrix"
                 % (self.label, self.dim, F.shape[-1], F.shape[-1])
             )
-        return F
+        return np.ascontiguousarray(F) if stack else F
 
     def value(self, F):
         raise NotImplementedError
@@ -147,9 +153,10 @@ class EnergyModel:
 
     @_lift
     def cauchy_stress(self, F):
-        F = self._check_dim(F)
+        """sigma = D_F W F^T / det F; the body takes stacks, the lift gives it one matrix."""
+        F = self._check_dim(F, stack=True)
         d = require_gl_plus(F)
-        return (self.first_derivative(F) @ F.T) / d
+        return (self.first_derivative(F) @ np.swapaxes(F, -2, -1)) / d[..., None, None]
 
 
 class DistortionEnergy(EnergyModel):
@@ -262,10 +269,16 @@ class PlanarRatioEnergy(EnergyModel):
     group, and 0 is the minimal-norm subgradient at a minimum even when h
     has a corner.  h'(1+) < 0 leaves no canonical value and raises
     NotDifferentiable.
+
+    value, first_derivative and cauchy_stress take one matrix or a stack
+    (..., 2, 2) through the closed-form 2x2 SVD, so h and dh are called on
+    an array of ratios and must broadcast (a constant is broadcast to the
+    ratios' shape); second_form takes one matrix.
     """
 
     dim = 2
     analytic = True
+    stacked = True
 
     def __init__(self, h, dh, d2h, label="ratio-energy"):
         self.h = h
@@ -273,24 +286,39 @@ class PlanarRatioEnergy(EnergyModel):
         self.d2h = d2h
         self.label = label
 
+    @staticmethod
+    def _profile(fn, ratio):
+        """fn at each ratio, as floats in the shape of ratio."""
+        v = np.asarray(fn(ratio), dtype=float)
+        if v.shape != np.shape(ratio):
+            v = np.broadcast_to(v, np.shape(ratio))
+        return v[()]
+
     def value(self, F):
-        F = self._check_dim(F)
-        U, s, V = svd(F)
-        return float(self.h(s[0] / s[1]))
+        U, s, V = svd(self._check_dim(F, stack=True))
+        return self._profile(self.h, s[..., 0] / s[..., 1])
 
     def first_derivative(self, F):
-        F = self._check_dim(F)
-        U, s, V = svd(F)
-        ratio = s[0] / s[1]
-        h1 = float(self.dh(ratio))
-        if ratio - 1.0 < TIE_GAP:
-            if h1 >= -1e-8:
-                # minimum of the energy on the conformal set; stress must vanish
-                return np.zeros((2, 2))
+        U, s, V = svd(self._check_dim(F, stack=True))
+        ratio = s[..., 0] / s[..., 1]
+        h1 = self._profile(self.dh, ratio)
+        tie = ratio - 1.0 < TIE_GAP
+        i = first_true(tie & (h1 < -1e-8))
+        if i is not None:
+            where = " (matrix %d of the stack)" % i if np.ndim(ratio) else ""
             raise NotDifferentiable(
-                "h decreases into the coincident singular values (h'(1+) = %r)" % h1
+                "h decreases into the coincident singular values (h'(1+) = %r)%s"
+                % (float(np.ravel(h1)[i]), where)
             )
-        return h1 * (np.outer(U[:, 0], V[:, 0]) - ratio * np.outer(U[:, 1], V[:, 1])) / s[1]
+        outer0 = U[..., :, 0, None] * V[..., None, :, 0]
+        outer1 = U[..., :, 1, None] * V[..., None, :, 1]
+        P = h1[..., None, None] * (outer0 - ratio[..., None, None] * outer1) / s[..., 1, None, None]
+        # a minimum of the energy on the conformal set: the stress must vanish
+        P[tie] = 0.0
+        return P
+
+    # the base class formula, without the lift: first_derivative takes stacks
+    cauchy_stress = EnergyModel.cauchy_stress.__wrapped__
 
     def second_form(self, F, H):
         F = self._check_dim(F)
@@ -392,8 +420,8 @@ class VolumetricTerm:
     """
 
     def __init__(self, c=np.e + 2.0):
-        if not c > np.e:
-            raise InvalidSplice("splice point c = %r must lie strictly above e" % (c,))
+        if not (np.isfinite(c) and c > np.e):
+            raise InvalidSplice("splice point c = %r must be finite and strictly above e" % (c,))
         self.c = float(c)
 
     def _by_branch(self, t, low, band, high):

@@ -93,8 +93,8 @@ def admissible_annulus(map_kind, c=np.e + 2.0):
     map_kind "phi2d" (det = |x|^{-4}) or "phi3d" (det = |x|^{-6}); endpoints
     included, r in [c^{-1/4}, e^{-1/4}] resp. [c^{-1/6}, e^{-1/6}].
     """
-    if not c > np.e:
-        raise InvalidSplice("need c > e for a nondegenerate admissible annulus")
+    if not (np.isfinite(c) and c > np.e):
+        raise InvalidSplice("need a finite c > e for a nondegenerate admissible annulus")
     if map_kind == "phi2d":
         return AnnulusDomain(2, float(c) ** -0.25, float(np.e) ** -0.25)
     if map_kind == "phi3d":

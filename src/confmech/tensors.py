@@ -6,7 +6,10 @@ axes moved to the front, so they take one matrix or a stack of shape
 Singular values come from numpy's SVD (LAPACK) of the matrix itself, never
 from M^T M, which would square the small ones away.  Only the planar ratio
 energy keeps a closed-form 2x2 route (eig_sym, svd); its arithmetic pins
-field CSV bytes.
+field CSV bytes.  Both take one matrix or a stack (..., 2, 2) in one body:
+branches go through np.where (scalar choices for one matrix), products
+through stacked matmuls and dots through vecdot, so each matrix of a stack
+gets the bits it gets alone.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.
@@ -21,6 +24,7 @@ from .exceptions import NotInGLPlus
 
 # dets at or below this are treated as non-positive; no clamping anywhere
 DET_FLOOR = 1e-300
+SMALLEST_NORMAL = 2.0**-1022
 
 
 def as_square(M, stack=False):
@@ -70,6 +74,11 @@ def first_true(mask):
     if not (mask.any() if mask.ndim else mask):
         return None
     return int(np.argmax(mask))
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b); for the numpy bool scalar of one matrix, a plain choice."""
+    return np.where(cond, a, b) if cond.ndim else (a if cond else b)
 
 
 def _entries(M):
@@ -182,33 +191,38 @@ def inner(A, B):
 def eig_sym(S):
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 2x2.
 
-    The half-gap is computed as hypot((a-c)/2, b), never via m^2 - det: the
-    difference form cancels catastrophically for near-multiples of the
-    identity, which is exactly the regime the conformality checks live in.
+    S may be one matrix or a stack (..., 2, 2); w has shape (..., 2) and V
+    (..., 2, 2), with the eigenvectors as columns.  The half-gap is computed
+    as hypot((a-c)/2, b), never via m^2 - det: the difference form cancels
+    catastrophically for near-multiples of the identity, which is exactly
+    the regime the conformality checks live in.  Branches are taken entry
+    by entry, so a matrix of a stack gets the bits it gets alone.
     """
     S = np.asarray(S, dtype=float)
-    if S.shape != (2, 2):
-        raise ValueError("eig_sym takes a 2x2 matrix, got shape %s" % (S.shape,))
-    a = S[0, 0]
-    c = S[1, 1]
-    b = 0.5 * (S[0, 1] + S[1, 0])
+    if S.shape[-2:] != (2, 2):
+        raise ValueError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
+    s = _entries(S)
+    a = s[0, 0]
+    c = s[1, 1]
+    b = 0.5 * (s[0, 1] + s[1, 0])
     m = 0.5 * (a + c)
     d = 0.5 * (a - c)
     r = np.hypot(d, b)
+    # pick the larger-norm solution (x, y) of (S - w1 I) v = 0 for stability;
+    # it is (0, 0) exactly when r == 0, and V is then the identity
+    tie = r == 0.0
+    x = _where(d >= 0.0, d + r, b)
+    y = _where(d >= 0.0, b, r - d)
+    # hypot keeps few digits of subnormal x and y (an off-diagonal of rounding
+    # size at a near-tie); scaling both by 2^600 is exact and keeps V orthonormal
+    up = _where(r < SMALLEST_NORMAL, 2.0**600, 1.0)
+    x, y = x * up, y * up
+    nrm = _where(tie, 1.0, np.hypot(x, y))
+    x = _where(tie, 1.0, x / nrm)
+    y = y / nrm
+    V = from_entries([[x, _where(tie, 0.0, -y)], [_where(tie, 0.0, y), x]])
     w = np.array([m + r, m - r])
-    if r == 0.0:
-        return w, np.eye(2)
-    # pick the larger-norm solution of (S - w1 I) v = 0 for stability
-    if d >= 0.0:
-        v1 = np.array([d + r, b])
-    else:
-        v1 = np.array([b, r - d])
-    nrm = np.hypot(v1[0], v1[1])
-    if nrm == 0.0:
-        return w, np.eye(2)
-    v1 = v1 / nrm
-    V = np.column_stack([v1, np.array([-v1[1], v1[0]])])
-    return w, V
+    return (np.moveaxis(w, 0, -1) if w.ndim > 1 else w), V
 
 
 def _semi_axes(M):
@@ -228,21 +242,23 @@ def operator_norm(M):
 
 
 def svd(F):
-    """Deterministic SVD of F in GL+(2): returns (U, s, V) with F = U diag(s) V^T.
+    """Deterministic SVD of F in GL+(2), or of each matrix of a stack (..., 2, 2).
 
-    Built on eig_sym: V from F^T F, then U = F V / s.  U is re-orthonormalized
-    by Gram-Schmidt, which matters only when the singular values are strongly
-    graded.
+    Returns (U, s, V) with F = U diag(s) V^T.  Built on eig_sym: V from
+    F^T F, then U = F V / s.  U is re-orthonormalized by Gram-Schmidt, which
+    matters only when the singular values are strongly graded.  The
+    products are stacked matmuls and the dots vecdot (BLAS ddot), so a
+    matrix of a stack gets the bits it gets alone.
     """
-    F = as_square(F)
+    F = as_square(F, stack=True)
     require_gl_plus(F)
-    w, V = eig_sym(F.T @ F)
+    w, V = eig_sym(np.swapaxes(F, -2, -1) @ F)
     s = np.sqrt(np.maximum(w, 0.0))
-    U = (F @ V) / s
-    for j in range(U.shape[1]):
-        for k in range(j):
-            U[:, j] -= (U[:, k] @ U[:, j]) * U[:, k]
-        U[:, j] /= np.sqrt(U[:, j] @ U[:, j])
+    U = (F @ V) / s[..., None, :]
+    u0, u1 = U[..., :, 0], U[..., :, 1]  # views: Gram-Schmidt writes into U
+    u0 /= np.sqrt(np.vecdot(u0, u0))[..., None]
+    u1 -= np.vecdot(u0, u1)[..., None] * u0
+    u1 /= np.sqrt(np.vecdot(u1, u1))[..., None]
     return U, s, V
 
 

@@ -1,11 +1,15 @@
 """Command line interface, exercised in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from confmech.cli import main
+import confmech
+from confmech.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -177,6 +181,11 @@ def test_bad_map_spec_is_usage_error(tmp_path):
         ["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1", "--tol", "nan"],
         ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--radius", "0"],
         ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--radius", "-1"],
+        # a splice point at infinity leaves no admissible annulus and no volumetric term
+        field + ["--n", "5", "--c", "inf"],
+        ["stress-field", "--energy", "composite3d", "--map", "phi3d", "--n", "5", "--c", "inf"],
+        ["stress-field", "--energy", "iso2d-klin2", "--map", "phi2d", "--n", "5", "--c", "inf"],
+        ["check-convexity", "--energy", "composite2d", "--samples", "5", "--c", "inf"],
     ):
         with pytest.raises(SystemExit) as exc3:
             main(argv)
@@ -307,3 +316,24 @@ def test_unknown_energy_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["check-convexity", "--energy", "mystery"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_its_parser_across_calls(capsys):
+    # one parser per process; each call still answers as a fresh process does
+    calls = [
+        ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "5", "--c", "inf"],
+        ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "50", "--seed", "3"],
+        ["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1"],
+        ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "0"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "confmech.cli", *argv], capture_output=True, text=True, env=env
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    assert build_parser() is build_parser()

@@ -233,8 +233,9 @@ def test_volumetric_slope_nonzero_away_from_one():
 
 
 def test_volumetric_guards():
-    with pytest.raises(cm.InvalidSplice):
-        cm.VolumetricTerm(c=1.0)
+    for c in (1.0, np.e, float("inf"), float("nan")):
+        with pytest.raises(cm.InvalidSplice):
+            cm.VolumetricTerm(c=c)
     vol = cm.VolumetricTerm()
     with pytest.raises(cm.NonPositiveArgument):
         vol.evaluate(0.0)
@@ -334,3 +335,28 @@ def test_volumetric_arrays_match_scalar_evaluate():
     assert np.array_equal(vol.slope(t), [v.d1 for v in values])
     with pytest.raises(cm.NonPositiveArgument):
         vol.value(np.array([1.0, 0.0]))
+
+
+def test_stacked_ratio_energy_names_first_nondifferentiable_matrix():
+    # a constant h' is broadcast over the stack's ratios
+    E = cm.PlanarRatioEnergy(lambda s: 1.0 - s, dh=lambda s: -1.0, d2h=lambda s: 0.0)
+    F = np.stack([np.diag([2.0, 1.0]), 1.5 * np.eye(2), conformal_2x2(2.0, 0.4)])
+    assert np.array_equal(E.value(F), [-1.0, 0.0, 0.0])
+    assert np.array_equal(E.first_derivative(F[:1]), [E.first_derivative(F[0])])
+    with pytest.raises(cm.NotDifferentiable, match=r"h'\(1\+\) = -1\.0\) \(matrix 1 of the stack\)"):
+        E.first_derivative(F)
+    with pytest.raises(cm.NotDifferentiable) as exc:
+        E.cauchy_stress(F[2])
+    assert str(exc.value).endswith("(h'(1+) = -1.0)")
+
+
+@pytest.mark.parametrize("name", ["composite2d", "composite3d"])
+def test_stack_bits_do_not_depend_on_memory_layout(name):
+    # matmul rounds a stack stored matrix axes first otherwise than a C-contiguous one
+    E = cm.builtin_energy(name)
+    kind = "phi%dd" % E.dim
+    F = cm.InversionFlip(E.dim).gradient(cm.sample_annulus(cm.admissible_annulus(kind), 1000, seed=0))
+    F_t = np.moveaxis(np.ascontiguousarray(np.moveaxis(F, 0, -1)), -1, 0)
+    assert np.array_equal(F_t, F) and not F_t.flags.c_contiguous
+    for method in (E.value, E.cauchy_stress):
+        assert method(F_t).tobytes() == method(F).tobytes()

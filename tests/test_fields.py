@@ -356,6 +356,25 @@ def test_field_csv_1000_point_bytes(tmp_path, seed, digest):
     assert sha256(path) == digest
 
 
+@pytest.mark.parametrize(
+    "seed, dom, digest",
+    [
+        (0, cm.admissible_annulus("phi2d"), "8b25d7ffcccae077a12600df47b86ec379ecdc657110e3886893dc50d660b9eb"),
+        (10, cm.admissible_annulus("phi2d"), "8147a72cba20541b640f6acdccf272620cfb7a318d962bd33a8bfef322231e24"),
+        (11, cm.AnnulusDomain(2, 0.5, 0.95), "7c6a0bc8601eadf17a2e69260f52494e5555b5ae93e4dd972b30f130134a79d5"),
+    ],
+)
+def test_field_csv_2d_1000_point_bytes(tmp_path, seed, dom, digest):
+    # recorded with the one-matrix closed-form 2x2 SVD; the stacked one must agree
+    E = cm.builtin_energy("composite2d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cm.InadmissibleDomainWarning)
+        samples, _ = cm.stress_field(E, cm.InversionFlip(2), dom, 1000, seed=seed)
+    path = tmp_path / "f.csv"
+    cm.write_field_csv(path, samples)
+    assert sha256(path) == digest
+
+
 def test_worst_point_is_the_largest_deviation():
     E = cm.builtin_energy("composite2d")
     wide = cm.AnnulusDomain(2, 0.5, 0.95)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import confmech as cm
 from confmech.tensors import eig_sym
@@ -182,3 +184,65 @@ def test_libm_pow_matches_scalar_power_bits():
     for p in (2.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 3.0, -3.0):
         assert np.array_equal(cm.tensors.libm_pow(a, p), [float(v) ** p for v in a])
     assert cm.tensors.libm_pow(2.0, 0.5) == 2.0**0.5
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def svd_cases(rng):
+    """GL+(2) matrices for both eig_sym branches, ties (r == 0) and graded singular values."""
+    cases = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]  # d > 0, d < 0
+    cases += [a * np.eye(2) for a in (0.5, 3.0)] + [np.array([[0.0, -2.0], [2.0, 0.0]])]  # r == 0
+    cases += [a * rotation(t) for a, t in zip(rng.uniform(0.2, 5.0, 20), rng.uniform(-3, 3, 20))]
+    cases += [cm.random_def_gradient(rng, 2, (0.2, 5.0)) for _ in range(100)]
+    for grade in (1e-2, 1e-4, 1e-6):
+        cases += [rotation(t) @ np.diag([1.0, grade]) @ rotation(u) for t, u in rng.uniform(-3, 3, (10, 2))]
+    return np.stack(cases)
+
+
+def test_stacked_eig_sym_and_svd_match_one_matrix_bits():
+    F = svd_cases(np.random.default_rng(60))
+    C = np.swapaxes(F, -2, -1) @ F
+    gap = C[:, 0, 0] - C[:, 1, 1]
+    assert np.any(gap > 0.0) and np.any(gap < 0.0)
+    w, V = eig_sym(C)
+    assert w.shape == (len(F), 2) and V.shape == (len(F), 2, 2)
+    U, s, W = cm.svd(F)
+    for i, (f, c) in enumerate(zip(F, C)):
+        assert bits(w[i]) + bits(V[i]) == b"".join(map(bits, eig_sym(c)))
+        assert bits(U[i]) + bits(s[i]) + bits(W[i]) == b"".join(map(bits, cm.svd(f)))
+    # r == 0: the identity frame, with positive zeros
+    ties = np.abs(gap) + np.abs(C[:, 0, 1]) == 0.0
+    assert ties.sum() == 3 and bits(V[ties]) == bits(np.broadcast_to(np.eye(2), V[ties].shape))
+    with pytest.raises(ValueError):
+        eig_sym(np.stack([np.eye(3)] * 2))
+
+
+@st.composite
+def gl_plus_2(draw):
+    """a R(t) (id + gap M): exact ties at gap 0, near-ties at small gaps."""
+    scale = draw(st.floats(0.1, 10.0))
+    angle = draw(st.floats(-np.pi, np.pi))
+    gap = draw(st.one_of(st.just(0.0), st.floats(-16.0, 0.0).map(lambda k: 10.0**k)))
+    M = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))).reshape(2, 2)
+    F = scale * rotation(angle) @ (np.eye(2) + gap * M)
+    assume(cm.det(F) > 1e-2 * scale * scale)
+    return F
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(gl_plus_2(), min_size=1, max_size=6))
+def test_stacked_svd_properties_on_gl_plus(matrices):
+    F = np.stack(matrices)
+    U, s, V = cm.svd(F)
+    for i, f in enumerate(F):
+        assert bits(U[i]) + bits(s[i]) + bits(V[i]) == b"".join(map(bits, cm.svd(f)))
+        assert np.allclose(U[i].T @ U[i], np.eye(2), rtol=0.0, atol=1e-14)
+        assert np.allclose(V[i].T @ V[i], np.eye(2), rtol=0.0, atol=1e-14)
+        assert np.allclose(U[i] @ np.diag(s[i]) @ V[i].T, f, rtol=0.0, atol=1e-12 * s[i, 0])
+        assert s[i, 0] >= s[i, 1] > 0.0
