@@ -75,6 +75,13 @@ def positive(text):
     return value
 
 
+def finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % value)
+    return value
+
+
 def tolerance(text):
     value = float(text)
     if not (value >= 0.0 and np.isfinite(value)):
@@ -100,16 +107,16 @@ def parse_map_spec(spec, parser):
             val = float(last)
         except ValueError:
             parser.error("bad numbers in reflection step %r" % (part,))
+        if not np.all(np.isfinite(vec + [val])):
+            parser.error("non-finite number in reflection step %r" % (part,))
         if len(vec) not in (2, 3):
             parser.error("reflection step %r must have 2 or 3 coordinates" % (part,))
         if kind == "sphere":
             steps.append(SphereReflection(np.asarray(vec), val))
         else:
             steps.append(HyperplaneReflection(np.asarray(vec), val))
-    try:
-        return MoebiusMap(steps), "moebius"
-    except ValueError as exc:
-        parser.error(str(exc))
+    # a bad reflection or composition raises a ConfmechError: main exits 2
+    return MoebiusMap(steps), "moebius"
 
 
 def _emit(payload, out_path):
@@ -186,12 +193,9 @@ def _cmd_check_conformal(args, parser):
     tol = args.tol if args.tol is not None else (1e-6 if args.fd else 1e-10)
     dom = AnnulusDomain(mapping.dim, 0.5, 1.5)
     pts = sample_annulus(dom, args.n, seed=args.seed)
-    worst = 0.0
-    failures = 0
-    for x in pts:
-        ok, residual = is_conformal_at(mapping, x, tol=tol, use_fd=args.fd)
-        worst = max(worst, residual)
-        failures += 0 if ok else 1
+    ok, residuals = is_conformal_at(mapping, pts, tol=tol, use_fd=args.fd)
+    failures = int(np.count_nonzero(~ok))
+    worst = _max_ignoring_nan(residuals)
     payload = {
         "map": args.map,
         "n_samples": int(args.n),
@@ -204,6 +208,11 @@ def _cmd_check_conformal(args, parser):
     return 0 if failures == 0 else 1
 
 
+def _max_ignoring_nan(values):
+    """max(0.0, v1, v2, ...) as a running max() takes it: a NaN never wins."""
+    return float(np.max(values, where=~np.isnan(values), initial=0.0))
+
+
 def _parse_matrix(text, parser, flag):
     vals = [v for v in text.replace(";", ",").split(",") if v.strip()]
     if len(vals) not in (4, 9):
@@ -212,6 +221,8 @@ def _parse_matrix(text, parser, flag):
         flat = np.array([float(v) for v in vals])
     except ValueError:
         parser.error("bad number in %s" % flag)
+    if not np.all(np.isfinite(flat)):
+        parser.error("%s entries must be finite" % flag)
     n = 2 if flat.size == 4 else 3
     return flat.reshape(n, n)
 
@@ -253,22 +264,14 @@ def _cmd_render_grid(args, parser):
 
 
 def _cmd_linearized_demo(args, parser):
-    rng = np.random.default_rng(args.seed)
-    worst_dev = 0.0
-    worst_sigma = 0.0
-    for _ in range(int(args.n)):
-        k = KernelDisplacement.from_scalars(
-            beta=rng.uniform(-2, 2),
-            gamma=rng.uniform(-2, 2),
-            p_hat=rng.uniform(-2, 2),
-            spin=rng.uniform(-2, 2),
-            b_hat=rng.uniform(-2, 2, size=2),
-        )
-        x = rng.uniform(-1.5, 1.5, size=2)
-        _, grad = kernel_displacement(k, x)
-        D = dev(sym(grad))
-        worst_dev = max(worst_dev, frobenius_norm(D))
-        worst_sigma = max(worst_sigma, frobenius_norm(sigma_lin(grad)))
+    # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
+    low = np.array([-2.0] * 6 + [-1.5] * 2)
+    draws = np.random.default_rng(args.seed).uniform(low, -low, size=(args.n, len(low)))
+    k = KernelDisplacement.from_scalars(*draws[:, :4].T, b_hat=draws[:, 4:6])
+    _, grads = kernel_displacement(k, draws[:, 6:])
+    worst_dev = _max_ignoring_nan(frobenius_norm(dev(sym(grads))))
+    worst_sigma = _max_ignoring_nan(frobenius_norm(sigma_lin(grads)))
+    grad = grads[-1]
     approx = conformal_quadratic_approx()
     x0 = np.array([0.5, 0.0])
     at_center = x0 + approx.displacement(x0)
@@ -343,8 +346,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--resolution", type=count, default=42, help="samples per grid line")
     p.add_argument("--spacing", type=positive, default=0.0147)
-    p.add_argument("--cx", type=float, default=0.5)
-    p.add_argument("--cy", type=float, default=0.0)
+    p.add_argument("--cx", type=finite, default=0.5)
+    p.add_argument("--cy", type=finite, default=0.0)
     p.add_argument("--radius", type=positive, default=0.21)
     p.set_defaults(func=_cmd_render_grid)
 

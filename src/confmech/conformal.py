@@ -5,10 +5,13 @@ spheres and hyperplanes, their compositions (Moebius maps), the planar
 fractional-linear map in complex form, and the inversion-with-flip map
 (x1, -x2 [, x3]) / |x|^2 whose gradient is hard coded in closed form.
 
-gradient takes one point or a stack of points (..., dim).  The
-inversion-flip computes its gradients for the whole stack at once (stacked
-= True); every other map's derivative goes through tensors.per_item, one
-point at a time.
+evaluate and gradient take one point or a stack of points (..., dim).  The
+inversion-flip, the sphere and hyperplane reflections and their Moebius
+compositions compute the whole stack at once (stacked = True); a
+composition takes each chain-rule step as one stacked matmul.  The
+fractional-linear map, the affine map and a user's map go through
+tensors.per_item, one point at a time, as does the finite-difference
+gradient (fd_gradient) wherever it is lifted to a stack.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonOrientationPreserving, NotConformal, SingularPoint
+from .exceptions import ConfmechError, NonOrientationPreserving, NotConformal, SingularPoint
 from .tensors import (
     as_square,
     conformality_residual,
@@ -79,69 +82,85 @@ class DeformationMap:
 class SphereReflection(DeformationMap):
     """Reflection across the sphere |x - center| = radius (an inversion)."""
 
+    stacked = True
+
     def __init__(self, center, radius):
         self.center = _as_point(center)
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not (np.all(np.isfinite(self.center)) and radius > 0.0 and np.isfinite(radius)):
+            raise ConfmechError(
+                "a sphere needs a finite center and a finite radius > 0, got %s and %r"
+                % (self.center, float(radius))
+            )
         self.radius = float(radius)
         self.dim = self.center.shape[0]
 
+    def _offset(self, x):
+        """x - center and its squared length; SingularPoint, naming the first such point, at the center."""
+        y = x - self.center
+        d2 = np.vecdot(y, y)
+        i = first_true(np.sqrt(d2) < SINGULAR_RADIUS)
+        if i is not None:
+            raise SingularPoint("reflection center reached at %s" % (x.reshape(-1, self.dim)[i],))
+        return y, d2
+
     def evaluate(self, x):
-        y = _as_point(x, self.dim) - self.center
-        d2 = float(y @ y)
-        if np.sqrt(d2) < SINGULAR_RADIUS:
-            raise SingularPoint("reflection center reached at %s" % (x,))
-        return self.center + (self.radius**2 / d2) * y
+        y, d2 = self._offset(_as_point(x, self.dim, stack=True))
+        return self.center + ((self.radius**2 / d2).T * y.T).T
 
     def _jacobian(self, x):
-        y = x - self.center
-        d2 = float(y @ y)
-        if np.sqrt(d2) < SINGULAR_RADIUS:
-            raise SingularPoint("reflection center reached at %s" % (x,))
-        n = self.dim
-        yhat = y / np.sqrt(d2)
-        return (self.radius**2 / d2) * (np.eye(n) - 2.0 * np.outer(yhat, yhat))
+        y, d2 = self._offset(x)
+        yhat = y / np.sqrt(d2)[..., None]
+        outer = yhat[..., :, None] * yhat[..., None, :]
+        return (self.radius**2 / d2)[..., None, None] * (np.eye(self.dim) - 2.0 * outer)
 
 
 class HyperplaneReflection(DeformationMap):
     """Reflection across the plane <normal, x> = offset; normal must be unit."""
 
+    stacked = True
+
     def __init__(self, normal, offset=0.0):
         normal = _as_point(normal)
         nrm = float(np.sqrt(normal @ normal))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError("normal must be a unit vector (|n| = %r)" % nrm)
+        if not (abs(nrm - 1.0) <= 1e-12 and np.isfinite(offset)):
+            raise ConfmechError(
+                "a plane needs a unit normal and a finite offset, got |n| = %r and offset %r"
+                % (nrm, float(offset))
+            )
         self.normal = normal / nrm
         self.offset = float(offset)
         self.dim = normal.shape[0]
+        self._matrix = np.eye(self.dim) - 2.0 * np.outer(self.normal, self.normal)
 
     def evaluate(self, x):
-        x = _as_point(x, self.dim)
-        return x - 2.0 * (float(self.normal @ x) - self.offset) * self.normal
+        x = _as_point(x, self.dim, stack=True)
+        return x - 2.0 * (np.vecdot(x, self.normal) - self.offset)[..., None] * self.normal
 
     def _jacobian(self, x):
-        return np.eye(self.dim) - 2.0 * np.outer(self.normal, self.normal)
+        return np.broadcast_to(self._matrix, x.shape + (self.dim,))
 
 
 class MoebiusMap(DeformationMap):
-    """Composition of reflections, applied first-to-last.
+    """Composition of stacked reflections, applied first-to-last.
 
     Orientation-preserving exactly when the number of steps is even; probe
     with is_orientation_preserving at any regular point.
     """
 
+    stacked = True
+
     def __init__(self, steps):
         steps = list(steps)
         if not steps:
-            raise ValueError("need at least one reflection step")
+            raise ConfmechError("need at least one reflection step")
         dims = {s.dim for s in steps}
         if len(dims) != 1:
-            raise ValueError("mixed dimensions in composition: %s" % dims)
+            raise ConfmechError("mixed dimensions in composition: %s" % dims)
         self.steps = steps
         self.dim = dims.pop()
 
     def evaluate(self, x):
-        y = _as_point(x, self.dim)
+        y = _as_point(x, self.dim, stack=True)
         for s in self.steps:
             y = s.evaluate(y)
         return y
@@ -213,10 +232,10 @@ class InversionFlip(DeformationMap):
         return rho
 
     def evaluate(self, x):
-        x = _as_point(x, self.dim)
-        rho = self._rho(x)
-        y = x / rho
-        y[1] = -y[1]
+        x = _as_point(x, self.dim, stack=True)
+        # coordinates first (x.T): one point divides by a scalar, fast on one point
+        y = (x.T / self._rho(x).T).T
+        y.T[1] *= -1.0
         return y
 
     def _jacobian(self, x):
@@ -279,12 +298,14 @@ def fd_gradient(mapping, x, h=1e-5):
 
 
 def is_conformal_at(mapping, x, tol=1e-10, use_fd=False, h=1e-5):
-    """(verdict, residual) of the conformality test at x.
+    """(verdict, residual) of the conformality test at x, or arrays of both for a stack x (..., dim).
 
     Checks grad^T grad / det^{2/n} = id on the analytic gradient, or on the
-    finite-difference one with use_fd (where tol ~ 1e-6 is appropriate).
+    finite-difference one with use_fd (where tol ~ 1e-6 is appropriate),
+    which is taken one point at a time.  A NaN residual fails.
     """
-    F = fd_gradient(mapping, x, h) if use_fd else mapping.gradient(x)
+    x = _as_point(x, mapping.dim, stack=True)
+    F = per_item(lambda p: fd_gradient(mapping, p, h), x, 1) if use_fd else mapping.gradient(x)
     residual = conformality_residual(F)
     return residual <= tol, residual
 

@@ -10,6 +10,13 @@ Three complementary instruments:
   stretch representation g(l1, l2) (knowles_sternberg), together with the
   convex/non-decreasing criterion on the ratio profile h (h_criterion).
 
+lh_form takes one (F, xi, eta) or stacks of them, in one second_form
+call.  The scan draws its samples one at a time, in the order of the
+one-sample helpers random_def_gradient and random_rotation (which are the
+one-draw case of the same builder), builds F as a stack and evaluates the
+LH form once.  The line scans, the Knowles-Sternberg conditions and the h
+criterion take one point at a time.
+
 The scan driver never silently promotes a borderline result: values inside
 the margin band count as "elliptic" only when the energy's second_form is
 analytic (energy.analytic), otherwise the verdict is "inconclusive".
@@ -21,19 +28,23 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import LeavesGLPlus, TooFewSamples
-from .tensors import as_square, det
+from .tensors import as_square, det, first_true, from_entries
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 
 
 def lh_form(energy, F, xi, eta):
-    """Normalized Legendre-Hadamard form D^2 W(F)[xi (x) eta] / (|xi|^2 |eta|^2)."""
+    """Normalized Legendre-Hadamard form D^2 W(F)[xi (x) eta] / (|xi|^2 |eta|^2).
+
+    One matrix F with vectors xi, eta, or a stack of matrices (..., n, n)
+    with stacks of vectors (..., n): one second_form call either way.
+    """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    n2 = float(xi @ xi) * float(eta @ eta)
-    if n2 == 0.0:
+    n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
+    if first_true(n2 == 0.0) is not None:
         raise ValueError("xi and eta must be nonzero")
-    return energy.second_form(F, np.outer(xi, eta)) / n2
+    return energy.second_form(F, xi[..., :, None] * eta[..., None, :]) / n2
 
 
 @dataclass(frozen=True)
@@ -265,35 +276,52 @@ def h_criterion(h, mode="strict", s_max=50.0, n_samples=2000, margin=1e-10):
     )
 
 
+def _angles(rng, dim):
+    """The uniform angle (2D) or the three uniform Euler angles (3D) of one rotation."""
+    return rng.uniform(0.0, 2.0 * np.pi, size=1 if dim == 2 else 3)
+
+
+def _rotations(angles):
+    """The rotation of angles (..., 1) in 2D or of Euler angles (..., 3) in 3D; one or a stack."""
+    c, s = np.moveaxis(np.cos(angles), -1, 0), np.moveaxis(np.sin(angles), -1, 0)
+    if len(c) == 1:
+        return from_entries([[c[0], -s[0]], [s[0], c[0]]])
+    (ca, cb, cg), (sa, sb, sg) = c, s
+    z, o = np.zeros_like(ca), np.ones_like(ca)
+    Rz1 = from_entries([[ca, -sa, z], [sa, ca, z], [z, z, o]])
+    Ry = from_entries([[cb, z, sb], [z, o, z], [-sb, z, cb]])
+    Rz2 = from_entries([[cg, -sg, z], [sg, cg, z], [z, z, o]])
+    return Rz1 @ Ry @ Rz2
+
+
+def _def_gradient_draws(rng, dim, stretch_range):
+    """The draws of one random_def_gradient: log-stretches, then the angles of Q1 and of Q2."""
+    lo, hi = stretch_range
+    return rng.uniform(np.log(lo), np.log(hi), size=dim), _angles(rng, dim), _angles(rng, dim)
+
+
+def _def_gradients(log_stretches, angles1, angles2):
+    """Q1 diag(exp(log_stretches)) Q2 of one draw, or of each draw of stacked draws."""
+    lams = np.exp(log_stretches)
+    return _rotations(angles1) @ (lams[..., None, :] * np.eye(lams.shape[-1])) @ _rotations(angles2)
+
+
 def random_rotation(rng, dim):
     """Rotation from uniform angles (2D) or uniform Euler angles (3D)."""
-    if dim == 2:
-        a = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s], [s, c]])
-    a, b, g = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cg, sg = np.cos(g), np.sin(g)
-    Rz1 = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    Ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    Rz2 = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return Rz1 @ Ry @ Rz2
+    return _rotations(_angles(rng, dim))
 
 
 def random_def_gradient(rng, dim, stretch_range=(0.1, 10.0)):
     """Q1 diag(l) Q2 with log-uniform stretches; always in GL+."""
-    lo, hi = stretch_range
-    lams = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
-    return random_rotation(rng, dim) @ np.diag(lams) @ random_rotation(rng, dim)
+    return _def_gradients(*_def_gradient_draws(rng, dim, stretch_range))
 
 
-def _unit_vector(rng, dim):
+def _direction(rng, dim):
+    """A standard normal vector, drawn again until its norm exceeds 1e-8; not normalized."""
     while True:
         v = rng.standard_normal(dim)
-        nrm = np.sqrt(v @ v)
-        if nrm > 1e-8:
-            return v / nrm
+        if math.sqrt(v @ v) > 1e-8:
+            return v
 
 
 @dataclass(frozen=True)
@@ -314,27 +342,35 @@ def scan_rank_one_convexity(
 ):
     """Monte-Carlo scan of the Legendre-Hadamard form on rank-one directions.
 
-    Deterministic for a fixed seed (numpy default_rng).  A negative minimum
-    below the margin is re-confirmed by a 1D line scan around the witness
-    before the verdict "violated" is issued; without confirmation the scan
-    reports "inconclusive" rather than guessing.
+    Deterministic for a fixed seed (numpy default_rng).  Each sample draws
+    F, then xi, then eta; the draws are collected one sample at a time, in
+    that order, and the LH form is evaluated once on the whole stack.  The
+    minimum and the witnesses are taken over the values that are not NaN
+    (an overflowing second form gives NaN), ties in sample order; with no
+    such value the verdict is "inconclusive".  A negative minimum below the
+    margin is re-confirmed by a 1D line scan around the witness before the
+    verdict "violated" is issued; without confirmation the scan reports
+    "inconclusive" rather than guessing.
     """
     rng = np.random.default_rng(seed)
     dim = energy.dim
-    results = []
-    for _ in range(int(n_samples)):
-        F = random_def_gradient(rng, dim, stretch_range)
-        xi = _unit_vector(rng, dim)
-        eta = _unit_vector(rng, dim)
-        results.append((lh_form(energy, F, xi, eta), F, xi, eta))
-    results.sort(key=lambda r: r[0])
-    min_val = results[0][0]
-    witnesses = [(F, xi, eta, float(v)) for v, F, xi, eta in results[:n_witnesses]]
+    draws = [
+        (*_def_gradient_draws(rng, dim, stretch_range), _direction(rng, dim), _direction(rng, dim))
+        for _ in range(int(n_samples))
+    ]
+    logs, angles1, angles2, xi, eta = (np.array(column) for column in zip(*draws))
+    Fs = _def_gradients(logs, angles1, angles2)
+    xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
+    values = lh_form(energy, Fs, xis, etas)
+    order = np.argsort(values, kind="stable")  # NaN last
+    order = order[~np.isnan(values[order])]
+    witnesses = [(Fs[i], xis[i], etas[i], float(values[i])) for i in order[:n_witnesses]]
+    min_val = values[order[0]] if len(order) else math.nan
 
     if min_val > margin:
         verdict = "strictly-elliptic"
     elif min_val < -margin:
-        v, F, xi, eta = results[0]
+        F, xi, eta = Fs[order[0]], xis[order[0]], etas[order[0]]
         confirmed = False
         try:
             scan = rank_one_line_scan(energy, F - 0.05 * np.outer(xi, eta), xi, eta, t_max=0.1)
@@ -344,7 +380,7 @@ def scan_rank_one_convexity(
             confirmed = scan.verdict == "nonconvex"
         verdict = "violated" if confirmed else "inconclusive"
     else:
-        verdict = "elliptic" if energy.analytic else "inconclusive"
+        verdict = "elliptic" if energy.analytic and not math.isnan(min_val) else "inconclusive"
     return ConvexityReport(
         verdict=verdict,
         min_lh_form=float(min_val),

@@ -18,12 +18,19 @@ Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
 stress is sigma = (1/det F) D_F W F^T.
 
-value and cauchy_stress take one matrix or a stack (..., n, n).  The
-planar ratio, isochoric neo-Hooke and composite energies evaluate a stack
-in one pass (stacked = True; the ratio energy's first_derivative takes
-stacks too); DistortionEnergy and any other energy, a user's value-only
-subclass included, gets its one-matrix value and cauchy_stress lifted to
-stacks by tensors.per_item when the class is defined.
+value, cauchy_stress and second_form take one matrix or a stack
+(..., n, n); second_form takes directions H that broadcast against F.  The
+second forms of the four families are each one body for one matrix and
+for a stack: inner products sum over the two matrix axes, in the order
+np.sum takes for one matrix, and every power goes through
+tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.
+The planar ratio, isochoric neo-Hooke and composite energies evaluate
+value and cauchy_stress as stacks too, and the ratio energy its
+first_derivative; other first derivatives take one matrix.  Whatever a
+class does not set `stacked` for is lifted to stacks by tensors.per_item,
+one matrix at a time, when the class is defined: DistortionEnergy's value
+and cauchy_stress, a user's value-only subclass, and the base class's
+finite-difference second_form.
 """
 
 import functools
@@ -33,9 +40,9 @@ import numpy as np
 
 from .exceptions import InvalidSplice, NonPositiveArgument, NotDifferentiable
 from .tensors import (
+    _entries,
     as_square,
     cofactor,
-    det,
     first_true,
     frobenius_norm,
     inner,
@@ -104,13 +111,29 @@ def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
 
 
 def _lift(method):
-    """A one-matrix method F -> result made to take stacks (..., n, n) too."""
+    """A one-matrix method, F -> result or (F, H) -> result, made to take stacks (..., n, n) too."""
 
     @functools.wraps(method)
-    def lifted(self, F):
-        return per_item(lambda G: method(self, G), F, 2)
+    def lifted(self, F, *H):
+        if not H:
+            return per_item(lambda G: method(self, G), F, 2)
+        pairs = np.stack(np.broadcast_arrays(np.asarray(F, float), np.asarray(H[0], float)), axis=-3)
+        return per_item(lambda P: method(self, P[0], P[1]), pairs, 3)
 
     return lifted
+
+
+def _profile(fn, x):
+    """fn at each x, as floats in the shape of x (a constant result is broadcast)."""
+    v = np.asarray(fn(x), dtype=float)
+    if v.shape != np.shape(x):
+        v = np.broadcast_to(v, np.shape(x))
+    return v[()]
+
+
+def _stack_note(a, i):
+    """Where entry i of a, one value per matrix, sits: nothing for one matrix."""
+    return " (matrix %d of the stack)" % i if np.ndim(a) else ""
 
 
 class EnergyModel:
@@ -119,12 +142,12 @@ class EnergyModel:
     dim = None
     label = "energy"
     analytic = False  # True when first_derivative and second_form are closed forms
-    stacked = False  # True when the class's own value and cauchy_stress take stacks
+    stacked = False  # True when the class's own value, cauchy_stress and second_form take stacks
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if not vars(cls).get("stacked", False):
-            for name in ("value", "cauchy_stress"):
+            for name in ("value", "cauchy_stress", "second_form"):
                 if name in vars(cls):
                     setattr(cls, name, _lift(vars(cls)[name]))
 
@@ -148,6 +171,7 @@ class EnergyModel:
     def first_derivative(self, F):
         return fd_first_derivative(self, self._check_dim(F))
 
+    @_lift
     def second_form(self, F, H):
         return fd_second_form(self, self._check_dim(F), H)
 
@@ -171,6 +195,7 @@ class DistortionEnergy(EnergyModel):
 
     dim = 2
     analytic = True
+    stacked = True  # second_form; value and cauchy_stress are lifted one matrix at a time
 
     def __init__(self, psi, dpsi, d2psi, label="psi-distortion"):
         self.psi = psi
@@ -180,20 +205,19 @@ class DistortionEnergy(EnergyModel):
 
     def _distortion(self, F):
         d = require_gl_plus(F)
-        return 0.5 * float(np.sum(F * F)) / d, d
+        return 0.5 * inner(F, F) / d, d
 
-    def _psi_1(self, K):
-        v = float(self.dpsi(K))
-        if not np.isfinite(v):
-            raise NotDifferentiable("psi' is not finite at K = %r" % (K,))
+    def _psi_d(self, fn, K, name):
+        """psi' or psi'' (fn, named name) at K, one value or an array of them."""
+        v = _profile(fn, K)
+        i = first_true(~np.isfinite(v))
+        if i is not None:
+            raise NotDifferentiable(
+                "%s is not finite at K = %r%s" % (name, float(np.ravel(K)[i]), _stack_note(K, i))
+            )
         return v
 
-    def _psi_2(self, K):
-        v = float(self.d2psi(K))
-        if not np.isfinite(v):
-            raise NotDifferentiable("psi'' is not finite at K = %r" % (K,))
-        return v
-
+    @_lift
     def value(self, F):
         F = self._check_dim(F)
         K, _ = self._distortion(F)
@@ -204,36 +228,39 @@ class DistortionEnergy(EnergyModel):
         F = self._check_dim(F)
         K, d = self._distortion(F)
         FiT = transpose_inverse(F)
-        return self._psi_1(K) * (2.0 * F - float(np.sum(F * F)) * FiT) / (2.0 * d)
+        return self._psi_d(self.dpsi, K, "psi'") * (2.0 * F - inner(F, F) * FiT) / (2.0 * d)
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H)
+        F = self._check_dim(F, stack=True)
+        H = as_square(H, stack=True)
         K, d = self._distortion(F)
         FiT = transpose_inverse(F)
-        n2 = float(np.sum(F * F))
+        n2 = inner(F, F)
         fh = inner(F, H)
         gh = inner(FiT, H)
         hh = inner(H, H)
-        ghh = inner(FiT @ H.T @ FiT, H)
+        ghh = inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H)
         dK = 0.5 * (2.0 * fh - n2 * gh) / d
         d2K = 0.5 * (2.0 * hh - 4.0 * fh * gh + n2 * gh * gh + n2 * ghh) / d
-        return self._psi_2(K) * dK * dK + self._psi_1(K) * d2K
+        psi_2 = self._psi_d(self.d2psi, K, "psi''")
+        return psi_2 * dK * dK + self._psi_d(self.dpsi, K, "psi'") * d2K
 
+    @_lift
     def cauchy_stress(self, F):
         # sigma = psi'(K) [ F F^T / det^2 - (K / det) id ]
         F = self._check_dim(F)
         K, d = self._distortion(F)
-        return self._psi_1(K) * (F @ F.T / d**2 - (K / d) * np.eye(2))
+        return self._psi_d(self.dpsi, K, "psi'") * (F @ F.T / d**2 - (K / d) * np.eye(2))
 
 
 def _ratio_g_partials(h1, h2, s, lam2):
-    """Partials of g(l1, l2) = h(l1/l2) on the l1 >= l2 branch."""
+    """Partials of g(l1, l2) = h(l1/l2) on the l1 >= l2 branch; arrays or scalars."""
+    lam2_sq = libm_pow(lam2, 2.0)
     g1 = h1 / lam2
     g2 = -h1 * s / lam2
-    g11 = h2 / lam2**2
-    g22 = (h2 * s * s + 2.0 * h1 * s) / lam2**2
-    g12 = -(h2 * s + h1) / lam2**2
+    g11 = h2 / lam2_sq
+    g22 = (h2 * s * s + 2.0 * h1 * s) / lam2_sq
+    g12 = -(h2 * s + h1) / lam2_sq
     return g1, g2, g11, g22, g12
 
 
@@ -244,17 +271,19 @@ def _principal_second_form(g1, g2, g11, g22, g12, U, s, V, H):
     D^2 W[H, H] in the frame Ht = U^T H V is the quadratic form with
     diagonal block g_ij and the classical off-diagonal coefficients
     (li gi - lj gj)/(li^2 - lj^2) and (lj gi - li gj)/(li^2 - lj^2).
+    U, V, H are stacks (..., 2, 2), s (..., 2), the g's one value per matrix.
     """
-    Ht = U.T @ H @ V
+    Ht = _entries(np.swapaxes(U, -2, -1) @ H @ V)
+    s0, s1 = s[..., 0], s[..., 1]
     quad = (
-        g11 * Ht[0, 0] ** 2
-        + g22 * Ht[1, 1] ** 2
+        g11 * libm_pow(Ht[0, 0], 2.0)
+        + g22 * libm_pow(Ht[1, 1], 2.0)
         + 2.0 * g12 * Ht[0, 0] * Ht[1, 1]
     )
-    denom = s[0] ** 2 - s[1] ** 2
-    a = (s[0] * g1 - s[1] * g2) / denom
-    b = (s[1] * g1 - s[0] * g2) / denom
-    quad += a * (Ht[0, 1] ** 2 + Ht[1, 0] ** 2) + 2.0 * b * Ht[0, 1] * Ht[1, 0]
+    denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
+    a = (s0 * g1 - s1 * g2) / denom
+    b = (s1 * g1 - s0 * g2) / denom
+    quad += a * (libm_pow(Ht[0, 1], 2.0) + libm_pow(Ht[1, 0], 2.0)) + 2.0 * b * Ht[0, 1] * Ht[1, 0]
     return quad
 
 
@@ -270,10 +299,12 @@ class PlanarRatioEnergy(EnergyModel):
     has a corner.  h'(1+) < 0 leaves no canonical value and raises
     NotDifferentiable.
 
-    value, first_derivative and cauchy_stress take one matrix or a stack
-    (..., 2, 2) through the closed-form 2x2 SVD, so h and dh are called on
-    an array of ratios and must broadcast (a constant is broadcast to the
-    ratios' shape); second_form takes one matrix.
+    value, first_derivative, cauchy_stress and second_form take one matrix
+    or a stack (..., 2, 2) through the closed-form 2x2 SVD, so h, dh and
+    d2h are called on an array of ratios and must broadcast (a constant is
+    broadcast to the ratios' shape).  second_form has no closed form at
+    nearly coincident singular values: such a matrix gets a central second
+    difference of the value when h'(1) = 0, and NotDifferentiable otherwise.
     """
 
     dim = 2
@@ -286,29 +317,20 @@ class PlanarRatioEnergy(EnergyModel):
         self.d2h = d2h
         self.label = label
 
-    @staticmethod
-    def _profile(fn, ratio):
-        """fn at each ratio, as floats in the shape of ratio."""
-        v = np.asarray(fn(ratio), dtype=float)
-        if v.shape != np.shape(ratio):
-            v = np.broadcast_to(v, np.shape(ratio))
-        return v[()]
-
     def value(self, F):
         U, s, V = svd(self._check_dim(F, stack=True))
-        return self._profile(self.h, s[..., 0] / s[..., 1])
+        return _profile(self.h, s[..., 0] / s[..., 1])
 
     def first_derivative(self, F):
         U, s, V = svd(self._check_dim(F, stack=True))
         ratio = s[..., 0] / s[..., 1]
-        h1 = self._profile(self.dh, ratio)
+        h1 = _profile(self.dh, ratio)
         tie = ratio - 1.0 < TIE_GAP
         i = first_true(tie & (h1 < -1e-8))
         if i is not None:
-            where = " (matrix %d of the stack)" % i if np.ndim(ratio) else ""
             raise NotDifferentiable(
                 "h decreases into the coincident singular values (h'(1+) = %r)%s"
-                % (float(np.ravel(h1)[i]), where)
+                % (float(np.ravel(h1)[i]), _stack_note(ratio, i))
             )
         outer0 = U[..., :, 0, None] * V[..., None, :, 0]
         outer1 = U[..., :, 1, None] * V[..., None, :, 1]
@@ -321,17 +343,28 @@ class PlanarRatioEnergy(EnergyModel):
     cauchy_stress = EnergyModel.cauchy_stress.__wrapped__
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H)
+        F, H = np.broadcast_arrays(self._check_dim(F, stack=True), as_square(H, stack=True))
+        shape = F.shape[:-2]
+        F, H = F.reshape(-1, 2, 2), H.reshape(-1, 2, 2)
         U, s, V = svd(F)
-        ratio = s[0] / s[1]
-        h1 = float(self.dh(ratio))
-        if (s[0] - s[1]) / s[0] < NEAR_TIE_GAP:
-            if abs(h1) <= 1e-8:
-                return fd_second_form(self, F, H)
-            raise NotDifferentiable("no second derivative at coincident singular values")
-        g = _ratio_g_partials(h1, float(self.d2h(ratio)), ratio, s[1])
-        return _principal_second_form(*g, U, s, V, H)
+        ratio = s[:, 0] / s[:, 1]
+        h1 = _profile(self.dh, ratio)
+        near = (s[:, 0] - s[:, 1]) / s[:, 0] < NEAR_TIE_GAP
+        i = first_true(near & ~(np.abs(h1) <= 1e-8))
+        if i is not None:
+            raise NotDifferentiable(
+                "no second derivative at coincident singular values%s"
+                % _stack_note(ratio.reshape(shape), i)
+            )
+        out = np.empty(len(F))
+        for k in np.flatnonzero(near):
+            out[k] = fd_second_form(self, F[k], H[k])
+        far = ~near
+        if far.any():
+            h2 = _profile(self.d2h, ratio[far])
+            g = _ratio_g_partials(h1[far], h2, ratio[far], s[far, 1])
+            out[far] = _principal_second_form(*g, U[far], s[far], V[far], H[far])
+        return out.reshape(shape)[()]
 
 
 def linear_distortion_squared():
@@ -378,19 +411,19 @@ class IsochoricNeoHooke(EnergyModel):
         return (2.0 * F - (2.0 / 3.0) * float(np.sum(F * F)) * FiT) / d ** (2.0 / 3.0)
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H)
+        F = self._check_dim(F, stack=True)
+        H = as_square(H, stack=True)
         d = require_gl_plus(F)
         FiT = transpose_inverse(F)
-        scale = d ** (2.0 / 3.0)
-        n2s = float(np.sum(F * F)) / scale
+        scale = libm_pow(d, 2.0 / 3.0)
+        n2s = inner(F, F) / scale
         fh = inner(F, H)
         gh = inner(FiT, H)
         return (
             -(8.0 / 3.0) * gh * fh / scale
             + 2.0 * inner(H, H) / scale
             + (4.0 / 9.0) * n2s * gh * gh
-            + (2.0 / 3.0) * n2s * inner(FiT @ H.T @ FiT, H)
+            + (2.0 / 3.0) * n2s * inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H)
         )
 
     def cauchy_stress(self, F):
@@ -412,11 +445,12 @@ class VolumetricTerm:
         f(t) = 1 + (2/e) (exp(t - c) + c - e - 1)       t > c
 
     f is C^1 everywhere with f(1) = f'(1) = 0, f''(1) = 2, and f' = 2/e on
-    the whole band [e, c].  value and slope take arrays, each branch
-    computed on its own entries only, with numpy's log and exp, which give
-    the same bits on an array as on one float.  The second derivative jumps
-    at t = c; evaluate() reports it for one t, as a (left, right) pair
-    exactly at the splice points and as a plain float elsewhere.
+    the whole band [e, c].  value, slope and curvature (f'') take arrays,
+    each branch computed on its own entries only, with numpy's log and exp,
+    which give the same bits on an array as on one float.  The second
+    derivative jumps at t = c and is one-sided at t = e, so curvature raises
+    NotDifferentiable there; evaluate() reports it for one t, as a
+    (left, right) pair exactly at the splice points and as a float elsewhere.
     """
 
     def __init__(self, c=np.e + 2.0):
@@ -466,33 +500,34 @@ class VolumetricTerm:
             lambda t: (2.0 / e) * np.exp(t - c),
         )
 
+    def curvature(self, t):
+        """f''(t), of one t or of each entry of an array; NotDifferentiable at t = e or t = c."""
+        e, c = np.e, self.c
+        i = first_true((np.asarray(t) == e) | (np.asarray(t) == c))
+        if i is not None:
+            raise NotDifferentiable(
+                "volumetric second derivative is one-sided at the splice point t = %r"
+                % (float(np.ravel(t)[i]),)
+            )
+        return self._by_branch(
+            t,
+            lambda t: 2.0 * (1.0 - np.log(t)) / libm_pow(t, 2.0),
+            lambda t: 0.0,
+            lambda t: (2.0 / e) * np.exp(t - c),
+        )
+
     def evaluate(self, t):
         """f, f' and f'' at one t; f'' is a (left, right) pair at t = e and t = c."""
         t = float(t)
-        e, c = np.e, self.c
-        d2 = {e: (0.0, 0.0), c: (0.0, 2.0 / e)}.get(t)
+        d2 = {np.e: (0.0, 0.0), self.c: (0.0, 2.0 / np.e)}.get(t)
         if d2 is None:
-            d2 = self._by_branch(
-                t,
-                lambda t: 2.0 * (1.0 - np.log(t)) / t**2,
-                lambda t: 0.0,
-                lambda t: (2.0 / e) * np.exp(t - c),
-            )
+            d2 = float(self.curvature(t))
         return VolumetricValues(float(self.value(t)), float(self.slope(t)), d2)
 
 
 def _log_squared(t):
     lg = np.log(t)
     return lg * lg
-
-
-def _d2_scalar(vol_values, t):
-    d2 = vol_values.d2
-    if isinstance(d2, tuple):
-        raise NotDifferentiable(
-            "volumetric second derivative is one-sided at the splice point t = %r" % (t,)
-        )
-    return d2
 
 
 class CompositeEnergy(EnergyModel):
@@ -528,19 +563,19 @@ class CompositeEnergy(EnergyModel):
         return self.iso.first_derivative(F) + self.vol.slope(d) * cofactor(F)
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H)
+        F = self._check_dim(F, stack=True)
+        H = as_square(H, stack=True)
         d = require_gl_plus(F)
-        vals = self.vol.evaluate(d)
+        curvature = self.vol.curvature(d)
         FiT = transpose_inverse(F)
         gh = inner(FiT, H)
         cof_h = d * gh
         # D^2 det[H,H] = det (  <F^{-T},H>^2 - <F^{-T} H^T F^{-T}, H> )
-        det_curv = d * (gh * gh - inner(FiT @ H.T @ FiT, H))
+        det_curv = d * (gh * gh - inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H))
         return (
             self.iso.second_form(F, H)
-            + _d2_scalar(vals, d) * cof_h * cof_h
-            + vals.d1 * det_curv
+            + curvature * cof_h * cof_h
+            + self.vol.slope(d) * det_curv
         )
 
     def cauchy_stress(self, F):

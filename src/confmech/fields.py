@@ -20,6 +20,7 @@ the reason two distinct conformal states can never form a laminate.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from .exceptions import InadmissibleDomainWarning, InvalidSplice
 from .energies import CompositeEnergy
 from .conformal import fd_gradient
-from .tensors import _semi_axes, as_square, det, frobenius_norm, per_item, require_gl_plus
+from .tensors import as_square, det, per_item, require_gl_plus
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -233,11 +234,20 @@ class JumpReport:
     det_square_terms: tuple | None  # ((a1-a2)^2, (b1-b2)^2) for planar conformal pairs
 
 
-def _conformal_2x2_params(F, tol=1e-8):
-    """(a, b) with F = [[a, b], [-b, a]], or None if F is not of that form."""
-    scale = tol * max(1.0, frobenius_norm(F))
-    if abs(F[0, 0] - F[1, 1]) <= scale and abs(F[0, 1] + F[1, 0]) <= scale:
-        return float(F[0, 0]), float(F[0, 1])
+def _frobenius(entries):
+    """||M||_F of M's entries as floats, added in the order np.sum adds 4 or 9 of them."""
+    a = [v * v for v in entries]
+    if len(a) == 4:
+        return math.sqrt(((a[0] + a[1]) + a[2]) + a[3])
+    return math.sqrt((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))) + a[8])
+
+
+def _similarity_params(entries, norm, tol=1e-8):
+    """(a, b) when the 2x2 with these row-major entries and this norm is [[a, b], [-b, a]], else None."""
+    f00, f01, f10, f11 = entries
+    scale = tol * max(1.0, norm)
+    if abs(f00 - f11) <= scale and abs(f01 + f10) <= scale:
+        return f00, f01
     return None
 
 
@@ -255,13 +265,16 @@ def jump_check(F1, F2, tol=1e-9):
     if F1.shape != F2.shape:
         raise ValueError("gradients must have the same shape")
     D = F1 - F2
-    svals = _semi_axes(D)
-    thresh = tol * (1.0 + frobenius_norm(F1) + frobenius_norm(F2))
-    rank = int(np.sum(svals > thresh))
+    # LAPACK's bits are the reported singular values
+    svals = np.linalg.svd(D, compute_uv=False)
+    e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
+    n1, n2 = _frobenius(e1), _frobenius(e2)
+    thresh = tol * (1.0 + n1 + n2)
+    rank = sum(v > thresh for v in svals.tolist())
     square_terms = None
-    if F1.shape[0] == 2:
-        p1 = _conformal_2x2_params(F1)
-        p2 = _conformal_2x2_params(F2)
+    if len(e1) == 4:
+        p1 = _similarity_params(e1, n1)
+        p2 = _similarity_params(e2, n2)
         if p1 is not None and p2 is not None:
             square_terms = ((p1[0] - p2[0]) ** 2, (p1[1] - p2[1]) ** 2)
     return JumpReport(

@@ -12,7 +12,9 @@ through stacked matmuls and dots through vecdot, so each matrix of a stack
 gets the bits it gets alone.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
-then gives the bits that a scalar power of each element gives.
+then gives the bits that a scalar power of each element gives.  Inner
+products, norms and the conformality residual sum over the two matrix
+axes, which adds each matrix's entries in the order np.sum takes for one.
 """
 
 import math
@@ -159,33 +161,40 @@ def inverse(M):
 
 
 def transpose_inverse(F):
-    """F^{-T} = Cof(F) / det(F)."""
-    F = as_square(F)
+    """F^{-T} = Cof(F) / det(F), of one matrix or of each in a stack."""
+    F = as_square(F, stack=True)
     d = det(F)
-    if abs(d) <= DET_FLOOR:
-        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(d),))
-    return cofactor(F) / d
+    i = first_true(np.abs(d) <= DET_FLOOR)
+    if i is not None:
+        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(np.ravel(d)[i]),))
+    return cofactor(F) / d[..., None, None]
 
 
 def sym(M):
-    M = as_square(M)
-    return 0.5 * (M + M.T)
+    M = as_square(M, stack=True)
+    return 0.5 * (M + np.swapaxes(M, -2, -1))
 
 
 def dev(M):
-    M = as_square(M)
-    n = M.shape[0]
-    return M - (np.trace(M) / n) * np.eye(n)
+    M = as_square(M, stack=True)
+    n = M.shape[-1]
+    return M - (np.trace(M, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
 
 
 def frobenius_norm(M):
-    M = as_square(M)
-    return float(np.sqrt(np.sum(M * M)))
+    """||M||_F of one matrix (a float), or of each matrix of a stack."""
+    M = as_square(M, stack=True)
+    r = np.sqrt(inner(M, M))
+    return float(r) if M.ndim == 2 else r
 
 
 def inner(A, B):
-    """Frobenius inner product <A, B> = tr(A^T B)."""
-    return float(np.sum(np.asarray(A) * np.asarray(B)))
+    """Frobenius inner product <A, B> = tr(A^T B), of one pair or of each pair of two stacks.
+
+    np.sum over the two matrix axes adds the n^2 products in the order
+    np.sum takes for one matrix, so a stack gets the bits of each matrix alone.
+    """
+    return np.sum(np.asarray(A) * np.asarray(B), axis=(-2, -1))
 
 
 def eig_sym(S):
@@ -244,16 +253,19 @@ def operator_norm(M):
 def svd(F):
     """Deterministic SVD of F in GL+(2), or of each matrix of a stack (..., 2, 2).
 
-    Returns (U, s, V) with F = U diag(s) V^T.  Built on eig_sym: V from
-    F^T F, then U = F V / s.  U is re-orthonormalized by Gram-Schmidt, which
+    Returns (U, s, V) with F = U diag(s) V^T.  Built on eig_sym: V and the
+    eigenvalues w from F^T F, s = sqrt(w), then U = F V / s.  Where
+    w2 < 1e-8 w1, sqrt(w2) would hold the rounding of w1 more than s2, so
+    s2 is det F / s1 there.  U is re-orthonormalized by Gram-Schmidt, which
     matters only when the singular values are strongly graded.  The
     products are stacked matmuls and the dots vecdot (BLAS ddot), so a
     matrix of a stack gets the bits it gets alone.
     """
     F = as_square(F, stack=True)
-    require_gl_plus(F)
+    d = require_gl_plus(F)
     w, V = eig_sym(np.swapaxes(F, -2, -1) @ F)
     s = np.sqrt(np.maximum(w, 0.0))
+    s[..., 1] = _where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
     U = (F @ V) / s[..., None, :]
     u0, u1 = U[..., :, 0], U[..., :, 1]  # views: Gram-Schmidt writes into U
     u0 /= np.sqrt(np.vecdot(u0, u0))[..., None]
@@ -263,12 +275,13 @@ def svd(F):
 
 
 def conformality_residual(F):
-    """|| F^T F / det(F)^{2/n} - id ||_F, zero exactly on CSO(n)."""
-    F = as_square(F)
-    n = F.shape[0]
+    """|| F^T F / det(F)^{2/n} - id ||_F, zero exactly on CSO(n); a float, or an array for a stack."""
+    F = as_square(F, stack=True)
+    n = F.shape[-1]
     d = require_gl_plus(F)
-    C = F.T @ F
-    return float(np.sqrt(np.sum((C / d ** (2.0 / n) - np.eye(n)) ** 2)))
+    C = np.swapaxes(F, -2, -1) @ F
+    r = np.sqrt(np.sum((C / libm_pow(d, 2.0 / n)[..., None, None] - np.eye(n)) ** 2, axis=(-2, -1)))
+    return float(r) if F.ndim == 2 else r
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command line interface, exercised in process through main()."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -186,6 +187,16 @@ def test_bad_map_spec_is_usage_error(tmp_path):
         ["stress-field", "--energy", "composite3d", "--map", "phi3d", "--n", "5", "--c", "inf"],
         ["stress-field", "--energy", "iso2d-klin2", "--map", "phi2d", "--n", "5", "--c", "inf"],
         ["check-convexity", "--energy", "composite2d", "--samples", "5", "--c", "inf"],
+        # non-finite numbers and degenerate reflections
+        ["jump-check", "--f1", "1,2,3,nan", "--f2", "1,0,0,1"],
+        ["jump-check", "--f1", "1,2,3,inf", "--f2", "1,0,0,1"],
+        ["check-conformal", "--map", "moebius:plane(0,0;1)+plane(0,1;0)", "--n", "5"],
+        ["check-conformal", "--map", "moebius:sphere(0,0;0)+plane(0,1;0)", "--n", "5"],
+        ["check-conformal", "--map", "moebius:sphere(0,0;nan)+plane(0,1;0)", "--n", "5"],
+        ["check-conformal", "--map", "moebius:sphere(0,0;1)+plane(0,1;nan)", "--n", "5"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--cx", "nan"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--cx", "inf"],
+        ["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"), "--cy", "nan"],
     ):
         with pytest.raises(SystemExit) as exc3:
             main(argv)
@@ -337,3 +348,35 @@ def test_main_reuses_its_parser_across_calls(capsys):
             code = exc.code
         assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
     assert build_parser() is build_parser()
+
+
+# stdout SHA-256 of the certificate commands, recorded before the certificates
+# were evaluated as stacks; every value printed is a full-precision float
+CERTIFICATE_PAYLOADS = {
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 0": "8031caeb4644face4ca4583f51645a3e7414ffe01608e3014fd5293e5c1ff620",
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 3": "276832dc23e42fd801fd4a3e6d5dded3b3d511b08eff04ea4d44ad9ab02a1029",
+    "check-convexity --energy iso2d-psi --samples 500 --seed 0": "baa7980e66924293a168a8a6f9c06279e5a6532e2bb5381ba20b47317be75b27",
+    "check-convexity --energy iso2d-psi --samples 500 --seed 3": "b592c53e42831cc7e3b995be0d189b7b091d7feab9b94c0d85c18318e4b15de8",
+    "check-convexity --energy iso3d --samples 500 --seed 0": "eb547f0adc2927dab1b1c717b374ead5206346f6c3d011d371e57ea3bf2d8629",
+    "check-convexity --energy iso3d --samples 500 --seed 3": "100f1d41841fb7ed3487b0b161919fa0aa70adbdbe8a80b9e120c7c9c0ee1aa6",
+    "check-convexity --energy composite2d --samples 500 --seed 0": "a7c7f4196b501c3af2b284f506a1e0921fe295c12cccbb1af58066f10e10781d",
+    "check-convexity --energy composite2d --samples 500 --seed 3": "3459ca045a088ab48bee00591ba1ebff73128fdd054b758589c46005deba275b",
+    "check-convexity --energy composite3d --samples 500 --seed 0": "65a869a033b23c5ee3cd9fc0ddee78e1f8e9bc55eb06a5de2a508fc456c2230d",
+    # one sample has det F > c + 709: exp(t - c) overflows and its LH value is +inf
+    "check-convexity --energy composite3d --samples 500 --seed 3": "0d2ce57c4f6b730d68938df91570cb49966949bec151da8eb7530a4cebee3cb6",
+    "check-conformal --map phi3d --n 1000 --seed 0": "1eb43d79f7db2169d62851b0e606ab83e2333e1cbb227f69b8ecfce31ab62071",
+    "check-conformal --map moebius:sphere(0,0,0;1)+plane(0,1,0;0) --n 1000 --seed 0": "f7ff3f8f54bf6b3d3fc7b44c5f83d572fae32f7e2e232c98ae3155ff0bb95a18",
+    "check-conformal --map phi2d --n 1000 --seed 0 --fd": "883dcf7c2486c5c86d420715ed5a25faefde232874ff48ce54af47817876033b",
+    "linearized-demo --n 500 --seed 0": "7fbaf431f04554222ca48e8b81fc72c9b03bee11dde739a0385c7edc02995704",
+    "jump-check --f1 1,2,-2,1 --f2 3,-1,1,3": "53d2f2d1511b1c46aca9acf117171f290a4d09bf4c1a423f7ec4b020d5c1f90e",
+    "jump-check --f1 1,0,0,1 --f2 1,1,0,1": "3a6b15cb9b6e9cd5f98e959029c06bae4902f8e1714569366d99398d59d8b6d1",
+    "jump-check --f1 1,0,0,0,1,0,0,0,1 --f2 2,0,0,0,2,0,0,0,2": "0b4e90beda3fd45fe5f1d2e430f5ab3b9f1afc5cb0450987ed6b6a395a6ed65c",
+}
+
+
+def test_certificate_payload_bytes(capsys):
+    for command, want in CERTIFICATE_PAYLOADS.items():
+        with np.errstate(over="ignore"):  # the +inf LH value above
+            code, out = run(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == want, command

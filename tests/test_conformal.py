@@ -209,6 +209,10 @@ def test_stacked_gradients_match_one_point_bits(n_stack):
             J = phi.gradient(pts)
             assert J.shape == (n_stack, dim, dim)
             assert np.array_equal(J, [phi.gradient(x) for x in pts])
+            assert np.array_equal(phi.evaluate(pts), [phi.evaluate(x) for x in pts])
+            ok, residual = cm.is_conformal_at(phi, pts, use_fd=True)
+            assert np.array_equal(residual, [cm.is_conformal_at(phi, x, use_fd=True)[1] for x in pts])
+            assert np.array_equal(cm.conformality_residual(J), [cm.conformality_residual(G) for G in J])
         assert np.array_equal(maps[0].det_gradient(pts), [maps[0].det_gradient(x) for x in pts])
 
 

@@ -29,6 +29,25 @@ class Det2(cm.EnergyModel):
         return 2.0 * cm.det(H)
 
 
+class OverflowingForm(cm.EnergyModel):
+    """Stacked second form |H|^2 / det F, NaN where det F > bound (as an overflowing exp gives)."""
+
+    dim = 2
+    label = "overflowing"
+    analytic = True
+    stacked = True
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def value(self, F):
+        return np.zeros(np.shape(F)[:-2])
+
+    def second_form(self, F, H):
+        d = cm.det(F)
+        return np.where(d > self.bound, np.nan, cm.tensors.inner(H, H) / d)
+
+
 def test_lh_form_iso3d_at_identity():
     E = cm.builtin_energy("iso3d")
     e1 = np.array([1.0, 0.0, 0.0])
@@ -186,6 +205,19 @@ def test_scan_borderline_verdict_needs_analytic_second_form():
     assert cm.scan_rank_one_convexity(E, n_samples=50, seed=5).verdict == "inconclusive"
     E.analytic = True
     assert cm.scan_rank_one_convexity(E, n_samples=50, seed=5).verdict == "elliptic"
+
+
+def test_scan_minimum_and_witnesses_skip_nan():
+    # seed 0 draws det F = 0.65, 9.07, 6.45: the LH values are [1.54, NaN, 0.155],
+    # a NaN ahead of the minimum, which a sort on NaN keys leaves in place
+    rep = cm.scan_rank_one_convexity(OverflowingForm(8.0), n_samples=3, seed=0)
+    values = [w[3] for w in rep.witnesses]
+    assert rep.min_lh_form == values[0] and 0.15 < values[0] < 0.16
+    assert len(values) == 2 and 1.5 < values[1] < 1.6
+    assert rep.verdict == "strictly-elliptic"
+    nothing = cm.scan_rank_one_convexity(OverflowingForm(0.0), n_samples=3, seed=0)
+    assert nothing.verdict == "inconclusive"
+    assert np.isnan(nothing.min_lh_form) and nothing.witnesses == []
 
 
 def test_scan_is_deterministic_for_fixed_seed():

@@ -313,6 +313,11 @@ def test_stacked_value_and_stress_match_one_matrix_bits(name, n_stack):
     )
     assert np.array_equal(E.value(F), [E.value(f) for f in F])
     assert np.array_equal(E.cauchy_stress(F), [E.cauchy_stress(f) for f in F])
+    H = rng.standard_normal(F.shape)
+    assert np.array_equal(E.second_form(F, H), [E.second_form(f, h) for f, h in zip(F, H)])
+    xi, eta = rng.standard_normal(F.shape[:2]), rng.standard_normal(F.shape[:2])
+    q = cm.lh_form(E, F, xi, eta)
+    assert np.array_equal(q, [cm.lh_form(E, *item) for item in zip(F, xi, eta)])
 
 
 def test_value_only_subclass_is_lifted_to_stacks():
@@ -325,6 +330,10 @@ def test_value_only_subclass_is_lifted_to_stacks():
     F = np.stack([np.eye(2), 2.0 * np.eye(2)])
     assert np.array_equal(SquaredNorm().value(F), [2.0, 8.0])
     assert SquaredNorm().cauchy_stress(F).shape == (2, 2, 2)
+    H = np.stack([np.eye(2), np.ones((2, 2))])
+    q = SquaredNorm().second_form(F, H)
+    assert np.array_equal(q, [SquaredNorm().second_form(f, h) for f, h in zip(F, H)])
+    assert np.allclose(q, [4.0, 8.0], rtol=1e-6)
 
 
 def test_volumetric_arrays_match_scalar_evaluate():
@@ -333,6 +342,10 @@ def test_volumetric_arrays_match_scalar_evaluate():
     values = [vol.evaluate(s) for s in t]
     assert np.array_equal(vol.value(t), [v.value for v in values])
     assert np.array_equal(vol.slope(t), [v.d1 for v in values])
+    assert np.array_equal(vol.curvature(t[:-2]), [v.d2 for v in values[:-2]])
+    for splice in (np.e, vol.c):
+        with pytest.raises(cm.NotDifferentiable, match="one-sided"):
+            vol.curvature(np.array([1.0, splice]))
     with pytest.raises(cm.NonPositiveArgument):
         vol.value(np.array([1.0, 0.0]))
 

@@ -40,6 +40,23 @@ def test_kernel_displacement_closed_form_point():
     assert np.allclose(G, [[-0.2, 1.275], [-1.275, -0.2]], atol=1e-14)
 
 
+def test_kernel_displacement_stacks_match_one_point_bits():
+    rng = np.random.default_rng(8)
+    draws = rng.uniform(-2.0, 2.0, size=(257, 8))
+    k = cm.KernelDisplacement.from_scalars(*draws[:, :4].T, b_hat=draws[:, 4:6])
+    u, G = cm.kernel_displacement(k, draws[:, 6:])
+    for i, row in enumerate(draws):
+        ki = cm.KernelDisplacement.from_scalars(*row[:4], b_hat=row[4:6])
+        ui, Gi = cm.kernel_displacement(ki, row[6:])
+        assert np.array_equal(u[i], ui) and np.array_equal(G[i], Gi)
+    # one field at a stack of points
+    k1 = cm.KernelDisplacement.from_scalars(1.0, -0.5, 0.25, 2.0)
+    u1, _ = cm.kernel_displacement(k1, draws[:, 6:])
+    assert np.array_equal(u1, [cm.kernel_displacement(k1, x)[0] for x in draws[:, 6:]])
+    with pytest.raises(ValueError):
+        cm.KernelDisplacement.from_scalars(spin=np.zeros(3), b_hat=np.zeros((3, 3)))
+
+
 def test_kernel_gradient_structure():
     # grad u = <w, x> id + x (x) w - w (x) x + p id + A for every parameter set
     rng = np.random.default_rng(7)

@@ -112,6 +112,20 @@ def test_graded_singular_values_are_not_squared_away():
             assert np.isfinite(lin_K) and abs(lin_K - 1e9) <= 1e-5 * 1e9
 
 
+def test_closed_form_svd_of_graded_matrices():
+    # sqrt of the small eigenvalue of F^T F squares 1e-9 into rounding: the
+    # ratio energy read 1.8e16 (or inf, with a divide by zero) for 1e18
+    rng = np.random.default_rng(32)
+    E = cm.builtin_energy("iso2d-klin2")
+    for _ in range(20):
+        F = cm.random_rotation(rng, 2) @ np.diag([1.0, 1e-9]) @ cm.random_rotation(rng, 2)
+        U, s, V = cm.svd(F)
+        ref = np.linalg.svd(F, compute_uv=False)
+        assert abs(s[1] - ref[1]) <= 1e-14 * ref[0]
+        assert np.allclose(U @ np.diag(s) @ V.T, F, rtol=0.0, atol=1e-14)
+        assert abs(E.value(F) - (ref[0] / ref[1]) ** 2) <= 1e-5 * 1e18
+
+
 def test_distortions_identity_and_diag():
     d_id = cm.distortions(np.eye(2))
     assert d_id.big_K == 1.0 and d_id.lin_K == 1.0
@@ -235,12 +249,23 @@ def gl_plus_2(draw):
     return F
 
 
+@st.composite
+def graded_gl_plus_2(draw):
+    """a R(t) diag(1, g) R(u), 1e-12 <= g <= 1e-5: s2 = det F / s1, as below w2 = 1e-8 w1."""
+    scale = draw(st.floats(0.1, 10.0))
+    t, u = draw(st.floats(-np.pi, np.pi)), draw(st.floats(-np.pi, np.pi))
+    F = scale * rotation(t) @ np.diag([1.0, 10.0 ** draw(st.floats(-12.0, -5.0))]) @ rotation(u)
+    assume(cm.det(F) > 0.0)
+    return F
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(st.lists(gl_plus_2(), min_size=1, max_size=6))
+@given(st.lists(st.one_of(gl_plus_2(), graded_gl_plus_2()), min_size=1, max_size=6))
 def test_stacked_svd_properties_on_gl_plus(matrices):
     F = np.stack(matrices)
     U, s, V = cm.svd(F)
     for i, f in enumerate(F):
+        assert abs(s[i, 1] - np.linalg.svd(f, compute_uv=False)[1]) <= 1e-11 * s[i, 0]
         assert bits(U[i]) + bits(s[i]) + bits(V[i]) == b"".join(map(bits, cm.svd(f)))
         assert np.allclose(U[i].T @ U[i], np.eye(2), rtol=0.0, atol=1e-14)
         assert np.allclose(V[i].T @ V[i], np.eye(2), rtol=0.0, atol=1e-14)
