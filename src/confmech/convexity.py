@@ -11,11 +11,12 @@ Three complementary instruments:
   convex/non-decreasing criterion on the ratio profile h (h_criterion).
 
 lh_form takes one (F, xi, eta) or stacks of them, in one second_form
-call.  The scan draws its samples one at a time, in the order of the
-one-sample helpers random_def_gradient and random_rotation (which are the
-one-draw case of the same builder), builds F as a stack and evaluates the
-LH form once.  The line scans, the Knowles-Sternberg conditions and the h
-criterion take one point at a time.
+call.  The scan draws each sample in two generator calls, which give the
+values of the one-sample helpers random_def_gradient, random_rotation and
+_direction in their order, builds F as a stack and evaluates the LH form
+once.  knowles_sternberg takes one pair of stretches or arrays of them, in
+one body, so ks_grid_scan evaluates its whole grid at once.  The line
+scans and the h criterion take one point at a time.
 
 The scan driver never silently promotes a borderline result: values inside
 the margin band count as "elliptic" only when the energy's second_form is
@@ -23,12 +24,12 @@ analytic (energy.analytic), otherwise the verdict is "inconclusive".
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import LeavesGLPlus, TooFewSamples
-from .tensors import as_square, det, first_true, from_entries
+from .tensors import as_square, det, first_true, from_entries, libm_pow
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 
@@ -147,8 +148,8 @@ def _fd_g_partials(g, l1, l2, rel_step=1e-5):
     h2 = rel_step * l2
     g1 = (g(l1 + h1, l2) - g(l1 - h1, l2)) / (2.0 * h1)
     g2 = (g(l1, l2 + h2) - g(l1, l2 - h2)) / (2.0 * h2)
-    g11 = (g(l1 + h1, l2) - 2.0 * g(l1, l2) + g(l1 - h1, l2)) / h1**2
-    g22 = (g(l1, l2 + h2) - 2.0 * g(l1, l2) + g(l1, l2 - h2)) / h2**2
+    g11 = (g(l1 + h1, l2) - 2.0 * g(l1, l2) + g(l1 - h1, l2)) / libm_pow(h1, 2.0)
+    g22 = (g(l1, l2 + h2) - 2.0 * g(l1, l2) + g(l1, l2 - h2)) / libm_pow(h2, 2.0)
     g12 = (
         g(l1 + h1, l2 + h2) - g(l1 + h1, l2 - h2) - g(l1 - h1, l2 + h2) + g(l1 - h1, l2 - h2)
     ) / (4.0 * h1 * h2)
@@ -158,72 +159,90 @@ def _fd_g_partials(g, l1, l2, rel_step=1e-5):
 def knowles_sternberg(g, lam1, lam2, derivatives=None, strictness_margin=None, fd_step=1e-5):
     """Evaluate the planar strict-ellipticity conditions for W = g(l1, l2).
 
+    lam1 and lam2 are one pair of stretches, giving one KSReport, or arrays
+    that broadcast together, giving the list of reports of their points in
+    C order; either way the conditions are evaluated once, on arrays.
+
     Parameters
     ----------
-    g : callable (l1, l2) -> real, symmetric
+    g : callable (l1, l2) -> real, symmetric; takes arrays
     derivatives : callable (l1, l2) -> (g1, g2, g11, g22, g12), optional
-        Analytic partials; central differences with relative step fd_step
-        per axis otherwise.
+        Analytic partials, taking arrays; central differences with relative
+        step fd_step per axis otherwise.
     strictness_margin : float, optional
         Strictness requires every applicable value above this; defaults to
         1e-10 (1 + |g| + |g1| + |g2|).
     """
-    l1 = float(lam1)
-    l2 = float(lam2)
-    if not (l1 > 0.0 and l2 > 0.0):
+    l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
+    if not np.all((l1 > 0.0) & (l2 > 0.0)):
         raise ValueError("principal stretches must be positive")
     if derivatives is not None:
-        g1, g2, g11, g22, g12 = (float(v) for v in derivatives(l1, l2))
+        g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     else:
         g1, g2, g11, g22, g12 = _fd_g_partials(g, l1, l2, fd_step)
     if strictness_margin is None:
-        strictness_margin = 1e-10 * (1.0 + abs(float(g(l1, l2))) + abs(g1) + abs(g2))
+        strictness_margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
-    on_diagonal = abs(l1 - l2) <= EQ_BAND * (l1 + l2)
-    cond_i = (g11, g22)
-    cond_ii = None if on_diagonal else (l1 * g1 - l2 * g2) / (l1 - l2)
-    cond_iii = (g11 - g12 + g1 / l1, g22 - g12 + g2 / l2) if on_diagonal else None
-
+    on_diagonal = np.abs(l1 - l2) <= EQ_BAND * (l1 + l2)
+    # cond_ii and cond_iv do not apply on the band: divide there by 1, not by l1 - l2 = 0
+    gap = np.where(on_diagonal, 1.0, l1 - l2)
+    cond_ii = (l1 * g1 - l2 * g2) / gap
+    cond_iii = (g11 - g12 + g1 / l1, g22 - g12 + g2 / l2)
     radicand = g11 * g22
-    if radicand < 0.0:
-        root = math.nan
-    else:
-        root = math.sqrt(radicand)
-    cond_iv = None if on_diagonal else root + g12 + (g1 - g2) / (l1 - l2)
+    root = np.sqrt(np.where(radicand < 0.0, np.nan, radicand))
+    cond_iv = root + g12 + (g1 - g2) / gap
     cond_v = root - g12 + (g1 + g2) / (l1 + l2)
 
-    report = KSReport(
-        lambda1=l1,
-        lambda2=l2,
-        cond_i=cond_i,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        cond_iv=cond_iv,
-        cond_v=cond_v,
-        strict=False,
-    )
-    vals = report.applicable_values()
-    strict = all(np.isfinite(v) and v > strictness_margin for v in vals)
-    return replace(report, strict=strict)
+    def holds(v):
+        return np.isfinite(v) & (v > strictness_margin)
+
+    on_band = holds(cond_iii[0]) & holds(cond_iii[1])
+    off_band = holds(cond_ii) & holds(cond_iv)
+    strict = holds(g11) & holds(g22) & np.where(on_diagonal, on_band, off_band) & holds(cond_v)
+    columns = (l1, l2, g11, g22, cond_ii, *cond_iii, cond_iv, cond_v, strict, on_diagonal)
+    reports = [
+        KSReport(
+            lambda1=a,
+            lambda2=b,
+            cond_i=(i1, i2),
+            cond_ii=None if diag else ii,
+            cond_iii=(iii1, iii2) if diag else None,
+            cond_iv=None if diag else iv,
+            cond_v=v,
+            strict=ok,
+        )
+        # tolist: Python floats and bools, as the CLI's JSON needs them
+        for a, b, i1, i2, ii, iii1, iii2, iv, v, ok, diag in zip(
+            *(np.ravel(c).tolist() for c in columns)
+        )
+    ]
+    return reports if l1.ndim else reports[0]
 
 
 def ratio_minus_one_squared(l1, l2):
-    """g(l1, l2) = (max/min - 1)^2, the stretch representation of the squared builtin."""
-    s = l1 / l2 if l1 >= l2 else l2 / l1
-    return (s - 1.0) ** 2
+    """g(l1, l2) = (max/min - 1)^2, the stretch representation of the squared builtin.
+
+    One pair or arrays of stretches.
+    """
+    s = np.where(l1 >= l2, l1 / l2, l2 / l1)
+    return libm_pow(s - 1.0, 2.0)
 
 
 def ratio_minus_one_squared_derivatives(l1, l2):
-    """Analytic partials of ratio_minus_one_squared (branch formulas plus symmetry)."""
-    if l1 >= l2:
-        g1 = 2.0 * (l1 - l2) / l2**2
-        g2 = -2.0 * l1 * (l1 - l2) / l2**3
-        g11 = 2.0 / l2**2
-        g22 = 2.0 * l1 * (3.0 * l1 - 2.0 * l2) / l2**4
-        g12 = 2.0 * (l2 - 2.0 * l1) / l2**3
-        return g1, g2, g11, g22, g12
-    g1, g2, g11, g22, g12 = ratio_minus_one_squared_derivatives(l2, l1)
-    return g2, g1, g22, g11, g12
+    """Analytic partials of ratio_minus_one_squared, one pair or arrays of stretches.
+
+    The branch formulas hold for l1 >= l2; the other branch follows by symmetry.
+    """
+    swap = l1 < l2
+    a = np.where(swap, l2, l1)
+    b = np.where(swap, l1, l2)
+    ga = 2.0 * (a - b) / libm_pow(b, 2.0)
+    gb = -2.0 * a * (a - b) / libm_pow(b, 3.0)
+    gaa = 2.0 / libm_pow(b, 2.0)
+    gbb = 2.0 * a * (3.0 * a - 2.0 * b) / libm_pow(b, 4.0)
+    g12 = 2.0 * (b - 2.0 * a) / libm_pow(b, 3.0)
+    pairs = ((gb, ga), (ga, gb), (gbb, gaa), (gaa, gbb), (g12, g12))
+    return tuple(np.where(swap, x, y)[()] for x, y in pairs)
 
 
 @dataclass(frozen=True)
@@ -324,6 +343,39 @@ def _direction(rng, dim):
             return v
 
 
+def _scan_draws(rng, dim, n_samples, stretch_range):
+    """Stacks (log-stretches, angles1, angles2, xi, eta) of n_samples scan samples.
+
+    The values are those of sequential _def_gradient_draws, _direction,
+    _direction calls, drawn in two generator calls per sample: one
+    rng.random for the log-stretches and both angle sets, scaled afterwards
+    by Generator.uniform's own formula low + (high - low) u, and one
+    rng.standard_normal for xi and eta.  Where some xi or eta fails
+    _direction's norm test (p ~ 1e-16 a sample), the generator is rewound
+    and the samples are drawn again through those helpers, which redraw it.
+    """
+    a = 1 if dim == 2 else 3
+    start = rng.bit_generator.state
+    U = np.empty((n_samples, dim + 2 * a))
+    N = np.empty((n_samples, 2 * dim))
+    for i in range(n_samples):
+        rng.random(out=U[i])
+        rng.standard_normal(out=N[i])
+    directions = N.reshape(-1, dim)  # xi and eta of each sample
+    if np.all(np.sqrt(np.vecdot(directions, directions)) > 1e-8):
+        lo, hi = np.log(stretch_range[0]), np.log(stretch_range[1])
+        low = np.array([lo] * dim + [0.0] * (2 * a))
+        high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
+        U = low + (high - low) * U
+        return U[:, :dim], U[:, dim:dim + a], U[:, dim + a:], N[:, :dim], N[:, dim:]
+    rng.bit_generator.state = start
+    draws = [
+        (*_def_gradient_draws(rng, dim, stretch_range), _direction(rng, dim), _direction(rng, dim))
+        for _ in range(n_samples)
+    ]
+    return tuple(np.array(column) for column in zip(*draws))
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     verdict: str  # strictly-elliptic | elliptic | violated | inconclusive
@@ -343,8 +395,8 @@ def scan_rank_one_convexity(
     """Monte-Carlo scan of the Legendre-Hadamard form on rank-one directions.
 
     Deterministic for a fixed seed (numpy default_rng).  Each sample draws
-    F, then xi, then eta; the draws are collected one sample at a time, in
-    that order, and the LH form is evaluated once on the whole stack.  The
+    F, then xi, then eta, in the order of the one-sample helpers
+    (_scan_draws), and the LH form is evaluated once on the whole stack.  The
     minimum and the witnesses are taken over the values that are not NaN
     (an overflowing second form gives NaN), ties in sample order; with no
     such value the verdict is "inconclusive".  A negative minimum below the
@@ -352,13 +404,9 @@ def scan_rank_one_convexity(
     verdict "violated" is issued; without confirmation the scan reports
     "inconclusive" rather than guessing.
     """
-    rng = np.random.default_rng(seed)
-    dim = energy.dim
-    draws = [
-        (*_def_gradient_draws(rng, dim, stretch_range), _direction(rng, dim), _direction(rng, dim))
-        for _ in range(int(n_samples))
-    ]
-    logs, angles1, angles2, xi, eta = (np.array(column) for column in zip(*draws))
+    logs, angles1, angles2, xi, eta = _scan_draws(
+        np.random.default_rng(seed), energy.dim, int(n_samples), stretch_range
+    )
     Fs = _def_gradients(logs, angles1, angles2)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
     values = lh_form(energy, Fs, xis, etas)
@@ -390,9 +438,10 @@ def scan_rank_one_convexity(
 
 
 def ks_grid_scan(g, lam_values, derivatives=None):
-    """knowles_sternberg over a grid; returns the list of per-point reports."""
-    reports = []
-    for l1 in lam_values:
-        for l2 in lam_values:
-            reports.append(knowles_sternberg(g, l1, l2, derivatives=derivatives))
-    return reports
+    """knowles_sternberg over the grid lam_values x lam_values, l1 outer and l2 inner.
+
+    One knowles_sternberg call on the whole grid, so g and derivatives must
+    take arrays; returns the list of per-point reports.
+    """
+    l1, l2 = np.meshgrid(lam_values, lam_values, indexing="ij")
+    return knowles_sternberg(g, l1, l2, derivatives=derivatives)

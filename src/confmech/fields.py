@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InadmissibleDomainWarning, InvalidSplice
+from .exceptions import ConfmechError, InadmissibleDomainWarning, InvalidSplice
 from .energies import CompositeEnergy
 from .conformal import fd_gradient
 from .tensors import as_square, det, per_item, require_gl_plus
@@ -36,6 +36,9 @@ LCG_INC = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
 # points drawn per block at most, whatever the acceptance rate
 SAMPLER_BLOCK = 1 << 16
+# expected bounding-box points of one sample at most: about 7 s at 110 ns a point
+# on a 2-vCPU x86-64 host
+SAMPLER_BUDGET = 1 << 26
 
 
 def _lcg_step(state):
@@ -108,11 +111,19 @@ def sample_annulus(dom, n, seed=0):
 
     Each block draws about the number of points the rest of n needs at the
     domain's acceptance rate, at most SAMPLER_BLOCK; |x|^2 comes from
-    vecdot, the BLAS ddot of x @ x.
+    vecdot, the BLAS ddot of x @ x.  A shell so thin that n points take
+    more than SAMPLER_BUDGET expected draws is refused with a ConfmechError
+    before any draw.
     """
     n = int(n)
     gen = Lcg64(seed)
     rate = dom.acceptance_rate()
+    if n > SAMPLER_BUDGET * rate:
+        raise ConfmechError(
+            "annulus %r <= |x| <= %r keeps a share %.3g of its bounding box: %d points need "
+            "about %.3g draws, more than the budget of %d"
+            % (dom.r_min, dom.r_max, rate, n, n / rate, SAMPLER_BUDGET)
+        )
     blocks = [np.empty((0, dom.dim))]
     have = 0
     while have < n:

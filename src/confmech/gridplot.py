@@ -4,11 +4,16 @@ Purely cosmetic output: the geometry helpers (polyline generation and their
 images under a map) carry the testable content, the SVG writer just draws
 two panels side by side.  Grid lines are clipped to a disk region and
 sampled with a fixed number of points per line so curved images stay smooth.
+Each polyline is mapped by one evaluate call on its stack of vertices (a
+map without stacked evaluate goes through tensors.per_item), and each is
+scaled to SVG coordinates and formatted as one array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import per_item
 
 SAMPLES_PER_LINE = 42
 STROKE_GRID = 0.49
@@ -69,9 +74,14 @@ def boundary_markers(region, count=8):
     return pts, np.array([cx, cy])
 
 
+def _image(mapping, pts):
+    """The map at one point or at each point of a stack, as DeformationMap.gradient lifts it."""
+    return mapping.evaluate(pts) if mapping.stacked else per_item(mapping.evaluate, pts, 1)
+
+
 def deform_polylines(mapping, polylines):
-    """Image of every polyline vertex under the map."""
-    return [np.array([mapping.evaluate(p) for p in line]) for line in polylines]
+    """Image of every polyline vertex under the map, one evaluate call per polyline."""
+    return [_image(mapping, line) for line in polylines]
 
 
 def _bounds(point_groups, pad=0.05):
@@ -86,21 +96,21 @@ class _Panel:
     """Maps data coordinates into one SVG viewport (y axis flipped)."""
 
     def __init__(self, lo, hi, x0, width, height):
-        self.lo = lo
-        self.hi = hi
         scale = min(width / (hi[0] - lo[0]), height / (hi[1] - lo[1]))
-        self.scale = scale
-        self.x0 = x0 + 0.5 * (width - scale * (hi[0] - lo[0]))
-        self.y0 = 0.5 * (height - scale * (hi[1] - lo[1]))
-        self.height = height
+        # the bits of x0 + scale (x - lo_x) and y0 + scale (hi_y - y): negating both factors is exact
+        self.anchor = np.array([lo[0], hi[1]])
+        self.factor = np.array([scale, -scale])
+        self.origin = np.array(
+            [x0 + 0.5 * (width - scale * (hi[0] - lo[0])), 0.5 * (height - scale * (hi[1] - lo[1]))]
+        )
 
     def to_svg(self, p):
-        x = self.x0 + self.scale * (p[0] - self.lo[0])
-        y = self.y0 + self.scale * (self.hi[1] - p[1])
-        return x, y
+        """SVG (x, y) of one point, or of each point of a stack (k, 2)."""
+        return self.origin + (p - self.anchor) * self.factor
 
     def polyline(self, pts, stroke, width):
-        coords = " ".join("%.3f,%.3f" % self.to_svg(p) for p in pts)
+        xy = self.to_svg(pts).ravel().tolist()
+        coords = " ".join(["%.3f,%.3f"] * (len(xy) // 2)) % tuple(xy)
         return '<polyline fill="none" stroke="%s" stroke-width="%.2f" points="%s"/>' % (
             stroke,
             width,
@@ -108,7 +118,7 @@ class _Panel:
         )
 
     def dot(self, p, fill, r=3.0):
-        x, y = self.to_svg(p)
+        x, y = self.to_svg(p).tolist()
         return '<circle cx="%.3f" cy="%.3f" r="%.1f" fill="%s"/>' % (x, y, r, fill)
 
 
@@ -129,8 +139,8 @@ def render_grid_svg(
     ref = grid_polylines(region, spacing, samples_per_line)
     img = deform_polylines(mapping, ref)
     ref_marks, ref_center = boundary_markers(region)
-    img_marks = np.array([mapping.evaluate(p) for p in ref_marks])
-    img_center = mapping.evaluate(ref_center)
+    img_marks = _image(mapping, ref_marks)
+    img_center = _image(mapping, ref_center)
 
     lo_l, hi_l = _bounds([ref, [ref_marks]])
     lo_r, hi_r = _bounds([img, [img_marks]])

@@ -203,6 +203,18 @@ def test_bad_map_spec_is_usage_error(tmp_path):
         assert exc3.value.code == 2, argv
 
 
+def test_thin_annulus_exits_two_instead_of_hanging():
+    # a fresh process under a timeout: rejection sampling of this shell takes about 7e10 draws
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    argv = ["stress-field", "--energy", "composite3d", "--map", "phi3d", "--c", "2.71828183"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "confmech.cli", *argv, "--n", "10"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "budget" in proc.stderr.strip().splitlines()[-1]
+
+
 def test_usage_error_prints_plain_floats(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-conformal", "--map", "moebius:sphere(0,0;1)"])
@@ -295,6 +307,39 @@ def test_render_grid(capsys, tmp_path):
     assert str(out_path) in out
     text = out_path.read_text()
     assert text.startswith("<svg ") and "</svg>" in text
+
+
+REFERENCE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+
+
+def _reference_svg_digest():
+    with open(REFERENCE_JSON) as fh:
+        return json.load(fh)["render-grid.svg"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the benchmark's render-grid call, pinned in perfbench/reference.json
+        (["--map", "phi2d"], None),
+        # recorded with the one-point evaluate loop of gridplot
+        (
+            ["--map", "moebius:sphere(0,0;1)+plane(0,1;0)", "--resolution", "24",
+             "--spacing", "0.05"],
+            "edca0bfe330dd7723633187f1e8f3a43dfb0cd76ecd5b9be5a68a9af09d74d1e",
+        ),
+        (
+            ["--map", "moebius:sphere(0.1,0.2;0.7)"],
+            "4b725739f85427c79dfd519f51baf521b24d19eaf114eaf004a2d0e1236224b2",
+        ),
+    ],
+)
+def test_render_grid_svg_bytes(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "fig.svg"
+    code, _ = run(capsys, "render-grid", *argv, "--out", str(out_path))
+    assert code == 0
+    want = digest or _reference_svg_digest()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
 
 def test_render_grid_rejects_3d(tmp_path):

@@ -165,6 +165,48 @@ def test_ks_grid_scan_log_grid_all_strict():
     assert all(v > 0.0 for r in reports for v in r.applicable_values())
 
 
+def saddle(l1, l2):
+    """Not elliptic: g11 g22 < 0, so cond_iv and cond_v are NaN off the band."""
+    return l1 * l1 - l2 * l2
+
+
+@pytest.mark.parametrize(
+    "g, derivatives",
+    [
+        (cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives),
+        (cm.ratio_minus_one_squared, None),
+        (saddle, None),
+    ],
+)
+def test_stacked_ks_grid_matches_one_point_reports(g, derivatives):
+    # a log grid plus stretches inside (1 + 1e-7) and just outside (1 + 3e-6) the band
+    lams = np.concatenate([np.logspace(-1.0, 1.0, 9), [1.0, 1.0 + 1e-7, 1.0 + 3e-6]])
+    grid = cm.ks_grid_scan(g, lams, derivatives=derivatives)
+    points = [cm.knowles_sternberg(g, a, b, derivatives=derivatives) for a in lams for b in lams]
+    assert len(grid) == len(points) == 144
+    assert any(r.cond_iii is None for r in grid) and any(r.cond_iii is not None for r in grid)
+    for r, p in zip(grid, points):
+        # repr tells float bits and Python float from np.float64 apart
+        assert repr(r) == repr(p)
+        assert all(type(v) is float for v in [r.lambda1, r.lambda2, *r.applicable_values()])
+        assert type(r.strict) is bool
+    assert all(r.strict for r in grid) == (g is not saddle)
+
+
+def test_one_point_knowles_sternberg_keeps_its_values_and_types():
+    rep = cm.knowles_sternberg(
+        cm.ratio_minus_one_squared, 2.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
+    )
+    assert (rep.lambda1, rep.lambda2, rep.cond_i, rep.cond_ii) == (2.0, 1.0, (2.0, 16.0), 8.0)
+    assert rep.cond_iii is None and rep.cond_iv == np.sqrt(32.0)
+    assert type(rep.cond_v) is float and rep.strict is True
+    diag = cm.knowles_sternberg(
+        cm.ratio_minus_one_squared, 1.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
+    )
+    assert diag.applicable_values() == [2.0, 2.0, 4.0, 4.0, 4.0]
+    assert all(type(v) is float for v in diag.applicable_values())
+
+
 def test_ratio_minus_one_squared_derivative_closed_forms():
     g1, g2, g11, g22, g12 = cm.ratio_minus_one_squared_derivatives(2.0, 1.0)
     assert (g1, g2, g11, g22, g12) == (2.0, -4.0, 2.0, 16.0, -6.0)
@@ -225,6 +267,69 @@ def test_scan_is_deterministic_for_fixed_seed():
     a = cm.scan_rank_one_convexity(E, n_samples=100, seed=9)
     b = cm.scan_rank_one_convexity(E, n_samples=100, seed=9)
     assert a.min_lh_form == b.min_lh_form
+
+
+def sequential_draws(rng, dim, n):
+    """The scan's draws, one one-sample helper call at a time, as stacks."""
+    conv = cm.convexity
+    draws = [
+        (*conv._def_gradient_draws(rng, dim, (0.1, 10.0)), conv._direction(rng, dim),
+         conv._direction(rng, dim))
+        for _ in range(n)
+    ]
+    return [np.array(column) for column in zip(*draws)]
+
+
+def assert_same_draws(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    conv = cm.convexity
+    assert np.array_equal(conv._def_gradients(*got[:3]), conv._def_gradients(*want[:3]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 3, 500])
+def test_scan_block_draws_equal_the_one_sample_stream(dim, n):
+    for seed in (0, 1, 7, 123):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = cm.convexity._scan_draws(rng, dim, n, (0.1, 10.0))
+        assert_same_draws(got, sequential_draws(ref, dim, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class ZeroFirstNormals:
+    """A generator whose first standard_normal call gives zeros and draws nothing."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.zeroed = False
+
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
+
+    def uniform(self, low, high, size=None):
+        return self._rng.uniform(low, high, size)
+
+    def standard_normal(self, size=None, out=None):
+        if self.zeroed:
+            return self._rng.standard_normal(size, out=out)
+        self.zeroed = True
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scan_block_draws_rewind_past_a_zero_direction(dim):
+    # xi of sample 0 fails the norm test: the block is redrawn one helper call at a time
+    rng = ZeroFirstNormals(4)
+    ref = ZeroFirstNormals(4)
+    got = cm.convexity._scan_draws(rng, dim, 50, (0.1, 10.0))
+    assert_same_draws(got, sequential_draws(ref, dim, 50))
+    assert rng.zeroed and rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_rotation_and_def_gradient():

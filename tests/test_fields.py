@@ -339,6 +339,22 @@ def test_block_sampler_equals_scalar_stream(dom, n):
     assert np.array_equal(cm.sample_annulus(dom, n, seed=n), scalar_rejection(dom, n, n))
 
 
+def test_thin_annulus_over_the_draw_budget_is_refused():
+    # c just above e: the admissible phi3d shell keeps 1.5e-10 of its box, about 7e10 draws
+    for c in (2.71828183, 2.7182818284590456):
+        with pytest.raises(cm.ConfmechError, match="budget"):
+            cm.sample_annulus(cm.admissible_annulus("phi3d", c=c), 10)
+
+
+def test_draw_budget_leaves_the_stream_under_it_unchanged(monkeypatch):
+    dom = cm.AnnulusDomain(2, 0.9, 1.0)
+    n = 40
+    monkeypatch.setattr(cm.fields, "SAMPLER_BUDGET", int(np.ceil(n / dom.acceptance_rate())))
+    assert np.array_equal(cm.sample_annulus(dom, n, seed=3), scalar_rejection(dom, n, 3))
+    with pytest.raises(cm.ConfmechError, match="budget"):
+        cm.sample_annulus(dom, n + 1, seed=3)
+
+
 @pytest.mark.parametrize(
     "seed, digest",
     [
