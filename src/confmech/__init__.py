@@ -31,15 +31,12 @@ from .tensors import (
     dev,
     distortions,
     frobenius_norm,
-    inverse,
-    operator_norm,
     singular_values,
     svd,
     sym,
     transpose_inverse,
 )
 from .conformal import (
-    AffineMap,
     ComplexMoebius,
     ConformalDecomposition,
     DeformationMap,
@@ -63,7 +60,6 @@ from .energies import (
     distortion_minus_one,
     fd_first_derivative,
     fd_second_form,
-    fd_second_form_from_first,
     linear_distortion_squared,
 )
 from .convexity import (
@@ -81,7 +77,6 @@ from .convexity import (
     ratio_minus_one_squared,
     ratio_minus_one_squared_derivatives,
     scan_rank_one_convexity,
-    semi_strict_check,
 )
 from .linearized import (
     KernelDisplacement,

@@ -315,7 +315,7 @@ def build_parser():
     p.add_argument("--fd", action="store_true", help="finite-difference map gradients")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--summary", default=None, help="JSON summary path")
-    p.set_defaults(func=_cmd_stress_field)
+    p.set_defaults(func=_cmd_stress_field, parser=p)
 
     p = sub.add_parser("check-convexity", help="Monte-Carlo rank-one convexity scan")
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
@@ -323,7 +323,7 @@ def build_parser():
     p.add_argument("--samples", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_check_convexity)
+    p.set_defaults(func=_cmd_check_convexity, parser=p)
 
     p = sub.add_parser("check-conformal", help="conformality residuals of a map")
     p.add_argument("--map", required=True)
@@ -332,14 +332,14 @@ def build_parser():
     p.add_argument("--tol", type=tolerance, default=None)
     p.add_argument("--fd", action="store_true", help="check the FD gradient instead")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_check_conformal)
+    p.set_defaults(func=_cmd_check_conformal, parser=p)
 
     p = sub.add_parser("jump-check", help="rank-one compatibility of two gradients")
     p.add_argument("--f1", required=True, help="row-major entries, e.g. '1,0,0,1'")
     p.add_argument("--f2", required=True)
     p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_jump_check)
+    p.set_defaults(func=_cmd_jump_check, parser=p)
 
     p = sub.add_parser("render-grid", help="SVG of a gridded disk and its image")
     p.add_argument("--map", required=True)
@@ -349,23 +349,23 @@ def build_parser():
     p.add_argument("--cx", type=finite, default=0.5)
     p.add_argument("--cy", type=finite, default=0.0)
     p.add_argument("--radius", type=positive, default=0.21)
-    p.set_defaults(func=_cmd_render_grid)
+    p.set_defaults(func=_cmd_render_grid, parser=p)
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
     p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_linearized_demo)
+    p.set_defaults(func=_cmd_linearized_demo, parser=p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its usage errors and library errors go through its own parser."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except ConfmechError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

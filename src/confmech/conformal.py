@@ -5,13 +5,11 @@ spheres and hyperplanes, their compositions (Moebius maps), the planar
 fractional-linear map in complex form, and the inversion-with-flip map
 (x1, -x2 [, x3]) / |x|^2 whose gradient is hard coded in closed form.
 
-evaluate and gradient take one point or a stack of points (..., dim).  The
-inversion-flip, the sphere and hyperplane reflections and their Moebius
-compositions compute the whole stack at once (stacked = True); a
-composition takes each chain-rule step as one stacked matmul.  The
-fractional-linear map, the affine map and a user's map go through
-tensors.per_item, one point at a time, as does the finite-difference
-gradient (fd_gradient) wherever it is lifted to a stack.
+evaluate and gradient take one point or a stack of points (..., dim) in one
+body.  A Moebius composition takes each chain-rule step as one stacked
+matmul, and the fractional-linear map is numpy complex arithmetic on
+z = x1 + i x2.  The finite-difference gradient (fd_gradient) makes one
+evaluate call on x + h e_j and one on x - h e_j for each axis j.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
@@ -30,7 +28,6 @@ from .tensors import (
     first_true,
     from_entries,
     libm_pow,
-    per_item,
     require_gl_plus,
 )
 
@@ -51,7 +48,6 @@ class DeformationMap:
     """Common behaviour: orientation-checked gradient on top of a raw derivative matrix."""
 
     dim = None
-    stacked = False  # True when _jacobian takes a stack of points itself
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -68,7 +64,7 @@ class DeformationMap:
         Raises NonOrientationPreserving, naming the first such point, where det <= 0.
         """
         x = _as_point(x, self.dim, stack=True)
-        J = self._jacobian(x) if self.stacked else per_item(self._jacobian, x, 1)
+        J = self._jacobian(x)
         d = det(J)
         i = first_true(~(d > 0.0))
         if i is not None:
@@ -81,8 +77,6 @@ class DeformationMap:
 
 class SphereReflection(DeformationMap):
     """Reflection across the sphere |x - center| = radius (an inversion)."""
-
-    stacked = True
 
     def __init__(self, center, radius):
         self.center = _as_point(center)
@@ -117,8 +111,6 @@ class SphereReflection(DeformationMap):
 class HyperplaneReflection(DeformationMap):
     """Reflection across the plane <normal, x> = offset; normal must be unit."""
 
-    stacked = True
-
     def __init__(self, normal, offset=0.0):
         normal = _as_point(normal)
         nrm = float(np.sqrt(normal @ normal))
@@ -143,11 +135,8 @@ class HyperplaneReflection(DeformationMap):
 class MoebiusMap(DeformationMap):
     """Composition of stacked reflections, applied first-to-last.
 
-    Orientation-preserving exactly when the number of steps is even; probe
-    with is_orientation_preserving at any regular point.
+    Orientation-preserving exactly when the number of steps is even.
     """
-
-    stacked = True
 
     def __init__(self, steps):
         steps = list(steps)
@@ -173,9 +162,6 @@ class MoebiusMap(DeformationMap):
             y = s.evaluate(y)
         return J
 
-    def is_orientation_preserving(self, probe_x):
-        return det(self._jacobian(_as_point(probe_x, self.dim))) > 0.0
-
 
 class ComplexMoebius(DeformationMap):
     """Planar map z -> (a z + b) / (c z + d) acting on (x1, x2) as z = x1 + i x2."""
@@ -191,21 +177,23 @@ class ComplexMoebius(DeformationMap):
             raise ValueError("ad - bc must be nonzero")
 
     def _w(self, x):
-        z = complex(x[0], x[1])
+        # z = x1 + i x2 with a trailing axis of length 1, so that one point is an
+        # array too: numpy's complex loops round otherwise than its complex scalars
+        z = np.ascontiguousarray(x).view(complex)
         w = self.c * z + self.d
-        if abs(w) < SINGULAR_RADIUS:
-            raise SingularPoint("pole of the fractional-linear map at %s" % (x,))
+        i = first_true(np.abs(w) < SINGULAR_RADIUS)
+        if i is not None:
+            raise SingularPoint("pole of the fractional-linear map at %s" % (x.reshape(-1, 2)[i],))
         return z, w
 
     def evaluate(self, x):
-        z, w = self._w(_as_point(x, 2))
-        f = (self.a * z + self.b) / w
-        return np.array([f.real, f.imag])
+        z, w = self._w(_as_point(x, 2, stack=True))
+        return ((self.a * z + self.b) / w).view(float)
 
     def _jacobian(self, x):
         _, w = self._w(x)
-        fp = (self.a * self.d - self.b * self.c) / (w * w)
-        return np.array([[fp.real, -fp.imag], [fp.imag, fp.real]])
+        fp = ((self.a * self.d - self.b * self.c) / (w * w))[..., 0]
+        return from_entries([[fp.real, -fp.imag], [fp.imag, fp.real]])
 
 
 class InversionFlip(DeformationMap):
@@ -216,8 +204,6 @@ class InversionFlip(DeformationMap):
     orientation preserving; gradient and determinant are hard coded:
     det grad = |x|^{-4} in 2D and |x|^{-6} in 3D.  Both take stacks of points.
     """
-
-    stacked = True
 
     def __init__(self, dim):
         if dim not in (2, 3):
@@ -270,42 +256,29 @@ class InversionFlip(DeformationMap):
         )
 
 
-class AffineMap(DeformationMap):
-    """x -> A x + b; handy as an identity/shear reference."""
-
-    def __init__(self, A, b=None):
-        self.A = as_square(A)
-        self.dim = self.A.shape[0]
-        self.b = np.zeros(self.dim) if b is None else _as_point(b, self.dim)
-
-    def evaluate(self, x):
-        return self.A @ _as_point(x, self.dim) + self.b
-
-    def _jacobian(self, x):
-        return self.A.copy()
-
-
 def fd_gradient(mapping, x, h=1e-5):
-    """Central-difference derivative matrix of a map; columns are d(map)/d(x_j)."""
-    x = _as_point(x, mapping.dim)
-    n = x.shape[0]
-    J = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        J[:, j] = (mapping.evaluate(x + step) - mapping.evaluate(x - step)) / (2.0 * h)
-    return J
+    """Central-difference derivative matrix of a map at x, or at each point of a stack x (..., dim).
+
+    Column j is d(map)/d(x_j), from one evaluate call on x + h e_j and one
+    on x - h e_j.
+    """
+    x = _as_point(x, mapping.dim, stack=True)
+    columns = [
+        (mapping.evaluate(x + h * e) - mapping.evaluate(x - h * e)) / (2.0 * h)
+        for e in np.eye(mapping.dim)
+    ]
+    return np.stack(columns, axis=-1)
 
 
 def is_conformal_at(mapping, x, tol=1e-10, use_fd=False, h=1e-5):
     """(verdict, residual) of the conformality test at x, or arrays of both for a stack x (..., dim).
 
     Checks grad^T grad / det^{2/n} = id on the analytic gradient, or on the
-    finite-difference one with use_fd (where tol ~ 1e-6 is appropriate),
-    which is taken one point at a time.  A NaN residual fails.
+    finite-difference one with use_fd (where tol ~ 1e-6 is appropriate).
+    A NaN residual fails.
     """
     x = _as_point(x, mapping.dim, stack=True)
-    F = per_item(lambda p: fd_gradient(mapping, p, h), x, 1) if use_fd else mapping.gradient(x)
+    F = fd_gradient(mapping, x, h) if use_fd else mapping.gradient(x)
     residual = conformality_residual(F)
     return residual <= tol, residual
 

@@ -5,7 +5,7 @@ Three complementary instruments:
 * the Legendre-Hadamard quadratic form on rank-one directions (lh_form and
   the Monte-Carlo driver scan_rank_one_convexity),
 * 1D restrictions W(F + t xi (x) eta) classified by second differences
-  (rank_one_line_scan, semi_strict_check),
+  (rank_one_line_scan),
 * the classical two-dimensional ellipticity conditions on the principal
   stretch representation g(l1, l2) (knowles_sternberg), together with the
   convex/non-decreasing criterion on the ratio profile h (h_criterion).
@@ -84,32 +84,6 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41, margin=1e-9)
     else:
         verdict = "convex"
     return LineScanResult(verdict=verdict, min_second_difference=worst, t_at_min=float(ts[k + 1]))
-
-
-def semi_strict_check(values, margin=1e-9):
-    """Classify a uniformly sampled 1D restriction.
-
-    strict       all second differences above the margin
-    semi_strict  convex with flat (affine, non-constant) stretches
-    convex_only  convex with genuinely constant stretches
-    nonconvex    some second difference below minus the margin
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.shape[0] < 5:
-        raise TooFewSamples("need at least 5 samples")
-    scale = margin * max(1.0, float(np.max(np.abs(values))))
-    d1 = np.diff(values)
-    d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
-    if np.any(d2 < -scale):
-        return "nonconvex"
-    if np.all(d2 > scale):
-        return "strict"
-    flat = np.abs(d2) <= scale
-    # a flat second difference spans the first-difference pair (k, k+1)
-    for k in np.nonzero(flat)[0]:
-        if abs(d1[k]) <= scale and abs(d1[k + 1]) <= scale:
-            return "convex_only"
-    return "semi_strict"
 
 
 @dataclass(frozen=True)

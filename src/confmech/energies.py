@@ -18,22 +18,16 @@ Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
 stress is sigma = (1/det F) D_F W F^T.
 
-value, cauchy_stress and second_form take one matrix or a stack
-(..., n, n); second_form takes directions H that broadcast against F.  The
-second forms of the four families are each one body for one matrix and
-for a stack: inner products sum over the two matrix axes, in the order
-np.sum takes for one matrix, and every power goes through
-tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.
-The planar ratio, isochoric neo-Hooke and composite energies evaluate
-value and cauchy_stress as stacks too, and the ratio energy its
-first_derivative; other first derivatives take one matrix.  Whatever a
-class does not set `stacked` for is lifted to stacks by tensors.per_item,
-one matrix at a time, when the class is defined: DistortionEnergy's value
-and cauchy_stress, a user's value-only subclass, and the base class's
-finite-difference second_form.
+value, first_derivative, cauchy_stress and second_form take one matrix or
+a stack (..., n, n) in one body; second_form takes directions H that
+broadcast against F.  Inner products sum over the two matrix axes, in the
+order np.sum takes for one matrix, and every power goes through
+tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.  A
+value-only subclass's value is called as written, on one matrix at a time:
+the base class's finite-difference first_derivative and second_form loop
+over a stack themselves.
 """
 
-import functools
 from collections import namedtuple
 
 import numpy as np
@@ -47,7 +41,6 @@ from .tensors import (
     frobenius_norm,
     inner,
     libm_pow,
-    per_item,
     require_gl_plus,
     svd,
     transpose_inverse,
@@ -78,23 +71,6 @@ def fd_first_derivative(energy, F, h=FD_STEP_FIRST):
     return P
 
 
-def fd_second_form_from_first(energy, F, H, h=1e-6):
-    """Central difference of t -> <first_derivative(F + t H), H> at t = 0.
-
-    Differencing the analytic gradient instead of the value keeps the
-    rounding floor near 1e-9 relative, far below what a second difference
-    of the value can reach in double precision.  The gradient itself is
-    anchored to value() through fd_first_derivative, so the two oracles
-    together still validate the full chain.
-    """
-    F = as_square(F)
-    H = as_square(H)
-    step = h * max(1.0, frobenius_norm(F))
-    Pp = energy.first_derivative(F + step * H)
-    Pm = energy.first_derivative(F - step * H)
-    return float(inner(Pp - Pm, H)) / (2.0 * step)
-
-
 def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
     """Central second difference of t -> energy.value(F + t H) at t = 0."""
     F = as_square(F)
@@ -110,19 +86,6 @@ def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
     return nrm**2 * (wp - 2.0 * w0 + wm) / step**2
 
 
-def _lift(method):
-    """A one-matrix method, F -> result or (F, H) -> result, made to take stacks (..., n, n) too."""
-
-    @functools.wraps(method)
-    def lifted(self, F, *H):
-        if not H:
-            return per_item(lambda G: method(self, G), F, 2)
-        pairs = np.stack(np.broadcast_arrays(np.asarray(F, float), np.asarray(H[0], float)), axis=-3)
-        return per_item(lambda P: method(self, P[0], P[1]), pairs, 3)
-
-    return lifted
-
-
 def _profile(fn, x):
     """fn at each x, as floats in the shape of x (a constant result is broadcast)."""
     v = np.asarray(fn(x), dtype=float)
@@ -136,49 +99,58 @@ def _stack_note(a, i):
     return " (matrix %d of the stack)" % i if np.ndim(a) else ""
 
 
+def _each_matrix(fn, F, *H):
+    """fn(F, *H) for one matrix, or fn on each matrix of a stack (with its directions H).
+
+    The results are stacked in the shape of F's (broadcast) leading axes.
+    """
+    F, *H = np.broadcast_arrays(F, *H)
+    if F.ndim == 2:
+        return fn(F, *H)
+    n = F.shape[-1]
+    out = np.array([fn(*item) for item in zip(*(M.reshape(-1, n, n) for M in (F, *H)))])
+    return out.reshape(F.shape[:-2] + out.shape[1:])
+
+
 class EnergyModel:
-    """Contract shared by all energies; derivative routes default to FD."""
+    """Contract shared by all energies; derivative routes default to FD.
+
+    A subclass that defines value() alone gets the finite-difference
+    first_derivative and second_form, which call value() on one matrix at
+    a time, also for a stack.
+    """
 
     dim = None
     label = "energy"
     analytic = False  # True when first_derivative and second_form are closed forms
-    stacked = False  # True when the class's own value, cauchy_stress and second_form take stacks
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not vars(cls).get("stacked", False):
-            for name in ("value", "cauchy_stress", "second_form"):
-                if name in vars(cls):
-                    setattr(cls, name, _lift(vars(cls)[name]))
-
-    def _check_dim(self, F, stack=False):
-        """F as a matrix of this energy's dimension, or with stack=True as a C-contiguous stack.
+    def _check_dim(self, F):
+        """F as a C-contiguous matrix or stack (..., n, n) of this energy's dimension.
 
         matmul rounds a stack laid out matrix axes first otherwise than a
         C-contiguous one, so a stack's bits would depend on its layout.
         """
-        F = as_square(F, stack)
+        F = as_square(F, stack=True)
         if F.shape[-1] != self.dim:
             raise ValueError(
                 "%s is a %dD energy, got a %dx%d matrix"
                 % (self.label, self.dim, F.shape[-1], F.shape[-1])
             )
-        return np.ascontiguousarray(F) if stack else F
+        return np.ascontiguousarray(F)
 
     def value(self, F):
         raise NotImplementedError
 
     def first_derivative(self, F):
-        return fd_first_derivative(self, self._check_dim(F))
+        return _each_matrix(lambda G: fd_first_derivative(self, G), self._check_dim(F))
 
-    @_lift
     def second_form(self, F, H):
-        return fd_second_form(self, self._check_dim(F), H)
+        F = self._check_dim(F)
+        return _each_matrix(lambda G, D: fd_second_form(self, G, D), F, as_square(H, stack=True))
 
-    @_lift
     def cauchy_stress(self, F):
-        """sigma = D_F W F^T / det F; the body takes stacks, the lift gives it one matrix."""
-        F = self._check_dim(F, stack=True)
+        """sigma = D_F W F^T / det F."""
+        F = self._check_dim(F)
         d = require_gl_plus(F)
         return (self.first_derivative(F) @ np.swapaxes(F, -2, -1)) / d[..., None, None]
 
@@ -191,11 +163,13 @@ class DistortionEnergy(EnergyModel):
     psi : callable on [1, inf)
     dpsi, d2psi : callables
         Analytic first and second derivatives of psi.
+
+    psi, dpsi and d2psi are called on an array of distortions K for a stack
+    and must broadcast (a constant is broadcast to the shape of K).
     """
 
     dim = 2
     analytic = True
-    stacked = True  # second_form; value and cauchy_stress are lifted one matrix at a time
 
     def __init__(self, psi, dpsi, d2psi, label="psi-distortion"):
         self.psi = psi
@@ -217,21 +191,20 @@ class DistortionEnergy(EnergyModel):
             )
         return v
 
-    @_lift
     def value(self, F):
-        F = self._check_dim(F)
-        K, _ = self._distortion(F)
-        return float(self.psi(K))
+        K, _ = self._distortion(self._check_dim(F))
+        return _profile(self.psi, K)
 
     def first_derivative(self, F):
         # D_F W = psi'(K) (2F - ||F||^2 F^{-T}) / (2 det F)
         F = self._check_dim(F)
         K, d = self._distortion(F)
         FiT = transpose_inverse(F)
-        return self._psi_d(self.dpsi, K, "psi'") * (2.0 * F - inner(F, F) * FiT) / (2.0 * d)
+        dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
+        return dpsi * (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
 
     def second_form(self, F, H):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         H = as_square(H, stack=True)
         K, d = self._distortion(F)
         FiT = transpose_inverse(F)
@@ -245,12 +218,13 @@ class DistortionEnergy(EnergyModel):
         psi_2 = self._psi_d(self.d2psi, K, "psi''")
         return psi_2 * dK * dK + self._psi_d(self.dpsi, K, "psi'") * d2K
 
-    @_lift
     def cauchy_stress(self, F):
         # sigma = psi'(K) [ F F^T / det^2 - (K / det) id ]
         F = self._check_dim(F)
         K, d = self._distortion(F)
-        return self._psi_d(self.dpsi, K, "psi'") * (F @ F.T / d**2 - (K / d) * np.eye(2))
+        dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
+        det_sq = libm_pow(d, 2.0)[..., None, None]
+        return dpsi * (F @ np.swapaxes(F, -2, -1) / det_sq - (K / d)[..., None, None] * np.eye(2))
 
 
 def _ratio_g_partials(h1, h2, s, lam2):
@@ -309,7 +283,6 @@ class PlanarRatioEnergy(EnergyModel):
 
     dim = 2
     analytic = True
-    stacked = True
 
     def __init__(self, h, dh, d2h, label="ratio-energy"):
         self.h = h
@@ -318,11 +291,11 @@ class PlanarRatioEnergy(EnergyModel):
         self.label = label
 
     def value(self, F):
-        U, s, V = svd(self._check_dim(F, stack=True))
+        U, s, V = svd(self._check_dim(F))
         return _profile(self.h, s[..., 0] / s[..., 1])
 
     def first_derivative(self, F):
-        U, s, V = svd(self._check_dim(F, stack=True))
+        U, s, V = svd(self._check_dim(F))
         ratio = s[..., 0] / s[..., 1]
         h1 = _profile(self.dh, ratio)
         tie = ratio - 1.0 < TIE_GAP
@@ -339,11 +312,8 @@ class PlanarRatioEnergy(EnergyModel):
         P[tie] = 0.0
         return P
 
-    # the base class formula, without the lift: first_derivative takes stacks
-    cauchy_stress = EnergyModel.cauchy_stress.__wrapped__
-
     def second_form(self, F, H):
-        F, H = np.broadcast_arrays(self._check_dim(F, stack=True), as_square(H, stack=True))
+        F, H = np.broadcast_arrays(self._check_dim(F), as_square(H, stack=True))
         shape = F.shape[:-2]
         F, H = F.reshape(-1, 2, 2), H.reshape(-1, 2, 2)
         U, s, V = svd(F)
@@ -397,10 +367,9 @@ class IsochoricNeoHooke(EnergyModel):
     dim = 3
     label = "isochoric-neo-hooke"
     analytic = True
-    stacked = True
 
     def value(self, F):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         d = require_gl_plus(F)
         return np.sum(F * F, axis=(-2, -1)) / libm_pow(d, 2.0 / 3.0) - 3.0
 
@@ -408,10 +377,11 @@ class IsochoricNeoHooke(EnergyModel):
         F = self._check_dim(F)
         d = require_gl_plus(F)
         FiT = transpose_inverse(F)
-        return (2.0 * F - (2.0 / 3.0) * float(np.sum(F * F)) * FiT) / d ** (2.0 / 3.0)
+        n2 = np.sum(F * F, axis=(-2, -1))[..., None, None]
+        return (2.0 * F - (2.0 / 3.0) * n2 * FiT) / libm_pow(d, 2.0 / 3.0)[..., None, None]
 
     def second_form(self, F, H):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         H = as_square(H, stack=True)
         d = require_gl_plus(F)
         FiT = transpose_inverse(F)
@@ -427,7 +397,7 @@ class IsochoricNeoHooke(EnergyModel):
         )
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         d = require_gl_plus(F)
         scale = libm_pow(d, 5.0 / 3.0)[..., None, None]
         n2 = np.sum(F * F, axis=(-2, -1))[..., None, None]
@@ -539,8 +509,6 @@ class CompositeEnergy(EnergyModel):
     fail it.
     """
 
-    stacked = True
-
     def __init__(self, iso, vol, label=None):
         self.iso = iso
         self.vol = vol
@@ -553,17 +521,17 @@ class CompositeEnergy(EnergyModel):
         self.analytic = iso.analytic
 
     def value(self, F):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         d = require_gl_plus(F)
         return self.iso.value(F / libm_pow(d, 1.0 / self.dim)[..., None, None]) + self.vol.value(d)
 
     def first_derivative(self, F):
         F = self._check_dim(F)
         d = require_gl_plus(F)
-        return self.iso.first_derivative(F) + self.vol.slope(d) * cofactor(F)
+        return self.iso.first_derivative(F) + self.vol.slope(d)[..., None, None] * cofactor(F)
 
     def second_form(self, F, H):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         H = as_square(H, stack=True)
         d = require_gl_plus(F)
         curvature = self.vol.curvature(d)
@@ -579,7 +547,7 @@ class CompositeEnergy(EnergyModel):
         )
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F, stack=True)
+        F = self._check_dim(F)
         d = require_gl_plus(F)
         return self.iso.cauchy_stress(F) + self.vol.slope(d)[..., None, None] * np.eye(self.dim)
 

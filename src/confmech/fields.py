@@ -29,7 +29,7 @@ import numpy as np
 from .exceptions import ConfmechError, InadmissibleDomainWarning, InvalidSplice
 from .energies import CompositeEnergy
 from .conformal import fd_gradient
-from .tensors import as_square, det, per_item, require_gl_plus
+from .tensors import as_square, det, require_gl_plus
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -212,10 +212,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
     if energy.dim != dom.dim:
         raise ValueError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
     x = sample_annulus(dom, n, seed)
-    if use_fd:
-        F = per_item(lambda p: fd_gradient(mapping, p, fd_step), x, 1)
-    else:
-        F = mapping.gradient(x)
+    F = fd_gradient(mapping, x, fd_step) if use_fd else mapping.gradient(x)
     samples = _field(energy, x, F)
     summary = _summarize(samples, tol, energy)
     if isinstance(energy, CompositeEnergy) and not summary.admissible:

@@ -4,16 +4,13 @@ Purely cosmetic output: the geometry helpers (polyline generation and their
 images under a map) carry the testable content, the SVG writer just draws
 two panels side by side.  Grid lines are clipped to a disk region and
 sampled with a fixed number of points per line so curved images stay smooth.
-Each polyline is mapped by one evaluate call on its stack of vertices (a
-map without stacked evaluate goes through tensors.per_item), and each is
-scaled to SVG coordinates and formatted as one array.
+Each polyline is mapped by one evaluate call on its stack of vertices,
+and each is scaled to SVG coordinates and formatted as one array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensors import per_item
 
 SAMPLES_PER_LINE = 42
 STROKE_GRID = 0.49
@@ -74,14 +71,9 @@ def boundary_markers(region, count=8):
     return pts, np.array([cx, cy])
 
 
-def _image(mapping, pts):
-    """The map at one point or at each point of a stack, as DeformationMap.gradient lifts it."""
-    return mapping.evaluate(pts) if mapping.stacked else per_item(mapping.evaluate, pts, 1)
-
-
 def deform_polylines(mapping, polylines):
     """Image of every polyline vertex under the map, one evaluate call per polyline."""
-    return [_image(mapping, line) for line in polylines]
+    return [mapping.evaluate(line) for line in polylines]
 
 
 def _bounds(point_groups, pad=0.05):
@@ -139,8 +131,8 @@ def render_grid_svg(
     ref = grid_polylines(region, spacing, samples_per_line)
     img = deform_polylines(mapping, ref)
     ref_marks, ref_center = boundary_markers(region)
-    img_marks = _image(mapping, ref_marks)
-    img_center = _image(mapping, ref_center)
+    img_marks = mapping.evaluate(ref_marks)
+    img_center = mapping.evaluate(ref_center)
 
     lo_l, hi_l = _bounds([ref, [ref_marks]])
     lo_r, hi_r = _bounds([img, [img_marks]])

@@ -37,21 +37,6 @@ def as_square(M, stack=False):
     return M
 
 
-def per_item(fn, a, core):
-    """fn applied to each item of a, an item being its last `core` axes.
-
-    The one lift from a one-item function to stacks: fn(a) itself when a is
-    a single item, else the results of fn on every item, stacked in the
-    shape of a's leading axes.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim <= core:
-        return fn(a)
-    lead = a.shape[: a.ndim - core]
-    out = np.array([fn(item) for item in a.reshape((-1,) + a.shape[a.ndim - core:])])
-    return out.reshape(lead + out.shape[1:])
-
-
 def libm_pow(a, p):
     """a ** p element by element through libm pow, as a scalar power computes it.
 
@@ -152,14 +137,6 @@ def require_gl_plus(F):
     return d
 
 
-def inverse(M):
-    M = as_square(M)
-    d = det(M)
-    if abs(d) <= DET_FLOOR:
-        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(d),))
-    return cofactor(M).T / d
-
-
 def transpose_inverse(F):
     """F^{-T} = Cof(F) / det(F), of one matrix or of each in a stack."""
     F = as_square(F, stack=True)
@@ -234,20 +211,11 @@ def eig_sym(S):
     return (np.moveaxis(w, 0, -1) if w.ndim > 1 else w), V
 
 
-def _semi_axes(M):
-    """Singular values of an arbitrary square matrix, descending (zeros allowed)."""
-    return np.linalg.svd(as_square(M), compute_uv=False)
-
-
 def singular_values(F):
     """Singular values of F in GL+, descending. Raises NotInGLPlus otherwise."""
     F = as_square(F)
     require_gl_plus(F)
-    return _semi_axes(F)
-
-
-def operator_norm(M):
-    return float(_semi_axes(M)[0])
+    return np.linalg.svd(F, compute_uv=False)
 
 
 def svd(F):
@@ -297,7 +265,7 @@ def distortions(F):
     n = F.shape[0]
     d = require_gl_plus(F)
     big = float(np.sum(F * F) / (n * d ** (2.0 / n)))
-    s = _semi_axes(F)
+    s = singular_values(F)
     return DistortionReport(
         big_K=big,
         lin_K=float(s[0] / s[-1]),

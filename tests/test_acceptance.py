@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import confmech as cm
-from confmech.energies import fd_first_derivative, fd_second_form, fd_second_form_from_first
+from confmech.energies import fd_first_derivative, fd_second_form
 from confmech.tensors import dev, sym
+from test_energies import fd_second_form_from_first
 
 TWO_OVER_E = 2.0 / np.e
 

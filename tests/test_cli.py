@@ -223,6 +223,19 @@ def test_usage_error_prints_plain_floats(capsys):
     assert "det = -" in line and "np.float64" not in line
 
 
+def test_library_and_command_errors_print_the_subcommand_usage(capsys):
+    # a ConfmechError from the library, and a parser.error call inside a command
+    for argv in (
+        ["check-conformal", "--map", "moebius:sphere(0,0;1)"],
+        ["stress-field", "--energy", "iso3d", "--map", "phi2d", "--n", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: confmech %s " % argv[0]), err
+
+
 def test_stress_field_worst_point_in_payload_and_summary(capsys, tmp_path):
     summary_path = tmp_path / "summary.json"
     code, out = run(

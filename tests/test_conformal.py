@@ -114,12 +114,12 @@ def test_moebius_composition_chain_rule():
         G = mo.gradient(x)
         Gfd = cm.fd_gradient(mo, x)
         assert np.max(np.abs(G - Gfd)) <= 1e-5 * max(1.0, np.max(np.abs(G)))
-    assert mo.is_orientation_preserving(np.array([0.3, 0.4]))
+    assert cm.det(mo._jacobian(np.array([0.3, 0.4]))) > 0.0
 
 
 def test_moebius_odd_composition_reverses_orientation():
     mo = cm.MoebiusMap([cm.SphereReflection(np.zeros(2), 1.0)])
-    assert not mo.is_orientation_preserving(np.array([0.5, 0.2]))
+    assert cm.det(mo._jacobian(np.array([0.5, 0.2]))) < 0.0
     with pytest.raises(cm.NonOrientationPreserving):
         mo.gradient(np.array([0.5, 0.2]))
 
@@ -152,16 +152,33 @@ def test_complex_moebius_gradient_is_conformal():
         assert ok and residual <= 1e-10
 
 
+class AffineMap(cm.DeformationMap):
+    """x -> A x + b on one point or a stack of points."""
+
+    def __init__(self, A, b):
+        self.A, self.b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        self.dim = len(self.b)
+
+    def evaluate(self, x):
+        return np.asarray(x) @ self.A.T + self.b
+
+    def _jacobian(self, x):
+        return np.broadcast_to(self.A, np.shape(x)[:-1] + self.A.shape)
+
+
 def test_affine_map_gradient_constant():
     A = np.array([[1.2, 0.3], [-0.1, 0.9]])
     b = np.array([0.5, -1.0])
-    aff = cm.AffineMap(A, b)
+    aff = AffineMap(A, b)
     assert np.allclose(aff(np.array([1.0, 2.0])), A @ np.array([1.0, 2.0]) + b)
     assert np.allclose(aff.gradient(np.array([-3.0, 7.0])), A)
+    pts = np.array([[-3.0, 7.0], [0.5, 0.25]])
+    assert np.allclose(aff.gradient(pts), [A, A])
+    assert np.allclose(cm.fd_gradient(aff, pts), [A, A])
 
 
 def test_is_conformal_at_rejects_nonconformal():
-    aff = cm.AffineMap(np.diag([2.0, 1.0]))
+    aff = AffineMap(np.diag([2.0, 1.0]), np.zeros(2))
     ok, residual = cm.is_conformal_at(aff, np.array([0.2, 0.2]))
     assert not ok and residual > 0.1
 
@@ -205,11 +222,14 @@ def test_stacked_gradients_match_one_point_bits(n_stack):
             cm.InversionFlip(dim),
             cm.MoebiusMap([cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(e2)]),
         ]
+        if dim == 2:
+            maps.append(cm.ComplexMoebius(1.5, 0.25, -0.3, 1.0))
         for phi in maps:
             J = phi.gradient(pts)
             assert J.shape == (n_stack, dim, dim)
             assert np.array_equal(J, [phi.gradient(x) for x in pts])
             assert np.array_equal(phi.evaluate(pts), [phi.evaluate(x) for x in pts])
+            assert np.array_equal(cm.fd_gradient(phi, pts), [cm.fd_gradient(phi, x) for x in pts])
             ok, residual = cm.is_conformal_at(phi, pts, use_fd=True)
             assert np.array_equal(residual, [cm.is_conformal_at(phi, x, use_fd=True)[1] for x in pts])
             assert np.array_equal(cm.conformality_residual(J), [cm.conformality_residual(G) for G in J])

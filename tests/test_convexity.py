@@ -35,7 +35,6 @@ class OverflowingForm(cm.EnergyModel):
     dim = 2
     label = "overflowing"
     analytic = True
-    stacked = True
 
     def __init__(self, bound):
         self.bound = bound
@@ -91,15 +90,6 @@ def test_rank_one_line_scan_guards():
         cm.rank_one_line_scan(E, np.eye(2), -e1, e1, t_max=2.0)
     with pytest.raises(cm.TooFewSamples):
         cm.rank_one_line_scan(E, np.eye(2) * 2.0, e1, e1, n_samples=2)
-
-
-def test_semi_strict_check_classification():
-    assert cm.semi_strict_check([0.0, 1.0, 4.0, 9.0, 16.0, 25.0]) == "strict"
-    assert cm.semi_strict_check([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]) == "semi_strict"
-    assert cm.semi_strict_check([0.0, 0.0, 0.0, 0.0, 0.0, 0.0]) == "convex_only"
-    assert cm.semi_strict_check([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) == "nonconvex"
-    with pytest.raises(cm.TooFewSamples):
-        cm.semi_strict_check([1.0, 2.0, 3.0])
 
 
 def test_knowles_sternberg_spot_values():
