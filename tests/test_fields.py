@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmech as cm
 
@@ -144,6 +146,27 @@ def test_affine_reference_check():
     assert ok
 
 
+def test_field_of_an_energy_that_does_not_take_stacks_is_refused():
+    class OneMatrixValue(cm.EnergyModel):
+        dim = 2
+
+        def value(self, F):
+            return float(np.sum(self._check_dim(F) ** 2))
+
+    class OneStress(OneMatrixValue):
+        def value(self, F):
+            return np.sum(self._check_dim(F) ** 2, axis=(-2, -1))
+
+        def cauchy_stress(self, F):
+            return np.eye(2)
+
+    dom = cm.AnnulusDomain(2, 0.5, 0.9)
+    with pytest.raises(cm.ConfmechError, match=r"value has shape \(\) \(want \(5,\)\)"):
+        cm.stress_field(OneMatrixValue(), cm.InversionFlip(2), dom, 5)
+    with pytest.raises(cm.ConfmechError, match=r"cauchy_stress has shape \(2, 2\) \(want \(5, 2, 2\)\)"):
+        cm.affine_reference_check(OneStress(), np.eye(2), dom, 5)
+
+
 def test_jump_check_conformal_pair():
     F1 = conformal_2x2(1.0, 2.0)
     F2 = conformal_2x2(3.0, -1.0)
@@ -240,6 +263,57 @@ def test_field_csv_demo_bytes(tmp_path):
 def test_field_csv_rejects_empty():
     with pytest.raises(ValueError):
         cm.write_field_csv("/tmp/never-written.csv", [])
+
+
+def one_template_csv(samples):
+    """The CSV of samples with %.17g formatted on every cell, as one template."""
+    n, dim = samples.x.shape
+    header = ["x%d" % (i + 1) for i in range(dim)] + ["detF"]
+    header += ["s%d%d" % (i + 1, j + 1) for i in range(dim) for j in range(dim)] + ["energy"]
+    table = np.column_stack([samples.x, samples.det_F, samples.sigma.reshape(n, -1), samples.energy])
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    return (",".join(header) + "\r\n" + (row * n) % tuple(table.ravel().tolist())).encode()
+
+
+# signed zeros, NaNs of three bit patterns, infinities, subnormals, the criterion-1 stress
+EDGE_VALUES = [
+    0.0, -0.0, np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+    np.inf, -np.inf, 5e-324, -2.5e-310, 2.0 / np.e, 1.0 / 3.0,
+]
+cell_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def float_bits(v):
+    return np.float64(v).view(np.uint64).item()
+
+
+@st.composite
+def adversarial_fields(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    size = n * (dim * dim + dim + 2)
+    kind = draw(st.sampled_from(["all equal", "all distinct", "few values", "edge values"]))
+    if kind == "all equal":
+        cells = [draw(cell_values)] * size
+    elif kind == "all distinct":
+        cells = draw(st.lists(cell_values, min_size=size, max_size=size, unique_by=float_bits))
+    else:
+        pool = draw(st.lists(cell_values, min_size=1, max_size=4)) if kind == "few values" else EDGE_VALUES
+        cells = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    table = np.array(cells, dtype=np.float64).reshape(n, -1)
+    sigma = table[:, dim + 1:-1].reshape(n, dim, dim).copy()
+    if draw(st.booleans()):
+        i, j = np.triu_indices(dim, 1)
+        sigma[:, j, i] = sigma[:, i, j]
+    return cm.FieldSamples(table[:, :dim], np.zeros((n, dim, dim)), table[:, dim], sigma, table[:, -1])
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(adversarial_fields())
+def test_field_csv_bytes_match_one_template_per_cell(tmp_path_factory, samples):
+    path = tmp_path_factory.getbasetemp() / "adversarial.csv"
+    cm.write_field_csv(path, samples)
+    assert path.read_bytes() == one_template_csv(samples)
 
 
 def test_summary_json_round_trip(tmp_path):
@@ -356,36 +430,41 @@ def test_draw_budget_leaves_the_stream_under_it_unchanged(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "seed, digest",
+    "seed, digest, use_fd",
     [
         # perfbench/reference.json, field3d-csv, n = 1000: CSVs of the seed commit
-        (0, "6d59eee173641ea812a9b689e066fe926fe7bb86e45f1bdcf52a4a94489af413"),
-        (10, "c619c2b7ff05e6387c6f819491286af731dcb0e0c31741d72c419238517546ee"),
+        (0, "6d59eee173641ea812a9b689e066fe926fe7bb86e45f1bdcf52a4a94489af413", False),
+        (10, "c619c2b7ff05e6387c6f819491286af731dcb0e0c31741d72c419238517546ee", False),
+        # FD gradients, 79 % distinct cells: recorded with one %.17g per cell
+        (0, "26e13551f825b8da6c415ce4647dd9aa5383f44de01a65dc93e2688508ad5389", True),
     ],
 )
-def test_field_csv_1000_point_bytes(tmp_path, seed, digest):
+def test_field_csv_1000_point_bytes(tmp_path, seed, digest, use_fd):
     # pow(rho, 2) against rho * rho alone changes one of these files
     E = cm.builtin_energy("composite3d")
-    samples, _ = cm.stress_field(E, cm.InversionFlip(3), cm.admissible_annulus("phi3d"), 1000, seed=seed)
+    dom = cm.admissible_annulus("phi3d")
+    samples, _ = cm.stress_field(E, cm.InversionFlip(3), dom, 1000, seed=seed, use_fd=use_fd)
     path = tmp_path / "f.csv"
     cm.write_field_csv(path, samples)
     assert sha256(path) == digest
 
 
 @pytest.mark.parametrize(
-    "seed, dom, digest",
+    "seed, dom, digest, use_fd",
     [
-        (0, cm.admissible_annulus("phi2d"), "8b25d7ffcccae077a12600df47b86ec379ecdc657110e3886893dc50d660b9eb"),
-        (10, cm.admissible_annulus("phi2d"), "8147a72cba20541b640f6acdccf272620cfb7a318d962bd33a8bfef322231e24"),
-        (11, cm.AnnulusDomain(2, 0.5, 0.95), "7c6a0bc8601eadf17a2e69260f52494e5555b5ae93e4dd972b30f130134a79d5"),
+        (0, cm.admissible_annulus("phi2d"), "8b25d7ffcccae077a12600df47b86ec379ecdc657110e3886893dc50d660b9eb", False),
+        (10, cm.admissible_annulus("phi2d"), "8147a72cba20541b640f6acdccf272620cfb7a318d962bd33a8bfef322231e24", False),
+        (11, cm.AnnulusDomain(2, 0.5, 0.95), "7c6a0bc8601eadf17a2e69260f52494e5555b5ae93e4dd972b30f130134a79d5", False),
+        # FD gradients, 95 % distinct cells: recorded with one %.17g per cell
+        (0, cm.admissible_annulus("phi2d"), "cfe8b3589c4b950a37c81d6e69b8eebe569a0f711e08d9e8fe32630bf0adea01", True),
     ],
 )
-def test_field_csv_2d_1000_point_bytes(tmp_path, seed, dom, digest):
+def test_field_csv_2d_1000_point_bytes(tmp_path, seed, dom, digest, use_fd):
     # recorded with the one-matrix closed-form 2x2 SVD; the stacked one must agree
     E = cm.builtin_energy("composite2d")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cm.InadmissibleDomainWarning)
-        samples, _ = cm.stress_field(E, cm.InversionFlip(2), dom, 1000, seed=seed)
+        samples, _ = cm.stress_field(E, cm.InversionFlip(2), dom, 1000, seed=seed, use_fd=use_fd)
     path = tmp_path / "f.csv"
     cm.write_field_csv(path, samples)
     assert sha256(path) == digest
