@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: stress-field, check-convexity, check-conformal, jump-check,
-render-grid, linearized-demo.  Exit codes: 0 on success, 1 when a
-verification fails (an inhomogeneous field, a violated or unconfirmed
-convexity scan, a failed conformality check), 2 on usage errors and on
-arguments the library rejects with a ConfmechError.
+render-grid, linearized-demo.  Each returns its payload and verdict, and
+main alone writes the payload and picks the exit code: 0 on success, 1 when
+a verification fails (an inhomogeneous field, a violated or unconfirmed
+convexity scan, a failed conformality check), 2 on usage errors, arguments
+the library rejects with a ConfmechError and output paths that cannot be
+written, each with a one-line message under the subcommand's usage.
 
 Map argument grammar: `phi2d`, `phi3d`, or `moebius:<spec>` where <spec> is
 reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
@@ -61,78 +63,61 @@ from .tensors import dev, frobenius_norm, sym
 _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
 
 
-def count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _number(name, convert, ok, what):
+    """An argparse type called name: convert(text), refused unless ok(value) with "must be <what>"."""
+
+    def number(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (what, value))
+        return value
+
+    number.__name__ = name  # argparse names the type in "invalid <name> value"
+    return number
 
 
-def positive(text):
-    value = float(text)
-    if not (value > 0.0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be finite and greater than 0, got %r" % value)
-    return value
+count = _number("count", int, lambda v: v >= 1, "at least 1")
+positive = _number("positive", float, lambda v: v > 0.0 and np.isfinite(v), "finite and greater than 0")
+finite = _number("finite", float, np.isfinite, "finite")
+tolerance = _number("tolerance", float, lambda v: v >= 0.0 and np.isfinite(v), "finite and at least 0")
 
 
-def finite(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError("must be finite, got %r" % value)
-    return value
-
-
-def tolerance(text):
-    value = float(text)
-    if not (value >= 0.0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be finite and at least 0, got %r" % value)
-    return value
-
-
-def parse_map_spec(spec, parser):
+def parse_map_spec(spec):
+    """(map, kind) of a map argument; a ConfmechError names what is wrong with it."""
     if spec == "phi2d":
         return InversionFlip(2), "phi2d"
     if spec == "phi3d":
         return InversionFlip(3), "phi3d"
     if not spec.startswith("moebius:"):
-        parser.error("unknown map %r (phi2d, phi3d, or moebius:<spec>)" % (spec,))
+        raise ConfmechError("unknown map %r (phi2d, phi3d, or moebius:<spec>)" % (spec,))
     steps = []
     for part in spec[len("moebius:"):].split("+"):
         m = _STEP_RE.match(part.strip())
         if m is None:
-            parser.error("bad reflection step %r" % (part,))
+            raise ConfmechError("bad reflection step %r" % (part,))
         kind, coords, last = m.groups()
         try:
             vec = [float(v) for v in coords.split(",")]
             val = float(last)
         except ValueError:
-            parser.error("bad numbers in reflection step %r" % (part,))
+            raise ConfmechError("bad numbers in reflection step %r" % (part,)) from None
         if not np.all(np.isfinite(vec + [val])):
-            parser.error("non-finite number in reflection step %r" % (part,))
+            raise ConfmechError("non-finite number in reflection step %r" % (part,))
         if len(vec) not in (2, 3):
-            parser.error("reflection step %r must have 2 or 3 coordinates" % (part,))
+            raise ConfmechError("reflection step %r must have 2 or 3 coordinates" % (part,))
         if kind == "sphere":
             steps.append(SphereReflection(np.asarray(vec), val))
         else:
             steps.append(HyperplaneReflection(np.asarray(vec), val))
-    # a bad reflection or composition raises a ConfmechError: main exits 2
+    # a bad reflection or composition raises a ConfmechError too
     return MoebiusMap(steps), "moebius"
 
 
-def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _cmd_stress_field(args, parser):
+def _cmd_stress_field(args):
     energy = builtin_energy(args.energy, c=args.c)
-    mapping, kind = parse_map_spec(args.map, parser)
+    mapping, kind = parse_map_spec(args.map)
     if mapping.dim != energy.dim:
-        parser.error(
+        raise ConfmechError(
             "map %s is %dD but energy %s is %dD"
             % (args.map, mapping.dim, args.energy, energy.dim)
         )
@@ -152,11 +137,10 @@ def _cmd_stress_field(args, parser):
     payload["energy"] = args.energy
     payload["map"] = args.map
     payload["domain"] = {"r_min": dom.r_min, "r_max": dom.r_max, "dim": dom.dim}
-    _emit(payload, None)
-    return 0 if summary.homogeneous else 1
+    return payload, summary.homogeneous
 
 
-def _cmd_check_convexity(args, parser):
+def _cmd_check_convexity(args):
     energy = builtin_energy(args.energy, c=args.c)
     report = scan_rank_one_convexity(energy, n_samples=args.samples, seed=args.seed)
     payload = {
@@ -184,12 +168,11 @@ def _cmd_check_convexity(args, parser):
             for r in grid
         ]
         payload["ks_all_strict"] = all(r.strict for r in grid)
-    _emit(payload, args.out)
-    return 0 if report.verdict in ("strictly-elliptic", "elliptic") else 1
+    return payload, report.verdict in ("strictly-elliptic", "elliptic")
 
 
-def _cmd_check_conformal(args, parser):
-    mapping, kind = parse_map_spec(args.map, parser)
+def _cmd_check_conformal(args):
+    mapping, kind = parse_map_spec(args.map)
     tol = args.tol if args.tol is not None else (1e-6 if args.fd else 1e-10)
     dom = AnnulusDomain(mapping.dim, 0.5, 1.5)
     pts = sample_annulus(dom, args.n, seed=args.seed)
@@ -204,8 +187,7 @@ def _cmd_check_conformal(args, parser):
         "failures": failures,
         "conformal": failures == 0,
     }
-    _emit(payload, args.out)
-    return 0 if failures == 0 else 1
+    return payload, failures == 0
 
 
 def _max_ignoring_nan(values):
@@ -213,25 +195,25 @@ def _max_ignoring_nan(values):
     return float(np.max(values, where=~np.isnan(values), initial=0.0))
 
 
-def _parse_matrix(text, parser, flag):
+def _parse_matrix(text, flag):
     vals = [v for v in text.replace(";", ",").split(",") if v.strip()]
     if len(vals) not in (4, 9):
-        parser.error("%s needs 4 or 9 comma-separated entries (row-major)" % flag)
+        raise ConfmechError("%s needs 4 or 9 comma-separated entries (row-major)" % flag)
     try:
         flat = np.array([float(v) for v in vals])
     except ValueError:
-        parser.error("bad number in %s" % flag)
+        raise ConfmechError("bad number in %s" % flag) from None
     if not np.all(np.isfinite(flat)):
-        parser.error("%s entries must be finite" % flag)
+        raise ConfmechError("%s entries must be finite" % flag)
     n = 2 if flat.size == 4 else 3
     return flat.reshape(n, n)
 
 
-def _cmd_jump_check(args, parser):
-    F1 = _parse_matrix(args.f1, parser, "--f1")
-    F2 = _parse_matrix(args.f2, parser, "--f2")
+def _cmd_jump_check(args):
+    F1 = _parse_matrix(args.f1, "--f1")
+    F2 = _parse_matrix(args.f2, "--f2")
     if F1.shape != F2.shape:
-        parser.error("--f1 and --f2 must have the same dimension")
+        raise ConfmechError("--f1 and --f2 must have the same dimension")
     report = jump_check(F1, F2, tol=args.tol)
     payload = {
         "f1": report.f1.tolist(),
@@ -243,14 +225,13 @@ def _cmd_jump_check(args, parser):
     }
     if report.det_square_terms is not None:
         payload["det_square_terms"] = list(report.det_square_terms)
-    _emit(payload, args.out)
-    return 0
+    return payload, True
 
 
-def _cmd_render_grid(args, parser):
-    mapping, _ = parse_map_spec(args.map, parser)
+def _cmd_render_grid(args):
+    mapping, _ = parse_map_spec(args.map)
     if mapping.dim != 2:
-        parser.error("render-grid draws planar maps only")
+        raise ConfmechError("render-grid draws planar maps only")
     region = DiskRegion(center=(args.cx, args.cy), radius=args.radius)
     render_grid_svg(
         mapping,
@@ -259,11 +240,10 @@ def _cmd_render_grid(args, parser):
         spacing=args.spacing,
         samples_per_line=args.resolution,
     )
-    print("wrote %s" % args.out)
-    return 0
+    return "wrote %s" % args.out, True
 
 
-def _cmd_linearized_demo(args, parser):
+def _cmd_linearized_demo(args):
     # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
     low = np.array([-2.0] * 6 + [-1.5] * 2)
     draws = np.random.default_rng(args.seed).uniform(low, -low, size=(args.n, len(low)))
@@ -289,10 +269,8 @@ def _cmd_linearized_demo(args, parser):
             "max_error_on_disk": approx_err,
         },
     }
-    _emit(payload, args.out)
     # measured max error on the r=0.15 disk is 0.072; 0.08 leaves slack
-    ok = worst_dev <= 1e-12 and worst_sigma <= 1e-12 and approx_err <= 0.08
-    return 0 if ok else 1
+    return payload, worst_dev <= 1e-12 and worst_sigma <= 1e-12 and approx_err <= 0.08
 
 
 @functools.cache
@@ -322,7 +300,7 @@ def build_parser():
     p.add_argument("--c", type=float, default=np.e + 2.0)
     p.add_argument("--samples", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_convexity, parser=p)
 
     p = sub.add_parser("check-conformal", help="conformality residuals of a map")
@@ -331,14 +309,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=tolerance, default=None)
     p.add_argument("--fd", action="store_true", help="check the FD gradient instead")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_conformal, parser=p)
 
     p = sub.add_parser("jump-check", help="rank-one compatibility of two gradients")
     p.add_argument("--f1", required=True, help="row-major entries, e.g. '1,0,0,1'")
     p.add_argument("--f2", required=True)
     p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_jump_check, parser=p)
 
     p = sub.add_parser("render-grid", help="SVG of a gridded disk and its image")
@@ -354,18 +332,31 @@ def build_parser():
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
     p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_linearized_demo, parser=p)
     return parser
 
 
 def main(argv=None):
-    """Run one subcommand; its usage errors and library errors go through its own parser."""
+    """Run one subcommand, write its payload and return its exit code.
+
+    A dict payload goes out as indented JSON, to the JSON --out file (dest
+    json_out) or to stdout; a text payload is printed.  A ConfmechError or
+    OSError, from the command or the write, exits 2 through its own parser.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, args.parser)
-    except ConfmechError as exc:
+        payload, ok = args.func(args)
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+        out = getattr(args, "json_out", None)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (ConfmechError, OSError) as exc:
         args.parser.error(str(exc))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ class SphereReflection(DeformationMap):
 
     def evaluate(self, x):
         y, d2 = self._offset(_as_point(x, self.dim, stack=True))
-        return self.center + ((self.radius**2 / d2).T * y.T).T
+        return self.center + (self.radius**2 / d2)[..., None] * y
 
     def _jacobian(self, x):
         y, d2 = self._offset(x)
@@ -219,15 +219,13 @@ class InversionFlip(DeformationMap):
 
     def evaluate(self, x):
         x = _as_point(x, self.dim, stack=True)
-        # coordinates first (x.T): one point divides by a scalar, fast on one point
-        y = (x.T / self._rho(x).T).T
-        y.T[1] *= -1.0
+        y = x / self._rho(x)[..., None]
+        y[..., 1] *= -1.0
         return y
 
     def _jacobian(self, x):
         rho = self._rho(x)
-        # coordinates first: scalars for one point, arrays for a stack
-        coords = x if x.ndim == 1 else np.moveaxis(x, -1, 0)
+        coords = np.moveaxis(x, -1, 0)
         if self.dim == 2:
             x1, x2 = coords
             rows = [

@@ -431,14 +431,10 @@ class VolumetricTerm:
     def _by_branch(self, t, low, band, high):
         """low(t) where t < e, band(t) on [e, c], high(t) where t > c; one t or an array.
 
-        Each formula sees only the entries of its own branch.
+        Each formula sees only the entries of its own branch.  Past t = c + 709
+        exp(t - c) overflows to +inf without a warning: that is the value of
+        the t > c branch in floating point.
         """
-        if isinstance(t, float):
-            if not t > 0.0:
-                raise NonPositiveArgument(
-                    "volumetric argument t = %r must be positive" % (float(t),)
-                )
-            return low(t) if t < np.e else band(t) if t <= self.c else high(t)
         t = np.asarray(t, dtype=float)
         i = first_true(~(t > 0.0))
         if i is not None:
@@ -446,8 +442,10 @@ class VolumetricTerm:
             raise NonPositiveArgument("volumetric argument t = %r must be positive" % (bad,))
         lo, hi = t < np.e, t > self.c
         out = np.empty(t.shape)
-        for mask, formula in ((lo, low), (~(lo | hi), band), (hi, high)):
+        for mask, formula in ((lo, low), (~(lo | hi), band)):
             out[mask] = formula(t[mask])
+        with np.errstate(over="ignore"):
+            out[hi] = high(t[hi])
         return out[()]
 
     def value(self, t):
@@ -540,11 +538,16 @@ class CompositeEnergy(EnergyModel):
         cof_h = d * gh
         # D^2 det[H,H] = det (  <F^{-T},H>^2 - <F^{-T} H^T F^{-T}, H> )
         det_curv = d * (gh * gh - inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H))
-        return (
-            self.iso.second_form(F, H)
-            + curvature * cof_h * cof_h
-            + self.vol.slope(d) * det_curv
-        )
+        iso, slope = self.iso.second_form(F, H), self.vol.slope(d)
+        over = np.isinf(slope)
+        if not over.any():
+            return iso + curvature * cof_h * cof_h + slope * det_curv
+        # past t = c + 709, f' = f'' = inf; det_curv is then rounding noise (zero
+        # for a rank-one H) and inf * noise may cancel the cof_h term to NaN, so
+        # those rows take f' out as a factor; the others keep their bits
+        with np.errstate(invalid="ignore"):
+            form = iso + curvature * cof_h * cof_h + slope * det_curv
+            return np.where(over, iso + slope * (cof_h * cof_h + det_curv), form)[()]
 
     def cauchy_stress(self, F):
         F = self._check_dim(F)

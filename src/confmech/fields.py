@@ -172,7 +172,7 @@ class StressFieldSummary:
     mean_sigma: np.ndarray
     max_deviation: float  # max Frobenius distance of any sigma from the mean
     det_range: tuple
-    admissible: bool  # det_range inside [e, c]
+    admissible: bool | None  # det_range inside [e, c]; None for a non-composite energy
     homogeneous: bool  # max_deviation <= tol
     worst_point: FieldSample  # the first point at max_deviation
 
@@ -196,13 +196,14 @@ def _summarize(samples, tol, energy):
     worst = int(np.argmax(deviations))
     deviation = float(deviations[worst])
     lo, hi = float(np.min(samples.det_F)), float(np.max(samples.det_F))
-    band = (np.e, energy.vol.c) if isinstance(energy, CompositeEnergy) else (np.e, np.e + 2.0)
+    # only a composite energy has a determinant band, its constant-slope [e, c]
+    admissible = (np.e <= lo and hi <= energy.vol.c) if isinstance(energy, CompositeEnergy) else None
     return StressFieldSummary(
         n_samples=len(samples),
         mean_sigma=mean,
         max_deviation=deviation,
         det_range=(lo, hi),
-        admissible=band[0] <= lo and hi <= band[1],
+        admissible=admissible,
         homogeneous=deviation <= tol,
         worst_point=samples[worst],
     )
@@ -215,7 +216,8 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
     use_fd the deformation gradients come from central differences of the
     map instead of the analytic gradient (tolerances around 1e-5 are then
     appropriate).  For composite energies an InadmissibleDomainWarning is
-    emitted when the determinant range leaves [e, c].
+    emitted when the determinant range leaves [e, c]; other energies have
+    no band, and their summary's admissible is None.
     """
     if energy.dim != dom.dim:
         raise ValueError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
@@ -223,7 +225,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
     F = fd_gradient(mapping, x, fd_step) if use_fd else mapping.gradient(x)
     samples = _field(energy, x, F)
     summary = _summarize(samples, tol, energy)
-    if isinstance(energy, CompositeEnergy) and not summary.admissible:
+    if summary.admissible is False:
         warnings.warn(
             "determinant range %r leaves the admissible interval [e, %r]"
             % (summary.det_range, energy.vol.c),
@@ -248,14 +250,6 @@ class JumpReport:
     det_difference: float
     rank_one_connected: bool
     det_square_terms: tuple | None  # ((a1-a2)^2, (b1-b2)^2) for planar conformal pairs
-
-
-def _frobenius(entries):
-    """||M||_F of M's entries as floats, added in the order np.sum adds 4 or 9 of them."""
-    a = [v * v for v in entries]
-    if len(a) == 4:
-        return math.sqrt(((a[0] + a[1]) + a[2]) + a[3])
-    return math.sqrt((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))) + a[8])
 
 
 def _similarity_params(entries, norm, tol=1e-8):
@@ -284,7 +278,7 @@ def jump_check(F1, F2, tol=1e-9):
     # LAPACK's bits are the reported singular values
     svals = np.linalg.svd(D, compute_uv=False)
     e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
-    n1, n2 = _frobenius(e1), _frobenius(e2)
+    n1, n2 = math.hypot(*e1), math.hypot(*e2)
     thresh = tol * (1.0 + n1 + n2)
     rank = sum(v > thresh for v in svals.tolist())
     square_terms = None

@@ -7,9 +7,8 @@ Singular values come from numpy's SVD (LAPACK) of the matrix itself, never
 from M^T M, which would square the small ones away.  Only the planar ratio
 energy keeps a closed-form 2x2 route (eig_sym, svd); its arithmetic pins
 field CSV bytes.  Both take one matrix or a stack (..., 2, 2) in one body:
-branches go through np.where (scalar choices for one matrix), products
-through stacked matmuls and dots through vecdot, so each matrix of a stack
-gets the bits it gets alone.
+branches go through np.where, products through stacked matmuls and dots
+through vecdot, so each matrix of a stack gets the bits it gets alone.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -45,31 +44,25 @@ def libm_pow(a, p):
     a * a, which differs from pow(a, 2) on about 1 in 1000.  Stacked
     formulas therefore take every power from here.
     """
-    if isinstance(a, float):
-        return np.float64(math.pow(a, p))
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
     return np.fromiter(map(math.pow, flat, [p] * len(flat)), float, len(flat)).reshape(a.shape)[()]
 
 
 def first_true(mask):
-    """Index of the first True entry of a boolean scalar or array, or None if none is.
-
-    A numpy bool scalar is tested as it is: its .any() would cost a round
-    trip through an array, on every call for one matrix.
-    """
-    if not (mask.any() if mask.ndim else mask):
+    """Index of the first True entry of a boolean scalar or array, or None if none is."""
+    if not mask.any():
         return None
     return int(np.argmax(mask))
 
 
-def _where(cond, a, b):
-    """np.where(cond, a, b); for the numpy bool scalar of one matrix, a plain choice."""
-    return np.where(cond, a, b) if cond.ndim else (a if cond else b)
-
-
 def _entries(M):
-    """M with its two matrix axes first: m[i, j] is a scalar for one matrix, an array for a stack."""
+    """M with its two matrix axes first: m[i, j] is a scalar for one matrix, an array for a stack.
+
+    One matrix is kept as it is, with scalar entries: np.moveaxis costs
+    about 3.8 us a call, and jump_check takes det of one difference per
+    pair, which would add about 15 % to the certify benchmark's wall time.
+    """
     return M if M.ndim == 2 else np.moveaxis(M, (-2, -1), (0, 1))
 
 
@@ -77,7 +70,8 @@ def from_entries(rows):
     """The matrix, or stack of matrices, whose (i, j) entry is rows[i][j] (scalars or arrays).
 
     A stack comes back C-contiguous: matmul takes another BLAS route, with
-    other roundings, for a stack laid out matrix axes first.
+    other roundings, for a stack laid out matrix axes first.  One matrix
+    skips the moveaxis, as _entries does.
     """
     M = np.array(rows)
     return M if M.ndim == 2 else np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
@@ -197,16 +191,16 @@ def eig_sym(S):
     # pick the larger-norm solution (x, y) of (S - w1 I) v = 0 for stability;
     # it is (0, 0) exactly when r == 0, and V is then the identity
     tie = r == 0.0
-    x = _where(d >= 0.0, d + r, b)
-    y = _where(d >= 0.0, b, r - d)
+    x = np.where(d >= 0.0, d + r, b)
+    y = np.where(d >= 0.0, b, r - d)
     # hypot keeps few digits of subnormal x and y (an off-diagonal of rounding
     # size at a near-tie); scaling both by 2^600 is exact and keeps V orthonormal
-    up = _where(r < SMALLEST_NORMAL, 2.0**600, 1.0)
+    up = np.where(r < SMALLEST_NORMAL, 2.0**600, 1.0)
     x, y = x * up, y * up
-    nrm = _where(tie, 1.0, np.hypot(x, y))
-    x = _where(tie, 1.0, x / nrm)
+    nrm = np.where(tie, 1.0, np.hypot(x, y))
+    x = np.where(tie, 1.0, x / nrm)
     y = y / nrm
-    V = from_entries([[x, _where(tie, 0.0, -y)], [_where(tie, 0.0, y), x]])
+    V = from_entries([[x, np.where(tie, 0.0, -y)], [np.where(tie, 0.0, y), x]])
     w = np.array([m + r, m - r])
     return (np.moveaxis(w, 0, -1) if w.ndim > 1 else w), V
 
@@ -233,7 +227,7 @@ def svd(F):
     d = require_gl_plus(F)
     w, V = eig_sym(np.swapaxes(F, -2, -1) @ F)
     s = np.sqrt(np.maximum(w, 0.0))
-    s[..., 1] = _where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
+    s[..., 1] = np.where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
     U = (F @ V) / s[..., None, :]
     u0, u1 = U[..., :, 0], U[..., :, 1]  # views: Gram-Schmidt writes into U
     u0 /= np.sqrt(np.vecdot(u0, u0))[..., None]

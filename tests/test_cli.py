@@ -34,7 +34,7 @@ def test_stress_field_homogeneous_exit_zero(capsys, tmp_path):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["homogeneous"] is True
+    assert payload["homogeneous"] is True and payload["admissible"] is True
     assert abs(payload["mean_sigma"][0][0] - 2.0 / np.e) <= 1e-10
     assert csv_path.exists() and json_path.exists()
     header = csv_path.read_text().splitlines()[0]
@@ -55,6 +55,8 @@ def test_stress_field_klin2_planar(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["max_deviation"] <= 1e-10
+    # only a composite energy has a determinant band to be admissible in
+    assert payload["admissible"] is None
 
 
 def test_stress_field_moebius_map(capsys):
@@ -95,7 +97,7 @@ def test_stress_field_inhomogeneous_exit_one(capsys):
         )
     assert code == 1
     payload = json.loads(out)
-    assert payload["homogeneous"] is False
+    assert payload["homogeneous"] is False and payload["admissible"] is False
     assert payload["max_deviation"] > 1e-2
 
 
@@ -224,7 +226,7 @@ def test_usage_error_prints_plain_floats(capsys):
 
 
 def test_library_and_command_errors_print_the_subcommand_usage(capsys):
-    # a ConfmechError from the library, and a parser.error call inside a command
+    # a ConfmechError from the library, and one raised by a command
     for argv in (
         ["check-conformal", "--map", "moebius:sphere(0,0;1)"],
         ["stress-field", "--energy", "iso3d", "--map", "phi2d", "--n", "5"],
@@ -234,6 +236,42 @@ def test_library_and_command_errors_print_the_subcommand_usage(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: confmech %s " % argv[0]), err
+
+
+def test_unwritable_output_path_exits_two_with_one_line(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    field = ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "5"]
+    for argv, path in (
+        (["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1", "--out"], missing / "jump.json"),
+        (field + ["--out"], missing / "field.csv"),
+        (field + ["--summary"], missing / "summary.json"),
+        (["render-grid", "--map", "phi2d", "--out"], missing / "grid.svg"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(path)])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: confmech %s " % argv[0]), err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("confmech %s: error: " % argv[0]) and str(path) in last, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "check-convexity --energy iso2d-klin2 --samples 50 --seed 1",
+        "check-conformal --map phi2d --n 50",
+        # a zero tolerance refutes the FD route: the exit code 1 goes with the file too
+        "check-conformal --map phi2d --n 50 --fd --tol 0",
+        "jump-check --f1 1,2,-2,1 --f2 3,-1,1,3",
+        "linearized-demo --n 50",
+    ],
+)
+def test_json_out_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    code, out = run(capsys, *command.split())
+    path = tmp_path / "payload.json"
+    assert run(capsys, *command.split(), "--out", str(path)) == (code, "")
+    assert path.read_bytes() == out.encode()
 
 
 def test_stress_field_worst_point_in_payload_and_summary(capsys, tmp_path):
@@ -422,6 +460,8 @@ CERTIFICATE_PAYLOADS = {
     "check-convexity --energy composite3d --samples 500 --seed 0": "65a869a033b23c5ee3cd9fc0ddee78e1f8e9bc55eb06a5de2a508fc456c2230d",
     # one sample has det F > c + 709: exp(t - c) overflows and its LH value is +inf
     "check-convexity --energy composite3d --samples 500 --seed 3": "0d2ce57c4f6b730d68938df91570cb49966949bec151da8eb7530a4cebee3cb6",
+    # the same for one sample here: +inf, where the overflow once gave NaN (the same stdout)
+    "check-convexity --energy composite3d --samples 500 --seed 14": "6ffdbb5c26d5e8e91919f9c8db75c19ade04e3a9fb922a9be24e13d8722f1cee",
     "check-conformal --map phi3d --n 1000 --seed 0": "1eb43d79f7db2169d62851b0e606ab83e2333e1cbb227f69b8ecfce31ab62071",
     "check-conformal --map moebius:sphere(0,0,0;1)+plane(0,1,0;0) --n 1000 --seed 0": "f7ff3f8f54bf6b3d3fc7b44c5f83d572fae32f7e2e232c98ae3155ff0bb95a18",
     "check-conformal --map phi2d --n 1000 --seed 0 --fd": "883dcf7c2486c5c86d420715ed5a25faefde232874ff48ce54af47817876033b",
@@ -433,8 +473,8 @@ CERTIFICATE_PAYLOADS = {
 
 
 def test_certificate_payload_bytes(capsys):
+    # an overflow warning is an error here (pyproject's filterwarnings)
     for command, want in CERTIFICATE_PAYLOADS.items():
-        with np.errstate(over="ignore"):  # the +inf LH value above
-            code, out = run(capsys, *command.split())
+        code, out = run(capsys, *command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == want, command

@@ -1,5 +1,7 @@
 """Energy models: values, derivative chains, tie handling, volumetric splice."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,21 @@ def test_volumetric_guards():
         vol.evaluate(0.0)
     with pytest.raises(cm.NonPositiveArgument):
         vol.evaluate(-2.0)
+
+
+def test_composite_second_form_past_the_exp_overflow():
+    # det F = 800 > c + 709: f' = f'' = (2/e) exp(t - c) overflow to inf, and for
+    # this rank-one H det_curv is exactly 0, so f' * det_curv alone is NaN
+    E = cm.builtin_energy("composite3d")
+    F = np.stack([800.0 ** (1.0 / 3.0) * np.eye(3), np.diag([2.0, 1.0, 1.5])])
+    H = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert E.vol.evaluate(800.0) == (np.inf, np.inf, np.inf)
+        q = E.second_form(F, H)
+        one = [E.second_form(f, H) for f in F]
+    # the finite row keeps the bits it gets alone
+    assert q[0] == np.inf and np.isfinite(q[1]) and np.array_equal(q, one)
 
 
 def test_composite_value_splits():
