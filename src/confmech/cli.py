@@ -342,7 +342,9 @@ def main(argv=None):
 
     A dict payload goes out as indented JSON, to the JSON --out file (dest
     json_out) or to stdout; a text payload is printed.  A ConfmechError or
-    OSError, from the command or the write, exits 2 through its own parser.
+    OSError, from the command or the file write, exits 2 through its own
+    parser; stdout is written outside that route, so a closed pipe is not
+    reported as a usage error.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -352,10 +354,10 @@ def main(argv=None):
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
-        else:
-            print(text)
     except (ConfmechError, OSError) as exc:
         args.parser.error(str(exc))
+    if not out:
+        print(text)
     return 0 if ok else 1
 
 

@@ -539,15 +539,13 @@ class CompositeEnergy(EnergyModel):
         # D^2 det[H,H] = det (  <F^{-T},H>^2 - <F^{-T} H^T F^{-T}, H> )
         det_curv = d * (gh * gh - inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H))
         iso, slope = self.iso.second_form(F, H), self.vol.slope(d)
-        over = np.isinf(slope)
-        if not over.any():
-            return iso + curvature * cof_h * cof_h + slope * det_curv
-        # past t = c + 709, f' = f'' = inf; det_curv is then rounding noise (zero
-        # for a rank-one H) and inf * noise may cancel the cof_h term to NaN, so
-        # those rows take f' out as a factor; the others keep their bits
-        with np.errstate(invalid="ignore"):
+        # near t = c + 709, f'' * cof_h^2 may overflow to +inf, its value; past
+        # it f' = f'' = inf, det_curv is rounding noise (zero for a rank-one H)
+        # and inf * noise may cancel the cof_h term to NaN, so those rows take
+        # f' out as a factor; the other rows keep this expression and its bits
+        with np.errstate(over="ignore", invalid="ignore"):
             form = iso + curvature * cof_h * cof_h + slope * det_curv
-            return np.where(over, iso + slope * (cof_h * cof_h + det_curv), form)[()]
+            return np.where(np.isinf(slope), iso + slope * (cof_h * cof_h + det_curv), form)[()]
 
     def cauchy_stress(self, F):
         F = self._check_dim(F)

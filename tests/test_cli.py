@@ -256,6 +256,19 @@ def test_unwritable_output_path_exits_two_with_one_line(capsys, tmp_path):
         assert last.startswith("confmech %s: error: " % argv[0]) and str(path) in last, err
 
 
+def test_closed_stdout_is_not_a_usage_error(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1"])
+
+
 @pytest.mark.parametrize(
     "command",
     [

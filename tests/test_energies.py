@@ -265,17 +265,21 @@ def test_volumetric_guards():
 
 def test_composite_second_form_past_the_exp_overflow():
     # det F = 800 > c + 709: f' = f'' = (2/e) exp(t - c) overflow to inf, and for
-    # this rank-one H det_curv is exactly 0, so f' * det_curv alone is NaN
+    # this rank-one H det_curv is exactly 0, so f' * det_curv alone is NaN.
+    # det F = c + 705 keeps f' finite (about 1.1e306), but with cof_h = 100 the
+    # product f'' * cof_h * cof_h overflows
     E = cm.builtin_energy("composite3d")
-    F = np.stack([800.0 ** (1.0 / 3.0) * np.eye(3), np.diag([2.0, 1.0, 1.5])])
+    near = np.diag([(E.vol.c + 705.0) / 100.0, 10.0, 10.0])
+    F = np.stack([800.0 ** (1.0 / 3.0) * np.eye(3), np.diag([2.0, 1.0, 1.5]), near])
     H = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert E.vol.evaluate(800.0) == (np.inf, np.inf, np.inf)
+        assert np.isfinite(E.vol.slope(cm.det(near)))
         q = E.second_form(F, H)
         one = [E.second_form(f, H) for f in F]
     # the finite row keeps the bits it gets alone
-    assert q[0] == np.inf and np.isfinite(q[1]) and np.array_equal(q, one)
+    assert q[0] == q[2] == np.inf and np.isfinite(q[1]) and np.array_equal(q, one)
 
 
 def test_composite_value_splits():
