@@ -69,7 +69,7 @@ class NegFrobenius(cm.EnergyModel):
     label = "neg-frob"
 
     def value(self, F):
-        return -float(np.sum(np.asarray(F) ** 2))
+        return -np.sum(F * F, axis=(-2, -1))
 
 
 bad = cm.scan_rank_one_convexity(NegFrobenius(), n_samples=300, seed=5)

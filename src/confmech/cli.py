@@ -80,6 +80,8 @@ count = _number("count", int, lambda v: v >= 1, "at least 1")
 positive = _number("positive", float, lambda v: v > 0.0 and np.isfinite(v), "finite and greater than 0")
 finite = _number("finite", float, np.isfinite, "finite")
 tolerance = _number("tolerance", float, lambda v: v >= 0.0 and np.isfinite(v), "finite and at least 0")
+# numpy's default_rng takes seeds >= 0 only; Lcg64 takes any int
+seed = _number("seed", int, lambda v: v >= 0, "at least 0")
 
 
 def parse_map_spec(spec):
@@ -299,7 +301,7 @@ def build_parser():
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--c", type=float, default=np.e + 2.0)
     p.add_argument("--samples", type=count, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_convexity, parser=p)
 
@@ -331,7 +333,7 @@ def build_parser():
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
     p.add_argument("--n", type=count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_linearized_demo, parser=p)
     return parser

@@ -15,8 +15,9 @@ call.  The scan draws each sample in two generator calls, which give the
 values of the one-sample helpers random_def_gradient, random_rotation and
 _direction in their order, builds F as a stack and evaluates the LH form
 once.  knowles_sternberg takes one pair of stretches or arrays of them, in
-one body, so ks_grid_scan evaluates its whole grid at once.  The line
-scans and the h criterion take one point at a time.
+one body, so ks_grid_scan evaluates its whole grid at once.  A line scan
+evaluates the energy once, on the stack of its points, and the h
+criterion calls h once, on the array of its samples.
 
 The scan driver never silently promotes a borderline result: values inside
 the margin band count as "elliptic" only when the energy's second_form is
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energies import _profile, _values
 from .exceptions import LeavesGLPlus, TooFewSamples
 from .tensors import as_square, det, first_true, from_entries, libm_pow
 
@@ -59,20 +61,19 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41, margin=1e-9)
     """Classify t -> W(F + t xi (x) eta) on [0, t_max] by centered second differences.
 
     Raises LeavesGLPlus when any sample point has non-positive determinant;
-    the classification margin is relative to the largest sampled |W|.
+    the classification margin is relative to the largest sampled |W|.  The
+    energy's value is called once, on the stack of the sample points.
     """
     F = as_square(F)
     if n_samples < 3:
         raise TooFewSamples("need at least 3 samples on the segment")
     H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     ts = np.linspace(0.0, float(t_max), int(n_samples))
-    values = []
-    for t in ts:
-        Ft = F + t * H
-        if not det(Ft) > 0.0:
-            raise LeavesGLPlus("det(F + t xi eta^T) <= 0 at t = %r" % (t,))
-        values.append(energy.value(Ft))
-    values = np.asarray(values)
+    Ft = F + ts[:, None, None] * H
+    i = first_true(~(det(Ft) > 0.0))
+    if i is not None:
+        raise LeavesGLPlus("det(F + t xi eta^T) <= 0 at t = %r" % (ts[i],))
+    values = _values(energy, Ft)
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     scale = margin * max(1.0, float(np.max(np.abs(values))))
     k = int(np.argmin(d2))
@@ -236,12 +237,15 @@ def h_criterion(h, mode="strict", s_max=50.0, n_samples=2000, margin=1e-10):
     A convex non-decreasing profile is equivalent to rank-one convexity of
     the induced planar energy; strictly convex and increasing is equivalent
     to strict rank-one convexity.  mode picks which of the two questions the
-    verdict answers.
+    verdict answers.  h takes arrays: it is called once, on the n_samples >= 3
+    sample points (a constant result is broadcast).
     """
     if mode not in ("convex", "strict"):
         raise ValueError("mode must be 'convex' or 'strict'")
+    if n_samples < 3:
+        raise TooFewSamples("need at least 3 samples of h")
     ss = np.linspace(1.0, float(s_max), int(n_samples))
-    values = np.asarray([float(h(s)) for s in ss])
+    values = _profile(h, ss)
     scale = margin * max(1.0, float(np.max(np.abs(values))))
     d1 = np.diff(values)
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]

@@ -22,23 +22,22 @@ value, first_derivative, cauchy_stress and second_form take one matrix or
 a stack (..., n, n) in one body; second_form takes directions H that
 broadcast against F.  Inner products sum over the two matrix axes, in the
 order np.sum takes for one matrix, and every power goes through
-tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.  A
-value-only subclass's value is called as written, on one matrix at a time:
-the base class's finite-difference first_derivative and second_form loop
-over a stack themselves.
+tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.  Every
+energy's value, a value-only subclass's too, maps (..., n, n) to (...): the
+fd_* oracles, the line scan and the composite's invariance probe call it on
+stacks through _values, which refuses a value that does not.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .exceptions import InvalidSplice, NonPositiveArgument, NotDifferentiable
+from .exceptions import ConfmechError, InvalidSplice, NonPositiveArgument, NotDifferentiable
 from .tensors import (
     _entries,
     as_square,
     cofactor,
     first_true,
-    frobenius_norm,
     inner,
     libm_pow,
     require_gl_plus,
@@ -54,36 +53,46 @@ TIE_GAP = 1e-12
 NEAR_TIE_GAP = 1e-8
 
 
-def fd_first_derivative(energy, F, h=FD_STEP_FIRST):
-    """Entry-wise central-difference derivative of energy.value at F.
+def _values(energy, F):
+    """energy.value on F (..., n, n), refused with one line unless it has one value per matrix."""
+    v = energy.value(F)
+    if np.shape(v) != F.shape[:-2]:
+        raise ConfmechError(
+            "%s.value must take a stack (..., n, n) and return (...): value has shape %s (want %s)"
+            % (type(energy).__name__, np.shape(v), F.shape[:-2])
+        )
+    return v
 
-    The oracle side of every derivative check; uses value() only.
+
+def fd_first_derivative(energy, F, h=FD_STEP_FIRST):
+    """Entry-wise central-difference derivative of energy.value at F, one matrix or a stack.
+
+    The oracle side of every derivative check; uses value() only, in one
+    call on the 2 n^2 shifted matrices of each matrix of F.
     """
-    F = as_square(F)
-    step = h * max(1.0, frobenius_norm(F))
-    n = F.shape[0]
-    P = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[i, j] = step
-            P[i, j] = (energy.value(F + E) - energy.value(F - E)) / (2.0 * step)
-    return P
+    F = as_square(F, stack=True)
+    n = F.shape[-1]
+    step = h * np.maximum(1.0, np.sqrt(inner(F, F)))
+    # E[..., i, j] is the matrix with step at (i, j) and zeros elsewhere
+    E = step[..., None, None, None, None] * np.eye(n * n).reshape(n, n, n, n)
+    F = F[..., None, None, :, :]
+    vp, vm = _values(energy, np.stack([F + E, F - E]))
+    return (vp - vm) / (2.0 * step[..., None, None])
 
 
 def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
-    """Central second difference of t -> energy.value(F + t H) at t = 0."""
-    F = as_square(F)
-    H = as_square(H)
-    nrm = frobenius_norm(H)
-    if nrm == 0.0:
-        return 0.0
-    Hn = H / nrm
-    step = h * max(1.0, frobenius_norm(F))
-    w0 = energy.value(F)
-    wp = energy.value(F + step * Hn)
-    wm = energy.value(F - step * Hn)
-    return nrm**2 * (wp - 2.0 * w0 + wm) / step**2
+    """Central second difference of t -> energy.value(F + t H) at t = 0; exactly 0.0 where H = 0.
+
+    F and H are one matrix or stacks that broadcast together.
+    """
+    F = as_square(F, stack=True)
+    H = as_square(H, stack=True)
+    nrm = np.sqrt(inner(H, H))
+    zero = nrm == 0.0
+    step = h * np.maximum(1.0, np.sqrt(inner(F, F)))
+    dF = step[..., None, None] * (H / np.where(zero, 1.0, nrm)[..., None, None])
+    w0, wp, wm = (_values(energy, G) for G in (F, F + dF, F - dF))
+    return np.where(zero, 0.0, libm_pow(nrm, 2.0) * (wp - 2.0 * w0 + wm) / libm_pow(step, 2.0))[()]
 
 
 def _profile(fn, x):
@@ -99,25 +108,11 @@ def _stack_note(a, i):
     return " (matrix %d of the stack)" % i if np.ndim(a) else ""
 
 
-def _each_matrix(fn, F, *H):
-    """fn(F, *H) for one matrix, or fn on each matrix of a stack (with its directions H).
-
-    The results are stacked in the shape of F's (broadcast) leading axes.
-    """
-    F, *H = np.broadcast_arrays(F, *H)
-    if F.ndim == 2:
-        return fn(F, *H)
-    n = F.shape[-1]
-    out = np.array([fn(*item) for item in zip(*(M.reshape(-1, n, n) for M in (F, *H)))])
-    return out.reshape(F.shape[:-2] + out.shape[1:])
-
-
 class EnergyModel:
     """Contract shared by all energies; derivative routes default to FD.
 
-    A subclass that defines value() alone gets the finite-difference
-    first_derivative and second_form, which call value() on one matrix at
-    a time, also for a stack.
+    A subclass that defines value() alone, taking (..., n, n) to (...), gets
+    the finite-difference first_derivative and second_form.
     """
 
     dim = None
@@ -142,11 +137,10 @@ class EnergyModel:
         raise NotImplementedError
 
     def first_derivative(self, F):
-        return _each_matrix(lambda G: fd_first_derivative(self, G), self._check_dim(F))
+        return fd_first_derivative(self, self._check_dim(F))
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        return _each_matrix(lambda G, D: fd_second_form(self, G, D), F, as_square(H, stack=True))
+        return fd_second_form(self, self._check_dim(F), H)
 
     def cauchy_stress(self, F):
         """sigma = D_F W F^T / det F."""
@@ -327,8 +321,8 @@ class PlanarRatioEnergy(EnergyModel):
                 % _stack_note(ratio.reshape(shape), i)
             )
         out = np.empty(len(F))
-        for k in np.flatnonzero(near):
-            out[k] = fd_second_form(self, F[k], H[k])
+        if near.any():
+            out[near] = fd_second_form(self, F[near], H[near])
         far = ~near
         if far.any():
             h2 = _profile(self.d2h, ratio[far])
@@ -477,12 +471,7 @@ class VolumetricTerm:
                 "volumetric second derivative is one-sided at the splice point t = %r"
                 % (float(np.ravel(t)[i]),)
             )
-        return self._by_branch(
-            t,
-            lambda t: 2.0 * (1.0 - np.log(t)) / libm_pow(t, 2.0),
-            lambda t: 0.0,
-            lambda t: (2.0 / e) * np.exp(t - c),
-        )
+        return self._by_branch(t, _log_curvature, lambda t: 0.0, lambda t: (2.0 / e) * np.exp(t - c))
 
     def evaluate(self, t):
         """f, f' and f'' at one t; f'' is a (left, right) pair at t = e and t = c."""
@@ -496,6 +485,12 @@ class VolumetricTerm:
 def _log_squared(t):
     lg = np.log(t)
     return lg * lg
+
+
+def _log_curvature(t):
+    """f''(t) = 2 (1 - ln t) / t^2 below e; +inf, its correct rounding, past the float range."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 2.0 * (1.0 - np.log(t)) / libm_pow(t, 2.0)
 
 
 class CompositeEnergy(EnergyModel):
@@ -512,8 +507,7 @@ class CompositeEnergy(EnergyModel):
         self.vol = vol
         self.dim = iso.dim
         self.label = label or ("composite-" + iso.label)
-        probe = np.eye(self.dim) * 1.0
-        a, b = iso.value(1.7 * probe), iso.value(probe)
+        a, b = _values(iso, np.stack([1.7 * np.eye(self.dim), np.eye(self.dim)]))
         if abs(a - b) > 1e-8 * (1.0 + abs(b)):
             raise ValueError("iso part must be conformally invariant to compose")
         self.analytic = iso.analytic

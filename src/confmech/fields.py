@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning, InvalidSplice
-from .energies import CompositeEnergy
+from .energies import CompositeEnergy, _values
 from .conformal import fd_gradient
 from .tensors import as_square, det, require_gl_plus
 
@@ -36,8 +36,7 @@ LCG_INC = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
 # points drawn per block at most, whatever the acceptance rate
 SAMPLER_BLOCK = 1 << 16
-# expected bounding-box points of one sample at most: about 7 s at 110 ns a point
-# on a 2-vCPU x86-64 host
+# expected bounding-box points of one sample at most
 SAMPLER_BUDGET = 1 << 26
 
 
@@ -179,13 +178,11 @@ class StressFieldSummary:
 
 def _field(energy, x, F):
     """The samples of an energy's field with gradients F at points x, all as stacks."""
-    det_F, sigma, value = require_gl_plus(F), energy.cauchy_stress(F), energy.value(F)
-    n, d = F.shape[0], F.shape[-1]
-    if np.shape(value) != (n,) or np.shape(sigma) != (n, d, d):
+    det_F, value, sigma = require_gl_plus(F), _values(energy, F), energy.cauchy_stress(F)
+    if np.shape(sigma) != F.shape:
         raise ConfmechError(
-            "value and cauchy_stress must take a stack of n matrices: for n = %d, value has "
-            "shape %s (want (%d,)) and cauchy_stress has shape %s (want %s)"
-            % (n, np.shape(value), n, np.shape(sigma), (n, d, d))
+            "cauchy_stress must take a stack of n matrices: for n = %d, cauchy_stress has "
+            "shape %s (want %s)" % (len(F), np.shape(sigma), F.shape)
         )
     return FieldSamples(x, F, det_F, sigma, value)
 
@@ -299,10 +296,7 @@ def jump_check(F1, F2, tol=1e-9):
 
 
 CSV_DIGITS = "%.17g"
-# Formatting a cell with CSV_DIGITS costs about 580 ns, and handing on the text of
-# its distinct value (sort, lookup, "%s") about 150 ns (1000-point 3D fields on a
-# 2-vCPU x86-64 host): formatting each distinct value once pays while at most
-# about 1 - 150/580 of the cells are distinct.
+# formatting each distinct value once pays while at most this share of the cells is distinct
 CSV_DISTINCT_SHARE = 0.75
 
 

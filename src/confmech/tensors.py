@@ -59,9 +59,8 @@ def first_true(mask):
 def _entries(M):
     """M with its two matrix axes first: m[i, j] is a scalar for one matrix, an array for a stack.
 
-    One matrix is kept as it is, with scalar entries: np.moveaxis costs
-    about 3.8 us a call, and jump_check takes det of one difference per
-    pair, which would add about 15 % to the certify benchmark's wall time.
+    One matrix is kept as it is, with scalar entries, sparing the one-pair
+    det of jump_check a np.moveaxis call.
     """
     return M if M.ndim == 2 else np.moveaxis(M, (-2, -1), (0, 1))
 

@@ -205,6 +205,21 @@ def test_bad_map_spec_is_usage_error(tmp_path):
         assert exc3.value.code == 2, argv
 
 
+def test_negative_seed_is_a_usage_error_where_numpy_draws(capsys):
+    # numpy's default_rng refuses seeds below 0; the Lcg64 sampler takes any int
+    for argv in (
+        ["check-convexity", "--energy", "iso3d", "--samples", "5", "--seed", "-1"],
+        ["linearized-demo", "--n", "5", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert line.endswith("argument --seed: must be at least 0, got -1"), line
+    code, _ = run(capsys, "check-conformal", "--map", "phi2d", "--n", "5", "--seed", "-1")
+    assert code == 0
+
+
 def test_thin_annulus_exits_two_instead_of_hanging():
     # a fresh process under a timeout: rejection sampling of this shell takes about 7e10 draws
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))

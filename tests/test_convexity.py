@@ -13,7 +13,7 @@ class NegFrobenius(cm.EnergyModel):
     label = "neg-frob"
 
     def value(self, F):
-        return -float(np.sum(np.asarray(F) ** 2))
+        return -np.sum(F * F, axis=(-2, -1))
 
 
 class Det2(cm.EnergyModel):
@@ -213,6 +213,12 @@ def test_h_criterion_accepts_square_families():
 def test_h_criterion_rejects_concave():
     res = cm.h_criterion(np.sqrt)
     assert not res.convex
+
+
+def test_h_criterion_needs_three_samples():
+    with pytest.raises(cm.TooFewSamples):
+        cm.h_criterion(lambda s: s * s - 1.0, n_samples=2)
+    assert cm.h_criterion(lambda s: s * s - 1.0, n_samples=3).verdict == "strictly rank-one convex"
 
 
 def test_scan_rank_one_convexity_builtins_strict():

@@ -311,7 +311,7 @@ def test_composite_refuses_noninvariant_iso_part():
         label = "frob"
 
         def value(self, F):
-            return float(np.sum(np.asarray(F) ** 2))
+            return np.sum(F * F, axis=(-2, -1))
 
     with pytest.raises(ValueError):
         cm.CompositeEnergy(Frobenius2(), cm.VolumetricTerm())
@@ -335,6 +335,11 @@ def test_composite_stress_is_two_over_e_on_admissible_conformal_gradients():
 def test_fd_second_form_zero_direction():
     E = cm.builtin_energy("iso3d")
     assert fd_second_form(E, np.eye(3), np.zeros((3, 3))) == 0.0
+    # a zero direction next to a nonzero one in the same stack
+    H = np.stack([np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0])])
+    q = fd_second_form(E, np.eye(3), H)
+    assert q[0] == 0.0 and q[1] == fd_second_form(E, np.eye(3), H[1])
+    assert abs(q[1] - 8.0 / 3.0) <= 1e-5
 
 
 @pytest.mark.parametrize("n_stack", [1, 257])
@@ -358,15 +363,19 @@ def test_stacked_value_and_stress_match_one_matrix_bits(name, n_stack):
     xi, eta = rng.standard_normal(F.shape[:2]), rng.standard_normal(F.shape[:2])
     q = cm.lh_form(E, F, xi, eta)
     assert np.array_equal(q, [cm.lh_form(E, *item) for item in zip(F, xi, eta)])
+    assert np.array_equal(fd_first_derivative(E, F), [fd_first_derivative(E, f) for f in F])
+    q_fd = fd_second_form(E, F, H)
+    assert np.array_equal(q_fd, [fd_second_form(E, f, h) for f, h in zip(F, H)])
 
 
 def test_value_only_subclass_is_lifted_to_stacks():
-    # value is called as written, on one matrix; the FD routes loop over a stack
+    # the FD routes call the stacked value on a stack, with the bits of each matrix alone
     class SquaredNorm(cm.EnergyModel):
         dim = 2
 
         def value(self, F):
-            return float(np.sum(self._check_dim(F) ** 2))
+            F = self._check_dim(F)
+            return np.sum(F * F, axis=(-2, -1))
 
     F = np.stack([np.eye(2), 2.0 * np.eye(2)])
     assert SquaredNorm().value(F[1]) == 8.0
@@ -375,6 +384,40 @@ def test_value_only_subclass_is_lifted_to_stacks():
     q = SquaredNorm().second_form(F, H)
     assert np.array_equal(q, [SquaredNorm().second_form(f, h) for f, h in zip(F, H)])
     assert np.allclose(q, [4.0, 8.0], rtol=1e-6)
+
+
+def test_value_of_one_matrix_only_is_refused_with_one_line():
+    class OneMatrixValue(cm.EnergyModel):
+        dim = 2
+
+        def value(self, F):
+            return float(np.sum(self._check_dim(F) ** 2))
+
+    E = OneMatrixValue()
+    assert E.value(np.eye(2)) == 2.0
+    e1 = np.array([1.0, 0.0])
+    for call in (
+        lambda: E.first_derivative(np.eye(2)),
+        lambda: E.second_form(np.stack([np.eye(2), np.eye(2)]), np.eye(2)),
+        lambda: cm.rank_one_line_scan(E, np.eye(2), e1, e1),
+        lambda: cm.CompositeEnergy(E, cm.VolumetricTerm()),
+    ):
+        with pytest.raises(cm.ConfmechError, match=r"^OneMatrixValue\.value must take a stack") as exc:
+            call()
+        assert "\n" not in str(exc.value)
+        assert "value has shape ()" in str(exc.value)
+
+
+def test_volumetric_curvature_below_e_overflows_to_inf_without_a_warning():
+    # t^2 is subnormal at 1e-160 (the quotient overflows) and 0 at 1e-300
+    vol = cm.VolumetricTerm()
+    t = np.array([1e-300, 1e-160, 1e-150, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d2 = vol.curvature(t)
+        one = [vol.curvature(s) for s in t]
+        assert vol.evaluate(1e-160).d2 == np.inf
+    assert d2[0] == d2[1] == np.inf and np.isfinite(d2[2]) and np.array_equal(d2, one)
 
 
 def test_volumetric_arrays_match_scalar_evaluate():
