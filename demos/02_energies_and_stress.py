@@ -55,6 +55,5 @@ print("iso3d |sigma(2.2 id)| = %.2e" % np.max(np.abs(E3.cauchy_stress(2.2 * np.e
 #    curvature 2 at the natural state t = 1.
 vol = cm.VolumetricTerm()
 for t in (1.0, 2.0, np.e, 4.0, vol.c, 6.0):
-    v = vol.evaluate(t)
-    print("f(%-8.5f) = %10.6f   f' = %10.6f" % (t, v.value, np.atleast_1d(v.d1)[0]))
-print("f''(1) = %s" % vol.evaluate(1.0).d2)
+    print("f(%-8.5f) = %10.6f   f' = %10.6f" % (t, vol.value(t), vol.slope(t)))
+print("f''(1) = %s" % vol.curvature(1.0))

@@ -34,12 +34,13 @@ shear = np.array([[0.0, 1.0], [0.0, 0.0]])
 print("W_lin(shear) = %s, sigma_lin(shear) =\n%s" % (cm.w_lin_2d(shear), cm.sigma_lin(shear)))
 
 # 3. The quadratic expansion of the inversion-flip around (0.5, 0) is a
-#    kernel member with w = (16, 0), p = -13, b = (6, 0); it reproduces the
-#    map exactly at the expansion point.
+#    kernel member with w = (16, 0), p = -13, A = 0, b = (6, 0); it
+#    reproduces the map exactly at the expansion point.
 q = cm.conformal_quadratic_approx()
-print("w = %s, p = %s, b = %s" % (q.w, q.p, q.b))
+print("w = %s, p = %s, b = %s" % (q.w, q.p_hat, q.b_hat))
 x0 = np.array([0.5, 0.0])
-print("x0 + u(x0) = %s, phi(x0) = %s" % (x0 + q.displacement(x0), cm.InversionFlip(2)(x0)))
+u0, _ = cm.kernel_displacement(q, x0)
+print("x0 + u(x0) = %s, phi(x0) = %s" % (x0 + u0, cm.InversionFlip(2)(x0)))
 
 # 4. Away from the center the approximation degrades like radius^3; halving
 #    the patch radius cuts the worst error by about a factor eight.

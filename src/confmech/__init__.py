@@ -80,7 +80,6 @@ from .convexity import (
 )
 from .linearized import (
     KernelDisplacement,
-    QuadraticApprox,
     conformal_quadratic_approx,
     kernel_displacement,
     quadratic_approx_error,
@@ -96,7 +95,6 @@ from .fields import (
     Lcg64,
     StressFieldSummary,
     admissible_annulus,
-    affine_reference_check,
     jump_check,
     sample_annulus,
     stress_field,

@@ -256,7 +256,7 @@ def _cmd_linearized_demo(args):
     grad = grads[-1]
     approx = conformal_quadratic_approx()
     x0 = np.array([0.5, 0.0])
-    at_center = x0 + approx.displacement(x0)
+    at_center = x0 + kernel_displacement(approx, x0)[0]
     approx_err = quadratic_approx_error()
     payload = {
         "kernel_samples": int(args.n),
@@ -265,8 +265,8 @@ def _cmd_linearized_demo(args):
         "w_lin_2d_at_kernel": w_lin_2d(grad),
         "quadratic_approx": {
             "w": approx.w.tolist(),
-            "p": approx.p,
-            "b": approx.b.tolist(),
+            "p": approx.p_hat,
+            "b": approx.b_hat.tolist(),
             "value_at_expansion_point": at_center.tolist(),
             "max_error_on_disk": approx_err,
         },

@@ -9,7 +9,8 @@ evaluate and gradient take one point or a stack of points (..., dim) in one
 body.  A Moebius composition takes each chain-rule step as one stacked
 matmul, and the fractional-linear map is numpy complex arithmetic on
 z = x1 + i x2.  The finite-difference gradient (fd_gradient) makes one
-evaluate call on x + h e_j and one on x - h e_j for each axis j.
+evaluate call on x + h e_j and one on x - h e_j for each axis j, with
+h = FD_STEP.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
@@ -32,6 +33,7 @@ from .tensors import (
 )
 
 SINGULAR_RADIUS = 1e-14
+FD_STEP = 1e-5  # of fd_gradient, for the conformality checks and stress fields alike
 
 
 def _as_point(x, dim=None, stack=False):
@@ -254,21 +256,21 @@ class InversionFlip(DeformationMap):
         )
 
 
-def fd_gradient(mapping, x, h=1e-5):
+def fd_gradient(mapping, x):
     """Central-difference derivative matrix of a map at x, or at each point of a stack x (..., dim).
 
     Column j is d(map)/d(x_j), from one evaluate call on x + h e_j and one
-    on x - h e_j.
+    on x - h e_j, h = FD_STEP.
     """
     x = _as_point(x, mapping.dim, stack=True)
     columns = [
-        (mapping.evaluate(x + h * e) - mapping.evaluate(x - h * e)) / (2.0 * h)
+        (mapping.evaluate(x + FD_STEP * e) - mapping.evaluate(x - FD_STEP * e)) / (2.0 * FD_STEP)
         for e in np.eye(mapping.dim)
     ]
     return np.stack(columns, axis=-1)
 
 
-def is_conformal_at(mapping, x, tol=1e-10, use_fd=False, h=1e-5):
+def is_conformal_at(mapping, x, tol=1e-10, use_fd=False):
     """(verdict, residual) of the conformality test at x, or arrays of both for a stack x (..., dim).
 
     Checks grad^T grad / det^{2/n} = id on the analytic gradient, or on the
@@ -276,7 +278,7 @@ def is_conformal_at(mapping, x, tol=1e-10, use_fd=False, h=1e-5):
     A NaN residual fails.
     """
     x = _as_point(x, mapping.dim, stack=True)
-    F = fd_gradient(mapping, x, h) if use_fd else mapping.gradient(x)
+    F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
     residual = conformality_residual(F)
     return residual <= tol, residual
 
@@ -288,12 +290,12 @@ class ConformalDecomposition:
     residual: float
 
 
-def decompose_conformal(F, tol=1e-10):
-    """Split F in CSO(n) as (scale, rotation); raises NotConformal beyond tol."""
+def decompose_conformal(F):
+    """Split F in CSO(n) as (scale, rotation); raises NotConformal beyond the residual 1e-10."""
     F = as_square(F)
     d = require_gl_plus(F)
     residual = conformality_residual(F)
-    if residual > tol:
-        raise NotConformal("residual %r exceeds tolerance %r" % (residual, tol))
+    if residual > 1e-10:
+        raise NotConformal("residual %r exceeds tolerance 1e-10" % (residual,))
     lam = d ** (1.0 / F.shape[0])
     return ConformalDecomposition(scale=lam, rotation=F / lam, residual=residual)

@@ -20,7 +20,7 @@ evaluates the energy once, on the stack of its points, and the h
 criterion calls h once, on the array of its samples.
 
 The scan driver never silently promotes a borderline result: values inside
-the margin band count as "elliptic" only when the energy's second_form is
+the band +-MARGIN count as "elliptic" only when the energy's second_form is
 analytic (energy.analytic), otherwise the verdict is "inconclusive".
 """
 
@@ -31,9 +31,11 @@ import numpy as np
 
 from .energies import _profile, _values
 from .exceptions import LeavesGLPlus, TooFewSamples
-from .tensors import as_square, det, first_true, from_entries, libm_pow
+from .tensors import DET_FLOOR, as_square, det, first_true, from_entries, libm_pow
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
+MARGIN = 1e-9  # verdict band of the LH scan, and of a line scan relative to its largest |W|
+STRETCH_RANGE = (0.1, 10.0)  # of the scan's random deformation gradients
 
 
 def lh_form(energy, F, xi, eta):
@@ -57,12 +59,13 @@ class LineScanResult:
     t_at_min: float
 
 
-def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41, margin=1e-9):
+def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41):
     """Classify t -> W(F + t xi (x) eta) on [0, t_max] by centered second differences.
 
-    Raises LeavesGLPlus when any sample point has non-positive determinant;
-    the classification margin is relative to the largest sampled |W|.  The
-    energy's value is called once, on the stack of the sample points.
+    Raises LeavesGLPlus where some sample point has det <= DET_FLOOR (the
+    energies' domain ends there); the classification margin is MARGIN times
+    the largest sampled |W|, at least 1.  value is called once, on the stack
+    of the sample points.
     """
     F = as_square(F)
     if n_samples < 3:
@@ -70,12 +73,12 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41, margin=1e-9)
     H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     ts = np.linspace(0.0, float(t_max), int(n_samples))
     Ft = F + ts[:, None, None] * H
-    i = first_true(~(det(Ft) > 0.0))
+    i = first_true(~(det(Ft) > DET_FLOOR))
     if i is not None:
-        raise LeavesGLPlus("det(F + t xi eta^T) <= 0 at t = %r" % (ts[i],))
+        raise LeavesGLPlus("det(F + t xi eta^T) <= %r at t = %r" % (DET_FLOOR, ts[i]))
     values = _values(energy, Ft)
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
-    scale = margin * max(1.0, float(np.max(np.abs(values))))
+    scale = MARGIN * max(1.0, float(np.max(np.abs(values))))
     k = int(np.argmin(d2))
     worst = float(d2[k])
     if worst < -scale:
@@ -118,9 +121,9 @@ class KSReport:
         return vals
 
 
-def _fd_g_partials(g, l1, l2, rel_step=1e-5):
-    h1 = rel_step * l1
-    h2 = rel_step * l2
+def _fd_g_partials(g, l1, l2):
+    h1 = 1e-5 * l1
+    h2 = 1e-5 * l2
     g1 = (g(l1 + h1, l2) - g(l1 - h1, l2)) / (2.0 * h1)
     g2 = (g(l1, l2 + h2) - g(l1, l2 - h2)) / (2.0 * h2)
     g11 = (g(l1 + h1, l2) - 2.0 * g(l1, l2) + g(l1 - h1, l2)) / libm_pow(h1, 2.0)
@@ -131,22 +134,21 @@ def _fd_g_partials(g, l1, l2, rel_step=1e-5):
     return g1, g2, g11, g22, g12
 
 
-def knowles_sternberg(g, lam1, lam2, derivatives=None, strictness_margin=None, fd_step=1e-5):
+def knowles_sternberg(g, lam1, lam2, derivatives=None):
     """Evaluate the planar strict-ellipticity conditions for W = g(l1, l2).
 
     lam1 and lam2 are one pair of stretches, giving one KSReport, or arrays
     that broadcast together, giving the list of reports of their points in
     C order; either way the conditions are evaluated once, on arrays.
+    Strictness requires every applicable value above the margin
+    1e-10 (1 + |g| + |g1| + |g2|) of its point.
 
     Parameters
     ----------
     g : callable (l1, l2) -> real, symmetric; takes arrays
     derivatives : callable (l1, l2) -> (g1, g2, g11, g22, g12), optional
         Analytic partials, taking arrays; central differences with relative
-        step fd_step per axis otherwise.
-    strictness_margin : float, optional
-        Strictness requires every applicable value above this; defaults to
-        1e-10 (1 + |g| + |g1| + |g2|).
+        step 1e-5 per axis otherwise.
     """
     l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
     if not np.all((l1 > 0.0) & (l2 > 0.0)):
@@ -154,9 +156,8 @@ def knowles_sternberg(g, lam1, lam2, derivatives=None, strictness_margin=None, f
     if derivatives is not None:
         g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     else:
-        g1, g2, g11, g22, g12 = _fd_g_partials(g, l1, l2, fd_step)
-    if strictness_margin is None:
-        strictness_margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
+        g1, g2, g11, g22, g12 = _fd_g_partials(g, l1, l2)
+    margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
     on_diagonal = np.abs(l1 - l2) <= EQ_BAND * (l1 + l2)
     # cond_ii and cond_iv do not apply on the band: divide there by 1, not by l1 - l2 = 0
@@ -169,7 +170,7 @@ def knowles_sternberg(g, lam1, lam2, derivatives=None, strictness_margin=None, f
     cond_v = root - g12 + (g1 + g2) / (l1 + l2)
 
     def holds(v):
-        return np.isfinite(v) & (v > strictness_margin)
+        return np.isfinite(v) & (v > margin)
 
     on_band = holds(cond_iii[0]) & holds(cond_iii[1])
     off_band = holds(cond_ii) & holds(cond_iv)
@@ -231,37 +232,33 @@ class HCriterionResult:
     min_first_difference: float
 
 
-def h_criterion(h, mode="strict", s_max=50.0, n_samples=2000, margin=1e-10):
-    """Classify W(F) = h(lmax/lmin) through the profile h on [1, s_max].
+def h_criterion(h, n_samples=2000):
+    """Classify W(F) = h(lmax/lmin) through the profile h on [1, 50].
 
     A convex non-decreasing profile is equivalent to rank-one convexity of
     the induced planar energy; strictly convex and increasing is equivalent
-    to strict rank-one convexity.  mode picks which of the two questions the
-    verdict answers.  h takes arrays: it is called once, on the n_samples >= 3
-    sample points (a constant result is broadcast).
+    to strict rank-one convexity.  The verdict names the stronger property
+    that holds, with differences inside 1e-10 times the largest |h| (at
+    least 1) counted as zero.  h takes arrays: it is called once, on the
+    n_samples >= 3 sample points (a constant result is broadcast).
     """
-    if mode not in ("convex", "strict"):
-        raise ValueError("mode must be 'convex' or 'strict'")
     if n_samples < 3:
         raise TooFewSamples("need at least 3 samples of h")
-    ss = np.linspace(1.0, float(s_max), int(n_samples))
+    ss = np.linspace(1.0, 50.0, int(n_samples))
     values = _profile(h, ss)
-    scale = margin * max(1.0, float(np.max(np.abs(values))))
+    scale = 1e-10 * max(1.0, float(np.max(np.abs(values))))
     d1 = np.diff(values)
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     convex = bool(np.all(d2 >= -scale))
     strictly_convex = bool(np.all(d2 > scale))
     nondecreasing = bool(np.all(d1 >= -scale))
     increasing = bool(np.all(d1 > scale))
-    if mode == "strict":
-        if strictly_convex and increasing:
-            verdict = "strictly rank-one convex"
-        elif convex and nondecreasing:
-            verdict = "rank-one convex"
-        else:
-            verdict = "not rank-one convex"
+    if strictly_convex and increasing:
+        verdict = "strictly rank-one convex"
+    elif convex and nondecreasing:
+        verdict = "rank-one convex"
     else:
-        verdict = "rank-one convex" if convex and nondecreasing else "not rank-one convex"
+        verdict = "not rank-one convex"
     return HCriterionResult(
         verdict=verdict,
         convex=convex,
@@ -308,7 +305,7 @@ def random_rotation(rng, dim):
     return _rotations(_angles(rng, dim))
 
 
-def random_def_gradient(rng, dim, stretch_range=(0.1, 10.0)):
+def random_def_gradient(rng, dim, stretch_range=STRETCH_RANGE):
     """Q1 diag(l) Q2 with log-uniform stretches; always in GL+."""
     return _def_gradients(*_def_gradient_draws(rng, dim, stretch_range))
 
@@ -321,7 +318,7 @@ def _direction(rng, dim):
             return v
 
 
-def _scan_draws(rng, dim, n_samples, stretch_range):
+def _scan_draws(rng, dim, n_samples):
     """Stacks (log-stretches, angles1, angles2, xi, eta) of n_samples scan samples.
 
     The values are those of sequential _def_gradient_draws, _direction,
@@ -341,14 +338,14 @@ def _scan_draws(rng, dim, n_samples, stretch_range):
         rng.standard_normal(out=N[i])
     directions = N.reshape(-1, dim)  # xi and eta of each sample
     if np.all(np.sqrt(np.vecdot(directions, directions)) > 1e-8):
-        lo, hi = np.log(stretch_range[0]), np.log(stretch_range[1])
+        lo, hi = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
         low = np.array([lo] * dim + [0.0] * (2 * a))
         high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
         U = low + (high - low) * U
         return U[:, :dim], U[:, dim:dim + a], U[:, dim + a:], N[:, :dim], N[:, dim:]
     rng.bit_generator.state = start
     draws = [
-        (*_def_gradient_draws(rng, dim, stretch_range), _direction(rng, dim), _direction(rng, dim))
+        (*_def_gradient_draws(rng, dim, STRETCH_RANGE), _direction(rng, dim), _direction(rng, dim))
         for _ in range(n_samples)
     ]
     return tuple(np.array(column) for column in zip(*draws))
@@ -362,40 +359,33 @@ class ConvexityReport:
     witnesses: list = field(default_factory=list)  # (F, xi, eta, value) near the minimum
 
 
-def scan_rank_one_convexity(
-    energy,
-    n_samples=1000,
-    seed=0,
-    stretch_range=(0.1, 10.0),
-    margin=1e-9,
-    n_witnesses=3,
-):
+def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     """Monte-Carlo scan of the Legendre-Hadamard form on rank-one directions.
 
     Deterministic for a fixed seed (numpy default_rng).  Each sample draws
-    F, then xi, then eta, in the order of the one-sample helpers
-    (_scan_draws), and the LH form is evaluated once on the whole stack.  The
-    minimum and the witnesses are taken over the values that are not NaN
-    (an overflowing second form gives NaN), ties in sample order; with no
-    such value the verdict is "inconclusive".  A negative minimum below the
-    margin is re-confirmed by a 1D line scan around the witness before the
+    F, with stretches log-uniform in STRETCH_RANGE, then xi, then eta, in
+    the order of the one-sample helpers (_scan_draws), and the LH form is
+    evaluated once on the whole stack.  The minimum and the three witnesses
+    are taken over the values that are not NaN (an overflowing second form
+    gives NaN), ties in sample order; with no such value the verdict is
+    "inconclusive".  The verdict band is +-MARGIN.  A negative minimum below
+    the band is re-confirmed by a 1D line scan around the witness before the
     verdict "violated" is issued; without confirmation the scan reports
     "inconclusive" rather than guessing.
     """
-    logs, angles1, angles2, xi, eta = _scan_draws(
-        np.random.default_rng(seed), energy.dim, int(n_samples), stretch_range
-    )
+    rng = np.random.default_rng(seed)
+    logs, angles1, angles2, xi, eta = _scan_draws(rng, energy.dim, int(n_samples))
     Fs = _def_gradients(logs, angles1, angles2)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
     values = lh_form(energy, Fs, xis, etas)
     order = np.argsort(values, kind="stable")  # NaN last
     order = order[~np.isnan(values[order])]
-    witnesses = [(Fs[i], xis[i], etas[i], float(values[i])) for i in order[:n_witnesses]]
+    witnesses = [(Fs[i], xis[i], etas[i], float(values[i])) for i in order[:3]]
     min_val = values[order[0]] if len(order) else math.nan
 
-    if min_val > margin:
+    if min_val > MARGIN:
         verdict = "strictly-elliptic"
-    elif min_val < -margin:
+    elif min_val < -MARGIN:
         F, xi, eta = Fs[order[0]], xis[order[0]], etas[order[0]]
         confirmed = False
         try:

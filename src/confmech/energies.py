@@ -28,13 +28,12 @@ fd_* oracles, the line scan and the composite's invariance probe call it on
 stacks through _values, which refuses a value that does not.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from .exceptions import ConfmechError, InvalidSplice, NonPositiveArgument, NotDifferentiable
 from .tensors import (
     _entries,
+    _stack_note,
     as_square,
     cofactor,
     first_true,
@@ -64,15 +63,16 @@ def _values(energy, F):
     return v
 
 
-def fd_first_derivative(energy, F, h=FD_STEP_FIRST):
+def fd_first_derivative(energy, F):
     """Entry-wise central-difference derivative of energy.value at F, one matrix or a stack.
 
     The oracle side of every derivative check; uses value() only, in one
-    call on the 2 n^2 shifted matrices of each matrix of F.
+    call on the 2 n^2 shifted matrices of each matrix of F, with the step
+    FD_STEP_FIRST max(1, |F|).
     """
     F = as_square(F, stack=True)
     n = F.shape[-1]
-    step = h * np.maximum(1.0, np.sqrt(inner(F, F)))
+    step = FD_STEP_FIRST * np.maximum(1.0, np.sqrt(inner(F, F)))
     # E[..., i, j] is the matrix with step at (i, j) and zeros elsewhere
     E = step[..., None, None, None, None] * np.eye(n * n).reshape(n, n, n, n)
     F = F[..., None, None, :, :]
@@ -80,16 +80,17 @@ def fd_first_derivative(energy, F, h=FD_STEP_FIRST):
     return (vp - vm) / (2.0 * step[..., None, None])
 
 
-def fd_second_form(energy, F, H, h=FD_STEP_SECOND):
+def fd_second_form(energy, F, H):
     """Central second difference of t -> energy.value(F + t H) at t = 0; exactly 0.0 where H = 0.
 
-    F and H are one matrix or stacks that broadcast together.
+    F and H are one matrix or stacks that broadcast together; the step
+    along H / |H| is FD_STEP_SECOND max(1, |F|).
     """
     F = as_square(F, stack=True)
     H = as_square(H, stack=True)
     nrm = np.sqrt(inner(H, H))
     zero = nrm == 0.0
-    step = h * np.maximum(1.0, np.sqrt(inner(F, F)))
+    step = FD_STEP_SECOND * np.maximum(1.0, np.sqrt(inner(F, F)))
     dF = step[..., None, None] * (H / np.where(zero, 1.0, nrm)[..., None, None])
     w0, wp, wm = (_values(energy, G) for G in (F, F + dF, F - dF))
     return np.where(zero, 0.0, libm_pow(nrm, 2.0) * (wp - 2.0 * w0 + wm) / libm_pow(step, 2.0))[()]
@@ -101,11 +102,6 @@ def _profile(fn, x):
     if v.shape != np.shape(x):
         v = np.broadcast_to(v, np.shape(x))
     return v[()]
-
-
-def _stack_note(a, i):
-    """Where entry i of a, one value per matrix, sits: nothing for one matrix."""
-    return " (matrix %d of the stack)" % i if np.ndim(a) else ""
 
 
 class EnergyModel:
@@ -365,13 +361,13 @@ class IsochoricNeoHooke(EnergyModel):
     def value(self, F):
         F = self._check_dim(F)
         d = require_gl_plus(F)
-        return np.sum(F * F, axis=(-2, -1)) / libm_pow(d, 2.0 / 3.0) - 3.0
+        return inner(F, F) / libm_pow(d, 2.0 / 3.0) - 3.0
 
     def first_derivative(self, F):
         F = self._check_dim(F)
         d = require_gl_plus(F)
         FiT = transpose_inverse(F)
-        n2 = np.sum(F * F, axis=(-2, -1))[..., None, None]
+        n2 = inner(F, F)[..., None, None]
         return (2.0 * F - (2.0 / 3.0) * n2 * FiT) / libm_pow(d, 2.0 / 3.0)[..., None, None]
 
     def second_form(self, F, H):
@@ -394,11 +390,8 @@ class IsochoricNeoHooke(EnergyModel):
         F = self._check_dim(F)
         d = require_gl_plus(F)
         scale = libm_pow(d, 5.0 / 3.0)[..., None, None]
-        n2 = np.sum(F * F, axis=(-2, -1))[..., None, None]
+        n2 = inner(F, F)[..., None, None]
         return 2.0 * (F @ np.swapaxes(F, -2, -1)) / scale - (2.0 / 3.0) * n2 / scale * np.eye(3)
-
-
-VolumetricValues = namedtuple("VolumetricValues", ["value", "d1", "d2"])
 
 
 class VolumetricTerm:
@@ -409,12 +402,11 @@ class VolumetricTerm:
         f(t) = 1 + (2/e) (exp(t - c) + c - e - 1)       t > c
 
     f is C^1 everywhere with f(1) = f'(1) = 0, f''(1) = 2, and f' = 2/e on
-    the whole band [e, c].  value, slope and curvature (f'') take arrays,
-    each branch computed on its own entries only, with numpy's log and exp,
-    which give the same bits on an array as on one float.  The second
-    derivative jumps at t = c and is one-sided at t = e, so curvature raises
-    NotDifferentiable there; evaluate() reports it for one t, as a
-    (left, right) pair exactly at the splice points and as a float elsewhere.
+    the whole band [e, c].  value, slope and curvature (f'') take one t or
+    an array, each branch computed on its own entries only, with numpy's log
+    and exp, which give the same bits on an array as on one float.  The
+    second derivative jumps at t = c and is one-sided at t = e, so curvature
+    raises NotDifferentiable there.
     """
 
     def __init__(self, c=np.e + 2.0):
@@ -472,14 +464,6 @@ class VolumetricTerm:
                 % (float(np.ravel(t)[i]),)
             )
         return self._by_branch(t, _log_curvature, lambda t: 0.0, lambda t: (2.0 / e) * np.exp(t - c))
-
-    def evaluate(self, t):
-        """f, f' and f'' at one t; f'' is a (left, right) pair at t = e and t = c."""
-        t = float(t)
-        d2 = {np.e: (0.0, 0.0), self.c: (0.0, 2.0 / np.e)}.get(t)
-        if d2 is None:
-            d2 = float(self.curvature(t))
-        return VolumetricValues(float(self.value(t)), float(self.slope(t)), d2)
 
 
 def _log_squared(t):

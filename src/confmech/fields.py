@@ -206,20 +206,21 @@ def _summarize(samples, tol, energy):
     )
 
 
-def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_step=1e-5):
+def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
     """Sample the Cauchy stress field sigma(x) of a deformation over an annulus.
 
     Returns (samples, summary), samples a FieldSamples of stacks.  With
     use_fd the deformation gradients come from central differences of the
-    map instead of the analytic gradient (tolerances around 1e-5 are then
-    appropriate).  For composite energies an InadmissibleDomainWarning is
-    emitted when the determinant range leaves [e, c]; other energies have
-    no band, and their summary's admissible is None.
+    map (fd_gradient) instead of the analytic gradient (tolerances around
+    1e-5 are then appropriate).  For composite energies an
+    InadmissibleDomainWarning is emitted when the determinant range leaves
+    [e, c]; other energies have no band, and their summary's admissible is
+    None.
     """
     if energy.dim != dom.dim:
         raise ValueError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
     x = sample_annulus(dom, n, seed)
-    F = fd_gradient(mapping, x, fd_step) if use_fd else mapping.gradient(x)
+    F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
     samples = _field(energy, x, F)
     summary = _summarize(samples, tol, energy)
     if summary.admissible is False:
@@ -229,13 +230,6 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False, fd_st
             InadmissibleDomainWarning,
         )
     return samples, summary
-
-
-def affine_reference_check(energy, A, dom, n, seed=0, tol=1e-14):
-    """Constant-gradient control: the field of x -> A x must be exactly homogeneous."""
-    A = as_square(A)
-    x = sample_annulus(dom, n, seed)
-    return _summarize(_field(energy, x, np.repeat(A[None], len(x), axis=0)), tol, energy)
 
 
 @dataclass(frozen=True)
@@ -249,10 +243,10 @@ class JumpReport:
     det_square_terms: tuple | None  # ((a1-a2)^2, (b1-b2)^2) for planar conformal pairs
 
 
-def _similarity_params(entries, norm, tol=1e-8):
-    """(a, b) when the 2x2 with these row-major entries and this norm is [[a, b], [-b, a]], else None."""
+def _similarity_params(entries, norm):
+    """(a, b) when row-major 2x2 entries are [[a, b], [-b, a]] to 1e-8 max(1, norm), else None."""
     f00, f01, f10, f11 = entries
-    scale = tol * max(1.0, norm)
+    scale = 1e-8 * max(1.0, norm)
     if abs(f00 - f11) <= scale and abs(f01 + f10) <= scale:
         return f00, f01
     return None

@@ -15,6 +15,8 @@ import numpy as np
 SAMPLES_PER_LINE = 42
 STROKE_GRID = 0.49
 STROKE_OUTLINE = 1.2
+PANEL = 380.0  # side of each square panel
+GAP = 40.0  # between the two panels
 
 
 @dataclass(frozen=True)
@@ -37,36 +39,27 @@ def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     cx, cy = region.center
     r = region.radius
     lines = []
-    k0 = int(np.ceil((cx - r) / spacing))
-    k1 = int(np.floor((cx + r) / spacing))
-    for k in range(k0, k1 + 1):
-        x = k * spacing
-        half = r * r - (x - cx) ** 2
-        if half <= 0.0:
-            continue
-        half = np.sqrt(half)
-        ys = np.linspace(cy - half, cy + half, samples_per_line)
-        lines.append(np.column_stack([np.full_like(ys, x), ys]))
-    k0 = int(np.ceil((cy - r) / spacing))
-    k1 = int(np.floor((cy + r) / spacing))
-    for k in range(k0, k1 + 1):
-        y = k * spacing
-        half = r * r - (y - cy) ** 2
-        if half <= 0.0:
-            continue
-        half = np.sqrt(half)
-        xs = np.linspace(cx - half, cx + half, samples_per_line)
-        lines.append(np.column_stack([xs, np.full_like(xs, y)]))
+    # axis 0: vertical chords at x = k spacing; axis 1: horizontal ones at y = k spacing
+    for axis, (a, b) in enumerate(((cx, cy), (cy, cx))):
+        for k in range(int(np.ceil((a - r) / spacing)), int(np.floor((a + r) / spacing)) + 1):
+            level = k * spacing
+            half = r * r - (level - a) ** 2
+            if half <= 0.0:
+                continue
+            half = np.sqrt(half)
+            along = np.linspace(b - half, b + half, samples_per_line)
+            chord = [np.full_like(along, level), along]
+            lines.append(np.column_stack(chord[::-1] if axis else chord))
     ang = np.linspace(0.0, 2.0 * np.pi, 2 * samples_per_line)
     lines.append(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
     return lines
 
 
-def boundary_markers(region, count=8):
-    """Marker points: `count` boundary points at equal angles plus the center."""
+def boundary_markers(region):
+    """Marker points: 8 boundary points at equal angles plus the center."""
     cx, cy = region.center
     r = region.radius
-    ang = np.arange(count) * (2.0 * np.pi / count)
+    ang = np.arange(8) * (2.0 * np.pi / 8)
     pts = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
     return pts, np.array([cx, cy])
 
@@ -76,12 +69,13 @@ def deform_polylines(mapping, polylines):
     return [mapping.evaluate(line) for line in polylines]
 
 
-def _bounds(point_groups, pad=0.05):
+def _bounds(point_groups):
+    """The box of all points, padded by 5 % of its span on each side."""
     allpts = np.vstack([np.vstack(g) for g in point_groups if g])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    return lo - pad * span, hi + pad * span
+    return lo - 0.05 * span, hi + 0.05 * span
 
 
 class _Panel:
@@ -109,20 +103,12 @@ class _Panel:
             coords,
         )
 
-    def dot(self, p, fill, r=3.0):
+    def dot(self, p, fill):
         x, y = self.to_svg(p).tolist()
-        return '<circle cx="%.3f" cy="%.3f" r="%.1f" fill="%s"/>' % (x, y, r, fill)
+        return '<circle cx="%.3f" cy="%.3f" r="3.0" fill="%s"/>' % (x, y, fill)
 
 
-def render_grid_svg(
-    mapping,
-    region,
-    out_path,
-    spacing=0.0147,
-    samples_per_line=SAMPLES_PER_LINE,
-    panel=380.0,
-    gap=40.0,
-):
+def render_grid_svg(mapping, region, out_path, spacing=0.0147, samples_per_line=SAMPLES_PER_LINE):
     """Write a two-panel SVG: the gridded region and its image under the map.
 
     Returns (reference_polylines, image_polylines) so callers can assert on
@@ -136,13 +122,13 @@ def render_grid_svg(
 
     lo_l, hi_l = _bounds([ref, [ref_marks]])
     lo_r, hi_r = _bounds([img, [img_marks]])
-    width = 2 * panel + gap
-    left = _Panel(lo_l, hi_l, 0.0, panel, panel)
-    right = _Panel(lo_r, hi_r, panel + gap, panel, panel)
+    width = 2 * PANEL + GAP
+    left = _Panel(lo_l, hi_l, 0.0, PANEL, PANEL)
+    right = _Panel(lo_r, hi_r, PANEL + GAP, PANEL, PANEL)
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" '
-        'viewBox="0 0 %.0f %.0f">' % (width, panel, width, panel)
+        'viewBox="0 0 %.0f %.0f">' % (width, PANEL, width, PANEL)
     ]
     for pane, lines, marks, center in (
         (left, ref, ref_marks, ref_center),

@@ -9,7 +9,7 @@ displacements whose symmetrized gradient is a multiple of the identity, the
 kernel_displacement evaluates that family with an analytic gradient, for
 one field at one point or for stacks of fields and points; the
 quadratic approximation of the inversion-with-flip map around (0.5, 0) is the
-member with w = (16, 0), p = -13, b = (6, 0), and its closeness to the true
+member with w = (16, 0), p = -13, A = 0, b = (6, 0); its closeness to the true
 map is measured on the small disk where the approximation was derived.
 """
 
@@ -109,44 +109,26 @@ def kernel_displacement(k, x):
     return u, grad
 
 
-@dataclass(frozen=True)
-class QuadraticApprox:
-    """Coefficients of the quadratic displacement u = (1/2)[2<w,x>x - w|x|^2] + p x + b."""
-
-    w: np.ndarray
-    p: float
-    b: np.ndarray
-
-    def as_kernel_displacement(self):
-        # w = (-gamma, beta)
-        return KernelDisplacement.from_scalars(
-            beta=float(self.w[1]), gamma=-float(self.w[0]), p_hat=self.p, spin=0.0,
-            b_hat=self.b,
-        )
-
-    def displacement(self, x):
-        u, _ = kernel_displacement(self.as_kernel_displacement(), x)
-        return u
-
-
 def conformal_quadratic_approx():
-    """The quadratic approximation of (x1,-x2)/|x|^2 around (0.5, 0)."""
-    return QuadraticApprox(w=np.array([16.0, 0.0]), p=-13.0, b=np.array([6.0, 0.0]))
+    """The quadratic approximation of (x1,-x2)/|x|^2 around (0.5, 0), a kernel field.
+
+    u = (1/2)[2<w,x>x - w|x|^2] + p x + b with w = (16, 0), p = -13 and
+    b = (6, 0); w = (-gamma, beta).
+    """
+    return KernelDisplacement.from_scalars(gamma=-16.0, p_hat=-13.0, b_hat=(6.0, 0.0))
 
 
-def quadratic_approx_error(center=(0.5, 0.0), radius=0.15, n_samples=500, seed=0):
+def quadratic_approx_error(radius=0.15, seed=0):
     """Max |x + u(x) - phi(x)| of the quadratic approximation over a disk.
 
-    Sampled at seeded uniform points of the disk around the expansion point;
-    the approximation is exact at the center and degrades like the cube of
-    the distance from it.
+    Sampled at 500 seeded uniform points of the disk around the expansion
+    point (0.5, 0); the approximation is exact there and degrades like the
+    cube of the distance from it.
     """
-    approx = conformal_quadratic_approx()
-    phi = InversionFlip(2)
-    center = np.asarray(center, dtype=float)
     # per sample a radius draw in [0, 1) then an angle draw in [0, 2 pi)
-    draws = np.random.default_rng(seed).uniform([0.0, 0.0], [1.0, 2.0 * np.pi], (int(n_samples), 2))
+    draws = np.random.default_rng(seed).uniform([0.0, 0.0], [1.0, 2.0 * np.pi], (500, 2))
     r, a = radius * np.sqrt(draws[:, 0]), draws[:, 1]
-    x = center + r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
-    gap = x + approx.displacement(x) - phi.evaluate(x)
+    x = np.array([0.5, 0.0]) + r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
+    u, _ = kernel_displacement(conformal_quadratic_approx(), x)
+    gap = x + u - InversionFlip(2).evaluate(x)
     return float(np.max(np.sqrt(np.vecdot(gap, gap)), initial=0.0))

@@ -114,6 +114,11 @@ def cofactor(M):
     return from_entries(rows)
 
 
+def _stack_note(a, i):
+    """Where entry i of a, one value per matrix, sits: nothing for one matrix."""
+    return " (matrix %d of the stack)" % i if np.ndim(a) else ""
+
+
 def require_gl_plus(F):
     """Return det F, raising NotInGLPlus when it is not strictly positive.
 
@@ -123,9 +128,8 @@ def require_gl_plus(F):
     d = det(F)
     i = first_true(~(d > DET_FLOOR))
     if i is not None:
-        where = " (matrix %d of the stack)" % i if np.ndim(d) else ""
         raise NotInGLPlus(
-            "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), where)
+            "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), _stack_note(d, i))
         )
     return d
 

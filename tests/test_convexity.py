@@ -92,6 +92,17 @@ def test_rank_one_line_scan_guards():
         cm.rank_one_line_scan(E, np.eye(2) * 2.0, e1, e1, n_samples=2)
 
 
+def test_rank_one_line_scan_leaves_gl_plus_at_the_det_floor():
+    # det F = 1e-301 > 0 on the whole segment, but not above DET_FLOOR = 1e-300, where
+    # the energies refuse F: the scan raises its own LeavesGLPlus, which
+    # scan_rank_one_convexity's confirmation step catches, not the energy's NotInGLPlus
+    E = cm.builtin_energy("iso3d")
+    e1 = np.array([1.0, 0.0, 0.0])
+    F = np.diag([1e-101, 1e-100, 1e-100])
+    with pytest.raises(cm.LeavesGLPlus, match=r"<= 1e-300 at t = "):
+        cm.rank_one_line_scan(E, F, e1, e1, t_max=1e-110)
+
+
 def test_knowles_sternberg_spot_values():
     rep = cm.knowles_sternberg(
         cm.ratio_minus_one_squared,
@@ -215,6 +226,23 @@ def test_h_criterion_rejects_concave():
     assert not res.convex
 
 
+@pytest.mark.parametrize(
+    "h, verdict, strictly_convex, increasing",
+    [
+        (lambda s: s * s - 1.0, "strictly rank-one convex", True, True),
+        # linear: convex and increasing, but not strictly convex
+        (lambda s: s - 1.0, "rank-one convex", False, True),
+        (np.sqrt, "not rank-one convex", False, True),
+    ],
+    ids=["s^2-1", "s-1", "sqrt"],
+)
+def test_h_criterion_verdicts(h, verdict, strictly_convex, increasing):
+    res = cm.h_criterion(h)
+    assert res.verdict == verdict
+    assert (res.strictly_convex, res.increasing) == (strictly_convex, increasing)
+    assert res.convex == (verdict != "not rank-one convex")
+
+
 def test_h_criterion_needs_three_samples():
     with pytest.raises(cm.TooFewSamples):
         cm.h_criterion(lambda s: s * s - 1.0, n_samples=2)
@@ -269,7 +297,7 @@ def sequential_draws(rng, dim, n):
     """The scan's draws, one one-sample helper call at a time, as stacks."""
     conv = cm.convexity
     draws = [
-        (*conv._def_gradient_draws(rng, dim, (0.1, 10.0)), conv._direction(rng, dim),
+        (*conv._def_gradient_draws(rng, dim, conv.STRETCH_RANGE), conv._direction(rng, dim),
          conv._direction(rng, dim))
         for _ in range(n)
     ]
@@ -289,7 +317,7 @@ def test_scan_block_draws_equal_the_one_sample_stream(dim, n):
     for seed in (0, 1, 7, 123):
         rng = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
-        got = cm.convexity._scan_draws(rng, dim, n, (0.1, 10.0))
+        got = cm.convexity._scan_draws(rng, dim, n)
         assert_same_draws(got, sequential_draws(ref, dim, n))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -323,7 +351,7 @@ def test_scan_block_draws_rewind_past_a_zero_direction(dim):
     # xi of sample 0 fails the norm test: the block is redrawn one helper call at a time
     rng = ZeroFirstNormals(4)
     ref = ZeroFirstNormals(4)
-    got = cm.convexity._scan_draws(rng, dim, 50, (0.1, 10.0))
+    got = cm.convexity._scan_draws(rng, dim, 50)
     assert_same_draws(got, sequential_draws(ref, dim, 50))
     assert rng.zeroed and rng.bit_generator.state == ref.bit_generator.state
 

@@ -209,47 +209,44 @@ def test_cauchy_stress_consistent_with_first_derivative():
 
 def test_volumetric_minimum_and_curvature():
     vol = cm.VolumetricTerm()
-    v = vol.evaluate(1.0)
-    assert v.value == 0.0 and v.d1 == 0.0 and v.d2 == 2.0
+    assert vol.value(1.0) == 0.0 and vol.slope(1.0) == 0.0 and vol.curvature(1.0) == 2.0
 
 
 def test_volumetric_branch_values():
     vol = cm.VolumetricTerm()
     c = np.e + 2.0
     assert vol.c == c
-    ve = vol.evaluate(np.e)
-    assert abs(ve.value - 1.0) <= 1e-15
-    assert abs(ve.d1 - 2.0 / np.e) <= 1e-15
-    assert ve.d2 == (0.0, 0.0)
-    vc = vol.evaluate(c)
-    assert abs(vc.value - 2.4715177646857693) <= 1e-15
-    assert abs(vc.d1 - 2.0 / np.e) <= 1e-15
-    left, right = vc.d2
-    assert left == 0.0 and abs(right - 2.0 / np.e) <= 1e-15
+    assert abs(vol.value(np.e) - 1.0) <= 1e-15
+    assert abs(vol.slope(np.e) - 2.0 / np.e) <= 1e-15
+    assert abs(vol.value(c) - 2.4715177646857693) <= 1e-15
+    assert abs(vol.slope(c) - 2.0 / np.e) <= 1e-15
+    # f'' is one-sided at the splice points: 0 on the band, 2/e just past c
+    inside = np.array([np.nextafter(np.e, np.inf), np.nextafter(c, 0.0)])
+    assert np.array_equal(vol.curvature(inside), [0.0, 0.0])
+    assert abs(vol.curvature(np.nextafter(c, np.inf)) - 2.0 / np.e) <= 1e-15
 
 
 def test_volumetric_constant_slope_band():
     vol = cm.VolumetricTerm()
     for t in np.linspace(np.e, vol.c, 23):
-        assert vol.evaluate(t).d1 == 2.0 / np.e
+        assert vol.slope(t) == 2.0 / np.e
 
 
 def test_volumetric_c1_splices():
     vol = cm.VolumetricTerm()
     h = 1e-8
     for t0 in (np.e, vol.c):
-        below, above = vol.evaluate(t0 - h), vol.evaluate(t0 + h)
-        assert abs(above.value - below.value) <= 1e-7
-        assert abs(above.d1 - below.d1) <= 1e-7
+        assert abs(vol.value(t0 + h) - vol.value(t0 - h)) <= 1e-7
+        assert abs(vol.slope(t0 + h) - vol.slope(t0 - h)) <= 1e-7
 
 
 def test_volumetric_slope_nonzero_away_from_one():
     vol = cm.VolumetricTerm()
     for t in (0.2, 0.7, 1.3, 2.0, np.e, 3.5, vol.c, 5.0, 8.0):
-        assert vol.evaluate(t).d1 != 0.0
+        assert vol.slope(t) != 0.0
     # and convex: curvature is nonnegative on every branch
     for t in (0.2, 0.9, 1.5, 3.0, 5.5, 9.0):
-        assert vol.evaluate(t).d2 >= 0.0
+        assert vol.curvature(t) >= 0.0
 
 
 def test_volumetric_guards():
@@ -257,10 +254,11 @@ def test_volumetric_guards():
         with pytest.raises(cm.InvalidSplice):
             cm.VolumetricTerm(c=c)
     vol = cm.VolumetricTerm()
-    with pytest.raises(cm.NonPositiveArgument):
-        vol.evaluate(0.0)
-    with pytest.raises(cm.NonPositiveArgument):
-        vol.evaluate(-2.0)
+    for f in (vol.value, vol.slope, vol.curvature):
+        with pytest.raises(cm.NonPositiveArgument):
+            f(0.0)
+        with pytest.raises(cm.NonPositiveArgument):
+            f(-2.0)
 
 
 def test_composite_second_form_past_the_exp_overflow():
@@ -274,7 +272,7 @@ def test_composite_second_form_past_the_exp_overflow():
     H = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert E.vol.evaluate(800.0) == (np.inf, np.inf, np.inf)
+        assert E.vol.value(800.0) == E.vol.slope(800.0) == E.vol.curvature(800.0) == np.inf
         assert np.isfinite(E.vol.slope(cm.det(near)))
         q = E.second_form(F, H)
         one = [E.second_form(f, H) for f in F]
@@ -290,7 +288,7 @@ def test_composite_value_splits():
         rng = np.random.default_rng(3)
         F = cm.random_def_gradient(rng, E.dim, (0.6, 1.9))
         d = cm.det(F)
-        expect = iso.value(F / d ** (1.0 / E.dim)) + vol.evaluate(d).value
+        expect = iso.value(F / d ** (1.0 / E.dim)) + vol.value(d)
         assert abs(E.value(F) - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -299,9 +297,9 @@ def test_composite_iso_part_is_scale_invariant_under_the_hood():
     rng = np.random.default_rng(13)
     F = cm.random_def_gradient(rng, 2, (0.6, 1.9))
     # the isochoric summand ignores pure volume changes entirely
-    a = E.value(F) - cm.VolumetricTerm().evaluate(cm.det(F)).value
+    a = E.value(F) - cm.VolumetricTerm().value(cm.det(F))
     G = 1.9 * F
-    b = E.value(G) - cm.VolumetricTerm().evaluate(cm.det(G)).value
+    b = E.value(G) - cm.VolumetricTerm().value(cm.det(G))
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -416,17 +414,16 @@ def test_volumetric_curvature_below_e_overflows_to_inf_without_a_warning():
         warnings.simplefilter("error", RuntimeWarning)
         d2 = vol.curvature(t)
         one = [vol.curvature(s) for s in t]
-        assert vol.evaluate(1e-160).d2 == np.inf
+        assert vol.curvature(1e-160) == np.inf
     assert d2[0] == d2[1] == np.inf and np.isfinite(d2[2]) and np.array_equal(d2, one)
 
 
 def test_volumetric_arrays_match_scalar_evaluate():
     vol = cm.VolumetricTerm()
     t = np.concatenate([np.linspace(0.05, 6.0, 400), [np.e, vol.c]])
-    values = [vol.evaluate(s) for s in t]
-    assert np.array_equal(vol.value(t), [v.value for v in values])
-    assert np.array_equal(vol.slope(t), [v.d1 for v in values])
-    assert np.array_equal(vol.curvature(t[:-2]), [v.d2 for v in values[:-2]])
+    assert np.array_equal(vol.value(t), [vol.value(s) for s in t])
+    assert np.array_equal(vol.slope(t), [vol.slope(s) for s in t])
+    assert np.array_equal(vol.curvature(t[:-2]), [vol.curvature(s) for s in t[:-2]])
     for splice in (np.e, vol.c):
         with pytest.raises(cm.NotDifferentiable, match="one-sided"):
             vol.curvature(np.array([1.0, splice]))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmech as cm
+from test_conformal import AffineMap
 
 
 def conformal_2x2(a, b):
@@ -140,10 +141,13 @@ def test_stress_field_deterministic():
 
 
 def test_affine_reference_check():
+    # constant-gradient control: the field of x -> A x is homogeneous to rounding
     E = cm.builtin_energy("iso2d-psi")
     dom = cm.AnnulusDomain(2, 0.4, 0.9)
-    ok = cm.affine_reference_check(E, np.eye(2), dom, n=50, seed=1)
-    assert ok
+    A = np.array([[1.2, 0.3], [-0.1, 0.9]])
+    samples, summary = cm.stress_field(E, AffineMap(A, np.zeros(2)), dom, n=50, seed=1, tol=1e-14)
+    assert summary.homogeneous and np.all(samples.sigma == E.cauchy_stress(A))
+    assert np.any(samples.sigma != 0.0)
 
 
 def test_field_of_an_energy_that_does_not_take_stacks_is_refused():
@@ -164,7 +168,7 @@ def test_field_of_an_energy_that_does_not_take_stacks_is_refused():
     with pytest.raises(cm.ConfmechError, match=r"value has shape \(\) \(want \(5,\)\)"):
         cm.stress_field(OneMatrixValue(), cm.InversionFlip(2), dom, 5)
     with pytest.raises(cm.ConfmechError, match=r"cauchy_stress has shape \(2, 2\) \(want \(5, 2, 2\)\)"):
-        cm.affine_reference_check(OneStress(), np.eye(2), dom, 5)
+        cm.stress_field(OneStress(), AffineMap(np.eye(2), np.zeros(2)), dom, 5)
 
 
 def test_jump_check_conformal_pair():
