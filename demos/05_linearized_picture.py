@@ -18,8 +18,7 @@ from confmech.tensors import dev, sym
 # 1. A generic kernel member: grad u = <w, x> id + x (x) w - w (x) x
 #    plus a constant conformal part.  Its symmetric trace-free part is
 #    identically zero, hence so is the linearized stress.
-k = cm.KernelDisplacement.from_scalars(beta=1.5, gamma=-0.25, p_hat=0.75, spin=0.5,
-                                       b_hat=(0.3, -0.2))
+k = cm.KernelDisplacement(beta=1.5, gamma=-0.25, p_hat=0.75, spin=0.5, b_hat=(0.3, -0.2))
 x = np.array([0.4, -0.7])
 u, G = cm.kernel_displacement(k, x)
 

@@ -24,14 +24,11 @@ from .exceptions import (
     TooFewSamples,
 )
 from .tensors import (
-    DistortionReport,
     cofactor,
     conformality_residual,
     det,
     dev,
-    distortions,
     frobenius_norm,
-    singular_values,
     svd,
     sym,
     transpose_inverse,
@@ -72,7 +69,6 @@ from .convexity import (
     ks_grid_scan,
     lh_form,
     random_def_gradient,
-    random_rotation,
     rank_one_line_scan,
     ratio_minus_one_squared,
     ratio_minus_one_squared_derivatives,
@@ -102,4 +98,4 @@ from .fields import (
     write_field_csv,
     write_summary_json,
 )
-from .gridplot import DiskRegion, boundary_markers, deform_polylines, grid_polylines, render_grid_svg
+from .gridplot import DiskRegion, grid_polylines, render_grid_svg

@@ -37,7 +37,7 @@ from .convexity import (
     ratio_minus_one_squared_derivatives,
     scan_rank_one_convexity,
 )
-from .energies import BUILTIN_ENERGIES, builtin_energy
+from .energies import BUILTIN_ENERGIES, DEFAULT_C, builtin_energy
 from .exceptions import ConfmechError
 from .fields import (
     AnnulusDomain,
@@ -249,7 +249,7 @@ def _cmd_linearized_demo(args):
     # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
     low = np.array([-2.0] * 6 + [-1.5] * 2)
     draws = np.random.default_rng(args.seed).uniform(low, -low, size=(args.n, len(low)))
-    k = KernelDisplacement.from_scalars(*draws[:, :4].T, b_hat=draws[:, 4:6])
+    k = KernelDisplacement(*draws[:, :4].T, b_hat=draws[:, 4:6])
     _, grads = kernel_displacement(k, draws[:, 6:])
     worst_dev = _max_ignoring_nan(frobenius_norm(dev(sym(grads))))
     worst_sigma = _max_ignoring_nan(frobenius_norm(sigma_lin(grads)))
@@ -288,7 +288,7 @@ def build_parser():
     p = sub.add_parser("stress-field", help="sample a Cauchy stress field over an annulus")
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--map", required=True)
-    p.add_argument("--c", type=float, default=np.e + 2.0, help="volumetric splice point")
+    p.add_argument("--c", type=float, default=DEFAULT_C, help="volumetric splice point")
     p.add_argument("--n", type=count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=tolerance, default=None, help="homogeneity tolerance")
@@ -299,7 +299,7 @@ def build_parser():
 
     p = sub.add_parser("check-convexity", help="Monte-Carlo rank-one convexity scan")
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
-    p.add_argument("--c", type=float, default=np.e + 2.0)
+    p.add_argument("--c", type=float, default=DEFAULT_C)
     p.add_argument("--samples", type=count, default=10000)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)

@@ -203,8 +203,8 @@ class InversionFlip(DeformationMap):
 
     In 2D this is the complex reciprocal z -> 1/z. Equals the unit-sphere
     inversion followed by a reflection of the second coordinate, hence
-    orientation preserving; gradient and determinant are hard coded:
-    det grad = |x|^{-4} in 2D and |x|^{-6} in 3D.  Both take stacks of points.
+    orientation preserving, with det grad = |x|^{-4} in 2D and |x|^{-6} in
+    3D.  The gradient is hard coded; evaluate and gradient take stacks of points.
     """
 
     def __init__(self, dim):
@@ -242,10 +242,6 @@ class InversionFlip(DeformationMap):
                 [-2.0 * x1 * x3, -2.0 * x2 * x3, rho - 2.0 * x3 * x3],
             ]
         return from_entries(rows) / libm_pow(rho, 2.0)[..., None, None]
-
-    def det_gradient(self, x):
-        rho = self._rho(_as_point(x, self.dim, stack=True))
-        return libm_pow(rho, -2.0 if self.dim == 2 else -3.0)
 
     def as_reflections(self):
         """The same map as an explicit two-reflection composition (cross-check)."""

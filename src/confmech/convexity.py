@@ -11,11 +11,11 @@ Three complementary instruments:
   convex/non-decreasing criterion on the ratio profile h (h_criterion).
 
 lh_form takes one (F, xi, eta) or stacks of them, in one second_form
-call.  The scan draws each sample in two generator calls, which give the
-values of the one-sample helpers random_def_gradient, random_rotation and
-_direction in their order, builds F as a stack and evaluates the LH form
-once.  knowles_sternberg takes one pair of stretches or arrays of them, in
-one body, so ks_grid_scan evaluates its whole grid at once.  A line scan
+call.  The scan draws each sample in two generator calls, the first giving
+the values of random_def_gradient's draws and the second xi and eta,
+builds F as a stack and evaluates the LH form once.  knowles_sternberg
+takes one pair of stretches or arrays of them, in one body, so
+ks_grid_scan evaluates its whole grid at once.  A line scan
 evaluates the energy once, on the stack of its points, and the h
 criterion calls h once, on the array of its samples.
 
@@ -300,55 +300,30 @@ def _def_gradients(log_stretches, angles1, angles2):
     return _rotations(angles1) @ (lams[..., None, :] * np.eye(lams.shape[-1])) @ _rotations(angles2)
 
 
-def random_rotation(rng, dim):
-    """Rotation from uniform angles (2D) or uniform Euler angles (3D)."""
-    return _rotations(_angles(rng, dim))
-
-
 def random_def_gradient(rng, dim, stretch_range=STRETCH_RANGE):
     """Q1 diag(l) Q2 with log-uniform stretches; always in GL+."""
     return _def_gradients(*_def_gradient_draws(rng, dim, stretch_range))
 
 
-def _direction(rng, dim):
-    """A standard normal vector, drawn again until its norm exceeds 1e-8; not normalized."""
-    while True:
-        v = rng.standard_normal(dim)
-        if math.sqrt(v @ v) > 1e-8:
-            return v
-
-
 def _scan_draws(rng, dim, n_samples):
     """Stacks (log-stretches, angles1, angles2, xi, eta) of n_samples scan samples.
 
-    The values are those of sequential _def_gradient_draws, _direction,
-    _direction calls, drawn in two generator calls per sample: one
-    rng.random for the log-stretches and both angle sets, scaled afterwards
-    by Generator.uniform's own formula low + (high - low) u, and one
-    rng.standard_normal for xi and eta.  Where some xi or eta fails
-    _direction's norm test (p ~ 1e-16 a sample), the generator is rewound
-    and the samples are drawn again through those helpers, which redraw it.
+    Two generator calls per sample: one rng.random for the log-stretches
+    and both angle sets, scaled afterwards by Generator.uniform's own
+    formula low + (high - low) u, so that they are the values of
+    _def_gradient_draws, then one rng.standard_normal for xi and eta.
     """
     a = 1 if dim == 2 else 3
-    start = rng.bit_generator.state
     U = np.empty((n_samples, dim + 2 * a))
     N = np.empty((n_samples, 2 * dim))
     for i in range(n_samples):
         rng.random(out=U[i])
         rng.standard_normal(out=N[i])
-    directions = N.reshape(-1, dim)  # xi and eta of each sample
-    if np.all(np.sqrt(np.vecdot(directions, directions)) > 1e-8):
-        lo, hi = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
-        low = np.array([lo] * dim + [0.0] * (2 * a))
-        high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
-        U = low + (high - low) * U
-        return U[:, :dim], U[:, dim:dim + a], U[:, dim + a:], N[:, :dim], N[:, dim:]
-    rng.bit_generator.state = start
-    draws = [
-        (*_def_gradient_draws(rng, dim, STRETCH_RANGE), _direction(rng, dim), _direction(rng, dim))
-        for _ in range(n_samples)
-    ]
-    return tuple(np.array(column) for column in zip(*draws))
+    lo, hi = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
+    low = np.array([lo] * dim + [0.0] * (2 * a))
+    high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
+    U = low + (high - low) * U
+    return U[:, :dim], U[:, dim:dim + a], U[:, dim + a:], N[:, :dim], N[:, dim:]
 
 
 @dataclass(frozen=True)
@@ -364,8 +339,8 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
 
     Deterministic for a fixed seed (numpy default_rng).  Each sample draws
     F, with stretches log-uniform in STRETCH_RANGE, then xi, then eta, in
-    the order of the one-sample helpers (_scan_draws), and the LH form is
-    evaluated once on the whole stack.  The minimum and the three witnesses
+    two generator calls (_scan_draws), and the LH form is evaluated once on
+    the whole stack.  The minimum and the three witnesses
     are taken over the values that are not NaN (an overflowing second form
     gives NaN), ties in sample order; with no such value the verdict is
     "inconclusive".  The verdict band is +-MARGIN.  A negative minimum below

@@ -47,6 +47,9 @@ from .tensors import (
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-4
 
+# default splice point c of the volumetric term's constant-slope band [e, c]
+DEFAULT_C = np.e + 2.0
+
 # singular value ratios closer to 1 than this are treated as coincident
 TIE_GAP = 1e-12
 NEAR_TIE_GAP = 1e-8
@@ -154,7 +157,7 @@ class DistortionEnergy(EnergyModel):
     dpsi, d2psi : callables
         Analytic first and second derivatives of psi.
 
-    psi, dpsi and d2psi are called on an array of distortions K for a stack
+    psi, dpsi and d2psi are called on an array of distortion values K for a stack
     and must broadcast (a constant is broadcast to the shape of K).
     """
 
@@ -409,7 +412,7 @@ class VolumetricTerm:
     raises NotDifferentiable there.
     """
 
-    def __init__(self, c=np.e + 2.0):
+    def __init__(self, c=DEFAULT_C):
         if not (np.isfinite(c) and c > np.e):
             raise InvalidSplice("splice point c = %r must be finite and strictly above e" % (c,))
         self.c = float(c)
@@ -534,7 +537,7 @@ class CompositeEnergy(EnergyModel):
 BUILTIN_ENERGIES = ("iso2d-klin2", "iso2d-psi", "iso3d", "composite2d", "composite3d")
 
 
-def builtin_energy(name, c=np.e + 2.0):
+def builtin_energy(name, c=DEFAULT_C):
     """Construct one of the named energies used by the command line tools."""
     if name == "iso2d-klin2":
         return linear_distortion_squared()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning, InvalidSplice
-from .energies import CompositeEnergy, _values
+from .energies import DEFAULT_C, CompositeEnergy, _values
 from .conformal import fd_gradient
 from .tensors import as_square, det, require_gl_plus
 
@@ -90,7 +90,7 @@ class AnnulusDomain:
         return ball * (1.0 - (self.r_min / self.r_max) ** self.dim)
 
 
-def admissible_annulus(map_kind, c=np.e + 2.0):
+def admissible_annulus(map_kind, c=DEFAULT_C):
     """Annulus on which det grad phi spans exactly [e, c] for the builtin maps.
 
     map_kind "phi2d" (det = |x|^{-4}) or "phi3d" (det = |x|^{-6}); endpoints
@@ -232,6 +232,10 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
     return samples, summary
 
 
+# |F1| + |F2| at most: det(F1 - F2) and the squared similarity terms stay finite
+JUMP_NORM_MAX = 1e100
+
+
 @dataclass(frozen=True)
 class JumpReport:
     f1: np.ndarray
@@ -259,17 +263,21 @@ def jump_check(F1, F2, tol=1e-9):
     both matrices are planar similarities [[a, b], [-b, a]], det(F1 - F2)
     decomposes as (a1-a2)^2 + (b1-b2)^2, reported in det_square_terms; it
     is positive whenever F1 != F2, so the jump has full rank and the two
-    states are never rank-one connected.
+    states are never rank-one connected.  |F1| + |F2| above JUMP_NORM_MAX
+    (or NaN) is refused with a ConfmechError before any product of entries
+    could overflow.
     """
     F1 = as_square(F1)
     F2 = as_square(F2)
     if F1.shape != F2.shape:
         raise ValueError("gradients must have the same shape")
+    e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
+    n1, n2 = math.hypot(*e1), math.hypot(*e2)
+    if not n1 + n2 <= JUMP_NORM_MAX:
+        raise ConfmechError("jump too large: |F1| + |F2| = %r exceeds %r" % (n1 + n2, JUMP_NORM_MAX))
     D = F1 - F2
     # LAPACK's bits are the reported singular values
     svals = np.linalg.svd(D, compute_uv=False)
-    e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
-    n1, n2 = math.hypot(*e1), math.hypot(*e2)
     thresh = tol * (1.0 + n1 + n2)
     rank = sum(v > thresh for v in svals.tolist())
     square_terms = None

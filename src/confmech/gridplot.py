@@ -1,8 +1,8 @@
 """Reference/deformed grid pictures as standalone SVG files.
 
-Purely cosmetic output: the geometry helpers (polyline generation and their
-images under a map) carry the testable content, the SVG writer just draws
-two panels side by side.  Grid lines are clipped to a disk region and
+Purely cosmetic output: the polylines and their images under a map, which
+render_grid_svg returns, carry the testable content; the SVG just draws
+them in two panels side by side.  Grid lines are clipped to a disk region and
 sampled with a fixed number of points per line so curved images stay smooth.
 Each polyline is mapped by one evaluate call on its stack of vertices,
 and each is scaled to SVG coordinates and formatted as one array.
@@ -55,20 +55,6 @@ def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     return lines
 
 
-def boundary_markers(region):
-    """Marker points: 8 boundary points at equal angles plus the center."""
-    cx, cy = region.center
-    r = region.radius
-    ang = np.arange(8) * (2.0 * np.pi / 8)
-    pts = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
-    return pts, np.array([cx, cy])
-
-
-def deform_polylines(mapping, polylines):
-    """Image of every polyline vertex under the map, one evaluate call per polyline."""
-    return [mapping.evaluate(line) for line in polylines]
-
-
 def _bounds(point_groups):
     """The box of all points, padded by 5 % of its span on each side."""
     allpts = np.vstack([np.vstack(g) for g in point_groups if g])
@@ -115,8 +101,12 @@ def render_grid_svg(mapping, region, out_path, spacing=0.0147, samples_per_line=
     the geometry without parsing the file.
     """
     ref = grid_polylines(region, spacing, samples_per_line)
-    img = deform_polylines(mapping, ref)
-    ref_marks, ref_center = boundary_markers(region)
+    img = [mapping.evaluate(line) for line in ref]
+    # markers: 8 boundary points at equal angles, and the center
+    (cx, cy), r = region.center, region.radius
+    ang = np.arange(8) * (2.0 * np.pi / 8)
+    ref_marks = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
+    ref_center = np.array([cx, cy])
     img_marks = mapping.evaluate(ref_marks)
     img_center = mapping.evaluate(ref_center)
 

@@ -52,28 +52,22 @@ def w_lin_3d_composite(grad_u):
 
 @dataclass(frozen=True)
 class KernelDisplacement:
-    """Parameters (beta, gamma, p_hat, A_hat, b_hat) of a planar conformal Killing field.
+    """Parameters (beta, gamma, p_hat, spin, b_hat) of a planar conformal Killing field.
 
-    One field, or a stack of them: beta, gamma and p_hat of shape (...),
-    a_hat (..., 2, 2) and b_hat (..., 2).
+    The skew part is A = [[0, spin], [-spin, 0]].  One field, or a
+    stack of them: beta, gamma, p_hat and spin of shape (...), b_hat (..., 2).
     """
 
     beta: float
     gamma: float
     p_hat: float
-    a_hat: np.ndarray  # skew 2x2, one free parameter
+    spin: float
     b_hat: np.ndarray
 
     def __post_init__(self):
-        A = as_square(self.a_hat, stack=True)
-        if A.shape[-1] != 2 or np.any(np.abs(A[..., 0, 0]) > 1e-12) \
-                or np.any(np.abs(A[..., 1, 1]) > 1e-12) \
-                or np.any(np.abs(A[..., 0, 1] + A[..., 1, 0]) > 1e-12):
-            raise ValueError("a_hat must be a skew-symmetric 2x2 matrix")
         b = np.asarray(self.b_hat, dtype=float)
         if b.shape[-1:] != (2,):
             raise ValueError("b_hat must be a 2-vector")
-        object.__setattr__(self, "a_hat", A)
         object.__setattr__(self, "b_hat", b)
 
     @property
@@ -81,17 +75,11 @@ class KernelDisplacement:
         """The quadratic-part direction vector (-gamma, beta)."""
         return np.stack([-np.asarray(self.gamma, float), np.asarray(self.beta, float)], axis=-1)
 
-    @classmethod
-    def from_scalars(cls, beta=0.0, gamma=0.0, p_hat=0.0, spin=0.0, b_hat=(0.0, 0.0)):
-        zero = np.zeros_like(spin, dtype=float)
-        A = from_entries([[zero, spin], [-np.asarray(spin, float), zero]])
-        return cls(beta=beta, gamma=gamma, p_hat=p_hat, a_hat=A, b_hat=np.asarray(b_hat, float))
-
 
 def kernel_displacement(k, x):
     """Evaluate a kernel field: returns (u, grad_u) with the gradient in closed form.
 
-    grad u = <w, x> id + x (x) w - w (x) x + p_hat id + A_hat, whose
+    grad u = <w, x> id + x (x) w - w (x) x + p_hat id + A, whose
     symmetrized trace-free part vanishes identically.  x is one point or a
     stack (..., 2), and k one field or a stack of fields that broadcasts
     against it; dots are vecdot (BLAS ddot) and M x is matvec, as for one point.
@@ -102,10 +90,12 @@ def kernel_displacement(k, x):
     w = k.w
     wx = np.vecdot(w, x)[..., None]
     p_id = np.asarray(k.p_hat, float)[..., None, None] * np.eye(2)
-    u = 0.5 * (2.0 * wx * x - w * np.vecdot(x, x)[..., None]) + np.matvec(p_id + k.a_hat, x) + k.b_hat
+    zero = np.zeros_like(k.spin, dtype=float)
+    A = from_entries([[zero, k.spin], [-np.asarray(k.spin, float), zero]])
+    u = 0.5 * (2.0 * wx * x - w * np.vecdot(x, x)[..., None]) + np.matvec(p_id + A, x) + k.b_hat
     outer_xw = x[..., :, None] * w[..., None, :]
     outer_wx = w[..., :, None] * x[..., None, :]
-    grad = wx[..., None] * np.eye(2) + outer_xw - outer_wx + p_id + k.a_hat
+    grad = wx[..., None] * np.eye(2) + outer_xw - outer_wx + p_id + A
     return u, grad
 
 
@@ -115,7 +105,7 @@ def conformal_quadratic_approx():
     u = (1/2)[2<w,x>x - w|x|^2] + p x + b with w = (16, 0), p = -13 and
     b = (6, 0); w = (-gamma, beta).
     """
-    return KernelDisplacement.from_scalars(gamma=-16.0, p_hat=-13.0, b_hat=(6.0, 0.0))
+    return KernelDisplacement(beta=0.0, gamma=-16.0, p_hat=-13.0, spin=0.0, b_hat=(6.0, 0.0))
 
 
 def quadratic_approx_error(radius=0.15, seed=0):

@@ -3,12 +3,13 @@
 Determinants and cofactors are written out entry by entry on the matrix
 axes moved to the front, so they take one matrix or a stack of shape
 (..., n, n) alike, with scalar arithmetic for one matrix.
-Singular values come from numpy's SVD (LAPACK) of the matrix itself, never
-from M^T M, which would square the small ones away.  Only the planar ratio
-energy keeps a closed-form 2x2 route (eig_sym, svd); its arithmetic pins
-field CSV bytes.  Both take one matrix or a stack (..., 2, 2) in one body:
-branches go through np.where, products through stacked matmuls and dots
-through vecdot, so each matrix of a stack gets the bits it gets alone.
+The planar ratio energy takes its singular values from a closed-form 2x2
+route (eig_sym, svd) whose arithmetic pins field CSV bytes; elsewhere they
+come from numpy's SVD of the matrix itself (jump_check), never from M^T M,
+which would square the small ones away.  eig_sym and svd take one matrix or
+a stack (..., 2, 2) in one body: branches go through np.where, products
+through stacked matmuls and dots through vecdot, so each matrix of a stack
+gets the bits it gets alone.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -17,7 +18,6 @@ axes, which adds each matrix's entries in the order np.sum takes for one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,13 +208,6 @@ def eig_sym(S):
     return (np.moveaxis(w, 0, -1) if w.ndim > 1 else w), V
 
 
-def singular_values(F):
-    """Singular values of F in GL+, descending. Raises NotInGLPlus otherwise."""
-    F = as_square(F)
-    require_gl_plus(F)
-    return np.linalg.svd(F, compute_uv=False)
-
-
 def svd(F):
     """Deterministic SVD of F in GL+(2), or of each matrix of a stack (..., 2, 2).
 
@@ -247,24 +240,3 @@ def conformality_residual(F):
     C = np.swapaxes(F, -2, -1) @ F
     r = np.sqrt(np.sum((C / libm_pow(d, 2.0 / n)[..., None, None] - np.eye(n)) ** 2, axis=(-2, -1)))
     return float(r) if F.ndim == 2 else r
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    big_K: float  # ||F||^2 / (n det^{2/n}); equals  ||F||^2 / (2 det)  for n = 2
-    lin_K: float  # lambda_max / lambda_min; equals opnorm^2 / det for n = 2
-    conformality_residual: float
-
-
-def distortions(F):
-    """Distortion measures of F in GL+. Both K's are >= 1, = 1 exactly on CSO(n)."""
-    F = as_square(F)
-    n = F.shape[0]
-    d = require_gl_plus(F)
-    big = float(np.sum(F * F) / (n * d ** (2.0 / n)))
-    s = singular_values(F)
-    return DistortionReport(
-        big_K=big,
-        lin_K=float(s[0] / s[-1]),
-        conformality_residual=conformality_residual(F),
-    )

@@ -123,7 +123,7 @@ def _fd_valid_sample(rng, E):
     while True:
         F = cm.random_def_gradient(rng, E.dim, (0.5, 2.0))
         if E.dim == 2:
-            s = cm.singular_values(F)
+            s = np.linalg.svd(F, compute_uv=False)
             if (s[0] - s[1]) / s[0] < 0.05:
                 continue
         d = cm.det(F)
@@ -186,7 +186,7 @@ def test_criterion_07_linearized_kernel():
     rng = np.random.default_rng(5)
     worst_dev = worst_sig = 0.0
     for _ in range(10000):
-        k = cm.KernelDisplacement.from_scalars(
+        k = cm.KernelDisplacement(
             beta=rng.uniform(-5, 5),
             gamma=rng.uniform(-5, 5),
             p_hat=rng.uniform(-5, 5),

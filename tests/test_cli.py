@@ -372,6 +372,22 @@ def test_jump_check_bad_matrix_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_jump_check_refuses_a_jump_that_would_overflow(capsys):
+    # finite entries whose difference or its products overflow ended in an
+    # OverflowError, in "Infinity" in the JSON, or in NaN singular values
+    for f1, f2 in (
+        ("1e200,0,0,1e200", "1,0,0,1"),
+        ("1e200,0,0,1e200", "1,2,3,4"),
+        ("1e308,1e308,1e308,1e308", "-1e308,-1e308,-1e308,-1e308"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["jump-check", "--f1", f1, "--f2=" + f2])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("confmech jump-check: error: jump too large")
+
+
 def test_render_grid(capsys, tmp_path):
     out_path = tmp_path / "fig.svg"
     code, out = run(

@@ -1,13 +1,17 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and
+every name the package exports is read by code a user runs."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "confmech"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "confmech"
 # __init__ imports its names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# what a user runs: the package's other modules, the demos and the benchmark
+READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,3 +35,37 @@ def test_unused_imports_finds_a_dead_import():
 def test_module_uses_every_name_it_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, "%s imports %s and never uses it" % (path.name, ", ".join(unused))
+
+
+def exported_names(source):
+    """The names that source binds by `from ... import`, in source order."""
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def read_names(source):
+    """The names that source reads, as a Name or as the attribute of an Attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_read_names_sees_names_and_attributes():
+    source = "import confmech as cm\nx = cm.svd(y)\nz.det = 1\n"
+    assert read_names(source) == {"cm", "svd", "y", "z"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    unread = [name for name in exported_names((SRC / "__init__.py").read_text()) if name not in read]
+    assert not unread, "confmech exports %s, which no module, demo or benchmark reads" % (
+        ", ".join(unread)
+    )

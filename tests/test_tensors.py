@@ -9,6 +9,16 @@ import confmech as cm
 from confmech.tensors import eig_sym
 
 
+def random_rotation(rng, dim):
+    """A rotation from the draws of one rotation of random_def_gradient."""
+    return cm.convexity._rotations(cm.convexity._angles(rng, dim))
+
+
+def jump_singular_values(F):
+    """The singular values jump_check reports for F, the jump from the zero matrix."""
+    return cm.jump_check(F, np.zeros_like(F)).difference_singular_values
+
+
 def test_det_and_cofactor_2x2():
     F = np.array([[2.0, 1.0], [0.5, 3.0]])
     assert cm.det(F) == 5.5
@@ -33,9 +43,9 @@ def test_inverse_and_transpose_inverse():
 
 def test_gl_plus_guard():
     with pytest.raises(cm.NotInGLPlus):
-        cm.singular_values(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        cm.svd(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(cm.NotInGLPlus):
-        cm.singular_values(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        cm.svd(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_sym_dev_tr_decomposition():
@@ -75,12 +85,12 @@ def test_eig_sym_dispatch():
 
 def test_singular_values_and_operator_norm():
     F = np.diag([2.0, 1.0])
-    s = cm.singular_values(F)
+    s = jump_singular_values(F)
     assert np.allclose(s, [2.0, 1.0])
     assert s[0] == 2.0
     assert cm.frobenius_norm(F) == np.sqrt(5.0)
     # ties are not special-cased: duplicates allowed, descending order kept
-    s_tie = cm.singular_values(1.5 * np.eye(3))
+    s_tie = jump_singular_values(1.5 * np.eye(3))
     assert s_tie[0] >= s_tie[1] >= s_tie[2]
     assert np.allclose(s_tie, 1.5)
 
@@ -104,10 +114,10 @@ def test_graded_singular_values_are_not_squared_away():
     for graded in ([1.0, 1e-9], [1.0, 1e-4, 1e-9]):
         dim = len(graded)
         for _ in range(20):
-            F = cm.random_rotation(rng, dim) @ np.diag(graded) @ cm.random_rotation(rng, dim)
-            s = cm.singular_values(F)
+            F = random_rotation(rng, dim) @ np.diag(graded) @ random_rotation(rng, dim)
+            s = jump_singular_values(F)
             assert np.all(np.abs(s - graded) <= 1e-5 * np.asarray(graded))
-            lin_K = cm.distortions(F).lin_K
+            lin_K = s[0] / s[-1]
             assert np.isfinite(lin_K) and abs(lin_K - 1e9) <= 1e-5 * 1e9
 
 
@@ -117,7 +127,7 @@ def test_closed_form_svd_of_graded_matrices():
     rng = np.random.default_rng(32)
     E = cm.builtin_energy("iso2d-klin2")
     for _ in range(20):
-        F = cm.random_rotation(rng, 2) @ np.diag([1.0, 1e-9]) @ cm.random_rotation(rng, 2)
+        F = random_rotation(rng, 2) @ np.diag([1.0, 1e-9]) @ random_rotation(rng, 2)
         U, s, V = cm.svd(F)
         ref = np.linalg.svd(F, compute_uv=False)
         assert abs(s[1] - ref[1]) <= 1e-14 * ref[0]
@@ -125,49 +135,25 @@ def test_closed_form_svd_of_graded_matrices():
         assert abs(E.value(F) - (ref[0] / ref[1]) ** 2) <= 1e-5 * 1e18
 
 
-def test_distortions_identity_and_diag():
-    d_id = cm.distortions(np.eye(2))
-    assert d_id.big_K == 1.0 and d_id.lin_K == 1.0
-    assert d_id.conformality_residual == 0.0
-    d = cm.distortions(np.diag([2.0, 1.0]))
-    assert d.big_K == 1.25
-    assert d.lin_K == 2.0
-
-
-def test_distortions_scaled_rotation_is_conformal():
-    th = 0.7
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    d = cm.distortions(4.0 * R)
-    assert abs(d.big_K - 1.0) <= 1e-12
-    assert abs(d.lin_K - 1.0) <= 1e-12
-    assert d.conformality_residual <= 1e-12
-
-
 def test_distortions_planar_identity_links_big_and_lin():
+    # the two builtin planar families agree: with K = ||F||^2 / (2 det F) from
+    # iso2d-psi = K - 1 and s = lmax / lmin from iso2d-klin2 = s^2 - 1, s = K + sqrt(K^2 - 1)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        F = cm.random_def_gradient(rng, 2, (0.2, 5.0))
-        d = cm.distortions(F)
-        expect = d.big_K + np.sqrt(max(d.big_K**2 - 1.0, 0.0))
-        assert abs(d.lin_K - expect) <= 1e-10 * max(1.0, expect)
-
-
-def test_distortions_lower_bounds():
-    rng = np.random.default_rng(9)
-    for dim in (2, 3):
-        for _ in range(200):
-            F = cm.random_def_gradient(rng, dim, (0.1, 10.0))
-            d = cm.distortions(F)
-            assert d.big_K >= 1.0 - 1e-12
-            assert d.lin_K >= 1.0 - 1e-12
+    F = np.stack([cm.random_def_gradient(rng, 2, (0.2, 5.0)) for _ in range(200)])
+    K = cm.builtin_energy("iso2d-psi").value(F) + 1.0
+    s = np.sqrt(cm.builtin_energy("iso2d-klin2").value(F) + 1.0)
+    assert np.all(K >= 1.0) and np.all(s >= 1.0)
+    expect = K + np.sqrt(K * K - 1.0)
+    assert np.all(np.abs(s - expect) <= 1e-12 * expect)
 
 
 def test_conformality_residual_zero_iff_conformal():
     assert cm.conformality_residual(np.array([[1.0, -1.0], [1.0, 1.0]])) == 0.0
     r = cm.conformality_residual(np.diag([2.0, 1.0]))
     assert r > 0.1
-    d = cm.distortions(np.diag([2.0, 1.0]))
-    assert (d.conformality_residual <= 1e-12) == (abs(d.big_K - 1.0) <= 1e-12)
+    # K = ||F||^2 / (2 det F), the distortion of the iso2d-psi energy K - 1
+    K = cm.builtin_energy("iso2d-psi").value(np.diag([2.0, 1.0])) + 1.0
+    assert (r <= 1e-12) == (abs(K - 1.0) <= 1e-12)
 
 
 @pytest.mark.parametrize("n_stack", [1, 257])
