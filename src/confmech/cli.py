@@ -339,19 +339,27 @@ def build_parser():
     return parser
 
 
+def _strict_json(payload):
+    """payload as indented JSON; a ConfmechError if it holds NaN or an infinity, not JSON."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfmechError("the result is not valid JSON: %s" % exc) from None
+
+
 def main(argv=None):
     """Run one subcommand, write its payload and return its exit code.
 
-    A dict payload goes out as indented JSON, to the JSON --out file (dest
-    json_out) or to stdout; a text payload is printed.  A ConfmechError or
-    OSError, from the command or the file write, exits 2 through its own
-    parser; stdout is written outside that route, so a closed pipe is not
-    reported as a usage error.
+    A dict payload goes out as strict indented JSON, to the JSON --out file
+    (dest json_out) or to stdout; a text payload is printed.  A ConfmechError
+    or OSError, from the command, the JSON or the file write, exits 2 through
+    its own parser; stdout is written outside that route, so a closed pipe is
+    not reported as a usage error.
     """
     args = build_parser().parse_args(argv)
     try:
         payload, ok = args.func(args)
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+        text = payload if isinstance(payload, str) else _strict_json(payload)
         out = getattr(args, "json_out", None)
         if out:
             with open(out, "w") as fh:

@@ -227,7 +227,7 @@ class InversionFlip(DeformationMap):
 
     def _jacobian(self, x):
         rho = self._rho(x)
-        coords = np.moveaxis(x, -1, 0)
+        coords = x.transpose(-1, *range(x.ndim - 1))  # a view, the coordinates first
         if self.dim == 2:
             x1, x2 = coords
             rows = [

@@ -277,7 +277,8 @@ def _angles(rng, dim):
 
 def _rotations(angles):
     """The rotation of angles (..., 1) in 2D or of Euler angles (..., 3) in 3D; one or a stack."""
-    c, s = np.moveaxis(np.cos(angles), -1, 0), np.moveaxis(np.sin(angles), -1, 0)
+    axes = (-1, *range(angles.ndim - 1))  # views, the angles first
+    c, s = np.cos(angles).transpose(axes), np.sin(angles).transpose(axes)
     if len(c) == 1:
         return from_entries([[c[0], -s[0]], [s[0], c[0]]])
     (ca, cb, cg), (sa, sb, sg) = c, s

@@ -33,6 +33,7 @@ import numpy as np
 from .exceptions import ConfmechError, InvalidSplice, NonPositiveArgument, NotDifferentiable
 from .tensors import (
     _entries,
+    _singular_values,
     _stack_note,
     as_square,
     cofactor,
@@ -41,6 +42,7 @@ from .tensors import (
     libm_pow,
     require_gl_plus,
     svd,
+    transpose,
     transpose_inverse,
 )
 
@@ -145,7 +147,7 @@ class EnergyModel:
         """sigma = D_F W F^T / det F."""
         F = self._check_dim(F)
         d = require_gl_plus(F)
-        return (self.first_derivative(F) @ np.swapaxes(F, -2, -1)) / d[..., None, None]
+        return (self.first_derivative(F) @ transpose(F)) / d[..., None, None]
 
 
 class DistortionEnergy(EnergyModel):
@@ -205,7 +207,7 @@ class DistortionEnergy(EnergyModel):
         fh = inner(F, H)
         gh = inner(FiT, H)
         hh = inner(H, H)
-        ghh = inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H)
+        ghh = inner(FiT @ transpose(H) @ FiT, H)
         dK = 0.5 * (2.0 * fh - n2 * gh) / d
         d2K = 0.5 * (2.0 * hh - 4.0 * fh * gh + n2 * gh * gh + n2 * ghh) / d
         psi_2 = self._psi_d(self.d2psi, K, "psi''")
@@ -217,7 +219,7 @@ class DistortionEnergy(EnergyModel):
         K, d = self._distortion(F)
         dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
         det_sq = libm_pow(d, 2.0)[..., None, None]
-        return dpsi * (F @ np.swapaxes(F, -2, -1) / det_sq - (K / d)[..., None, None] * np.eye(2))
+        return dpsi * (F @ transpose(F) / det_sq - (K / d)[..., None, None] * np.eye(2))
 
 
 def _ratio_g_partials(h1, h2, s, lam2):
@@ -240,7 +242,7 @@ def _principal_second_form(g1, g2, g11, g22, g12, U, s, V, H):
     (li gi - lj gj)/(li^2 - lj^2) and (lj gi - li gj)/(li^2 - lj^2).
     U, V, H are stacks (..., 2, 2), s (..., 2), the g's one value per matrix.
     """
-    Ht = _entries(np.swapaxes(U, -2, -1) @ H @ V)
+    Ht = _entries(transpose(U) @ H @ V)
     s0, s1 = s[..., 0], s[..., 1]
     quad = (
         g11 * libm_pow(Ht[0, 0], 2.0)
@@ -284,7 +286,7 @@ class PlanarRatioEnergy(EnergyModel):
         self.label = label
 
     def value(self, F):
-        U, s, V = svd(self._check_dim(F))
+        s, _ = _singular_values(self._check_dim(F))
         return _profile(self.h, s[..., 0] / s[..., 1])
 
     def first_derivative(self, F):
@@ -386,7 +388,7 @@ class IsochoricNeoHooke(EnergyModel):
             -(8.0 / 3.0) * gh * fh / scale
             + 2.0 * inner(H, H) / scale
             + (4.0 / 9.0) * n2s * gh * gh
-            + (2.0 / 3.0) * n2s * inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H)
+            + (2.0 / 3.0) * n2s * inner(FiT @ transpose(H) @ FiT, H)
         )
 
     def cauchy_stress(self, F):
@@ -394,7 +396,7 @@ class IsochoricNeoHooke(EnergyModel):
         d = require_gl_plus(F)
         scale = libm_pow(d, 5.0 / 3.0)[..., None, None]
         n2 = inner(F, F)[..., None, None]
-        return 2.0 * (F @ np.swapaxes(F, -2, -1)) / scale - (2.0 / 3.0) * n2 / scale * np.eye(3)
+        return 2.0 * (F @ transpose(F)) / scale - (2.0 / 3.0) * n2 / scale * np.eye(3)
 
 
 class VolumetricTerm:
@@ -504,10 +506,20 @@ class CompositeEnergy(EnergyModel):
         d = require_gl_plus(F)
         return self.iso.value(F / libm_pow(d, 1.0 / self.dim)[..., None, None]) + self.vol.value(d)
 
-    def first_derivative(self, F):
+    def _checked_slope(self, F):
+        """F checked, and f'(det F), refused where it is +inf (inf * 0 is NaN): past c + 709."""
         F = self._check_dim(F)
         d = require_gl_plus(F)
-        return self.iso.first_derivative(F) + self.vol.slope(d)[..., None, None] * cofactor(F)
+        slope = self.vol.slope(d)
+        i = first_true(np.isinf(slope))
+        if i is not None:
+            at = (float(np.ravel(d)[i]), _stack_note(d, i))
+            raise ConfmechError("det F = %r is past the volumetric exp overflow at c + 709%s" % at)
+        return F, slope[..., None, None]
+
+    def first_derivative(self, F):
+        F, slope = self._checked_slope(F)
+        return self.iso.first_derivative(F) + slope * cofactor(F)
 
     def second_form(self, F, H):
         F = self._check_dim(F)
@@ -518,7 +530,7 @@ class CompositeEnergy(EnergyModel):
         gh = inner(FiT, H)
         cof_h = d * gh
         # D^2 det[H,H] = det (  <F^{-T},H>^2 - <F^{-T} H^T F^{-T}, H> )
-        det_curv = d * (gh * gh - inner(FiT @ np.swapaxes(H, -2, -1) @ FiT, H))
+        det_curv = d * (gh * gh - inner(FiT @ transpose(H) @ FiT, H))
         iso, slope = self.iso.second_form(F, H), self.vol.slope(d)
         # near t = c + 709, f'' * cof_h^2 may overflow to +inf, its value; past
         # it f' = f'' = inf, det_curv is rounding noise (zero for a rank-one H)
@@ -529,9 +541,8 @@ class CompositeEnergy(EnergyModel):
             return np.where(np.isinf(slope), iso + slope * (cof_h * cof_h + det_curv), form)[()]
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
-        return self.iso.cauchy_stress(F) + self.vol.slope(d)[..., None, None] * np.eye(self.dim)
+        F, slope = self._checked_slope(F)
+        return self.iso.cauchy_stress(F) + slope * np.eye(self.dim)
 
 
 BUILTIN_ENERGIES = ("iso2d-klin2", "iso2d-psi", "iso3d", "composite2d", "composite3d")

@@ -4,12 +4,12 @@ Determinants and cofactors are written out entry by entry on the matrix
 axes moved to the front, so they take one matrix or a stack of shape
 (..., n, n) alike, with scalar arithmetic for one matrix.
 The planar ratio energy takes its singular values from a closed-form 2x2
-route (eig_sym, svd) whose arithmetic pins field CSV bytes; elsewhere they
-come from numpy's SVD of the matrix itself (jump_check), never from M^T M,
-which would square the small ones away.  eig_sym and svd take one matrix or
-a stack (..., 2, 2) in one body: branches go through np.where, products
-through stacked matmuls and dots through vecdot, so each matrix of a stack
-gets the bits it gets alone.
+route (_singular_values, svd) whose arithmetic pins field CSV bytes;
+elsewhere from numpy's SVD of the matrix itself (jump_check), never from
+M^T M, which would square the small ones away.  The 2x2 routes take one
+matrix or a stack (..., 2, 2) in one body: branches go through np.where,
+products through stacked matmuls on C-contiguous operands and dots through
+vecdot, so each matrix of a stack gets the bits it gets alone.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -57,23 +57,19 @@ def first_true(mask):
 
 
 def _entries(M):
-    """M with its two matrix axes first: m[i, j] is a scalar for one matrix, an array for a stack.
-
-    One matrix is kept as it is, with scalar entries, sparing the one-pair
-    det of jump_check a np.moveaxis call.
-    """
-    return M if M.ndim == 2 else np.moveaxis(M, (-2, -1), (0, 1))
+    """M, matrix axes first, as a view: m[i, j] is a scalar for one matrix, an array for a stack."""
+    return M if M.ndim == 2 else M.transpose(-2, -1, *range(M.ndim - 2))
 
 
 def from_entries(rows):
-    """The matrix, or stack of matrices, whose (i, j) entry is rows[i][j] (scalars or arrays).
-
-    A stack comes back C-contiguous: matmul takes another BLAS route, with
-    other roundings, for a stack laid out matrix axes first.  One matrix
-    skips the moveaxis, as _entries does.
-    """
+    """The matrix, or C-contiguous stack, whose (i, j) entry is rows[i][j] (scalars or arrays)."""
     M = np.array(rows)
-    return M if M.ndim == 2 else np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
+    return M if M.ndim == 2 else np.ascontiguousarray(M.transpose(*range(2, M.ndim), 0, 1))
+
+
+def transpose(M):
+    """M^T of one matrix or a stack, C-contiguous: matmul gives a transposed view's bits, faster."""
+    return np.ascontiguousarray(np.swapaxes(M, -2, -1))
 
 
 def det(M):
@@ -171,26 +167,16 @@ def inner(A, B):
     return np.sum(np.asarray(A) * np.asarray(B), axis=(-2, -1))
 
 
-def eig_sym(S):
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 2x2.
-
-    S may be one matrix or a stack (..., 2, 2); w has shape (..., 2) and V
-    (..., 2, 2), with the eigenvectors as columns.  The half-gap is computed
-    as hypot((a-c)/2, b), never via m^2 - det: the difference form cancels
-    catastrophically for near-multiples of the identity, which is exactly
-    the regime the conformality checks live in.  Branches are taken entry
-    by entry, so a matrix of a stack gets the bits it gets alone.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.shape[-2:] != (2, 2):
-        raise ValueError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
+def _eigenvalues(S):
+    """Descending eigenvalues w (..., 2) of a symmetric 2x2 S or stack, and its half-gap (d, b, r)."""
     s = _entries(S)
-    a = s[0, 0]
-    c = s[1, 1]
-    b = 0.5 * (s[0, 1] + s[1, 0])
-    m = 0.5 * (a + c)
-    d = 0.5 * (a - c)
-    r = np.hypot(d, b)
+    m, d, b = 0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 0] - s[1, 1]), 0.5 * (s[0, 1] + s[1, 0])
+    r = np.hypot(d, b)  # never sqrt(m^2 - det), which cancels near multiples of the identity
+    return np.stack([m + r, m - r], axis=-1), (d, b, r)
+
+
+def _eigenvectors(d, b, r):
+    """The orthonormal eigenvectors, as columns, of the symmetric 2x2 with half-gap (d, b, r)."""
     # pick the larger-norm solution (x, y) of (S - w1 I) v = 0 for stability;
     # it is (0, 0) exactly when r == 0, and V is then the identity
     tie = r == 0.0
@@ -203,27 +189,38 @@ def eig_sym(S):
     nrm = np.where(tie, 1.0, np.hypot(x, y))
     x = np.where(tie, 1.0, x / nrm)
     y = y / nrm
-    V = from_entries([[x, np.where(tie, 0.0, -y)], [np.where(tie, 0.0, y), x]])
-    w = np.array([m + r, m - r])
-    return (np.moveaxis(w, 0, -1) if w.ndim > 1 else w), V
+    return from_entries([[x, np.where(tie, 0.0, -y)], [np.where(tie, 0.0, y), x]])
+
+
+def eig_sym(S):
+    """Descending eigenvalues w and orthonormal eigenvector columns V of a symmetric 2x2 or stack."""
+    S = np.asarray(S, dtype=float)
+    if S.shape[-2:] != (2, 2):
+        raise ValueError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
+    w, gap = _eigenvalues(S)
+    return w, _eigenvectors(*gap)
+
+
+def _singular_values(F):
+    """Descending singular values s (..., 2) of a float F in GL+(2) or stack, and F^T F's half-gap."""
+    d = require_gl_plus(F)
+    w, gap = _eigenvalues(transpose(F) @ F)
+    s = np.sqrt(np.maximum(w, 0.0))
+    # where w2 < 1e-8 w1, sqrt(w2) holds the rounding of w1 more than s2: s2 = det F / s1
+    s[..., 1] = np.where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
+    return s, gap
 
 
 def svd(F):
     """Deterministic SVD of F in GL+(2), or of each matrix of a stack (..., 2, 2).
 
-    Returns (U, s, V) with F = U diag(s) V^T.  Built on eig_sym: V and the
-    eigenvalues w from F^T F, s = sqrt(w), then U = F V / s.  Where
-    w2 < 1e-8 w1, sqrt(w2) would hold the rounding of w1 more than s2, so
-    s2 is det F / s1 there.  U is re-orthonormalized by Gram-Schmidt, which
-    matters only when the singular values are strongly graded.  The
-    products are stacked matmuls and the dots vecdot (BLAS ddot), so a
-    matrix of a stack gets the bits it gets alone.
+    Returns (U, s, V) with F = U diag(s) V^T: s from _singular_values, V the
+    eigenvectors of F^T F, U = F V / s re-orthonormalized by Gram-Schmidt,
+    which matters only when the singular values are strongly graded.
     """
     F = as_square(F, stack=True)
-    d = require_gl_plus(F)
-    w, V = eig_sym(np.swapaxes(F, -2, -1) @ F)
-    s = np.sqrt(np.maximum(w, 0.0))
-    s[..., 1] = np.where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
+    s, gap = _singular_values(F)
+    V = _eigenvectors(*gap)
     U = (F @ V) / s[..., None, :]
     u0, u1 = U[..., :, 0], U[..., :, 1]  # views: Gram-Schmidt writes into U
     u0 /= np.sqrt(np.vecdot(u0, u0))[..., None]
@@ -237,6 +234,6 @@ def conformality_residual(F):
     F = as_square(F, stack=True)
     n = F.shape[-1]
     d = require_gl_plus(F)
-    C = np.swapaxes(F, -2, -1) @ F
+    C = transpose(F) @ F
     r = np.sqrt(np.sum((C / libm_pow(d, 2.0 / n)[..., None, None] - np.eye(n)) ** 2, axis=(-2, -1)))
     return float(r) if F.ndim == 2 else r

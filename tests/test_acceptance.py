@@ -59,13 +59,10 @@ def test_criterion_02_planar_stress_free_counterexample():
 def test_criterion_03_strict_rank_one_convexity_3d():
     """LH form of the 3D isochoric energy: positive on random rank-one data, 8/3 at id."""
     E = cm.builtin_energy("iso3d")
-    rng = np.random.default_rng(7)
-    min_q = np.inf
-    for _ in range(10000):
-        F = cm.random_def_gradient(rng, 3, (0.1, 10.0))
-        xi = rng.standard_normal(3)
-        eta = rng.standard_normal(3)
-        min_q = min(min_q, cm.lh_form(E, F, xi, eta))
+    # the scan's stream: per sample the draws of random_def_gradient(rng, 3,
+    # (0.1, 10)), then xi and eta, each standard normal
+    logs, angles1, angles2, xi, eta = cm.convexity._scan_draws(np.random.default_rng(7), 3, 10000)
+    min_q = np.min(cm.lh_form(E, cm.convexity._def_gradients(logs, angles1, angles2), xi, eta))
     e1 = np.array([1.0, 0.0, 0.0])
     q_an = cm.lh_form(E, np.eye(3), e1, e1)
     H = np.outer(e1, e1)
@@ -184,19 +181,13 @@ def test_criterion_06_conformality_of_the_maps():
 def test_criterion_07_linearized_kernel():
     """Kernel displacement fields: trace-free symmetric part and stress vanish."""
     rng = np.random.default_rng(5)
-    worst_dev = worst_sig = 0.0
-    for _ in range(10000):
-        k = cm.KernelDisplacement(
-            beta=rng.uniform(-5, 5),
-            gamma=rng.uniform(-5, 5),
-            p_hat=rng.uniform(-5, 5),
-            spin=rng.uniform(-5, 5),
-            b_hat=rng.uniform(-5, 5, size=2),
-        )
-        x = rng.uniform(-2.0, 2.0, size=2)
-        _, G = cm.kernel_displacement(k, x)
-        worst_dev = max(worst_dev, float(np.sqrt(np.sum(dev(sym(G)) ** 2))))
-        worst_sig = max(worst_sig, float(np.max(np.abs(cm.sigma_lin(G)))))
+    # per sample: beta, gamma, p_hat, spin and b_hat in [-5, 5), then x in [-2, 2)^2
+    low = np.array([-5.0] * 6 + [-2.0] * 2)
+    draws = rng.uniform(low, -low, size=(10000, len(low)))
+    k = cm.KernelDisplacement(*draws[:, :4].T, b_hat=draws[:, 4:6])
+    _, G = cm.kernel_displacement(k, draws[:, 6:])
+    worst_dev = float(np.max(np.sqrt(np.sum(dev(sym(G)) ** 2, axis=(-2, -1)))))
+    worst_sig = float(np.max(np.abs(cm.sigma_lin(G))))
     q = cm.conformal_quadratic_approx()
     x0 = np.array([0.5, 0.0])
     exact = np.array_equal(x0 + cm.kernel_displacement(q, x0)[0], cm.InversionFlip(2)(x0))

@@ -232,6 +232,32 @@ def test_thin_annulus_exits_two_instead_of_hanging():
     assert "budget" in proc.stderr.strip().splitlines()[-1]
 
 
+def test_composite_field_past_the_exp_overflow_exits_two_without_a_warning():
+    # det F reaches 4.4e4 on this shell: f' is +inf, and the stress was NaN with
+    # "invalid value" RuntimeWarnings, exit 1 and NaN/Infinity in the payload
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    argv = ["stress-field", "--energy", "composite3d", "--map", "moebius:sphere(0,0,0;3)+plane(0,1,0;0)"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "confmech.cli", *argv, "--n", "20"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Warning" not in proc.stderr
+    assert "past the volumetric exp overflow" in proc.stderr.strip().splitlines()[-1]
+
+
+def test_non_finite_payload_exits_two_with_one_line(capsys):
+    # a sphere of radius 1e100 puts det F at +inf: the field is NaN throughout,
+    # which the payload printed as NaN, not JSON, with exit 1
+    argv = ["stress-field", "--energy", "iso2d-klin2", "--map", "moebius:sphere(0,0;1e100)+plane(0,1;0)"]
+    with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("confmech stress-field: error: the result is not valid JSON")
+
+
 def test_usage_error_prints_plain_floats(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-conformal", "--map", "moebius:sphere(0,0;1)"])

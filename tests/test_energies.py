@@ -295,6 +295,24 @@ def test_composite_second_form_past_the_exp_overflow():
     assert q[0] == q[2] == np.inf and np.isfinite(q[1]) and np.array_equal(q, one)
 
 
+@pytest.mark.parametrize("name, F", [
+    ("composite3d", np.diag([10.0, 10.0, 8.0])),
+    ("composite2d", np.diag([30.0, 30.0])),
+])
+def test_composite_stress_and_derivative_refuse_det_past_the_exp_overflow(name, F):
+    # det F = 800 or 900 > c + 709: f' is +inf, and inf * 0 off the diagonal
+    # of f' id or f' Cof F was NaN with an "invalid value" RuntimeWarning
+    E = cm.builtin_energy(name)
+    finite = np.diag([2.0, 1.0, 1.5][: E.dim])
+    for method in (E.cauchy_stress, E.first_derivative):
+        with pytest.raises(cm.ConfmechError, match="matrix 1 of the stack"):
+            method(np.stack([finite, F]))
+        with pytest.raises(cm.ConfmechError, match="past the volumetric exp overflow"):
+            method(F)
+        # finite rows keep the bits they get alone
+        assert np.array_equal(method(np.stack([finite, finite])), np.stack([method(finite)] * 2))
+
+
 def test_composite_value_splits():
     for name, iso_name in (("composite2d", "iso2d-klin2"), ("composite3d", "iso3d")):
         E = cm.builtin_energy(name)

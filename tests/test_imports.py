@@ -69,3 +69,38 @@ def test_every_export_is_read_outside_the_tests():
     assert not unread, "confmech exports %s, which no module, demo or benchmark reads" % (
         ", ".join(unread)
     )
+
+
+def strided_matmul_lines(source):
+    """Lines of source where @ takes a np.swapaxes(...) or .T operand, or np.moveaxis is used.
+
+    matmul is several times slower on such transposed views than on the
+    C-contiguous copy tensors.transpose makes, with the same bits, and
+    np.moveaxis costs several microseconds of Python where .transpose
+    makes the same view.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            for side in (node.left, node.right):
+                if isinstance(side, ast.Call):
+                    side = side.func
+                if isinstance(side, ast.Attribute) and side.attr in ("T", "swapaxes"):
+                    lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "moveaxis":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_strided_matmul_lines_finds_transposed_operands():
+    source = (
+        "a = np.swapaxes(F, -2, -1) @ F\nb = A @ G.T @ A\nc = np.moveaxis(x, 0, -1)\n"
+        "d = transpose(F) @ F\ne = np.swapaxes(F, -2, -1) + F\n"
+    )
+    assert strided_matmul_lines(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_matmul_on_a_transposed_view(path):
+    lines = strided_matmul_lines(path.read_text())
+    assert not lines, "%s lines %s: use tensors.transpose or .transpose" % (path.name, lines)

@@ -249,10 +249,44 @@ def graded_gl_plus_2(draw):
 def test_stacked_svd_properties_on_gl_plus(matrices):
     F = np.stack(matrices)
     U, s, V = cm.svd(F)
+    # the singular-values step alone, on both sides of the w2 < 1e-8 w1 switch
+    assert bits(cm.tensors._singular_values(F)[0]) == bits(s)
     for i, f in enumerate(F):
         assert abs(s[i, 1] - np.linalg.svd(f, compute_uv=False)[1]) <= 1e-11 * s[i, 0]
         assert bits(U[i]) + bits(s[i]) + bits(V[i]) == b"".join(map(bits, cm.svd(f)))
+        assert bits(cm.tensors._singular_values(f)[0]) == bits(s[i])
         assert np.allclose(U[i].T @ U[i], np.eye(2), rtol=0.0, atol=1e-14)
         assert np.allclose(V[i].T @ V[i], np.eye(2), rtol=0.0, atol=1e-14)
         assert np.allclose(U[i] @ np.diag(s[i]) @ V[i].T, f, rtol=0.0, atol=1e-12 * s[i, 0])
         assert s[i, 0] >= s[i, 1] > 0.0
+
+
+def transpose_cases(rng, dim, n=2000):
+    """Random, graded (1e-12 <= g <= 1e-5) and near-tie stacks of dim x dim matrices."""
+
+    def rotations():
+        return cm.convexity._rotations(rng.uniform(0.0, 2.0 * np.pi, (n, 1 if dim == 2 else 3)))
+
+    grades = 10.0 ** rng.uniform(-12.0, -5.0, (n, dim))
+    grades[:, 0] = 1.0
+    graded = rotations() @ (grades[:, None, :] * np.eye(dim)) @ rotations()
+    gaps = 10.0 ** rng.uniform(-16.0, -8.0, (n, 1, 1))
+    near = rng.uniform(0.2, 5.0, (n, 1, 1)) * rotations() @ (np.eye(dim) + gaps * rng.normal(size=(n, dim, dim)))
+    return np.concatenate([rng.normal(size=(n, dim, dim)), graded, near])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_contiguous_transpose_keeps_the_matmul_bits(dim):
+    # matmul on a transposed view takes slower BLAS routes than on a copy;
+    # the products must not change a bit for the copy
+    rng = np.random.default_rng(70 + dim)
+    F = transpose_cases(rng, dim)
+    H = transpose_cases(rng, dim)
+    A = np.roll(F, 1, axis=0)
+    T = cm.tensors.transpose
+    assert T(F).flags.c_contiguous and np.array_equal(T(F), np.swapaxes(F, -2, -1))
+    # the stacks, then one matrix at a time (a 2D matmul) of each kind
+    for f, h, a in [(F, H, A)] + [(F[i], H[i], A[i]) for i in range(0, len(F), 20)]:
+        assert bits(T(f) @ f) == bits(np.swapaxes(f, -2, -1) @ f)
+        assert bits(f @ T(f)) == bits(f @ np.swapaxes(f, -2, -1))
+        assert bits(a @ T(h) @ a) == bits(a @ np.swapaxes(h, -2, -1) @ a)
