@@ -47,11 +47,7 @@ G = phi3.gradient(z)
 print("3d det grad      = %s (|x|^-6 = %s)" % (cm.det(G), float(z @ z) ** -3))
 print("3d residual      = %.3e" % cm.conformality_residual(G))
 
-# 4. Complex Moebius maps compose; (0 z + 1)/(1 z + 0) is again 1/z.
-moe = cm.ComplexMoebius(0.0, 1.0, 1.0, 0.0)
-print("Moebius(0,1;1,0) matches inversion-flip: %s" % np.allclose(moe(y), phi2(y)))
-
-# 5. A gridded disk and its curved image, side by side.
+# 4. A gridded disk and its curved image, side by side.
 region = cm.DiskRegion(center=(0.5, 0.0), radius=0.21)
 path = os.path.join(out_dir, "inversion_flip_grid.svg")
 ref, img = cm.render_grid_svg(phi2, region, path)

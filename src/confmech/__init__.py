@@ -21,7 +21,6 @@ from .exceptions import (
     NotDifferentiable,
     NotInGLPlus,
     SingularPoint,
-    TooFewSamples,
 )
 from .tensors import (
     cofactor,
@@ -34,7 +33,6 @@ from .tensors import (
     transpose_inverse,
 )
 from .conformal import (
-    ComplexMoebius,
     ConformalDecomposition,
     DeformationMap,
     HyperplaneReflection,
@@ -54,10 +52,8 @@ from .energies import (
     PlanarRatioEnergy,
     VolumetricTerm,
     builtin_energy,
-    distortion_minus_one,
     fd_first_derivative,
     fd_second_form,
-    linear_distortion_squared,
 )
 from .convexity import (
     ConvexityReport,

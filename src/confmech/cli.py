@@ -131,15 +131,16 @@ def _cmd_stress_field(args):
     samples, summary = stress_field(
         energy, mapping, dom, args.n, seed=args.seed, tol=tol, use_fd=args.fd
     )
-    if args.out:
-        write_field_csv(args.out, samples)
-    if args.summary:
-        write_summary_json(args.summary, summary)
     payload = summary_to_dict(summary)
     payload["energy"] = args.energy
     payload["map"] = args.map
     payload["domain"] = {"r_min": dom.r_min, "r_max": dom.r_max, "dim": dom.dim}
-    return payload, summary.homogeneous
+    text = _strict_json(payload)  # a field that is not finite is refused before any file is written
+    if args.out:
+        write_field_csv(args.out, samples)
+    if args.summary:
+        write_summary_json(args.summary, summary)
+    return text, summary.homogeneous
 
 
 def _cmd_check_convexity(args):
@@ -351,7 +352,8 @@ def main(argv=None):
     """Run one subcommand, write its payload and return its exit code.
 
     A dict payload goes out as strict indented JSON, to the JSON --out file
-    (dest json_out) or to stdout; a text payload is printed.  A ConfmechError
+    (dest json_out) or to stdout; a text payload (stress-field's JSON, made
+    before its files are written, or a line) is printed.  A ConfmechError
     or OSError, from the command, the JSON or the file write, exits 2 through
     its own parser; stdout is written outside that route, so a closed pipe is
     not reported as a usage error.

@@ -1,16 +1,16 @@
 """Conformal deformations in two and three dimensions.
 
 Maps are small objects with evaluate/gradient methods: reflections across
-spheres and hyperplanes, their compositions (Moebius maps), the planar
-fractional-linear map in complex form, and the inversion-with-flip map
-(x1, -x2 [, x3]) / |x|^2 whose gradient is hard coded in closed form.
+spheres and hyperplanes, their compositions (Moebius maps, which the
+command line's moebius: grammar builds, every planar fractional-linear map
+among them), and the inversion-with-flip map (x1, -x2 [, x3]) / |x|^2,
+whose gradient S (|x|^2 id - 2 x (x) x) / |x|^4, S negating the x2 row, is
+one closed form in 2D and 3D.
 
 evaluate and gradient take one point or a stack of points (..., dim) in one
 body.  A Moebius composition takes each chain-rule step as one stacked
-matmul, and the fractional-linear map is numpy complex arithmetic on
-z = x1 + i x2.  The finite-difference gradient (fd_gradient) makes one
-evaluate call on x + h e_j and one on x - h e_j for each axis j, with
-h = FD_STEP.
+matmul.  The finite-difference gradient (fd_gradient) makes one evaluate
+call on x + h e_j and one on x - h e_j for each axis j, with h = FD_STEP.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
@@ -23,6 +23,7 @@ import numpy as np
 
 from .exceptions import ConfmechError, NonOrientationPreserving, NotConformal, SingularPoint
 from .tensors import (
+    DET_CEILING,
     as_square,
     conformality_residual,
     det,
@@ -63,11 +64,16 @@ class DeformationMap:
     def gradient(self, x):
         """Deformation gradient at x, or at each point of a stack x of shape (..., dim).
 
-        Raises NonOrientationPreserving, naming the first such point, where det <= 0.
+        Raises a ConfmechError, naming the first such point, where det is
+        past the float range, and NonOrientationPreserving where det <= 0.
         """
         x = _as_point(x, self.dim, stack=True)
         J = self._jacobian(x)
-        d = det(J)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = det(J)
+        i = first_true(~np.isfinite(d))
+        if i is not None:
+            raise ConfmechError("det grad overflows at %s" % (x.reshape(-1, self.dim)[i],))
         i = first_true(~(d > 0.0))
         if i is not None:
             raise NonOrientationPreserving(
@@ -78,7 +84,7 @@ class DeformationMap:
 
 
 class SphereReflection(DeformationMap):
-    """Reflection across the sphere |x - center| = radius (an inversion)."""
+    """Reflection across the sphere |x - center| = radius (an inversion); radius^2 must be finite."""
 
     def __init__(self, center, radius):
         self.center = _as_point(center)
@@ -87,33 +93,46 @@ class SphereReflection(DeformationMap):
                 "a sphere needs a finite center and a finite radius > 0, got %s and %r"
                 % (self.center, float(radius))
             )
-        self.radius = float(radius)
         self.dim = self.center.shape[0]
+        try:
+            self.radius_sq = float(radius) ** 2
+        except OverflowError:
+            raise ConfmechError("sphere radius %r: its square overflows" % (float(radius),)) from None
 
     def _offset(self, x):
-        """x - center and its squared length; SingularPoint, naming the first such point, at the center."""
+        """x - center, its squared length and the scale radius^2 / |x - center|^2 of the reflection.
+
+        SingularPoint, naming the first such point, at the center or where
+        the scale is above DET_CEILING (it would overflow the map's next steps).
+        """
         y = x - self.center
         d2 = np.vecdot(y, y)
         i = first_true(np.sqrt(d2) < SINGULAR_RADIUS)
         if i is not None:
             raise SingularPoint("reflection center reached at %s" % (x.reshape(-1, self.dim)[i],))
-        return y, d2
+        with np.errstate(over="ignore"):
+            scale = self.radius_sq / d2
+        i = first_true(~(scale <= DET_CEILING))
+        if i is not None:
+            at = (float(np.ravel(scale)[i]), DET_CEILING, x.reshape(-1, self.dim)[i])
+            raise SingularPoint("reflection scale radius^2 / |x - center|^2 = %r is above %r at %s" % at)
+        return y, d2, scale
 
     def evaluate(self, x):
-        y, d2 = self._offset(_as_point(x, self.dim, stack=True))
-        return self.center + (self.radius**2 / d2)[..., None] * y
+        y, _, scale = self._offset(_as_point(x, self.dim, stack=True))
+        return self.center + scale[..., None] * y
 
     def _jacobian(self, x):
-        y, d2 = self._offset(x)
+        y, d2, scale = self._offset(x)
         yhat = y / np.sqrt(d2)[..., None]
         outer = yhat[..., :, None] * yhat[..., None, :]
-        return (self.radius**2 / d2)[..., None, None] * (np.eye(self.dim) - 2.0 * outer)
+        return scale[..., None, None] * (np.eye(self.dim) - 2.0 * outer)
 
 
 class HyperplaneReflection(DeformationMap):
     """Reflection across the plane <normal, x> = offset; normal must be unit."""
 
-    def __init__(self, normal, offset=0.0):
+    def __init__(self, normal, offset):
         normal = _as_point(normal)
         nrm = float(np.sqrt(normal @ normal))
         if not (abs(nrm - 1.0) <= 1e-12 and np.isfinite(offset)):
@@ -165,39 +184,6 @@ class MoebiusMap(DeformationMap):
         return J
 
 
-class ComplexMoebius(DeformationMap):
-    """Planar map z -> (a z + b) / (c z + d) acting on (x1, x2) as z = x1 + i x2."""
-
-    dim = 2
-
-    def __init__(self, a, b, c, d):
-        self.a = complex(a)
-        self.b = complex(b)
-        self.c = complex(c)
-        self.d = complex(d)
-        if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("ad - bc must be nonzero")
-
-    def _w(self, x):
-        # z = x1 + i x2 with a trailing axis of length 1, so that one point is an
-        # array too: numpy's complex loops round otherwise than its complex scalars
-        z = np.ascontiguousarray(x).view(complex)
-        w = self.c * z + self.d
-        i = first_true(np.abs(w) < SINGULAR_RADIUS)
-        if i is not None:
-            raise SingularPoint("pole of the fractional-linear map at %s" % (x.reshape(-1, 2)[i],))
-        return z, w
-
-    def evaluate(self, x):
-        z, w = self._w(_as_point(x, 2, stack=True))
-        return ((self.a * z + self.b) / w).view(float)
-
-    def _jacobian(self, x):
-        _, w = self._w(x)
-        fp = ((self.a * self.d - self.b * self.c) / (w * w))[..., 0]
-        return from_entries([[fp.real, -fp.imag], [fp.imag, fp.real]])
-
-
 class InversionFlip(DeformationMap):
     """The conformal map (x1, -x2)/|x|^2, and its 3D analogue (x1, -x2, x3)/|x|^2.
 
@@ -228,19 +214,13 @@ class InversionFlip(DeformationMap):
     def _jacobian(self, x):
         rho = self._rho(x)
         coords = x.transpose(-1, *range(x.ndim - 1))  # a view, the coordinates first
-        if self.dim == 2:
-            x1, x2 = coords
-            rows = [
-                [rho - 2.0 * x1 * x1, -2.0 * x1 * x2],
-                [2.0 * x1 * x2, -rho + 2.0 * x2 * x2],
-            ]
-        else:
-            x1, x2, x3 = coords
-            rows = [
-                [rho - 2.0 * x1 * x1, -2.0 * x1 * x2, -2.0 * x1 * x3],
-                [2.0 * x1 * x2, -rho + 2.0 * x2 * x2, 2.0 * x2 * x3],
-                [-2.0 * x1 * x3, -2.0 * x2 * x3, rho - 2.0 * x3 * x3],
-            ]
+        # S (rho id - 2 x (x) x) / rho^2, S negating the x2 row, entry by entry:
+        # row i is s_i rho e_i + (-2 s_i x_i) x, with the products in this order
+        rows = []
+        for i, (s, xi) in enumerate(zip((1.0, -1.0, 1.0), coords)):
+            row = [(-2.0 * s * xi) * xj for xj in coords]
+            row[i] = s * rho + row[i]
+            rows.append(row)
         return from_entries(rows) / libm_pow(rho, 2.0)[..., None, None]
 
     def as_reflections(self):

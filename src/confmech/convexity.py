@@ -11,13 +11,14 @@ Three complementary instruments:
   convex/non-decreasing criterion on the ratio profile h (h_criterion).
 
 lh_form takes one (F, xi, eta) or stacks of them, in one second_form
-call.  The scan draws each sample in two generator calls, the first giving
-the values of random_def_gradient's draws and the second xi and eta,
-builds F as a stack and evaluates the LH form once.  knowles_sternberg
-takes one pair of stretches or arrays of them, in one body, so
-ks_grid_scan evaluates its whole grid at once.  A line scan
-evaluates the energy once, on the stack of its points, and the h
-criterion calls h once, on the array of its samples.
+call.  random_def_gradient draws its stretches and angles in one
+rng.random call, scaled by Generator.uniform's own formula; the scan draws
+each sample in the same call and one more for xi and eta, builds F as a
+stack and evaluates the LH form once.  knowles_sternberg takes analytic
+partials and one pair of stretches or arrays of them, in one body, so
+ks_grid_scan evaluates its whole grid at once.  A line scan evaluates the
+energy once, on the stack of its LINE_SAMPLES points, and the h criterion
+calls h once, on the array of its H_SAMPLES samples.
 
 The scan driver never silently promotes a borderline result: values inside
 the band +-MARGIN count as "elliptic" only when the energy's second_form is
@@ -30,12 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import _profile, _values
-from .exceptions import LeavesGLPlus, TooFewSamples
+from .exceptions import LeavesGLPlus
 from .tensors import DET_FLOOR, as_square, det, first_true, from_entries, libm_pow
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 MARGIN = 1e-9  # verdict band of the LH scan, and of a line scan relative to its largest |W|
 STRETCH_RANGE = (0.1, 10.0)  # of the scan's random deformation gradients
+ANGLES = {2: 1, 3: 3}  # angles of one rotation: one in 2D, three Euler angles in 3D
+LINE_SAMPLES = 41  # points of a line scan's segment
+H_SAMPLES = 2000  # points of h_criterion's profile on [1, 50]
 
 
 def lh_form(energy, F, xi, eta):
@@ -59,19 +63,17 @@ class LineScanResult:
     t_at_min: float
 
 
-def rank_one_line_scan(energy, F, xi, eta, t_max=1.0, n_samples=41):
+def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     """Classify t -> W(F + t xi (x) eta) on [0, t_max] by centered second differences.
 
     Raises LeavesGLPlus where some sample point has det <= DET_FLOOR (the
     energies' domain ends there); the classification margin is MARGIN times
     the largest sampled |W|, at least 1.  value is called once, on the stack
-    of the sample points.
+    of the LINE_SAMPLES sample points.
     """
     F = as_square(F)
-    if n_samples < 3:
-        raise TooFewSamples("need at least 3 samples on the segment")
     H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
-    ts = np.linspace(0.0, float(t_max), int(n_samples))
+    ts = np.linspace(0.0, float(t_max), LINE_SAMPLES)
     Ft = F + ts[:, None, None] * H
     i = first_true(~(det(Ft) > DET_FLOOR))
     if i is not None:
@@ -121,20 +123,7 @@ class KSReport:
         return vals
 
 
-def _fd_g_partials(g, l1, l2):
-    h1 = 1e-5 * l1
-    h2 = 1e-5 * l2
-    g1 = (g(l1 + h1, l2) - g(l1 - h1, l2)) / (2.0 * h1)
-    g2 = (g(l1, l2 + h2) - g(l1, l2 - h2)) / (2.0 * h2)
-    g11 = (g(l1 + h1, l2) - 2.0 * g(l1, l2) + g(l1 - h1, l2)) / libm_pow(h1, 2.0)
-    g22 = (g(l1, l2 + h2) - 2.0 * g(l1, l2) + g(l1, l2 - h2)) / libm_pow(h2, 2.0)
-    g12 = (
-        g(l1 + h1, l2 + h2) - g(l1 + h1, l2 - h2) - g(l1 - h1, l2 + h2) + g(l1 - h1, l2 - h2)
-    ) / (4.0 * h1 * h2)
-    return g1, g2, g11, g22, g12
-
-
-def knowles_sternberg(g, lam1, lam2, derivatives=None):
+def knowles_sternberg(g, lam1, lam2, derivatives):
     """Evaluate the planar strict-ellipticity conditions for W = g(l1, l2).
 
     lam1 and lam2 are one pair of stretches, giving one KSReport, or arrays
@@ -146,17 +135,13 @@ def knowles_sternberg(g, lam1, lam2, derivatives=None):
     Parameters
     ----------
     g : callable (l1, l2) -> real, symmetric; takes arrays
-    derivatives : callable (l1, l2) -> (g1, g2, g11, g22, g12), optional
-        Analytic partials, taking arrays; central differences with relative
-        step 1e-5 per axis otherwise.
+    derivatives : callable (l1, l2) -> (g1, g2, g11, g22, g12)
+        Analytic partials, taking arrays.
     """
     l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
     if not np.all((l1 > 0.0) & (l2 > 0.0)):
         raise ValueError("principal stretches must be positive")
-    if derivatives is not None:
-        g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
-    else:
-        g1, g2, g11, g22, g12 = _fd_g_partials(g, l1, l2)
+    g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
     on_diagonal = np.abs(l1 - l2) <= EQ_BAND * (l1 + l2)
@@ -232,7 +217,7 @@ class HCriterionResult:
     min_first_difference: float
 
 
-def h_criterion(h, n_samples=2000):
+def h_criterion(h):
     """Classify W(F) = h(lmax/lmin) through the profile h on [1, 50].
 
     A convex non-decreasing profile is equivalent to rank-one convexity of
@@ -240,11 +225,9 @@ def h_criterion(h, n_samples=2000):
     to strict rank-one convexity.  The verdict names the stronger property
     that holds, with differences inside 1e-10 times the largest |h| (at
     least 1) counted as zero.  h takes arrays: it is called once, on the
-    n_samples >= 3 sample points (a constant result is broadcast).
+    H_SAMPLES sample points (a constant result is broadcast).
     """
-    if n_samples < 3:
-        raise TooFewSamples("need at least 3 samples of h")
-    ss = np.linspace(1.0, 50.0, int(n_samples))
+    ss = np.linspace(1.0, 50.0, H_SAMPLES)
     values = _profile(h, ss)
     scale = 1e-10 * max(1.0, float(np.max(np.abs(values))))
     d1 = np.diff(values)
@@ -270,11 +253,6 @@ def h_criterion(h, n_samples=2000):
     )
 
 
-def _angles(rng, dim):
-    """The uniform angle (2D) or the three uniform Euler angles (3D) of one rotation."""
-    return rng.uniform(0.0, 2.0 * np.pi, size=1 if dim == 2 else 3)
-
-
 def _rotations(angles):
     """The rotation of angles (..., 1) in 2D or of Euler angles (..., 3) in 3D; one or a stack."""
     axes = (-1, *range(angles.ndim - 1))  # views, the angles first
@@ -289,42 +267,39 @@ def _rotations(angles):
     return Rz1 @ Ry @ Rz2
 
 
-def _def_gradient_draws(rng, dim, stretch_range):
-    """The draws of one random_def_gradient: log-stretches, then the angles of Q1 and of Q2."""
-    lo, hi = stretch_range
-    return rng.uniform(np.log(lo), np.log(hi), size=dim), _angles(rng, dim), _angles(rng, dim)
+def _def_gradients(U, dim, stretch_range):
+    """Q1 diag(l) Q2 of one draw U, or of each draw of a stack U (..., dim + 2 a) of uniforms.
 
-
-def _def_gradients(log_stretches, angles1, angles2):
-    """Q1 diag(exp(log_stretches)) Q2 of one draw, or of each draw of stacked draws."""
-    lams = np.exp(log_stretches)
-    return _rotations(angles1) @ (lams[..., None, :] * np.eye(lams.shape[-1])) @ _rotations(angles2)
+    U holds the dim log-stretches, then the a angles of Q1 and the a of Q2
+    (a = 1 in 2D, the three Euler angles in 3D), scaled by Generator.uniform's
+    own formula low + (high - low) u: the values one uniform call each would draw.
+    """
+    a = ANGLES[dim]
+    lo, hi = np.log(stretch_range[0]), np.log(stretch_range[1])
+    low = np.array([lo] * dim + [0.0] * (2 * a))
+    high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
+    U = low + (high - low) * U
+    lams, Q1, Q2 = np.exp(U[..., :dim]), _rotations(U[..., dim:dim + a]), _rotations(U[..., dim + a:])
+    return Q1 @ (lams[..., None, :] * np.eye(dim)) @ Q2
 
 
 def random_def_gradient(rng, dim, stretch_range=STRETCH_RANGE):
-    """Q1 diag(l) Q2 with log-uniform stretches; always in GL+."""
-    return _def_gradients(*_def_gradient_draws(rng, dim, stretch_range))
+    """Q1 diag(l) Q2 with log-uniform stretches, from one rng.random call; always in GL+."""
+    return _def_gradients(rng.random(dim + 2 * ANGLES[dim]), dim, stretch_range)
 
 
 def _scan_draws(rng, dim, n_samples):
-    """Stacks (log-stretches, angles1, angles2, xi, eta) of n_samples scan samples.
+    """Stacks (uniforms of F, xi, eta) of n_samples scan samples.
 
-    Two generator calls per sample: one rng.random for the log-stretches
-    and both angle sets, scaled afterwards by Generator.uniform's own
-    formula low + (high - low) u, so that they are the values of
-    _def_gradient_draws, then one rng.standard_normal for xi and eta.
+    Two generator calls per sample: the rng.random call of
+    random_def_gradient, then one rng.standard_normal for xi and eta.
     """
-    a = 1 if dim == 2 else 3
-    U = np.empty((n_samples, dim + 2 * a))
+    U = np.empty((n_samples, dim + 2 * ANGLES[dim]))
     N = np.empty((n_samples, 2 * dim))
     for i in range(n_samples):
         rng.random(out=U[i])
         rng.standard_normal(out=N[i])
-    lo, hi = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
-    low = np.array([lo] * dim + [0.0] * (2 * a))
-    high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
-    U = low + (high - low) * U
-    return U[:, :dim], U[:, dim:dim + a], U[:, dim + a:], N[:, :dim], N[:, dim:]
+    return U, N[:, :dim], N[:, dim:]
 
 
 @dataclass(frozen=True)
@@ -350,8 +325,8 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     "inconclusive" rather than guessing.
     """
     rng = np.random.default_rng(seed)
-    logs, angles1, angles2, xi, eta = _scan_draws(rng, energy.dim, int(n_samples))
-    Fs = _def_gradients(logs, angles1, angles2)
+    U, xi, eta = _scan_draws(rng, energy.dim, int(n_samples))
+    Fs = _def_gradients(U, energy.dim, STRETCH_RANGE)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
     values = lh_form(energy, Fs, xis, etas)
     order = np.argsort(values, kind="stable")  # NaN last
@@ -363,14 +338,11 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
         verdict = "strictly-elliptic"
     elif min_val < -MARGIN:
         F, xi, eta = Fs[order[0]], xis[order[0]], etas[order[0]]
-        confirmed = False
         try:
             scan = rank_one_line_scan(energy, F - 0.05 * np.outer(xi, eta), xi, eta, t_max=0.1)
-            confirmed = scan.verdict == "nonconvex"
         except LeavesGLPlus:
             scan = rank_one_line_scan(energy, F, xi, eta, t_max=0.05)
-            confirmed = scan.verdict == "nonconvex"
-        verdict = "violated" if confirmed else "inconclusive"
+        verdict = "violated" if scan.verdict == "nonconvex" else "inconclusive"
     else:
         verdict = "elliptic" if energy.analytic and not math.isnan(min_val) else "inconclusive"
     return ConvexityReport(
@@ -381,7 +353,7 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     )
 
 
-def ks_grid_scan(g, lam_values, derivatives=None):
+def ks_grid_scan(g, lam_values, derivatives):
     """knowles_sternberg over the grid lam_values x lam_values, l1 outer and l2 inner.
 
     One knowles_sternberg call on the whole grid, so g and derivatives must

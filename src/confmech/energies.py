@@ -134,6 +134,14 @@ class EnergyModel:
             )
         return np.ascontiguousarray(F)
 
+    def _second_form_terms(self, F, H):
+        """F checked, H, det F, <F^{-T}, H> and <F^{-T} H^T F^{-T}, H>: the closed forms' terms."""
+        F = self._check_dim(F)
+        H = as_square(H, stack=True)
+        d = require_gl_plus(F)
+        FiT = transpose_inverse(F)
+        return F, H, d, inner(FiT, H), inner(FiT @ transpose(H) @ FiT, H)
+
     def value(self, F):
         raise NotImplementedError
 
@@ -199,15 +207,11 @@ class DistortionEnergy(EnergyModel):
         return dpsi * (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H, stack=True)
-        K, d = self._distortion(F)
-        FiT = transpose_inverse(F)
+        F, H, d, gh, ghh = self._second_form_terms(F, H)
+        K, _ = self._distortion(F)
         n2 = inner(F, F)
         fh = inner(F, H)
-        gh = inner(FiT, H)
         hh = inner(H, H)
-        ghh = inner(FiT @ transpose(H) @ FiT, H)
         dK = 0.5 * (2.0 * fh - n2 * gh) / d
         d2K = 0.5 * (2.0 * hh - 4.0 * fh * gh + n2 * gh * gh + n2 * ghh) / d
         psi_2 = self._psi_d(self.d2psi, K, "psi''")
@@ -332,30 +336,6 @@ class PlanarRatioEnergy(EnergyModel):
         return out.reshape(shape)[()]
 
 
-def linear_distortion_squared():
-    """The builtin planar energy W(F) = (lmax/lmin)^2 - 1.
-
-    Expressed through the distortion K it is (K + sqrt(K^2 - 1))^2 - 1;
-    vanishes exactly on CSO(2) and is strictly rank-one convex.
-    """
-    return PlanarRatioEnergy(
-        h=lambda s: s * s - 1.0,
-        dh=lambda s: 2.0 * s,
-        d2h=lambda s: 2.0,
-        label="linear-distortion-squared",
-    )
-
-
-def distortion_minus_one():
-    """The builtin planar energy W(F) = K(F) - 1 (rank-one convex, not strictly)."""
-    return DistortionEnergy(
-        psi=lambda K: K - 1.0,
-        dpsi=lambda K: 1.0,
-        d2psi=lambda K: 0.0,
-        label="distortion-minus-one",
-    )
-
-
 class IsochoricNeoHooke(EnergyModel):
     """W(F) = ||F||^2 / det(F)^{2/3} - 3 on GL+(3); vanishes exactly on CSO(3)."""
 
@@ -376,19 +356,15 @@ class IsochoricNeoHooke(EnergyModel):
         return (2.0 * F - (2.0 / 3.0) * n2 * FiT) / libm_pow(d, 2.0 / 3.0)[..., None, None]
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H, stack=True)
-        d = require_gl_plus(F)
-        FiT = transpose_inverse(F)
+        F, H, d, gh, ghh = self._second_form_terms(F, H)
         scale = libm_pow(d, 2.0 / 3.0)
         n2s = inner(F, F) / scale
         fh = inner(F, H)
-        gh = inner(FiT, H)
         return (
             -(8.0 / 3.0) * gh * fh / scale
             + 2.0 * inner(H, H) / scale
             + (4.0 / 9.0) * n2s * gh * gh
-            + (2.0 / 3.0) * n2s * inner(FiT @ transpose(H) @ FiT, H)
+            + (2.0 / 3.0) * n2s * ghh
         )
 
     def cauchy_stress(self, F):
@@ -491,11 +467,11 @@ class CompositeEnergy(EnergyModel):
     fail it.
     """
 
-    def __init__(self, iso, vol, label=None):
+    def __init__(self, iso, vol):
         self.iso = iso
         self.vol = vol
         self.dim = iso.dim
-        self.label = label or ("composite-" + iso.label)
+        self.label = "composite-" + iso.label
         a, b = _values(iso, np.stack([1.7 * np.eye(self.dim), np.eye(self.dim)]))
         if abs(a - b) > 1e-8 * (1.0 + abs(b)):
             raise ValueError("iso part must be conformally invariant to compose")
@@ -522,15 +498,11 @@ class CompositeEnergy(EnergyModel):
         return self.iso.first_derivative(F) + slope * cofactor(F)
 
     def second_form(self, F, H):
-        F = self._check_dim(F)
-        H = as_square(H, stack=True)
-        d = require_gl_plus(F)
+        F, H, d, gh, ghh = self._second_form_terms(F, H)
         curvature = self.vol.curvature(d)
-        FiT = transpose_inverse(F)
-        gh = inner(FiT, H)
         cof_h = d * gh
         # D^2 det[H,H] = det (  <F^{-T},H>^2 - <F^{-T} H^T F^{-T}, H> )
-        det_curv = d * (gh * gh - inner(FiT @ transpose(H) @ FiT, H))
+        det_curv = d * (gh * gh - ghh)
         iso, slope = self.iso.second_form(F, H), self.vol.slope(d)
         # near t = c + 709, f'' * cof_h^2 may overflow to +inf, its value; past
         # it f' = f'' = inf, det_curv is rounding noise (zero for a rank-one H)
@@ -549,15 +521,30 @@ BUILTIN_ENERGIES = ("iso2d-klin2", "iso2d-psi", "iso3d", "composite2d", "composi
 
 
 def builtin_energy(name, c=DEFAULT_C):
-    """Construct one of the named energies used by the command line tools."""
-    if name == "iso2d-klin2":
-        return linear_distortion_squared()
+    """Construct one of the named energies used by the command line tools.
+
+    iso2d-klin2 is W(F) = (lmax/lmin)^2 - 1, in the distortion K
+    (K + sqrt(K^2 - 1))^2 - 1: it vanishes exactly on CSO(2) and is strictly
+    rank-one convex.  iso2d-psi is W(F) = K(F) - 1, rank-one convex but not
+    strictly.  composite2d and composite3d add VolumetricTerm(c) to
+    iso2d-klin2 and iso3d.
+    """
     if name == "iso2d-psi":
-        return distortion_minus_one()
-    if name == "iso3d":
-        return IsochoricNeoHooke()
-    if name == "composite2d":
-        return CompositeEnergy(linear_distortion_squared(), VolumetricTerm(c))
-    if name == "composite3d":
-        return CompositeEnergy(IsochoricNeoHooke(), VolumetricTerm(c))
-    raise ValueError("unknown energy %r (choose from %s)" % (name, ", ".join(BUILTIN_ENERGIES)))
+        return DistortionEnergy(
+            psi=lambda K: K - 1.0,
+            dpsi=lambda K: 1.0,
+            d2psi=lambda K: 0.0,
+            label="distortion-minus-one",
+        )
+    if name in ("iso2d-klin2", "composite2d"):
+        iso = PlanarRatioEnergy(
+            h=lambda s: s * s - 1.0,
+            dh=lambda s: 2.0 * s,
+            d2h=lambda s: 2.0,
+            label="linear-distortion-squared",
+        )
+    elif name in ("iso3d", "composite3d"):
+        iso = IsochoricNeoHooke()
+    else:
+        raise ValueError("unknown energy %r (choose from %s)" % (name, ", ".join(BUILTIN_ENERGIES)))
+    return CompositeEnergy(iso, VolumetricTerm(c)) if name.startswith("composite") else iso

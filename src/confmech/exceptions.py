@@ -33,10 +33,6 @@ class LeavesGLPlus(ConfmechError):
     """A matrix path left the positive-determinant domain."""
 
 
-class TooFewSamples(ConfmechError):
-    """Not enough samples to classify a sampled function."""
-
-
 class InvalidSplice(ConfmechError):
     """Volumetric splice point must lie strictly above e."""
 

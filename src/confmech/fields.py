@@ -188,8 +188,10 @@ def _field(energy, x, F):
 
 
 def _summarize(samples, tol, energy):
-    mean = samples.sigma.mean(axis=0)
-    deviations = np.sqrt(np.sum((samples.sigma - mean) ** 2, axis=(1, 2)))
+    # a stress near the float range gives an infinite or NaN summary, which the CLI refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.sigma.mean(axis=0)
+        deviations = np.sqrt(np.sum((samples.sigma - mean) ** 2, axis=(1, 2)))
     worst = int(np.argmax(deviations))
     deviation = float(deviations[worst])
     lo, hi = float(np.min(samples.det_F)), float(np.max(samples.det_F))
@@ -370,5 +372,5 @@ def summary_to_dict(summary):
 
 def write_summary_json(path, summary):
     with open(path, "w") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2)
+        json.dump(summary_to_dict(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -1,6 +1,6 @@
 """Linearized picture: trace-free symmetrized gradients and conformal Killing fields.
 
-The planar quadratic energy mu |dev sym grad u|^2 vanishes exactly on the
+The planar quadratic energy |dev sym grad u|^2 (mu = 1) vanishes exactly on the
 displacements whose symmetrized gradient is a multiple of the identity, the
 (planar) conformal Killing fields
 
@@ -23,21 +23,21 @@ from .tensors import as_square, dev, from_entries, sym
 VOL_CURVATURE_AT_ONE = 2.0  # f''(1) of the volumetric splice
 
 
-def w_lin_2d(grad_u, mu=1.0):
-    """Quadratic energy mu |dev_2 sym grad u|^2."""
+def w_lin_2d(grad_u):
+    """Quadratic energy |dev_2 sym grad u|^2 (shear modulus mu = 1)."""
     G = as_square(grad_u)
     if G.shape[0] != 2:
         raise ValueError("w_lin_2d expects a 2x2 displacement gradient")
     D = dev(sym(G))
-    return mu * float(np.sum(D * D))
+    return float(np.sum(D * D))
 
 
-def sigma_lin(grad_u, mu=1.0):
-    """Linearized stress 2 mu dev sym grad u, of one gradient or of each in a stack."""
+def sigma_lin(grad_u):
+    """Linearized stress 2 dev sym grad u (mu = 1), of one gradient or of each in a stack."""
     G = as_square(grad_u, stack=True)
     if G.shape[-1] != 2:
         raise ValueError("sigma_lin expects a 2x2 displacement gradient")
-    return 2.0 * mu * dev(sym(G))
+    return 2.0 * dev(sym(G))
 
 
 def w_lin_3d_composite(grad_u):
@@ -108,15 +108,15 @@ def conformal_quadratic_approx():
     return KernelDisplacement(beta=0.0, gamma=-16.0, p_hat=-13.0, spin=0.0, b_hat=(6.0, 0.0))
 
 
-def quadratic_approx_error(radius=0.15, seed=0):
+def quadratic_approx_error(radius=0.15):
     """Max |x + u(x) - phi(x)| of the quadratic approximation over a disk.
 
-    Sampled at 500 seeded uniform points of the disk around the expansion
+    Sampled at 500 uniform points of the disk, seed 0, around the expansion
     point (0.5, 0); the approximation is exact there and degrades like the
     cube of the distance from it.
     """
     # per sample a radius draw in [0, 1) then an angle draw in [0, 2 pi)
-    draws = np.random.default_rng(seed).uniform([0.0, 0.0], [1.0, 2.0 * np.pi], (500, 2))
+    draws = np.random.default_rng(0).uniform([0.0, 0.0], [1.0, 2.0 * np.pi], (500, 2))
     r, a = radius * np.sqrt(draws[:, 0]), draws[:, 1]
     x = np.array([0.5, 0.0]) + r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
     u, _ = kernel_displacement(conformal_quadratic_approx(), x)

@@ -21,10 +21,12 @@ import math
 
 import numpy as np
 
-from .exceptions import NotInGLPlus
+from .exceptions import ConfmechError, NotInGLPlus
 
 # dets at or below this are treated as non-positive; no clamping anywhere
 DET_FLOOR = 1e-300
+# dets above this are refused: the energies' powers of det F, up to det^2, stay finite
+DET_CEILING = 1e100
 SMALLEST_NORMAL = 2.0**-1022
 
 
@@ -119,13 +121,20 @@ def require_gl_plus(F):
     """Return det F, raising NotInGLPlus when it is not strictly positive.
 
     For a stack, the dets of all its matrices; the error names the first
-    matrix whose det fails.
+    matrix whose det fails.  A det above DET_CEILING, +inf included, is
+    refused with a ConfmechError; det past the float range warns of nothing.
     """
-    d = det(F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = det(F)
     i = first_true(~(d > DET_FLOOR))
     if i is not None:
         raise NotInGLPlus(
             "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), _stack_note(d, i))
+        )
+    i = first_true(d > DET_CEILING)  # NaN failed above
+    if i is not None:
+        raise ConfmechError(
+            "det = %r is above %r%s" % (float(np.ravel(d)[i]), DET_CEILING, _stack_note(d, i))
         )
     return d
 

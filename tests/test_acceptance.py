@@ -61,8 +61,9 @@ def test_criterion_03_strict_rank_one_convexity_3d():
     E = cm.builtin_energy("iso3d")
     # the scan's stream: per sample the draws of random_def_gradient(rng, 3,
     # (0.1, 10)), then xi and eta, each standard normal
-    logs, angles1, angles2, xi, eta = cm.convexity._scan_draws(np.random.default_rng(7), 3, 10000)
-    min_q = np.min(cm.lh_form(E, cm.convexity._def_gradients(logs, angles1, angles2), xi, eta))
+    conv = cm.convexity
+    U, xi, eta = conv._scan_draws(np.random.default_rng(7), 3, 10000)
+    min_q = np.min(cm.lh_form(E, conv._def_gradients(U, 3, conv.STRETCH_RANGE), xi, eta))
     e1 = np.array([1.0, 0.0, 0.0])
     q_an = cm.lh_form(E, np.eye(3), e1, e1)
     H = np.outer(e1, e1)

@@ -1,13 +1,19 @@
 """Command line interface, exercised in process through main()."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmech
 from confmech.cli import build_parser, main
@@ -246,16 +252,88 @@ def test_composite_field_past_the_exp_overflow_exits_two_without_a_warning():
     assert "past the volumetric exp overflow" in proc.stderr.strip().splitlines()[-1]
 
 
-def test_non_finite_payload_exits_two_with_one_line(capsys):
-    # a sphere of radius 1e100 puts det F at +inf: the field is NaN throughout,
-    # which the payload printed as NaN, not JSON, with exit 1
-    argv = ["stress-field", "--energy", "iso2d-klin2", "--map", "moebius:sphere(0,0;1e100)+plane(0,1;0)"]
-    with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
-        main([*argv, "--n", "5"])
+def test_non_finite_payload_exits_two_with_one_line(capsys, tmp_path, monkeypatch):
+    # a NaN field printed NaN, not JSON, with exit 1, after its CSV and its NaN
+    # summary were written; now it exits 2 with one line and writes no file
+    def nan_field(*args, **kwargs):
+        samples, summary = confmech.stress_field(*args, **kwargs)
+        return samples, dataclasses.replace(summary, max_deviation=math.nan)
+
+    monkeypatch.setattr(confmech.cli, "stress_field", nan_field)
+    files = ["--out", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(["stress-field", "--energy", "iso2d-klin2", "--map", "phi2d", "--n", "5", *files])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("confmech stress-field: error: the result is not valid JSON")
+    assert list(tmp_path.iterdir()) == []
+    energy, phi, dom = confmech.builtin_energy("iso2d-klin2"), confmech.InversionFlip(2), confmech.admissible_annulus("phi2d")
+    _, summary = nan_field(energy, phi, dom, 5)
+    with pytest.raises(ValueError, match="Out of range float"):
+        confmech.write_summary_json(tmp_path / "s.json", summary)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-conformal", "--map", "moebius:sphere(0,0;1e200)+plane(0,1;0)", "--n", "5"],
+        ["stress-field", "--energy", "iso3d", "--map", "moebius:sphere(0,0,0;1e200)+plane(0,1,0;0)", "--n", "5"],
+        ["stress-field", "--energy", "iso2d-klin2", "--map", "moebius:sphere(0,0;1e100)+plane(0,1;0)", "--n", "5"],
+    ],
+    ids=["sphere-1e200-check-conformal", "sphere-1e200-stress-field", "sphere-1e100-stress-field"],
+)
+def test_overflowing_sphere_exits_two_with_one_line_and_no_file(tmp_path, argv):
+    # radius 1e200 ended in an OverflowError traceback (exit 1) from radius**2;
+    # radius 1e100 wrote a NaN summary, and under -W error ended in a traceback
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    summary = ["--summary", str(tmp_path / "s.json")] if argv[0] == "stress-field" else []
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "confmech.cli", *argv, *summary],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("confmech %s: error: " % argv[0])
+    assert list(tmp_path.iterdir()) == []
+
+
+def moebius_spec(center, mantissa, exponent):
+    """A sphere step of this center and radius mantissa e exponent, then the reflection of x2.
+
+    The radius is written without a '+', which the grammar reads as a step separator.
+    """
+    coords = ",".join(repr(c) for c in center)
+    normal = ",".join("1" if i == 1 else "0" for i in range(len(center)))
+    return "moebius:sphere(%s;%re%d)+plane(%s;0)" % (coords, mantissa, exponent, normal)
+
+
+@pytest.mark.filterwarnings("ignore::confmech.InadmissibleDomainWarning")
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3]),
+    # radii from 1e-3 to 1e300: below, across and past the overflows of radius^2 and det F
+    exponent=st.integers(-3, 299),
+    mantissa=st.floats(1.0, 10.0),
+    center=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    fd=st.booleans(),
+    composite=st.booleans(),
+)
+def test_moebius_radii_never_end_in_a_traceback(dim, exponent, mantissa, center, fd, composite):
+    spec = moebius_spec(center[:dim], mantissa, exponent)
+    energy = ("composite%dd" if composite else ("iso%dd-klin2" if dim == 2 else "iso%dd")) % dim
+    commands = [
+        ["check-conformal", "--map", spec, "--n", "5"],
+        ["stress-field", "--energy", energy, "--map", spec, "--n", "5"],
+    ]
+    for argv in commands:
+        # warnings are errors here (pytest's filterwarnings), as under -W error::RuntimeWarning
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv + (["--fd"] if fd else []))
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
 
 
 def test_usage_error_prints_plain_floats(capsys):

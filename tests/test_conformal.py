@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import confmech as cm
+from confmech.cli import parse_map_spec
+from confmech.tensors import from_entries, libm_pow
 
 
 def test_inversion_flip_2d_point_values():
@@ -23,6 +25,46 @@ def test_inversion_flip_2d_gradient_closed_form():
     G2 = phi.gradient(x2)
     assert np.allclose(G2, [[1.12, 3.84], [-3.84, 1.12]], atol=1e-12)
     assert abs(cm.det(G2) - 16.0) <= 1e-10
+
+
+def inversion_flip_rows(x):
+    """The gradient of InversionFlip at points x (..., dim), each entry written out by hand.
+
+    The bit-for-bit oracle of the one formula S (rho id - 2 x (x) x) / rho^2 that
+    InversionFlip._jacobian takes in 2D and 3D.
+    """
+    rho = np.vecdot(x, x)
+    coords = x.transpose(-1, *range(x.ndim - 1))
+    if x.shape[-1] == 2:
+        x1, x2 = coords
+        rows = [
+            [rho - 2.0 * x1 * x1, -2.0 * x1 * x2],
+            [2.0 * x1 * x2, -rho + 2.0 * x2 * x2],
+        ]
+    else:
+        x1, x2, x3 = coords
+        rows = [
+            [rho - 2.0 * x1 * x1, -2.0 * x1 * x2, -2.0 * x1 * x3],
+            [2.0 * x1 * x2, -rho + 2.0 * x2 * x2, 2.0 * x2 * x3],
+            [-2.0 * x1 * x3, -2.0 * x2 * x3, rho - 2.0 * x3 * x3],
+        ]
+    return from_entries(rows) / libm_pow(rho, 2.0)[..., None, None]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inversion_flip_gradient_matches_the_hand_written_rows_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    # |x| from 1e-6 to 1e6, with coordinates that are zero (of either sign), tiny or negative
+    size = (4000, dim)
+    x = 10.0 ** rng.uniform(-6.0, 6.0, size=(size[0], 1)) * rng.standard_normal(size)
+    u = rng.random(size)
+    x = np.where(u < 0.2, 0.0, np.where(u < 0.3, -0.0, np.where(u < 0.45, 1e-9 * x, x)))
+    ties = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.5, 0.0, 0.0], [-0.0, 0.7, -0.0]])[:, :dim]
+    x = np.concatenate([x[np.sqrt(np.vecdot(x, x)) > 1e-12], ties, 1e6 * ties, 1e-6 * ties])
+    phi = cm.InversionFlip(dim)
+    assert phi.gradient(x).tobytes() == inversion_flip_rows(x).tobytes()
+    for p in x[-3 * len(ties):]:
+        assert phi.gradient(p).tobytes() == inversion_flip_rows(p).tobytes()
 
 
 def test_inversion_flip_gradient_matches_fd():
@@ -123,32 +165,56 @@ def test_moebius_odd_composition_reverses_orientation():
         mo.gradient(np.array([0.5, 0.2]))
 
 
+def complex_moebius(a, b, c, d, x):
+    """f(z) = (a z + b) / (c z + d) and the matrix of f'(z) at points x (..., 2), z = x1 + i x2.
+
+    The complex-arithmetic oracle of the planar Moebius maps that the
+    moebius: reflection grammar builds.
+    """
+    z = x[..., 0] + 1j * x[..., 1]
+    w = c * z + d
+    f = (a * z + b) / w
+    fp = (a * d - b * c) / (w * w)
+    rows = [[fp.real, -fp.imag], [fp.imag, fp.real]]
+    return np.stack([f.real, f.imag], axis=-1), np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def assert_matches_complex_moebius(mapping, coefficients, x):
+    f, fp = complex_moebius(*coefficients, x)
+    scale = np.max(np.abs(f), axis=-1, keepdims=True)
+    assert np.all(np.abs(mapping.evaluate(x) - f) <= 1e-14 * scale)
+    scale = np.max(np.abs(fp), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(mapping.gradient(x) - fp) <= 1e-14 * scale)
+
+
 def test_complex_moebius_matches_inversion_flip():
-    # (0 z + 1)/(1 z + 0) = 1/z, which is the planar inversion-flip map
-    mo = cm.ComplexMoebius(0, 1, 1, 0)
-    phi = cm.InversionFlip(2)
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        x = rng.uniform(0.2, 1.4, size=2) * rng.choice([-1.0, 1.0], size=2)
-        assert np.allclose(mo(x), phi(x), atol=1e-12)
-        assert np.allclose(mo.gradient(x), phi.gradient(x), atol=1e-10)
-
-
-def test_complex_moebius_pole_and_degenerate():
-    mo = cm.ComplexMoebius(1.0, 2.0, 1.0, -0.5)
-    with pytest.raises(cm.SingularPoint):
-        mo(np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        cm.ComplexMoebius(1.0, 2.0, 2.0, 4.0)
+    # (0 z + 1)/(1 z + 0) = 1/z: the planar inversion-flip map, and its reflection spec
+    x = cm.sample_annulus(cm.AnnulusDomain(2, 0.2, 1.4), 500, seed=6)
+    assert_matches_complex_moebius(cm.InversionFlip(2), (0, 1, 1, 0), x)
+    assert_matches_complex_moebius(parse_map_spec("moebius:sphere(0,0;1)+plane(0,1;0)")[0], (0, 1, 1, 0), x)
 
 
 def test_complex_moebius_gradient_is_conformal():
-    mo = cm.ComplexMoebius(1.5, 0.25, -0.3, 1.0)
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        x = rng.uniform(-1.0, 1.0, size=2)
-        ok, residual = cm.is_conformal_at(mo, x)
-        assert ok and residual <= 1e-10
+    # z -> 1 + 4 / conj(z - 1), then conjugation: (z + 3) / (z - 1), pole at z = 1
+    mo, _ = parse_map_spec("moebius:sphere(1,0;2)+plane(0,1;0)")
+    x = np.array([1.0, 0.0]) + cm.sample_annulus(cm.AnnulusDomain(2, 0.05, 3.0), 2000, seed=19)
+    assert_matches_complex_moebius(mo, (1, 3, 1, -1), x)
+    assert np.all(cm.is_conformal_at(mo, x)[0])
+
+
+def test_complex_moebius_pole_and_degenerate():
+    # the pole of (z + 3) / (z - 1) is the sphere's center, and near it the
+    # scale of (z + 1e120 - 1) / (z - 1) leaves the float range; a sphere of
+    # radius 0 (ad - bc = 0) or with an overflowing square is refused
+    mo, _ = parse_map_spec("moebius:sphere(1,0;2)+plane(0,1;0)")
+    with pytest.raises(cm.SingularPoint, match="reflection center reached"):
+        mo(np.array([1.0, 0.0]))
+    huge, _ = parse_map_spec("moebius:sphere(1,0;1e60)+plane(0,1;0)")
+    with pytest.raises(cm.SingularPoint, match=r"scale .* is above 1e\+100"):
+        huge.gradient(np.array([1.5, 0.0]))
+    for radius in (0.0, 1e200):
+        with pytest.raises(cm.ConfmechError):
+            cm.SphereReflection([1.0, 0.0], radius)
 
 
 class AffineMap(cm.DeformationMap):
@@ -219,10 +285,8 @@ def test_stacked_gradients_match_one_point_bits(n_stack):
         e2 = np.eye(dim)[1]
         maps = [
             cm.InversionFlip(dim),
-            cm.MoebiusMap([cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(e2)]),
+            cm.MoebiusMap([cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(e2, 0.0)]),
         ]
-        if dim == 2:
-            maps.append(cm.ComplexMoebius(1.5, 0.25, -0.3, 1.0))
         for phi in maps:
             J = phi.gradient(pts)
             assert J.shape == (n_stack, dim, dim)
@@ -235,6 +299,16 @@ def test_stacked_gradients_match_one_point_bits(n_stack):
         # det grad of the inversion-flip is |x|^{-2n}
         rho = np.vecdot(pts, pts)
         assert np.allclose(cm.det(maps[0].gradient(pts)), rho**-dim, rtol=1e-12, atol=0.0)
+
+
+def test_gradient_refuses_a_det_past_the_float_range():
+    # each sphere scales by 1e98 at x = (1, 0), so det grad = 1e392 overflowed,
+    # with an "overflow" RuntimeWarning, and the gradient was returned
+    first = cm.SphereReflection([0.0, 0.0], 1e49)
+    y = first.evaluate(np.array([1.0, 0.0]))
+    mo = cm.MoebiusMap([first, cm.SphereReflection(y + [0.0, 1.0], 1e49)])
+    with pytest.raises(cm.ConfmechError, match=r"det grad overflows at \[1\. 0\.\]"):
+        mo.gradient(np.array([[2.0, 0.0], [1.0, 0.0]]))
 
 
 def test_stacked_gradient_names_first_orientation_reversing_point():

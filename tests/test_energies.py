@@ -37,7 +37,7 @@ def stretch_ratio(F):
 
 def random_rotation(rng, dim):
     """A rotation from the draws of one rotation of random_def_gradient."""
-    return cm.convexity._rotations(cm.convexity._angles(rng, dim))
+    return cm.convexity._rotations(rng.uniform(0.0, 2.0 * np.pi, size=cm.convexity.ANGLES[dim]))
 
 
 def conformal_2x2(scale, angle):

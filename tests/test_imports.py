@@ -104,3 +104,75 @@ def test_strided_matmul_lines_finds_transposed_operands():
 def test_no_matmul_on_a_transposed_view(path):
     lines = strided_matmul_lines(path.read_text())
     assert not lines, "%s lines %s: use tensors.transpose or .transpose" % (path.name, lines)
+
+
+def default_parameters(source):
+    """{(callee, parameter): position} of each parameter with a default that source defines.
+
+    A method is called on an instance, so its positions skip self, and
+    __init__ is called under its class's name; a keyword-only parameter has
+    position None.
+    """
+    tree = ast.parse(source)
+    scopes = [(None, tree)] + [(n.name, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    found = {}
+    for cls, scope in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callee = cls if fn.name == "__init__" else fn.name
+            args = fn.args
+            names = [a.arg for a in args.posonlyargs + args.args][1 if cls else 0:]
+            first = len(names) - len(args.defaults)
+            found.update(((callee, name), i) for i, name in enumerate(names) if i >= first)
+            found.update(
+                ((callee, a.arg), None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            )
+    return found
+
+
+def calls(source):
+    """(callee, positional count, keywords) of each call in source; a * or ** argument passes everything."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+            out.append((callee, float("inf"), None))
+        else:
+            out.append((callee, len(node.args), {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_defaults(defining, calling):
+    """The (callee, parameter) pairs of the defining sources' defaults that no call in calling sets, sorted."""
+    knobs = {}
+    for source in defining:
+        knobs.update(default_parameters(source))
+    made = [call for source in calling for call in calls(source)]
+    return sorted(
+        (callee, name)
+        for (callee, name), i in knobs.items()
+        if not any(
+            c == callee and (kw is None or name in kw or (i is not None and n > i)) for c, n, kw in made
+        )
+    )
+
+
+def test_unset_defaults_finds_a_parameter_no_call_sets():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n    def __init__(self, x, y=0):\n        pass\n    def m(self, z=1):\n        pass\n"
+        "f(0, 1)\nf(0, d=4)\nK(1)\nk.m(2)\n"
+    )
+    assert unset_defaults([source], [source]) == [("K", "y"), ("f", "c")]
+    assert unset_defaults([source], [source + "g(*a)\nK(**kw)\nf(0, 1, 2)\n"]) == []
+
+
+def test_every_default_is_set_by_a_call_outside_the_tests():
+    unset = unset_defaults([p.read_text() for p in MODULES], [p.read_text() for p in READERS])
+    assert not unset, "no call in src, demos or perfbench sets %s: make it a constant" % (
+        ", ".join("%s(%s=)" % pair for pair in unset)
+    )

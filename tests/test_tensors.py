@@ -11,7 +11,7 @@ from confmech.tensors import eig_sym
 
 def random_rotation(rng, dim):
     """A rotation from the draws of one rotation of random_def_gradient."""
-    return cm.convexity._rotations(cm.convexity._angles(rng, dim))
+    return cm.convexity._rotations(rng.uniform(0.0, 2.0 * np.pi, size=cm.convexity.ANGLES[dim]))
 
 
 def jump_singular_values(F):
@@ -175,6 +175,20 @@ def test_stacked_gl_plus_guard_names_first_bad_matrix():
     with pytest.raises(cm.NotInGLPlus) as exc:
         cm.tensors.require_gl_plus(-np.eye(3))
     assert str(exc.value) == "det = -1.0 is not strictly positive"
+
+
+def test_gl_plus_guard_refuses_a_det_above_the_ceiling_without_a_warning():
+    # det 1e200 made iso3d's det^(5/3) raise OverflowError; det past the float
+    # range (+inf, or NaN from inf - inf) raised "overflow" RuntimeWarnings
+    F = np.stack([np.eye(2), np.diag([1e100, 1e100]), np.diag([1e200, 1e200])])
+    with pytest.raises(cm.ConfmechError, match=r"det = 1e\+200 is above 1e\+100 \(matrix 1 "):
+        cm.tensors.require_gl_plus(F)
+    for big in (np.diag([1e200, 1e200]), np.full((3, 3), 1e200)):
+        with pytest.raises(cm.ConfmechError, match=r"det = (inf|nan) "):
+            cm.tensors.require_gl_plus(big)
+    assert 0.0 < cm.tensors.require_gl_plus(np.diag([1e49, 1e49])) <= 1e100
+    with pytest.raises(cm.ConfmechError, match="above 1e"):
+        cm.builtin_energy("iso3d").cauchy_stress(np.diag([1e62, 1e62, 1e62]))
 
 
 def test_libm_pow_matches_scalar_power_bits():
