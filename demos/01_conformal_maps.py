@@ -37,7 +37,8 @@ print("scale, rotation angle = %.6f, %.6f rad" % (
 
 # 3. The same map is a sphere inversion followed by a plane reflection,
 #    which is how the three dimensional version stays conformal too.
-chain = phi2.as_reflections()
+sphere, plane = cm.SphereReflection([0.0, 0.0], 1.0), cm.HyperplaneReflection([0.0, 1.0], 0.0)
+chain = cm.MoebiusMap([sphere, plane])
 y = np.array([0.7, 0.2])
 print("reflection chain agrees at (0.7, 0.2): %s" % np.allclose(chain(y), phi2(y)))
 

@@ -10,9 +10,10 @@ written, each with a one-line message under the subcommand's usage.
 
 Map argument grammar: `phi2d`, `phi3d`, or `moebius:<spec>` where <spec> is
 reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
-`plane(nx,ny[,nz];offset)`; e.g.  moebius:sphere(0,0;1)+plane(0,1;0)
-is exactly phi2d.  Möbius maps are sampled on the default annulus
-0.5 <= |x| <= 0.9 since no admissible determinant band is known for them.
+`plane(nx,ny[,nz];offset)`, numbers as Python writes them (1e+100 too);
+e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is exactly phi2d.  Möbius maps are
+sampled on the default annulus 0.5 <= |x| <= 0.9 since no admissible
+determinant band is known for them.
 """
 
 import argparse
@@ -61,6 +62,8 @@ from .linearized import (
 from .tensors import dev, frobenius_norm, sym
 
 _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
+# a '+' joins two steps only where the next step starts; 1e+100 keeps its sign
+_STEP_JOIN = re.compile(r"\+(?=\s*(?:sphere|plane)\()")
 
 
 def _number(name, convert, ok, what):
@@ -93,7 +96,7 @@ def parse_map_spec(spec):
     if not spec.startswith("moebius:"):
         raise ConfmechError("unknown map %r (phi2d, phi3d, or moebius:<spec>)" % (spec,))
     steps = []
-    for part in spec[len("moebius:"):].split("+"):
+    for part in _STEP_JOIN.split(spec[len("moebius:"):]):
         m = _STEP_RE.match(part.strip())
         if m is None:
             raise ConfmechError("bad reflection step %r" % (part,))
@@ -219,8 +222,8 @@ def _cmd_jump_check(args):
         raise ConfmechError("--f1 and --f2 must have the same dimension")
     report = jump_check(F1, F2, tol=args.tol)
     payload = {
-        "f1": report.f1.tolist(),
-        "f2": report.f2.tolist(),
+        "f1": F1.tolist(),
+        "f2": F2.tolist(),
         "difference_singular_values": report.difference_singular_values.tolist(),
         "rank": report.rank,
         "det_difference": report.det_difference,

@@ -9,12 +9,17 @@ one closed form in 2D and 3D.
 
 evaluate and gradient take one point or a stack of points (..., dim) in one
 body.  A Moebius composition takes each chain-rule step as one stacked
-matmul.  The finite-difference gradient (fd_gradient) makes one evaluate
-call on x + h e_j and one on x - h e_j for each axis j, with h = FD_STEP.
+matmul, with each step's image and derivative from one pass over its parts
+and no image of the last step.  The finite-difference gradient (fd_gradient)
+makes one evaluate call on x + h e_j and one on x - h e_j for each axis j,
+with h = FD_STEP.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
-internally, but a deformation gradient must have positive determinant).
+internally, but a deformation gradient must have positive determinant), as
+is one whose det overflows or underflows to 0.  A plane offset above
+DET_CEILING in size, and a sphere radius whose square overflows, are refused
+where the reflection is built.
 """
 
 from dataclasses import dataclass
@@ -48,15 +53,19 @@ def _as_point(x, dim=None, stack=False):
 
 
 class DeformationMap:
-    """Common behaviour: orientation-checked gradient on top of a raw derivative matrix."""
+    """Common behaviour: orientation-checked gradient on top of a raw derivative matrix.
+
+    A map overrides evaluate and _jacobian, or gives the parts both share:
+    _parts(x), then the image _image(*parts) and the matrix _derivative(*parts).
+    """
 
     dim = None
 
     def evaluate(self, x):
-        raise NotImplementedError
+        return self._image(*self._parts(_as_point(x, self.dim, stack=True)))
 
     def _jacobian(self, x):
-        raise NotImplementedError
+        return self._derivative(*self._parts(x))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -64,16 +73,17 @@ class DeformationMap:
     def gradient(self, x):
         """Deformation gradient at x, or at each point of a stack x of shape (..., dim).
 
-        Raises a ConfmechError, naming the first such point, where det is
-        past the float range, and NonOrientationPreserving where det <= 0.
+        Raises a ConfmechError, naming the first such point, where det
+        overflows or underflows to 0, and NonOrientationPreserving where det < 0.
         """
         x = _as_point(x, self.dim, stack=True)
         J = self._jacobian(x)
         with np.errstate(over="ignore", invalid="ignore"):
             d = det(J)
-        i = first_true(~np.isfinite(d))
+        i = first_true(~np.isfinite(d) | (d == 0.0))
         if i is not None:
-            raise ConfmechError("det grad overflows at %s" % (x.reshape(-1, self.dim)[i],))
+            past = "underflows to 0" if np.ravel(d)[i] == 0.0 else "overflows"
+            raise ConfmechError("det grad %s at %s" % (past, x.reshape(-1, self.dim)[i]))
         i = first_true(~(d > 0.0))
         if i is not None:
             raise NonOrientationPreserving(
@@ -99,57 +109,58 @@ class SphereReflection(DeformationMap):
         except OverflowError:
             raise ConfmechError("sphere radius %r: its square overflows" % (float(radius),)) from None
 
-    def _offset(self, x):
+    def _parts(self, x):
         """x - center, its squared length and the scale radius^2 / |x - center|^2 of the reflection.
 
         SingularPoint, naming the first such point, at the center or where
-        the scale is above DET_CEILING (it would overflow the map's next steps).
+        the scale is above DET_CEILING (it would overflow the map's next
+        steps).  Where |x - center|^2 overflows, the scale is 0.
         """
-        y = x - self.center
-        d2 = np.vecdot(y, y)
+        with np.errstate(over="ignore", divide="ignore"):
+            y = x - self.center
+            d2 = np.vecdot(y, y)
+            scale = self.radius_sq / d2
         i = first_true(np.sqrt(d2) < SINGULAR_RADIUS)
         if i is not None:
             raise SingularPoint("reflection center reached at %s" % (x.reshape(-1, self.dim)[i],))
-        with np.errstate(over="ignore"):
-            scale = self.radius_sq / d2
         i = first_true(~(scale <= DET_CEILING))
         if i is not None:
             at = (float(np.ravel(scale)[i]), DET_CEILING, x.reshape(-1, self.dim)[i])
             raise SingularPoint("reflection scale radius^2 / |x - center|^2 = %r is above %r at %s" % at)
         return y, d2, scale
 
-    def evaluate(self, x):
-        y, _, scale = self._offset(_as_point(x, self.dim, stack=True))
+    def _image(self, y, d2, scale):
         return self.center + scale[..., None] * y
 
-    def _jacobian(self, x):
-        y, d2, scale = self._offset(x)
+    def _derivative(self, y, d2, scale):
         yhat = y / np.sqrt(d2)[..., None]
         outer = yhat[..., :, None] * yhat[..., None, :]
         return scale[..., None, None] * (np.eye(self.dim) - 2.0 * outer)
 
 
 class HyperplaneReflection(DeformationMap):
-    """Reflection across the plane <normal, x> = offset; normal must be unit."""
+    """Reflection across the plane <normal, x> = offset; a unit normal, |offset| <= DET_CEILING."""
 
     def __init__(self, normal, offset):
         normal = _as_point(normal)
         nrm = float(np.sqrt(normal @ normal))
-        if not (abs(nrm - 1.0) <= 1e-12 and np.isfinite(offset)):
+        if not (abs(nrm - 1.0) <= 1e-12 and abs(offset) <= DET_CEILING):
             raise ConfmechError(
-                "a plane needs a unit normal and a finite offset, got |n| = %r and offset %r"
-                % (nrm, float(offset))
+                "a plane needs a unit normal and an offset of at most %r in size, got |n| = %r and "
+                "offset %r" % (DET_CEILING, nrm, float(offset))
             )
         self.normal = normal / nrm
         self.offset = float(offset)
         self.dim = normal.shape[0]
         self._matrix = np.eye(self.dim) - 2.0 * np.outer(self.normal, self.normal)
 
-    def evaluate(self, x):
-        x = _as_point(x, self.dim, stack=True)
+    def _parts(self, x):
+        return (x,)
+
+    def _image(self, x):
         return x - 2.0 * (np.vecdot(x, self.normal) - self.offset)[..., None] * self.normal
 
-    def _jacobian(self, x):
+    def _derivative(self, x):
         return np.broadcast_to(self._matrix, x.shape + (self.dim,))
 
 
@@ -176,12 +187,13 @@ class MoebiusMap(DeformationMap):
         return y
 
     def _jacobian(self, x):
-        y = x
+        # one pass: each step's image and derivative from one _parts call, and no last image
         J = np.eye(self.dim)
-        for s in self.steps:
-            J = s._jacobian(y) @ J
-            y = s.evaluate(y)
-        return J
+        for s in self.steps[:-1]:
+            parts = s._parts(x)
+            J = s._derivative(*parts) @ J
+            x = s._image(*parts)
+        return self.steps[-1]._jacobian(x) @ J
 
 
 class InversionFlip(DeformationMap):
@@ -222,14 +234,6 @@ class InversionFlip(DeformationMap):
             row[i] = s * rho + row[i]
             rows.append(row)
         return from_entries(rows) / libm_pow(rho, 2.0)[..., None, None]
-
-    def as_reflections(self):
-        """The same map as an explicit two-reflection composition (cross-check)."""
-        e2 = np.zeros(self.dim)
-        e2[1] = 1.0
-        return MoebiusMap(
-            [SphereReflection(np.zeros(self.dim), 1.0), HyperplaneReflection(e2, 0.0)]
-        )
 
 
 def fd_gradient(mapping, x):

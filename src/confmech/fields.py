@@ -12,11 +12,11 @@ arithmetic (F. Brown, "Random number generation with arbitrary strides",
 Trans. ANS 1994); the blocks are the exact stream of Lcg64.next_uniform,
 and the points are the first n accepted, in stream order.
 
-jump_check measures rank-one compatibility of two gradients through
-numpy's SVD of F1 - F2, which resolves a zero singular value to rounding
-level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).  For planar
-conformal pairs it also reports det(F1 - F2) as the sum of two squares,
-the reason two distinct conformal states can never form a laminate.
+jump_check measures rank-one compatibility of one pair of gradients
+through numpy's SVD of F1 - F2, which resolves a zero singular value to
+rounding level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).
+For planar conformal pairs it also reports det(F1 - F2) as the sum of two
+squares, the reason two distinct conformal states can never form a laminate.
 """
 
 import json
@@ -240,8 +240,6 @@ JUMP_NORM_MAX = 1e100
 
 @dataclass(frozen=True)
 class JumpReport:
-    f1: np.ndarray
-    f2: np.ndarray
     difference_singular_values: np.ndarray
     rank: int
     det_difference: float
@@ -249,23 +247,15 @@ class JumpReport:
     det_square_terms: tuple | None  # ((a1-a2)^2, (b1-b2)^2) for planar conformal pairs
 
 
-def _similarity_params(entries, norm):
-    """(a, b) when row-major 2x2 entries are [[a, b], [-b, a]] to 1e-8 max(1, norm), else None."""
-    f00, f01, f10, f11 = entries
-    scale = 1e-8 * max(1.0, norm)
-    if abs(f00 - f11) <= scale and abs(f01 + f10) <= scale:
-        return f00, f01
-    return None
-
-
 def jump_check(F1, F2, tol=1e-9):
     """Rank-one compatibility report for the jump F1 - F2.
 
     A singular value counts as nonzero above tol (1 + |F1| + |F2|).  When
-    both matrices are planar similarities [[a, b], [-b, a]], det(F1 - F2)
-    decomposes as (a1-a2)^2 + (b1-b2)^2, reported in det_square_terms; it
-    is positive whenever F1 != F2, so the jump has full rank and the two
-    states are never rank-one connected.  |F1| + |F2| above JUMP_NORM_MAX
+    both matrices are planar similarities [[a, b], [-b, a]] (entries equal
+    to 1e-8 max(1, |F|)), det(F1 - F2) decomposes as (a1-a2)^2 + (b1-b2)^2,
+    reported in det_square_terms; it is positive whenever F1 != F2, so the
+    jump has full rank and the two states are never rank-one connected.
+    The report holds no copy of F1 and F2.  |F1| + |F2| above JUMP_NORM_MAX
     (or NaN) is refused with a ConfmechError before any product of entries
     could overflow.
     """
@@ -284,13 +274,11 @@ def jump_check(F1, F2, tol=1e-9):
     rank = sum(v > thresh for v in svals.tolist())
     square_terms = None
     if len(e1) == 4:
-        p1 = _similarity_params(e1, n1)
-        p2 = _similarity_params(e2, n2)
-        if p1 is not None and p2 is not None:
-            square_terms = ((p1[0] - p2[0]) ** 2, (p1[1] - p2[1]) ** 2)
+        s1, s2 = 1e-8 * max(1.0, n1), 1e-8 * max(1.0, n2)
+        if (abs(e1[0] - e1[3]) <= s1 and abs(e1[1] + e1[2]) <= s1
+                and abs(e2[0] - e2[3]) <= s2 and abs(e2[1] + e2[2]) <= s2):
+            square_terms = ((e1[0] - e2[0]) ** 2, (e1[1] - e2[1]) ** 2)
     return JumpReport(
-        f1=F1,
-        f2=F2,
         difference_singular_values=svals,
         rank=rank,
         det_difference=det(D),

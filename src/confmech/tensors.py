@@ -25,7 +25,8 @@ from .exceptions import ConfmechError, NotInGLPlus
 
 # dets at or below this are treated as non-positive; no clamping anywhere
 DET_FLOOR = 1e-300
-# dets above this are refused: the energies' powers of det F, up to det^2, stay finite
+# dets above this or below its reciprocal are refused: the energies' powers of
+# det F, up to det^2, neither overflow nor underflow
 DET_CEILING = 1e100
 SMALLEST_NORMAL = 2.0**-1022
 
@@ -121,8 +122,9 @@ def require_gl_plus(F):
     """Return det F, raising NotInGLPlus when it is not strictly positive.
 
     For a stack, the dets of all its matrices; the error names the first
-    matrix whose det fails.  A det above DET_CEILING, +inf included, is
-    refused with a ConfmechError; det past the float range warns of nothing.
+    matrix whose det fails.  A det above DET_CEILING, +inf included, or
+    below its reciprocal is refused with a ConfmechError; det past the
+    float range warns of nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = det(F)
@@ -131,11 +133,11 @@ def require_gl_plus(F):
         raise NotInGLPlus(
             "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), _stack_note(d, i))
         )
-    i = first_true(d > DET_CEILING)  # NaN failed above
+    i = first_true((d < 1.0 / DET_CEILING) | (d > DET_CEILING))  # NaN failed above
     if i is not None:
-        raise ConfmechError(
-            "det = %r is above %r%s" % (float(np.ravel(d)[i]), DET_CEILING, _stack_note(d, i))
-        )
+        at = float(np.ravel(d)[i])
+        side = (at, "above", DET_CEILING) if at > 1.0 else (at, "below", 1.0 / DET_CEILING)
+        raise ConfmechError("det = %r is %s %r%s" % (*side, _stack_note(d, i)))
     return d
 
 

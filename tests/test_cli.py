@@ -280,12 +280,23 @@ def test_non_finite_payload_exits_two_with_one_line(capsys, tmp_path, monkeypatc
         ["check-conformal", "--map", "moebius:sphere(0,0;1e200)+plane(0,1;0)", "--n", "5"],
         ["stress-field", "--energy", "iso3d", "--map", "moebius:sphere(0,0,0;1e200)+plane(0,1,0;0)", "--n", "5"],
         ["stress-field", "--energy", "iso2d-klin2", "--map", "moebius:sphere(0,0;1e100)+plane(0,1;0)", "--n", "5"],
+        ["check-conformal", "--map", "moebius:sphere(1e200,0;1)+plane(0,1;0)", "--n", "5"],
+        ["stress-field", "--energy", "iso3d", "--map", "moebius:sphere(0,1e200,0;1)+plane(0,1,0;0)", "--n", "5"],
+        ["check-conformal", "--map", "moebius:sphere(0,0;1)+plane(0,1;1e308)", "--n", "5", "--fd"],
+        ["stress-field", "--energy", "composite2d", "--map", "moebius:sphere(0,0;1)+plane(0,1;1e308)", "--n", "5"],
     ],
-    ids=["sphere-1e200-check-conformal", "sphere-1e200-stress-field", "sphere-1e100-stress-field"],
+    ids=[
+        "sphere-1e200-check-conformal", "sphere-1e200-stress-field", "sphere-1e100-stress-field",
+        "center-1e200-check-conformal", "center-1e200-stress-field",
+        "offset-1e308-check-conformal", "offset-1e308-stress-field",
+    ],
 )
 def test_overflowing_sphere_exits_two_with_one_line_and_no_file(tmp_path, argv):
     # radius 1e200 ended in an OverflowError traceback (exit 1) from radius**2;
-    # radius 1e100 wrote a NaN summary, and under -W error ended in a traceback
+    # radius 1e100 wrote a NaN summary, and under -W error ended in a traceback;
+    # a center at 1e200 overflowed |x - center|^2 and an offset at 1e308 the
+    # plane's image, each with a warning, and without -W error a center far
+    # from the points exited 2 as "reverses orientation (det = 0.0)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
     summary = ["--summary", str(tmp_path / "s.json")] if argv[0] == "stress-field" else []
     proc = subprocess.run(
@@ -298,14 +309,30 @@ def test_overflowing_sphere_exits_two_with_one_line_and_no_file(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def moebius_spec(center, mantissa, exponent):
-    """A sphere step of this center and radius mantissa e exponent, then the reflection of x2.
-
-    The radius is written without a '+', which the grammar reads as a step separator.
-    """
-    coords = ",".join(repr(c) for c in center)
+def moebius_spec(center, radius, offset="0"):
+    """A sphere step of this center and radius, then the reflection across x2 = offset, all as texts."""
     normal = ",".join("1" if i == 1 else "0" for i in range(len(center)))
-    return "moebius:sphere(%s;%re%d)+plane(%s;0)" % (coords, mantissa, exponent, normal)
+    return "moebius:sphere(%s;%s)+plane(%s;%s)" % (",".join(center), radius, normal, offset)
+
+
+def assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite):
+    """check-conformal and stress-field on spec exit 0, 1 or 2, with warnings as errors.
+
+    pytest's filterwarnings makes a RuntimeWarning an error here, as -W
+    error::RuntimeWarning does on the command line.
+    """
+    energy = ("composite%dd" if composite else ("iso%dd-klin2" if dim == 2 else "iso%dd")) % dim
+    commands = [
+        ["check-conformal", "--map", spec, "--n", "5"],
+        ["stress-field", "--energy", energy, "--map", spec, "--n", "5"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv + (["--fd"] if fd else []))
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
 
 
 @pytest.mark.filterwarnings("ignore::confmech.InadmissibleDomainWarning")
@@ -320,20 +347,50 @@ def moebius_spec(center, mantissa, exponent):
     composite=st.booleans(),
 )
 def test_moebius_radii_never_end_in_a_traceback(dim, exponent, mantissa, center, fd, composite):
-    spec = moebius_spec(center[:dim], mantissa, exponent)
-    energy = ("composite%dd" if composite else ("iso%dd-klin2" if dim == 2 else "iso%dd")) % dim
-    commands = [
-        ["check-conformal", "--map", spec, "--n", "5"],
-        ["stress-field", "--energy", energy, "--map", spec, "--n", "5"],
-    ]
-    for argv in commands:
-        # warnings are errors here (pytest's filterwarnings), as under -W error::RuntimeWarning
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv + (["--fd"] if fd else []))
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2)
+    # as repr writes them, 1e+100 with its exponent's sign
+    spec = moebius_spec([repr(c) for c in center[:dim]], repr(mantissa * 10.0**exponent))
+    assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite)
+
+
+@pytest.mark.filterwarnings("ignore::confmech.InadmissibleDomainWarning")
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3]),
+    # sizes from 1e-3 to 1e308: a sphere center or a plane offset at the float range
+    exponent=st.integers(-3, 308),
+    mantissa=st.floats(1.0, 1.7),
+    sign=st.sampled_from([1, -1]),
+    axis=st.integers(0, 2),
+    offset=st.booleans(),
+    radius=st.sampled_from(["1e-3", "1", "1e100"]),
+    fd=st.booleans(),
+    composite=st.booleans(),
+)
+def test_moebius_centers_and_offsets_never_end_in_a_traceback(
+    dim, exponent, mantissa, sign, axis, offset, radius, fd, composite
+):
+    # written <mantissa>e<exponent>, so a grammar that splits at an exponent's '+' cannot hide it
+    size = "%s%re%d" % ("-" if sign < 0 else "", mantissa, exponent)
+    center = ["0"] * dim
+    if offset:
+        spec = moebius_spec(center, radius, size)
+    else:
+        center[axis % dim] = size
+        spec = moebius_spec(center, radius)
+    assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite)
+
+
+@pytest.mark.parametrize("command", [["check-conformal"], ["stress-field", "--energy", "iso2d-klin2"]])
+def test_moebius_numbers_take_a_signed_exponent(capsys, command):
+    # the spec was split at every '+', so 1e+2 was refused as "bad reflection step 'sphere(0,0;1e'"
+    payloads = []
+    for radius in ("1e+2", "1e2", "100.0"):
+        spec = "moebius:sphere(0.1,0;%s)+plane(0,1;0)" % radius
+        code, out = run(capsys, *command, "--map", spec, "--n", "20")
+        payload = json.loads(out)
+        assert code in (0, 1) and payload.pop("map") == spec
+        payloads.append(payload)
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_usage_error_prints_plain_floats(capsys):

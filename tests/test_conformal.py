@@ -106,7 +106,9 @@ def test_inversion_flip_equals_two_reflections():
     rng = np.random.default_rng(8)
     for dim in (2, 3):
         phi = cm.InversionFlip(dim)
-        refl = phi.as_reflections()
+        # the unit-sphere inversion, then the reflection of x2
+        sphere, plane = cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(np.eye(dim)[1], 0.0)
+        refl = cm.MoebiusMap([sphere, plane])
         for _ in range(20):
             x = rng.uniform(0.2, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
             assert np.allclose(refl(x), phi(x), atol=1e-12)
@@ -309,6 +311,81 @@ def test_gradient_refuses_a_det_past_the_float_range():
     mo = cm.MoebiusMap([first, cm.SphereReflection(y + [0.0, 1.0], 1e49)])
     with pytest.raises(cm.ConfmechError, match=r"det grad overflows at \[1\. 0\.\]"):
         mo.gradient(np.array([[2.0, 0.0], [1.0, 0.0]]))
+
+
+def test_gradient_names_a_det_that_underflows_to_zero():
+    # each sphere scales by about 1e-98, so det grad ~ 1e-588 underflowed to 0,
+    # which was reported as "map reverses orientation (det = 0.0)"
+    mo = cm.MoebiusMap([cm.SphereReflection(np.zeros(3), 1e-49), cm.SphereReflection([1.0, 0.0, 0.0], 1e-49)])
+    with pytest.raises(cm.ConfmechError, match=r"det grad underflows to 0 at \[0\.5 0\.5 0\.5\]"):
+        mo.gradient(np.full(3, 0.5))
+
+
+def test_geometry_near_the_float_range_is_refused_without_a_warning():
+    # a center at 1e200 overflowed |x - center|^2 ("overflow" warning), and at
+    # 1e150 its scale 1e-300 underflowed det grad to 0, "reverses orientation";
+    # an offset of 1e308 overflowed the plane's image
+    e2 = cm.HyperplaneReflection([0.0, 1.0], 0.0)
+    for center in (1e200, 1e150):
+        far = cm.MoebiusMap([cm.SphereReflection([center, 0.0], 1.0), e2])
+        assert np.all(np.isfinite(far.evaluate(np.array([1.0, 0.0]))))
+        with pytest.raises(cm.ConfmechError, match=r"det grad underflows to 0 at \[1\. 0\.\]"):
+            far.gradient(np.array([1.0, 0.0]))
+        with pytest.raises(cm.NotInGLPlus, match=r"det = -?0\.0 is not strictly positive"):
+            cm.is_conformal_at(far, np.array([1.0, 0.0]), use_fd=True)
+    for offset in (1e308, -1.5e100, np.nan):
+        with pytest.raises(cm.ConfmechError, match="offset of at most 1e"):
+            cm.HyperplaneReflection([0.0, 1.0], offset)
+    assert cm.HyperplaneReflection([0.0, 1.0], -1e100).evaluate(np.zeros(2))[1] == -2e100
+
+
+def two_pass_chain(steps, x):
+    """The image and chain-rule derivative of reflection steps at x (..., dim), one step at a time.
+
+    A copy of the two-pass chain the Moebius map took before its one-pass
+    gradient: each step's derivative at y, then its image y, every formula
+    written out here.
+    """
+    dim = x.shape[-1]
+    J = np.eye(dim)
+    for s in steps:
+        if isinstance(s, cm.SphereReflection):
+            y = x - s.center
+            d2 = np.vecdot(y, y)
+            scale = s.radius_sq / d2
+            yhat = y / np.sqrt(d2)[..., None]
+            Js = scale[..., None, None] * (np.eye(dim) - 2.0 * (yhat[..., :, None] * yhat[..., None, :]))
+            x = s.center + scale[..., None] * y
+        else:
+            Js = np.broadcast_to(np.eye(dim) - 2.0 * np.outer(s.normal, s.normal), x.shape + (dim,))
+            x = x - 2.0 * (np.vecdot(x, s.normal) - s.offset)[..., None] * s.normal
+        J = Js @ J
+    return x, J
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_pass_moebius_gradient_matches_the_two_pass_chain_bit_for_bit(dim, monkeypatch):
+    e = np.eye(dim)
+    tilted = np.r_[0.6, 0.8, np.zeros(dim - 2)]
+    chains = [
+        [cm.SphereReflection(np.zeros(dim), 1.0), cm.HyperplaneReflection(e[1], 0.0)],
+        [cm.SphereReflection(0.1 * e[0] - 0.2 * e[1], 1.3), cm.SphereReflection(2.0 * e[0], 0.8)],
+        [cm.HyperplaneReflection(tilted, 0.3), cm.SphereReflection(e[1], 2.0),
+         cm.SphereReflection(-0.5 * e[0], 0.7), cm.HyperplaneReflection(e[0], -0.1)],
+    ]
+    pts = cm.sample_annulus(cm.AnnulusDomain(dim, 0.3, 1.2), 500, seed=dim)
+    calls = []
+    for cls in (cm.SphereReflection, cm.HyperplaneReflection):
+        monkeypatch.setattr(cls, "_parts", lambda self, x, parts=cls._parts: calls.append(self) or parts(self, x))
+    for steps in chains:
+        mo = cm.MoebiusMap(steps)
+        image, J = two_pass_chain(steps, pts)
+        calls.clear()
+        assert mo.gradient(pts).tobytes() == J.tobytes()
+        assert calls == steps  # each step's parts once, the last image never
+        assert mo.evaluate(pts).tobytes() == image.tobytes()
+        for p in pts[:5]:
+            assert mo.gradient(p).tobytes() == two_pass_chain(steps, p)[1].tobytes()
 
 
 def test_stacked_gradient_names_first_orientation_reversing_point():

@@ -191,6 +191,17 @@ def test_gl_plus_guard_refuses_a_det_above_the_ceiling_without_a_warning():
         cm.builtin_energy("iso3d").cauchy_stress(np.diag([1e62, 1e62, 1e62]))
 
 
+def test_gl_plus_guard_refuses_a_det_below_the_ceilings_reciprocal_without_a_warning():
+    # below about 1e-162 (2D) and 1e-194 (3D) iso2d-psi's det^2 and iso3d's
+    # det^(5/3) underflowed to 0, and cauchy_stress raised "divide by zero"
+    F = np.stack([np.eye(2), np.diag([1e-50, 1e-50]), np.diag([0.5, 2e-150])])
+    with pytest.raises(cm.ConfmechError, match=r"det = 1e-150 is below 1e-100 \(matrix 2 "):
+        cm.tensors.require_gl_plus(F)
+    for name, F in (("iso2d-psi", np.diag([1e-90, 1e-90])), ("iso3d", np.diag([1e-70, 1e-70, 1e-70]))):
+        with pytest.raises(cm.ConfmechError, match="below 1e-100"):
+            cm.builtin_energy(name).cauchy_stress(F)
+
+
 def test_libm_pow_matches_scalar_power_bits():
     # the scalar a ** p is libm's pow; an array np.power may take a SIMD route
     a = np.random.default_rng(41).uniform(0.5, 6.0, 5000)
