@@ -10,18 +10,7 @@ finite-difference oracles, rank-one convexity certificates, the linearized
 
 __version__ = "0.1.0"
 
-from .exceptions import (
-    ConfmechError,
-    InadmissibleDomainWarning,
-    InvalidSplice,
-    LeavesGLPlus,
-    NonOrientationPreserving,
-    NonPositiveArgument,
-    NotConformal,
-    NotDifferentiable,
-    NotInGLPlus,
-    SingularPoint,
-)
+from .exceptions import ConfmechError, InadmissibleDomainWarning, LeavesGLPlus
 from .tensors import (
     cofactor,
     conformality_residual,

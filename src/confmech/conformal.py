@@ -19,14 +19,15 @@ gradient is refused (the chain-rule derivative is available to compositions
 internally, but a deformation gradient must have positive determinant), as
 is one whose det overflows or underflows to 0.  A plane offset above
 DET_CEILING in size, and a sphere radius whose square overflows, are refused
-where the reflection is built.
+where the reflection is built.  Every refusal is a ConfmechError, and one at
+a point names the point the caller gave, also from a later step of a chain.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfmechError, NonOrientationPreserving, NotConformal, SingularPoint
+from .exceptions import ConfmechError
 from .tensors import (
     DET_CEILING,
     as_square,
@@ -46,9 +47,9 @@ def _as_point(x, dim=None, stack=False):
     """x as a 2- or 3-vector, or with stack=True as a stack (..., dim) of them."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] not in (2, 3) or (x.ndim > 1 and not stack):
-        raise ValueError("expected a 2- or 3-vector, got shape %s" % (x.shape,))
+        raise ConfmechError("expected a 2- or 3-vector, got shape %s" % (x.shape,))
     if dim is not None and x.shape[-1] != dim:
-        raise ValueError("expected a %d-vector, got %d" % (dim, x.shape[-1]))
+        raise ConfmechError("expected a %d-vector, got %d" % (dim, x.shape[-1]))
     return x
 
 
@@ -56,16 +57,19 @@ class DeformationMap:
     """Common behaviour: orientation-checked gradient on top of a raw derivative matrix.
 
     A map overrides evaluate and _jacobian, or gives the parts both share:
-    _parts(x), then the image _image(*parts) and the matrix _derivative(*parts).
+    _parts(x, points), then the image _image(*parts) and the matrix
+    _derivative(*parts).  A refusal in _parts names the point of points, a
+    stack in x's order, where x fails: x itself, or a Moebius chain's input.
     """
 
     dim = None
 
     def evaluate(self, x):
-        return self._image(*self._parts(_as_point(x, self.dim, stack=True)))
+        x = _as_point(x, self.dim, stack=True)
+        return self._image(*self._parts(x, x))
 
     def _jacobian(self, x):
-        return self._derivative(*self._parts(x))
+        return self._derivative(*self._parts(x, x))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -74,7 +78,7 @@ class DeformationMap:
         """Deformation gradient at x, or at each point of a stack x of shape (..., dim).
 
         Raises a ConfmechError, naming the first such point, where det
-        overflows or underflows to 0, and NonOrientationPreserving where det < 0.
+        overflows or underflows to 0, or where det < 0.
         """
         x = _as_point(x, self.dim, stack=True)
         J = self._jacobian(x)
@@ -86,7 +90,7 @@ class DeformationMap:
             raise ConfmechError("det grad %s at %s" % (past, x.reshape(-1, self.dim)[i]))
         i = first_true(~(d > 0.0))
         if i is not None:
-            raise NonOrientationPreserving(
+            raise ConfmechError(
                 "map reverses orientation at %s (det = %r)"
                 % (x.reshape(-1, self.dim)[i], float(np.ravel(d)[i]))
             )
@@ -109,12 +113,12 @@ class SphereReflection(DeformationMap):
         except OverflowError:
             raise ConfmechError("sphere radius %r: its square overflows" % (float(radius),)) from None
 
-    def _parts(self, x):
+    def _parts(self, x, points):
         """x - center, its squared length and the scale radius^2 / |x - center|^2 of the reflection.
 
-        SingularPoint, naming the first such point, at the center or where
-        the scale is above DET_CEILING (it would overflow the map's next
-        steps).  Where |x - center|^2 overflows, the scale is 0.
+        A ConfmechError, naming the point of points where x first fails, at
+        the center or where the scale is above DET_CEILING (it would overflow
+        the map's next steps).  Where |x - center|^2 overflows, the scale is 0.
         """
         with np.errstate(over="ignore", divide="ignore"):
             y = x - self.center
@@ -122,11 +126,11 @@ class SphereReflection(DeformationMap):
             scale = self.radius_sq / d2
         i = first_true(np.sqrt(d2) < SINGULAR_RADIUS)
         if i is not None:
-            raise SingularPoint("reflection center reached at %s" % (x.reshape(-1, self.dim)[i],))
+            raise ConfmechError("reflection center reached at %s" % (points.reshape(-1, self.dim)[i],))
         i = first_true(~(scale <= DET_CEILING))
         if i is not None:
-            at = (float(np.ravel(scale)[i]), DET_CEILING, x.reshape(-1, self.dim)[i])
-            raise SingularPoint("reflection scale radius^2 / |x - center|^2 = %r is above %r at %s" % at)
+            at = (float(np.ravel(scale)[i]), DET_CEILING, points.reshape(-1, self.dim)[i])
+            raise ConfmechError("reflection scale radius^2 / |x - center|^2 = %r is above %r at %s" % at)
         return y, d2, scale
 
     def _image(self, y, d2, scale):
@@ -154,7 +158,7 @@ class HyperplaneReflection(DeformationMap):
         self.dim = normal.shape[0]
         self._matrix = np.eye(self.dim) - 2.0 * np.outer(self.normal, self.normal)
 
-    def _parts(self, x):
+    def _parts(self, x, points):
         return (x,)
 
     def _image(self, x):
@@ -181,19 +185,20 @@ class MoebiusMap(DeformationMap):
         self.dim = dims.pop()
 
     def evaluate(self, x):
-        y = _as_point(x, self.dim, stack=True)
+        y = x = _as_point(x, self.dim, stack=True)
         for s in self.steps:
-            y = s.evaluate(y)
+            y = s._image(*s._parts(y, x))
         return y
 
     def _jacobian(self, x):
-        # one pass: each step's image and derivative from one _parts call, and no last image
-        J = np.eye(self.dim)
+        # one pass: each step's image and derivative from one _parts call, and no last image;
+        # every step keeps the order of the stack, so a refusal at an image names x
+        J, y = np.eye(self.dim), x
         for s in self.steps[:-1]:
-            parts = s._parts(x)
+            parts = s._parts(y, x)
             J = s._derivative(*parts) @ J
-            x = s._image(*parts)
-        return self.steps[-1]._jacobian(x) @ J
+            y = s._image(*parts)
+        return self.steps[-1]._derivative(*self.steps[-1]._parts(y, x)) @ J
 
 
 class InversionFlip(DeformationMap):
@@ -207,14 +212,14 @@ class InversionFlip(DeformationMap):
 
     def __init__(self, dim):
         if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+            raise ConfmechError("dim must be 2 or 3")
         self.dim = dim
 
     def _rho(self, x):
         # vecdot is BLAS ddot per point, the bits of x @ x
         rho = np.vecdot(x, x)
         if first_true(np.sqrt(rho) < SINGULAR_RADIUS) is not None:
-            raise SingularPoint("origin is the singular point of the inversion")
+            raise ConfmechError("origin is the singular point of the inversion")
         return rho
 
     def evaluate(self, x):
@@ -271,11 +276,11 @@ class ConformalDecomposition:
 
 
 def decompose_conformal(F):
-    """Split F in CSO(n) as (scale, rotation); raises NotConformal beyond the residual 1e-10."""
+    """Split F in CSO(n) as (scale, rotation); raises a ConfmechError beyond the residual 1e-10."""
     F = as_square(F)
     d = require_gl_plus(F)
     residual = conformality_residual(F)
     if residual > 1e-10:
-        raise NotConformal("residual %r exceeds tolerance 1e-10" % (residual,))
+        raise ConfmechError("residual %r exceeds tolerance 1e-10" % (residual,))
     lam = d ** (1.0 / F.shape[0])
     return ConformalDecomposition(scale=lam, rotation=F / lam, residual=residual)

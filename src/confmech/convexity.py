@@ -20,9 +20,11 @@ ks_grid_scan evaluates its whole grid at once.  A line scan evaluates the
 energy once, on the stack of its LINE_SAMPLES points, and the h criterion
 calls h once, on the array of its H_SAMPLES samples.
 
-The scan driver never silently promotes a borderline result: values inside
-the band +-MARGIN count as "elliptic" only when the energy's second_form is
-analytic (energy.analytic), otherwise the verdict is "inconclusive".
+A line scan whose segment leaves the det band of tensors.require_gl_plus
+raises LeavesGLPlus, which scan_rank_one_convexity catches.  That scan never
+silently promotes a borderline result: values inside the band +-MARGIN
+count as "elliptic" only when the energy's second_form is analytic
+(energy.analytic), otherwise the verdict is "inconclusive".
 """
 
 import math
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import _profile, _values
-from .exceptions import LeavesGLPlus
-from .tensors import DET_FLOOR, as_square, det, first_true, from_entries, libm_pow
+from .exceptions import ConfmechError, LeavesGLPlus
+from .tensors import as_square, first_true, from_entries, libm_pow, require_gl_plus
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 MARGIN = 1e-9  # verdict band of the LH scan, and of a line scan relative to its largest |W|
@@ -52,7 +54,7 @@ def lh_form(energy, F, xi, eta):
     eta = np.asarray(eta, dtype=float)
     n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
     if first_true(n2 == 0.0) is not None:
-        raise ValueError("xi and eta must be nonzero")
+        raise ConfmechError("xi and eta must be nonzero")
     return energy.second_form(F, xi[..., :, None] * eta[..., None, :]) / n2
 
 
@@ -66,18 +68,19 @@ class LineScanResult:
 def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     """Classify t -> W(F + t xi (x) eta) on [0, t_max] by centered second differences.
 
-    Raises LeavesGLPlus where some sample point has det <= DET_FLOOR (the
-    energies' domain ends there); the classification margin is MARGIN times
-    the largest sampled |W|, at least 1.  value is called once, on the stack
-    of the LINE_SAMPLES sample points.
+    Raises LeavesGLPlus where some sample point's det leaves the det band of
+    tensors.require_gl_plus, where the energies refuse F; the
+    classification margin is MARGIN times the largest sampled |W|, at least
+    1.  value is called once, on the stack of the LINE_SAMPLES sample points.
     """
     F = as_square(F)
     H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     ts = np.linspace(0.0, float(t_max), LINE_SAMPLES)
     Ft = F + ts[:, None, None] * H
-    i = first_true(~(det(Ft) > DET_FLOOR))
-    if i is not None:
-        raise LeavesGLPlus("det(F + t xi eta^T) <= %r at t = %r" % (DET_FLOOR, ts[i]))
+    try:
+        require_gl_plus(Ft)
+    except ConfmechError as exc:
+        raise LeavesGLPlus("F + t xi eta^T, 0 <= t <= %r, leaves GL+: %s" % (float(t_max), exc)) from None
     values = _values(energy, Ft)
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     scale = MARGIN * max(1.0, float(np.max(np.abs(values))))
@@ -140,7 +143,7 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
     """
     l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
     if not np.all((l1 > 0.0) & (l2 > 0.0)):
-        raise ValueError("principal stretches must be positive")
+        raise ConfmechError("principal stretches must be positive")
     g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
@@ -181,9 +184,10 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
 
 
 def ratio_minus_one_squared(l1, l2):
-    """g(l1, l2) = (max/min - 1)^2, the stretch representation of the squared builtin.
+    """g(l1, l2) = (max/min - 1)^2, one pair or arrays of stretches.
 
-    One pair or arrays of stretches.
+    This is the g whose Knowles-Sternberg grid check-convexity reports for
+    iso2d-klin2; that energy's own profile is h(s) = s^2 - 1, not (s - 1)^2.
     """
     s = np.where(l1 >= l2, l1 / l2, l2 / l1)
     return libm_pow(s - 1.0, 2.0)

@@ -30,7 +30,7 @@ stacks through _values, which refuses a value that does not.
 
 import numpy as np
 
-from .exceptions import ConfmechError, InvalidSplice, NonPositiveArgument, NotDifferentiable
+from .exceptions import ConfmechError
 from .tensors import (
     _entries,
     _singular_values,
@@ -128,7 +128,7 @@ class EnergyModel:
         """
         F = as_square(F, stack=True)
         if F.shape[-1] != self.dim:
-            raise ValueError(
+            raise ConfmechError(
                 "%s is a %dD energy, got a %dx%d matrix"
                 % (self.label, self.dim, F.shape[-1], F.shape[-1])
             )
@@ -189,7 +189,7 @@ class DistortionEnergy(EnergyModel):
         v = _profile(fn, K)
         i = first_true(~np.isfinite(v))
         if i is not None:
-            raise NotDifferentiable(
+            raise ConfmechError(
                 "%s is not finite at K = %r%s" % (name, float(np.ravel(K)[i]), _stack_note(K, i))
             )
         return v
@@ -269,15 +269,15 @@ class PlanarRatioEnergy(EnergyModel):
     the gradient (hence the Cauchy stress) is reported as exactly 0 there:
     the stress of these energies must vanish identically on the conformal
     group, and 0 is the minimal-norm subgradient at a minimum even when h
-    has a corner.  h'(1+) < 0 leaves no canonical value and raises
-    NotDifferentiable.
+    has a corner.  h'(1+) < 0 leaves no canonical value and raises a
+    ConfmechError.
 
     value, first_derivative, cauchy_stress and second_form take one matrix
     or a stack (..., 2, 2) through the closed-form 2x2 SVD, so h, dh and
     d2h are called on an array of ratios and must broadcast (a constant is
     broadcast to the ratios' shape).  second_form has no closed form at
     nearly coincident singular values: such a matrix gets a central second
-    difference of the value when h'(1) = 0, and NotDifferentiable otherwise.
+    difference of the value when h'(1) = 0, and a ConfmechError otherwise.
     """
 
     dim = 2
@@ -300,7 +300,7 @@ class PlanarRatioEnergy(EnergyModel):
         tie = ratio - 1.0 < TIE_GAP
         i = first_true(tie & (h1 < -1e-8))
         if i is not None:
-            raise NotDifferentiable(
+            raise ConfmechError(
                 "h decreases into the coincident singular values (h'(1+) = %r)%s"
                 % (float(np.ravel(h1)[i]), _stack_note(ratio, i))
             )
@@ -321,7 +321,7 @@ class PlanarRatioEnergy(EnergyModel):
         near = (s[:, 0] - s[:, 1]) / s[:, 0] < NEAR_TIE_GAP
         i = first_true(near & ~(np.abs(h1) <= 1e-8))
         if i is not None:
-            raise NotDifferentiable(
+            raise ConfmechError(
                 "no second derivative at coincident singular values%s"
                 % _stack_note(ratio.reshape(shape), i)
             )
@@ -387,12 +387,12 @@ class VolumetricTerm:
     an array, each branch computed on its own entries only, with numpy's log
     and exp, which give the same bits on an array as on one float.  The
     second derivative jumps at t = c and is one-sided at t = e, so curvature
-    raises NotDifferentiable there.
+    raises a ConfmechError there.
     """
 
     def __init__(self, c=DEFAULT_C):
         if not (np.isfinite(c) and c > np.e):
-            raise InvalidSplice("splice point c = %r must be finite and strictly above e" % (c,))
+            raise ConfmechError("splice point c = %r must be finite and strictly above e" % (c,))
         self.c = float(c)
 
     def _by_branch(self, t, low, band, high):
@@ -406,7 +406,7 @@ class VolumetricTerm:
         i = first_true(~(t > 0.0))
         if i is not None:
             bad = float(t.flat[i])
-            raise NonPositiveArgument("volumetric argument t = %r must be positive" % (bad,))
+            raise ConfmechError("volumetric argument t = %r must be positive" % (bad,))
         lo, hi = t < np.e, t > self.c
         out = np.empty(t.shape)
         for mask, formula in ((lo, low), (~(lo | hi), band)):
@@ -436,11 +436,11 @@ class VolumetricTerm:
         )
 
     def curvature(self, t):
-        """f''(t), of one t or of each entry of an array; NotDifferentiable at t = e or t = c."""
+        """f''(t), of one t or of each entry of an array; a ConfmechError at t = e or t = c."""
         e, c = np.e, self.c
         i = first_true((np.asarray(t) == e) | (np.asarray(t) == c))
         if i is not None:
-            raise NotDifferentiable(
+            raise ConfmechError(
                 "volumetric second derivative is one-sided at the splice point t = %r"
                 % (float(np.ravel(t)[i]),)
             )
@@ -474,7 +474,7 @@ class CompositeEnergy(EnergyModel):
         self.label = "composite-" + iso.label
         a, b = _values(iso, np.stack([1.7 * np.eye(self.dim), np.eye(self.dim)]))
         if abs(a - b) > 1e-8 * (1.0 + abs(b)):
-            raise ValueError("iso part must be conformally invariant to compose")
+            raise ConfmechError("iso part must be conformally invariant to compose")
         self.analytic = iso.analytic
 
     def value(self, F):
@@ -546,5 +546,5 @@ def builtin_energy(name, c=DEFAULT_C):
     elif name in ("iso3d", "composite3d"):
         iso = IsochoricNeoHooke()
     else:
-        raise ValueError("unknown energy %r (choose from %s)" % (name, ", ".join(BUILTIN_ENERGIES)))
+        raise ConfmechError("unknown energy %r (choose from %s)" % (name, ", ".join(BUILTIN_ENERGIES)))
     return CompositeEnergy(iso, VolumetricTerm(c)) if name.startswith("composite") else iso

@@ -1,40 +1,16 @@
-"""Error types shared across the package."""
+"""Error types shared across the package.
+
+Every refusal of the library is a ConfmechError, a ValueError; the line
+scan's LeavesGLPlus is the one subclass, because the rank-one scan catches it.
+"""
 
 
 class ConfmechError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class NotInGLPlus(ConfmechError):
-    """Matrix is required to have strictly positive determinant but does not."""
-
-
-class SingularPoint(ConfmechError):
-    """Map evaluated at (or too close to) one of its singular points."""
-
-
-class NonOrientationPreserving(ConfmechError):
-    """Gradient requested for a map that reverses orientation at the point."""
-
-
-class NotConformal(ConfmechError):
-    """Matrix fails the conformality test beyond the requested tolerance."""
-
-
-class NotDifferentiable(ConfmechError):
-    """Derivative requested where the function has no (finite) derivative."""
-
-
-class NonPositiveArgument(ConfmechError):
-    """Scalar argument must be strictly positive."""
-
-
 class LeavesGLPlus(ConfmechError):
-    """A matrix path left the positive-determinant domain."""
-
-
-class InvalidSplice(ConfmechError):
-    """Volumetric splice point must lie strictly above e."""
+    """A matrix path left the det band of GL+ (tensors.DET_CEILING)."""
 
 
 class InadmissibleDomainWarning(UserWarning):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfmechError, InadmissibleDomainWarning, InvalidSplice
-from .energies import DEFAULT_C, CompositeEnergy, _values
+from .exceptions import ConfmechError, InadmissibleDomainWarning
+from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
 from .conformal import fd_gradient
 from .tensors import as_square, det, require_gl_plus
 
@@ -80,9 +80,9 @@ class AnnulusDomain:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+            raise ConfmechError("dim must be 2 or 3")
         if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+            raise ConfmechError("need 0 < r_min < r_max")
 
     def acceptance_rate(self):
         """Share of the bounding box [-r_max, r_max]^dim inside the annulus."""
@@ -96,13 +96,12 @@ def admissible_annulus(map_kind, c=DEFAULT_C):
     map_kind "phi2d" (det = |x|^{-4}) or "phi3d" (det = |x|^{-6}); endpoints
     included, r in [c^{-1/4}, e^{-1/4}] resp. [c^{-1/6}, e^{-1/6}].
     """
-    if not (np.isfinite(c) and c > np.e):
-        raise InvalidSplice("need a finite c > e for a nondegenerate admissible annulus")
+    c = VolumetricTerm(c).c  # which refuses a c that is not finite and above e
     if map_kind == "phi2d":
         return AnnulusDomain(2, float(c) ** -0.25, float(np.e) ** -0.25)
     if map_kind == "phi3d":
         return AnnulusDomain(3, float(c) ** (-1.0 / 6.0), float(np.e) ** (-1.0 / 6.0))
-    raise ValueError("map_kind must be 'phi2d' or 'phi3d', got %r" % (map_kind,))
+    raise ConfmechError("map_kind must be 'phi2d' or 'phi3d', got %r" % (map_kind,))
 
 
 def sample_annulus(dom, n, seed=0):
@@ -220,7 +219,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
     None.
     """
     if energy.dim != dom.dim:
-        raise ValueError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
+        raise ConfmechError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
     x = sample_annulus(dom, n, seed)
     F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
     samples = _field(energy, x, F)
@@ -262,11 +261,11 @@ def jump_check(F1, F2, tol=1e-9):
     F1 = as_square(F1)
     F2 = as_square(F2)
     if F1.shape != F2.shape:
-        raise ValueError("gradients must have the same shape")
+        raise ConfmechError("gradients must have the same shape")
     e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
     n1, n2 = math.hypot(*e1), math.hypot(*e2)
     if not n1 + n2 <= JUMP_NORM_MAX:
-        raise ConfmechError("jump too large: |F1| + |F2| = %r exceeds %r" % (n1 + n2, JUMP_NORM_MAX))
+        raise ConfmechError("jump too large: |F1| + |F2| = %r, not at most %r" % (n1 + n2, JUMP_NORM_MAX))
     D = F1 - F2
     # LAPACK's bits are the reported singular values
     svals = np.linalg.svd(D, compute_uv=False)
@@ -323,7 +322,7 @@ def write_field_csv(path, samples):
     """
     n = len(samples)
     if n == 0:
-        raise ValueError("no samples to write")
+        raise ConfmechError("no samples to write")
     dim = samples.x.shape[1]
     header = ["x%d" % (i + 1) for i in range(dim)]
     header += ["detF"]

@@ -5,14 +5,18 @@ render_grid_svg returns, carry the testable content; the SVG just draws
 them in two panels side by side.  Grid lines are clipped to a disk region and
 sampled with a fixed number of points per line so curved images stay smooth.
 Each polyline is mapped by one evaluate call on its stack of vertices,
-and each is scaled to SVG coordinates and formatted as one array.
+and each is scaled to SVG coordinates and formatted as one array.  A grid of
+more than GRID_VERTEX_BUDGET vertices is refused before any line is built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfmechError
+
 SAMPLES_PER_LINE = 42
+GRID_VERTEX_BUDGET = 1 << 20
 STROKE_GRID = 0.49
 STROKE_OUTLINE = 1.2
 PANEL = 380.0  # side of each square panel
@@ -26,7 +30,7 @@ class DiskRegion:
 
     def __post_init__(self):
         if not self.radius > 0.0:
-            raise ValueError("radius must be positive, got %r" % (self.radius,))
+            raise ConfmechError("radius must be positive, got %r" % (self.radius,))
 
 
 def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
@@ -38,6 +42,11 @@ def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     """
     cx, cy = region.center
     r = region.radius
+    # each axis has at most 2 r / spacing + 1 chords; Python floats overflow to inf quietly
+    vertices = (2.0 * (2.0 * float(r) / float(spacing) + 1.0) + 2.0) * samples_per_line
+    if not vertices <= GRID_VERTEX_BUDGET:
+        at = (spacing, samples_per_line, vertices, GRID_VERTEX_BUDGET)
+        raise ConfmechError("spacing %r, %d points a line: up to %.3g vertices, above the budget of %d" % at)
     lines = []
     # axis 0: vertical chords at x = k spacing; axis 1: horizontal ones at y = k spacing
     for axis, (a, b) in enumerate(((cx, cy), (cy, cx))):

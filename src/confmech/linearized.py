@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import InversionFlip
+from .conformal import InversionFlip, _as_point
+from .exceptions import ConfmechError
 from .tensors import as_square, dev, from_entries, sym
 
 VOL_CURVATURE_AT_ONE = 2.0  # f''(1) of the volumetric splice
@@ -27,7 +28,7 @@ def w_lin_2d(grad_u):
     """Quadratic energy |dev_2 sym grad u|^2 (shear modulus mu = 1)."""
     G = as_square(grad_u)
     if G.shape[0] != 2:
-        raise ValueError("w_lin_2d expects a 2x2 displacement gradient")
+        raise ConfmechError("w_lin_2d expects a 2x2 displacement gradient")
     D = dev(sym(G))
     return float(np.sum(D * D))
 
@@ -36,7 +37,7 @@ def sigma_lin(grad_u):
     """Linearized stress 2 dev sym grad u (mu = 1), of one gradient or of each in a stack."""
     G = as_square(grad_u, stack=True)
     if G.shape[-1] != 2:
-        raise ValueError("sigma_lin expects a 2x2 displacement gradient")
+        raise ConfmechError("sigma_lin expects a 2x2 displacement gradient")
     return 2.0 * dev(sym(G))
 
 
@@ -44,7 +45,7 @@ def w_lin_3d_composite(grad_u):
     """Linearization of the composite 3D energy: 2 |dev_3 sym grad u|^2 + (f''(1)/2) tr^2."""
     G = as_square(grad_u)
     if G.shape[0] != 3:
-        raise ValueError("w_lin_3d_composite expects a 3x3 displacement gradient")
+        raise ConfmechError("w_lin_3d_composite expects a 3x3 displacement gradient")
     D = dev(sym(G))
     tr = float(np.trace(G))
     return 2.0 * float(np.sum(D * D)) + 0.5 * VOL_CURVATURE_AT_ONE * tr * tr
@@ -65,10 +66,7 @@ class KernelDisplacement:
     b_hat: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b_hat, dtype=float)
-        if b.shape[-1:] != (2,):
-            raise ValueError("b_hat must be a 2-vector")
-        object.__setattr__(self, "b_hat", b)
+        object.__setattr__(self, "b_hat", _as_point(self.b_hat, 2, stack=True))
 
     @property
     def w(self):
@@ -84,9 +82,7 @@ def kernel_displacement(k, x):
     stack (..., 2), and k one field or a stack of fields that broadcasts
     against it; dots are vecdot (BLAS ddot) and M x is matvec, as for one point.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (2,):
-        raise ValueError("x must be a 2-vector or a stack of them")
+    x = _as_point(x, 2, stack=True)
     w = k.w
     wx = np.vecdot(w, x)[..., None]
     p_id = np.asarray(k.p_hat, float)[..., None, None] * np.eye(2)

@@ -11,6 +11,10 @@ matrix or a stack (..., 2, 2) in one body: branches go through np.where,
 products through stacked matmuls on C-contiguous operands and dots through
 vecdot, so each matrix of a stack gets the bits it gets alone.
 
+GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
+refuses a det outside it, the line scan leaves GL+ there, and transpose_inverse
+takes |det| below it as singular.
+
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
 products, norms and the conformality residual sum over the two matrix
@@ -21,12 +25,10 @@ import math
 
 import numpy as np
 
-from .exceptions import ConfmechError, NotInGLPlus
+from .exceptions import ConfmechError
 
-# dets at or below this are treated as non-positive; no clamping anywhere
-DET_FLOOR = 1e-300
-# dets above this or below its reciprocal are refused: the energies' powers of
-# det F, up to det^2, neither overflow nor underflow
+# the det band [1 / DET_CEILING, DET_CEILING] of GL+: dets outside it are refused,
+# so the energies' powers of det F, up to det^2, neither overflow nor underflow
 DET_CEILING = 1e100
 SMALLEST_NORMAL = 2.0**-1022
 
@@ -35,7 +37,7 @@ def as_square(M, stack=False):
     """M as a float 2x2 or 3x3 matrix, or with stack=True as a stack (..., n, n) of them."""
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] not in ((2, 2), (3, 3)) or (M.ndim > 2 and not stack):
-        raise ValueError("expected a 2x2 or 3x3 matrix, got shape %s" % (M.shape,))
+        raise ConfmechError("expected a 2x2 or 3x3 matrix, got shape %s" % (M.shape,))
     return M
 
 
@@ -119,35 +121,33 @@ def _stack_note(a, i):
 
 
 def require_gl_plus(F):
-    """Return det F, raising NotInGLPlus when it is not strictly positive.
+    """Return det F, raising a ConfmechError outside the det band [1 / DET_CEILING, DET_CEILING].
 
-    For a stack, the dets of all its matrices; the error names the first
-    matrix whose det fails.  A det above DET_CEILING, +inf included, or
-    below its reciprocal is refused with a ConfmechError; det past the
-    float range warns of nothing.
+    A det at or below 0, or NaN, is "not strictly positive", any other is
+    "below" or "above" the band.  For a stack, the dets of all its matrices;
+    the error names the first matrix whose det fails.  det past the float
+    range, +inf included, warns of nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = det(F)
-    i = first_true(~(d > DET_FLOOR))
-    if i is not None:
-        raise NotInGLPlus(
-            "det = %r is not strictly positive%s" % (float(np.ravel(d)[i]), _stack_note(d, i))
-        )
-    i = first_true((d < 1.0 / DET_CEILING) | (d > DET_CEILING))  # NaN failed above
-    if i is not None:
-        at = float(np.ravel(d)[i])
-        side = (at, "above", DET_CEILING) if at > 1.0 else (at, "below", 1.0 / DET_CEILING)
-        raise ConfmechError("det = %r is %s %r%s" % (*side, _stack_note(d, i)))
-    return d
+    inside = (d >= 1.0 / DET_CEILING) & (d <= DET_CEILING)
+    if inside.all():
+        return d
+    i = int(np.argmin(inside))
+    at = float(np.ravel(d)[i])
+    if not at > 0.0:
+        raise ConfmechError("det = %r is not strictly positive%s" % (at, _stack_note(d, i)))
+    side = (at, "above", DET_CEILING) if at > 1.0 else (at, "below", 1.0 / DET_CEILING)
+    raise ConfmechError("det = %r is %s %r%s" % (*side, _stack_note(d, i)))
 
 
 def transpose_inverse(F):
-    """F^{-T} = Cof(F) / det(F), of one matrix or of each in a stack."""
+    """F^{-T} = Cof(F) / det(F), of one matrix or each in a stack; singular if |det| < 1 / DET_CEILING."""
     F = as_square(F, stack=True)
     d = det(F)
-    i = first_true(np.abs(d) <= DET_FLOOR)
+    i = first_true(np.abs(d) < 1.0 / DET_CEILING)
     if i is not None:
-        raise NotInGLPlus("matrix is numerically singular, det = %r" % (float(np.ravel(d)[i]),))
+        raise ConfmechError("matrix is numerically singular, det = %r" % (float(np.ravel(d)[i]),))
     return cofactor(F) / d[..., None, None]
 
 
@@ -207,7 +207,7 @@ def eig_sym(S):
     """Descending eigenvalues w and orthonormal eigenvector columns V of a symmetric 2x2 or stack."""
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (2, 2):
-        raise ValueError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
+        raise ConfmechError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
     w, gap = _eigenvalues(S)
     return w, _eigenvectors(*gap)
 

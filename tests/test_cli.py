@@ -25,6 +25,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_subprocess(argv, timeout=60):
+    """The finished `python -W error::RuntimeWarning -m confmech.cli argv` process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "confmech.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def test_stress_field_homogeneous_exit_zero(capsys, tmp_path):
     csv_path = tmp_path / "field.csv"
     json_path = tmp_path / "summary.json"
@@ -228,12 +237,8 @@ def test_negative_seed_is_a_usage_error_where_numpy_draws(capsys):
 
 def test_thin_annulus_exits_two_instead_of_hanging():
     # a fresh process under a timeout: rejection sampling of this shell takes about 7e10 draws
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
     argv = ["stress-field", "--energy", "composite3d", "--map", "phi3d", "--c", "2.71828183"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "confmech.cli", *argv, "--n", "10"],
-        capture_output=True, text=True, env=env, timeout=20,
-    )
+    proc = run_subprocess([*argv, "--n", "10"], timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "budget" in proc.stderr.strip().splitlines()[-1]
 
@@ -241,12 +246,8 @@ def test_thin_annulus_exits_two_instead_of_hanging():
 def test_composite_field_past_the_exp_overflow_exits_two_without_a_warning():
     # det F reaches 4.4e4 on this shell: f' is +inf, and the stress was NaN with
     # "invalid value" RuntimeWarnings, exit 1 and NaN/Infinity in the payload
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
     argv = ["stress-field", "--energy", "composite3d", "--map", "moebius:sphere(0,0,0;3)+plane(0,1,0;0)"]
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "confmech.cli", *argv, "--n", "20"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_subprocess([*argv, "--n", "20"])
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Warning" not in proc.stderr
     assert "past the volumetric exp overflow" in proc.stderr.strip().splitlines()[-1]
@@ -297,16 +298,64 @@ def test_overflowing_sphere_exits_two_with_one_line_and_no_file(tmp_path, argv):
     # a center at 1e200 overflowed |x - center|^2 and an offset at 1e308 the
     # plane's image, each with a warning, and without -W error a center far
     # from the points exited 2 as "reverses orientation (det = 0.0)"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
     summary = ["--summary", str(tmp_path / "s.json")] if argv[0] == "stress-field" else []
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "confmech.cli", *argv, *summary],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_subprocess([*argv, *summary])
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("confmech %s: error: " % argv[0])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stress-field", "--energy", "iso3d", "--map", "phi2d", "--n", "5"],
+         "energy dimension 3 != domain dimension 2"),
+        (["stress-field", "--energy", "composite2d", "--map", "moebius:sphere(0,0,0;1)+plane(0,1,0;0)",
+          "--n", "5"], "energy dimension 2 != domain dimension 3"),
+        (["jump-check", "--f1", "1,0,0,1", "--f2", "1,0,0,0,1,0,0,0,1"],
+         "gradients must have the same shape"),
+        (["jump-check", "--f1", "1,2,3,nan", "--f2", "1,0,0,1"],
+         "jump too large: |F1| + |F2| = nan, not at most 1e+100"),
+        (["check-conformal", "--map", "moebius:sphere(1,2,3,4;1)+plane(0,1;0)", "--n", "5"],
+         "expected a 2- or 3-vector, got shape (4,)"),
+        (["check-conformal", "--map", "moebius:sphere(0,0;nan)+plane(0,1;0)", "--n", "5"],
+         "a sphere needs a finite center and a finite radius > 0, got [0. 0.] and nan"),
+        (["check-conformal", "--map", "moebius:sphere(0,0;1)+plane(0,1;nan)", "--n", "5"],
+         "a plane needs a unit normal and an offset of at most 1e+100 in size, got |n| = 1.0 and offset nan"),
+    ],
+    ids=["dim-3-on-2", "dim-2-on-3", "jump-4-vs-9", "jump-nan", "sphere-4-coords", "sphere-nan", "plane-nan"],
+)
+def test_the_library_refusal_exits_two_with_one_line(argv, message):
+    # the command line re-checked these rules itself before the library's
+    # refusals were ConfmechErrors; the library's own line is printed now
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "confmech %s: error: %s" % (argv[0], message)
+
+
+def test_a_later_moebius_step_names_the_sampled_point():
+    # the second sphere's scale leaves the det band at the image [0.808 0.985]
+    # of the first sample under the first step; the message names the sample
+    proc = run_subprocess(["check-conformal", "--map", "moebius:sphere(0,0;1)+sphere(1,0;1e51)", "--n", "5"])
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines()[-1].endswith("is above 1e+100 at [0.49806785 0.60665422]")
+
+
+@pytest.mark.parametrize(
+    "extra", [["--spacing", "1e-300"], ["--spacing", "5e-324"], ["--resolution", "20000"]],
+    ids=["spacing-1e-300", "spacing-min-subnormal", "resolution-20000"],
+)
+def test_render_grid_refuses_a_grid_past_the_vertex_budget(tmp_path, extra):
+    # a tiny spacing looped over every chord for longer than any timeout; at 20 000
+    # points a line the default grid counts up to 1.2e6 vertices
+    out = tmp_path / "g.svg"
+    proc = run_subprocess(["render-grid", "--map", "phi2d", "--out", str(out), *extra], timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].endswith("vertices, above the budget of 1048576")
+    assert not out.exists()
 
 
 def moebius_spec(center, radius, offset="0"):

@@ -117,7 +117,7 @@ def test_inversion_flip_equals_two_reflections():
 
 def test_inversion_flip_singularity_raises():
     phi = cm.InversionFlip(2)
-    with pytest.raises(cm.SingularPoint):
+    with pytest.raises(cm.ConfmechError, match=r"^origin is the singular point of the inversion$"):
         phi(np.zeros(2))
 
 
@@ -129,7 +129,7 @@ def test_sphere_reflection_fixes_sphere_and_involutes():
     assert np.allclose(sr(sr(x)), x, atol=1e-13)
     # a lone reflection reverses orientation, so the deformation-gradient
     # contract refuses it; the raw jacobian shows the negative determinant
-    with pytest.raises(cm.NonOrientationPreserving):
+    with pytest.raises(cm.ConfmechError, match=r"^map reverses orientation at \[0\.4 0\.1\] \(det = -"):
         sr.gradient(x)
     assert cm.det(sr._jacobian(x)) < 0
 
@@ -138,7 +138,7 @@ def test_hyperplane_reflection_basics():
     hp = cm.HyperplaneReflection(np.array([0.0, 1.0]), 0.0)
     assert np.allclose(hp(np.array([1.5, 0.7])), [1.5, -0.7])
     assert np.allclose(hp(hp(np.array([0.2, -0.9]))), [0.2, -0.9])
-    with pytest.raises(cm.NonOrientationPreserving):
+    with pytest.raises(cm.ConfmechError, match=r"^map reverses orientation at \[1\. 1\.\] \(det = -1\.0\)$"):
         hp.gradient(np.array([1.0, 1.0]))
     assert cm.det(hp._jacobian(np.array([1.0, 1.0]))) < 0
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_moebius_composition_chain_rule():
 def test_moebius_odd_composition_reverses_orientation():
     mo = cm.MoebiusMap([cm.SphereReflection(np.zeros(2), 1.0)])
     assert cm.det(mo._jacobian(np.array([0.5, 0.2]))) < 0.0
-    with pytest.raises(cm.NonOrientationPreserving):
+    with pytest.raises(cm.ConfmechError, match=r"^map reverses orientation at \[0\.5 0\.2\] \(det = -"):
         mo.gradient(np.array([0.5, 0.2]))
 
 
@@ -209,10 +209,10 @@ def test_complex_moebius_pole_and_degenerate():
     # scale of (z + 1e120 - 1) / (z - 1) leaves the float range; a sphere of
     # radius 0 (ad - bc = 0) or with an overflowing square is refused
     mo, _ = parse_map_spec("moebius:sphere(1,0;2)+plane(0,1;0)")
-    with pytest.raises(cm.SingularPoint, match="reflection center reached"):
+    with pytest.raises(cm.ConfmechError, match="reflection center reached"):
         mo(np.array([1.0, 0.0]))
     huge, _ = parse_map_spec("moebius:sphere(1,0;1e60)+plane(0,1;0)")
-    with pytest.raises(cm.SingularPoint, match=r"scale .* is above 1e\+100"):
+    with pytest.raises(cm.ConfmechError, match=r"scale .* is above 1e\+100"):
         huge.gradient(np.array([1.5, 0.0]))
     for radius in (0.0, 1e200):
         with pytest.raises(cm.ConfmechError):
@@ -265,7 +265,7 @@ def test_decompose_conformal():
     c = np.cos(np.pi / 4.0)
     assert np.allclose(dec.rotation, [[c, -c], [c, c]], atol=1e-14)
     assert dec.residual <= 1e-14
-    with pytest.raises(cm.NotConformal):
+    with pytest.raises(cm.ConfmechError, match=r"^residual \S+ exceeds tolerance 1e-10$"):
         cm.decompose_conformal(np.diag([2.0, 1.0]))
 
 
@@ -331,7 +331,7 @@ def test_geometry_near_the_float_range_is_refused_without_a_warning():
         assert np.all(np.isfinite(far.evaluate(np.array([1.0, 0.0]))))
         with pytest.raises(cm.ConfmechError, match=r"det grad underflows to 0 at \[1\. 0\.\]"):
             far.gradient(np.array([1.0, 0.0]))
-        with pytest.raises(cm.NotInGLPlus, match=r"det = -?0\.0 is not strictly positive"):
+        with pytest.raises(cm.ConfmechError, match=r"det = -?0\.0 is not strictly positive"):
             cm.is_conformal_at(far, np.array([1.0, 0.0]), use_fd=True)
     for offset in (1e308, -1.5e100, np.nan):
         with pytest.raises(cm.ConfmechError, match="offset of at most 1e"):
@@ -376,7 +376,9 @@ def test_one_pass_moebius_gradient_matches_the_two_pass_chain_bit_for_bit(dim, m
     pts = cm.sample_annulus(cm.AnnulusDomain(dim, 0.3, 1.2), 500, seed=dim)
     calls = []
     for cls in (cm.SphereReflection, cm.HyperplaneReflection):
-        monkeypatch.setattr(cls, "_parts", lambda self, x, parts=cls._parts: calls.append(self) or parts(self, x))
+        monkeypatch.setattr(
+            cls, "_parts", lambda self, x, pts, parts=cls._parts: calls.append(self) or parts(self, x, pts)
+        )
     for steps in chains:
         mo = cm.MoebiusMap(steps)
         image, J = two_pass_chain(steps, pts)
@@ -391,5 +393,5 @@ def test_one_pass_moebius_gradient_matches_the_two_pass_chain_bit_for_bit(dim, m
 def test_stacked_gradient_names_first_orientation_reversing_point():
     odd = cm.MoebiusMap([cm.SphereReflection([0.0, 0.0], 1.0)])
     pts = np.array([[0.5, 0.25], [0.75, 0.5]])
-    with pytest.raises(cm.NonOrientationPreserving, match=r"at \[0\.5 +0\.25\] \(det = -"):
+    with pytest.raises(cm.ConfmechError, match=r"at \[0\.5 +0\.25\] \(det = -"):
         odd.gradient(pts)

@@ -83,6 +83,15 @@ def test_rank_one_line_scan_verdicts():
     assert bad.verdict == "nonconvex"
 
 
+def test_line_scan_of_a_null_lagrangian_is_convex_but_not_strictly():
+    # W = det F is affine along a rank-one line: its second differences are rounding,
+    # inside the band MARGIN max(1, |W|) (det runs from 3.15 down to 1.62 here)
+    F = np.array([[2.0, 0.5], [-0.3, 1.5]])
+    scan = cm.rank_one_line_scan(Det2(), F, np.array([0.6, 0.8]), np.array([1.0, -2.0]), t_max=0.5)
+    assert scan.verdict == "convex"
+    assert abs(scan.min_second_difference) <= cm.convexity.MARGIN * 3.15
+
+
 def test_rank_one_line_scan_guards():
     E = cm.builtin_energy("iso2d-klin2")
     e1 = np.array([1.0, 0.0])
@@ -91,14 +100,25 @@ def test_rank_one_line_scan_guards():
 
 
 def test_rank_one_line_scan_leaves_gl_plus_at_the_det_floor():
-    # det F = 1e-301 > 0 on the whole segment, but not above DET_FLOOR = 1e-300, where
-    # the energies refuse F: the scan raises its own LeavesGLPlus, which
-    # scan_rank_one_convexity's confirmation step catches, not the energy's NotInGLPlus
+    # det F = 1e-301 > 0 on the whole segment, but below the det band [1e-100, 1e100],
+    # where the energies refuse F: the scan raises its own LeavesGLPlus, which
+    # scan_rank_one_convexity's confirmation step catches, not the energy's ConfmechError
     E = cm.builtin_energy("iso3d")
     e1 = np.array([1.0, 0.0, 0.0])
     F = np.diag([1e-101, 1e-100, 1e-100])
-    with pytest.raises(cm.LeavesGLPlus, match=r"<= 1e-300 at t = "):
+    with pytest.raises(cm.LeavesGLPlus, match=r"^F \+ t xi eta\^T, 0 <= t <= 1e-110, leaves GL\+: det = \S+ is below "
+                       r"1e-100 \(matrix 0 of the stack\)$"):
         cm.rank_one_line_scan(E, F, e1, e1, t_max=1e-110)
+
+
+@pytest.mark.parametrize("scale, side", [(1e-34, "below 1e-100"), (1e34, "above 1e\\+100")])
+def test_rank_one_line_scan_leaves_gl_plus_on_both_sides_of_the_det_band(scale, side):
+    # det = 1e-102 or 1e102: the energies refuse it, and the scan leaves GL+ the same way;
+    # it raised the energy's plain ConfmechError, which scan_rank_one_convexity does not catch
+    E = cm.builtin_energy("iso3d")
+    e1 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(cm.LeavesGLPlus, match=r"leaves GL\+: det = \S+ is %s \(matrix 0 of the stack\)$" % side):
+        cm.rank_one_line_scan(E, scale * np.eye(3), e1, e1, t_max=1e-40)
 
 
 def test_knowles_sternberg_spot_values():

@@ -110,7 +110,7 @@ def test_klin2_gradient_and_stress_vanish_on_ties():
 
 def test_klin2_second_form_refuses_ties():
     E = cm.builtin_energy("iso2d-klin2")
-    with pytest.raises(cm.NotDifferentiable):
+    with pytest.raises(cm.ConfmechError, match=r"^no second derivative at coincident singular values$"):
         E.second_form(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
@@ -167,7 +167,7 @@ def test_gl_plus_enforced():
         E = cm.builtin_energy(name)
         bad = np.eye(E.dim)
         bad[0, 0] = -1.0
-        with pytest.raises(cm.NotInGLPlus):
+        with pytest.raises(cm.ConfmechError, match=r"^det = -1\.0 is not strictly positive$"):
             E.value(bad)
 
 
@@ -266,13 +266,13 @@ def test_volumetric_slope_nonzero_away_from_one():
 
 def test_volumetric_guards():
     for c in (1.0, np.e, float("inf"), float("nan")):
-        with pytest.raises(cm.InvalidSplice):
+        with pytest.raises(cm.ConfmechError, match=r"^splice point c = \S+ must be finite and strictly above e$"):
             cm.VolumetricTerm(c=c)
     vol = cm.VolumetricTerm()
     for f in (vol.value, vol.slope, vol.curvature):
-        with pytest.raises(cm.NonPositiveArgument):
+        with pytest.raises(cm.ConfmechError, match=r"^volumetric argument t = 0\.0 must be positive$"):
             f(0.0)
-        with pytest.raises(cm.NonPositiveArgument):
+        with pytest.raises(cm.ConfmechError, match=r"^volumetric argument t = -2\.0 must be positive$"):
             f(-2.0)
 
 
@@ -458,9 +458,9 @@ def test_volumetric_arrays_match_scalar_evaluate():
     assert np.array_equal(vol.slope(t), [vol.slope(s) for s in t])
     assert np.array_equal(vol.curvature(t[:-2]), [vol.curvature(s) for s in t[:-2]])
     for splice in (np.e, vol.c):
-        with pytest.raises(cm.NotDifferentiable, match="one-sided"):
+        with pytest.raises(cm.ConfmechError, match="one-sided"):
             vol.curvature(np.array([1.0, splice]))
-    with pytest.raises(cm.NonPositiveArgument):
+    with pytest.raises(cm.ConfmechError, match=r"^volumetric argument t = 0\.0 must be positive$"):
         vol.value(np.array([1.0, 0.0]))
 
 
@@ -470,11 +470,33 @@ def test_stacked_ratio_energy_names_first_nondifferentiable_matrix():
     F = np.stack([np.diag([2.0, 1.0]), 1.5 * np.eye(2), conformal_2x2(2.0, 0.4)])
     assert np.array_equal(E.value(F), [-1.0, 0.0, 0.0])
     assert np.array_equal(E.first_derivative(F[:1]), [E.first_derivative(F[0])])
-    with pytest.raises(cm.NotDifferentiable, match=r"h'\(1\+\) = -1\.0\) \(matrix 1 of the stack\)"):
+    with pytest.raises(cm.ConfmechError, match=r"h'\(1\+\) = -1\.0\) \(matrix 1 of the stack\)"):
         E.first_derivative(F)
-    with pytest.raises(cm.NotDifferentiable) as exc:
+    with pytest.raises(cm.ConfmechError, match=r"^h decreases into the coincident singular values") as exc:
         E.cauchy_stress(F[2])
     assert str(exc.value).endswith("(h'(1+) = -1.0)")
+
+
+def test_ratio_energy_second_form_at_near_coincident_singular_values_is_the_fd_oracle():
+    # with h'(1) = 0 the closed form has no limit to take at (s1 - s2) / s1 < NEAR_TIE_GAP:
+    # such a matrix gets fd_second_form's central difference, the others the closed form
+    E = cm.PlanarRatioEnergy(lambda s: (s - 1.0) ** 2, dh=lambda s: 2.0 * (s - 1.0), d2h=lambda s: 2.0)
+    near = conformal_2x2(1.3, 0.2) @ np.diag([1.0 + 1e-10, 1.0])
+    H = np.array([[0.3, -1.0], [0.7, 0.2]])
+    forms = E.second_form(np.stack([near, F21]), H)
+    assert forms[0] == fd_second_form(E, near, H)
+    assert forms[1] == E.second_form(F21, H) and forms[1] != fd_second_form(E, F21, H)
+
+
+def test_distortion_energy_refuses_a_psi_derivative_that_is_not_finite():
+    E = cm.DistortionEnergy(
+        psi=lambda K: K, dpsi=lambda K: np.where(K < 1.1, np.inf, 1.0), d2psi=lambda K: np.inf
+    )
+    F = np.stack([F21, np.eye(2)])  # K = 1.25 and 1
+    with pytest.raises(cm.ConfmechError, match=r"^psi' is not finite at K = 1\.0 \(matrix 1 of the stack\)$"):
+        E.first_derivative(F)
+    with pytest.raises(cm.ConfmechError, match=r"^psi'' is not finite at K = 1\.25$"):
+        E.second_form(F21, np.eye(2))
 
 
 @pytest.mark.parametrize("name", ["composite2d", "composite3d"])

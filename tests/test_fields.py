@@ -58,7 +58,7 @@ def test_admissible_annulus_radii():
     assert dom3.dim == 3
     assert abs(dom3.r_min - (np.e + 2.0) ** (-1.0 / 6.0)) <= 1e-15
     assert abs(dom3.r_max - np.e ** (-1.0 / 6.0)) <= 1e-15
-    with pytest.raises(cm.InvalidSplice):
+    with pytest.raises(cm.ConfmechError, match=r"^splice point c = 1\.0 must be finite and strictly above e$"):
         cm.admissible_annulus("phi2d", c=1.0)
     with pytest.raises(ValueError):
         cm.admissible_annulus("phi9d")

@@ -176,3 +176,74 @@ def test_every_default_is_set_by_a_call_outside_the_tests():
     assert not unset, "no call in src, demos or perfbench sets %s: make it a constant" % (
         ", ".join("%s(%s=)" % pair for pair in unset)
     )
+
+
+# a library refusal is a ConfmechError, or the LeavesGLPlus that the rank-one scan
+# catches; argparse prints the message of a type callback's ArgumentTypeError, and
+# NotImplementedError marks the abstract EnergyModel.value
+ALLOWED_RAISES = {"ConfmechError", "LeavesGLPlus", "ArgumentTypeError", "NotImplementedError"}
+
+
+def _raised(node):
+    """The class node that a raise statement names: the callee of raise X(...), or X."""
+    return node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+
+
+def foreign_raises(source):
+    """(line, name) of each raise in source of a class outside ALLOWED_RAISES; a bare raise passes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = _raised(node)
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name not in ALLOWED_RAISES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_foreign_raises_finds_other_exception_classes():
+    source = (
+        "def f(x):\n    if x:\n        raise ValueError('no')\n    raise ConfmechError('no')\n"
+        "def g():\n    raise cm.NotInGLPlus\n    raise LeavesGLPlus('t') from None\n"
+        "    raise argparse.ArgumentTypeError('bad')\n    raise\n"
+    )
+    assert foreign_raises(source) == [(3, "ValueError"), (6, "NotInGLPlus")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_refusal_is_a_confmech_error(path):
+    found = foreign_raises(path.read_text())
+    assert not found, "%s raises %s: raise ConfmechError" % (
+        path.name, ", ".join("%s (line %d)" % (name, line) for line, name in found)
+    )
+
+
+def unused_classes(defining, readers):
+    """The classes that defining defines and no reader reads, other than to raise them, in source order."""
+    read = set()
+    for source in readers:
+        tree = ast.parse(source)
+        raised = {id(_raised(n)) for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                if id(node) not in raised:
+                    read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return [n.name for n in ast.parse(defining).body if isinstance(n, ast.ClassDef) and n.name not in read]
+
+
+def test_unused_classes_skips_raises_and_counts_catches_and_reads():
+    defining = "".join("class %s:\n    pass\n" % c for c in ("A(Exception)", "B(A)", "C(A)", "W(Warning)"))
+    readers = [
+        "try:\n    raise B('x')\nexcept A:\n    pass\n",
+        "raise C\nraise m.C('y')\n",
+        "warnings.warn('z', cm.W)\n",
+    ]
+    assert unused_classes(defining, readers) == ["B", "C"]
+
+
+def test_every_exception_class_is_caught_or_read_outside_the_tests():
+    readers = [p.read_text() for p in READERS if p.name != "exceptions.py"]
+    unused = unused_classes((SRC / "exceptions.py").read_text(), readers)
+    assert not unused, "exceptions.py defines %s, which no module, demo or benchmark catches or reads" % (
+        ", ".join(unused)
+    )

@@ -41,10 +41,19 @@ def test_inverse_and_transpose_inverse():
     assert np.allclose(cm.transpose_inverse(F), np.linalg.inv(F).T, atol=1e-15)
 
 
+def test_transpose_inverse_refuses_a_singular_matrix():
+    # |det| below 1 / DET_CEILING, the det band's floor, is singular; a negative det is not
+    with pytest.raises(cm.ConfmechError, match=r"^matrix is numerically singular, det = 0\.0$"):
+        cm.transpose_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(cm.ConfmechError, match=r"^matrix is numerically singular, det = 9\.9+7e-103$"):
+        cm.transpose_inverse(np.stack([np.eye(3), 1e-34 * np.eye(3)]))
+    assert np.array_equal(cm.transpose_inverse(np.diag([-2.0, 1.0])), np.diag([-0.5, 1.0]))
+
+
 def test_gl_plus_guard():
-    with pytest.raises(cm.NotInGLPlus):
+    with pytest.raises(cm.ConfmechError, match=r"^det = -1\.0 is not strictly positive$"):
         cm.svd(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(cm.NotInGLPlus):
+    with pytest.raises(cm.ConfmechError, match=r"^det = 0\.0 is not strictly positive$"):
         cm.svd(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
@@ -170,9 +179,9 @@ def test_stacked_det_cofactor_match_one_matrix_bits(dim, n_stack):
 
 def test_stacked_gl_plus_guard_names_first_bad_matrix():
     F = np.stack([np.eye(3), np.diag([1.0, 1.0, -2.0]), -np.eye(3)])
-    with pytest.raises(cm.NotInGLPlus, match=r"det = -2\.0 is not strictly positive \(matrix 1 "):
+    with pytest.raises(cm.ConfmechError, match=r"det = -2\.0 is not strictly positive \(matrix 1 "):
         cm.tensors.require_gl_plus(F)
-    with pytest.raises(cm.NotInGLPlus) as exc:
+    with pytest.raises(cm.ConfmechError, match="not strictly positive") as exc:
         cm.tensors.require_gl_plus(-np.eye(3))
     assert str(exc.value) == "det = -1.0 is not strictly positive"
 
