@@ -81,8 +81,6 @@ def _number(name, convert, ok, what):
 
 
 count = _number("count", int, lambda v: v >= 1, "at least 1")
-positive = _number("positive", float, lambda v: v > 0.0 and np.isfinite(v), "finite and greater than 0")
-finite = _number("finite", float, np.isfinite, "finite")
 tolerance = _number("tolerance", float, lambda v: v >= 0.0 and np.isfinite(v), "finite and at least 0")
 # numpy's default_rng takes seeds >= 0 only; Lcg64 takes any int
 seed = _number("seed", int, lambda v: v >= 0, "at least 0")
@@ -317,10 +315,10 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resolution", type=count, default=42, help="samples per grid line")
-    p.add_argument("--spacing", type=positive, default=0.0147)
-    p.add_argument("--cx", type=finite, default=0.5)
-    p.add_argument("--cy", type=finite, default=0.0)
-    p.add_argument("--radius", type=positive, default=0.21)
+    p.add_argument("--spacing", type=float, default=0.0147)
+    p.add_argument("--cx", type=float, default=0.5)
+    p.add_argument("--cy", type=float, default=0.0)
+    p.add_argument("--radius", type=float, default=0.21)
     p.set_defaults(func=_cmd_render_grid, parser=p)
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")

@@ -40,6 +40,7 @@ from .tensors import (
 )
 
 SINGULAR_RADIUS = 1e-14
+RADIUS_CEILING = float(np.sqrt(np.finfo(float).max))  # the largest radius whose square is finite
 FD_STEP = 1e-5  # of fd_gradient, for the conformality checks and stress fields alike
 
 
@@ -107,11 +108,10 @@ class SphereReflection(DeformationMap):
                 "a sphere needs a finite center and a finite radius > 0, got %s and %r"
                 % (self.center, float(radius))
             )
+        if not radius <= RADIUS_CEILING:
+            raise ConfmechError("sphere radius %r: its square overflows" % (float(radius),))
         self.dim = self.center.shape[0]
-        try:
-            self.radius_sq = float(radius) ** 2
-        except OverflowError:
-            raise ConfmechError("sphere radius %r: its square overflows" % (float(radius),)) from None
+        self.radius_sq = float(radius) ** 2
 
     def _parts(self, x, points):
         """x - center, its squared length and the scale radius^2 / |x - center|^2 of the reflection.
@@ -207,7 +207,8 @@ class InversionFlip(DeformationMap):
     In 2D this is the complex reciprocal z -> 1/z. Equals the unit-sphere
     inversion followed by a reflection of the second coordinate, hence
     orientation preserving, with det grad = |x|^{-4} in 2D and |x|^{-6} in
-    3D.  The gradient is hard coded; evaluate and gradient take stacks of points.
+    3D.  The gradient is hard coded; evaluate and gradient take stacks of points,
+    and refuse the origin and a point whose |x|^2 overflows.
     """
 
     def __init__(self, dim):
@@ -216,10 +217,14 @@ class InversionFlip(DeformationMap):
         self.dim = dim
 
     def _rho(self, x):
-        # vecdot is BLAS ddot per point, the bits of x @ x
-        rho = np.vecdot(x, x)
+        # vecdot is BLAS ddot per point, the bits of x @ x; past the float range it is +inf, refused
+        with np.errstate(over="ignore"):
+            rho = np.vecdot(x, x)
         if first_true(np.sqrt(rho) < SINGULAR_RADIUS) is not None:
             raise ConfmechError("origin is the singular point of the inversion")
+        i = first_true(rho == np.inf)
+        if i is not None:
+            raise ConfmechError("|x|^2 overflows at %s" % (x.reshape(-1, self.dim)[i],))
         return rho
 
     def evaluate(self, x):

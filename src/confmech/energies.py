@@ -134,11 +134,15 @@ class EnergyModel:
             )
         return np.ascontiguousarray(F)
 
+    def _checked(self, F):
+        """(F, det F): F through _check_dim, then refused by require_gl_plus outside the det band."""
+        F = self._check_dim(F)
+        return F, require_gl_plus(F)
+
     def _second_form_terms(self, F, H):
         """F checked, H, det F, <F^{-T}, H> and <F^{-T} H^T F^{-T}, H>: the closed forms' terms."""
-        F = self._check_dim(F)
+        F, d = self._checked(F)
         H = as_square(H, stack=True)
-        d = require_gl_plus(F)
         FiT = transpose_inverse(F)
         return F, H, d, inner(FiT, H), inner(FiT @ transpose(H) @ FiT, H)
 
@@ -153,8 +157,7 @@ class EnergyModel:
 
     def cauchy_stress(self, F):
         """sigma = D_F W F^T / det F."""
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         return (self.first_derivative(F) @ transpose(F)) / d[..., None, None]
 
 
@@ -180,9 +183,8 @@ class DistortionEnergy(EnergyModel):
         self.d2psi = d2psi
         self.label = label
 
-    def _distortion(self, F):
-        d = require_gl_plus(F)
-        return 0.5 * inner(F, F) / d, d
+    def _distortion(self, F, d):
+        return 0.5 * inner(F, F) / d
 
     def _psi_d(self, fn, K, name):
         """psi' or psi'' (fn, named name) at K, one value or an array of them."""
@@ -195,20 +197,19 @@ class DistortionEnergy(EnergyModel):
         return v
 
     def value(self, F):
-        K, _ = self._distortion(self._check_dim(F))
-        return _profile(self.psi, K)
+        return _profile(self.psi, self._distortion(*self._checked(F)))
 
     def first_derivative(self, F):
         # D_F W = psi'(K) (2F - ||F||^2 F^{-T}) / (2 det F)
-        F = self._check_dim(F)
-        K, d = self._distortion(F)
+        F, d = self._checked(F)
+        K = self._distortion(F, d)
         FiT = transpose_inverse(F)
         dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
         return dpsi * (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
 
     def second_form(self, F, H):
         F, H, d, gh, ghh = self._second_form_terms(F, H)
-        K, _ = self._distortion(F)
+        K = self._distortion(F, d)
         n2 = inner(F, F)
         fh = inner(F, H)
         hh = inner(H, H)
@@ -219,8 +220,8 @@ class DistortionEnergy(EnergyModel):
 
     def cauchy_stress(self, F):
         # sigma = psi'(K) [ F F^T / det^2 - (K / det) id ]
-        F = self._check_dim(F)
-        K, d = self._distortion(F)
+        F, d = self._checked(F)
+        K = self._distortion(F, d)
         dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
         det_sq = libm_pow(d, 2.0)[..., None, None]
         return dpsi * (F @ transpose(F) / det_sq - (K / d)[..., None, None] * np.eye(2))
@@ -344,13 +345,11 @@ class IsochoricNeoHooke(EnergyModel):
     analytic = True
 
     def value(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         return inner(F, F) / libm_pow(d, 2.0 / 3.0) - 3.0
 
     def first_derivative(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         FiT = transpose_inverse(F)
         n2 = inner(F, F)[..., None, None]
         return (2.0 * F - (2.0 / 3.0) * n2 * FiT) / libm_pow(d, 2.0 / 3.0)[..., None, None]
@@ -368,8 +367,7 @@ class IsochoricNeoHooke(EnergyModel):
         )
 
     def cauchy_stress(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         scale = libm_pow(d, 5.0 / 3.0)[..., None, None]
         n2 = inner(F, F)[..., None, None]
         return 2.0 * (F @ transpose(F)) / scale - (2.0 / 3.0) * n2 / scale * np.eye(3)
@@ -478,14 +476,12 @@ class CompositeEnergy(EnergyModel):
         self.analytic = iso.analytic
 
     def value(self, F):
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         return self.iso.value(F / libm_pow(d, 1.0 / self.dim)[..., None, None]) + self.vol.value(d)
 
     def _checked_slope(self, F):
         """F checked, and f'(det F), refused where it is +inf (inf * 0 is NaN): past c + 709."""
-        F = self._check_dim(F)
-        d = require_gl_plus(F)
+        F, d = self._checked(F)
         slope = self.vol.slope(d)
         i = first_true(np.isinf(slope))
         if i is not None:

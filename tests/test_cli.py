@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -364,24 +365,38 @@ def moebius_spec(center, radius, offset="0"):
     return "moebius:sphere(%s;%s)+plane(%s;%s)" % (",".join(center), radius, normal, offset)
 
 
+def run_quietly(argv):
+    """(exit code, stderr) of main(argv) in process, with stdout and stderr captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 def assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite):
-    """check-conformal and stress-field on spec exit 0, 1 or 2, with warnings as errors.
+    """check-conformal and stress-field on spec exit 0, 1 or 2, with warnings as errors; their codes.
 
     pytest's filterwarnings makes a RuntimeWarning an error here, as -W
-    error::RuntimeWarning does on the command line.
+    error::RuntimeWarning does on the command line.  Exit 2 ends in one
+    error line under the usage.
     """
     energy = ("composite%dd" if composite else ("iso%dd-klin2" if dim == 2 else "iso%dd")) % dim
     commands = [
         ["check-conformal", "--map", spec, "--n", "5"],
         ["stress-field", "--energy", energy, "--map", spec, "--n", "5"],
     ]
+    codes = []
     for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv + (["--fd"] if fd else []))
-            except SystemExit as exc:
-                code = exc.code
+        code, err = run_quietly(argv + (["--fd"] if fd else []))
         assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("usage: ") and err.count(": error: ") == 1, (argv, err)
+            assert err.splitlines()[-1].startswith("confmech %s: error: " % argv[0]), (argv, err)
+        codes.append(code)
+    return codes
 
 
 @pytest.mark.filterwarnings("ignore::confmech.InadmissibleDomainWarning")
@@ -427,6 +442,93 @@ def test_moebius_centers_and_offsets_never_end_in_a_traceback(
         center[axis % dim] = size
         spec = moebius_spec(center, radius)
     assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite)
+
+
+def repr_number(max_exponent, signs=(1.0, -1.0)):
+    """Texts of numbers from 1e-3 up to about 10^max_exponent in size, as repr writes them."""
+    return st.builds(
+        lambda sign, mantissa, exponent: repr(sign * mantissa * 10.0**exponent),
+        st.sampled_from(signs), st.floats(1.0, 9.99), st.integers(-3, max_exponent),
+    )
+
+
+@st.composite
+def reflection_chain(draw, dim):
+    """moebius: text of two to four sphere or plane steps in dim dimensions."""
+    coordinate = st.one_of(st.sampled_from(["0", "0.5", "-1"]), repr_number(308))
+    steps = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            center = draw(st.lists(coordinate, min_size=dim, max_size=dim))
+            radius = draw(st.one_of(st.sampled_from(["1", "0.3"]), repr_number(300, signs=(1.0,))))
+            steps.append("sphere(%s;%s)" % (",".join(center), radius))
+        else:
+            # a unit normal from one or two angles, each entry written as repr writes it
+            t, p = draw(st.floats(0.0, 6.3)), draw(st.floats(0.0, 3.2))
+            normal = [math.cos(t), math.sin(t)] if dim == 2 else [
+                math.cos(t) * math.sin(p), math.sin(t) * math.sin(p), math.cos(p)]
+            steps.append("plane(%s;%s)" % (",".join(map(repr, normal)), draw(coordinate)))
+    return "moebius:" + "+".join(steps)
+
+
+@pytest.mark.filterwarnings("ignore::confmech.InadmissibleDomainWarning")
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), fd=st.booleans())
+def test_moebius_chains_never_end_in_a_traceback(data, dim, fd):
+    spec = data.draw(reflection_chain(dim))
+    codes = assert_spec_never_ends_in_a_traceback(spec, dim, fd, composite=False)
+    # an odd number of reflections reverses orientation
+    if spec.count("(") % 2:
+        assert codes == [2, 2], spec
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--map", "phi2d", "--radius", "1e200", "--spacing", "1e199"],
+         "disk needs a finite center and a radius > 0 of finite square: [0.5 0. ], 1e+200"),
+        (["--map", "phi2d", "--cx", "1e300", "--radius", "1", "--spacing", "0.1"],
+         "spacing 0.1: chord index (|c| + r) / spacing = 1e+301 > 2^53"),
+        # the points of a panel, or of its image, all one float apart at most: no box to scale
+        (["--map", "phi2d", "--cx", "1e17", "--radius", "1", "--spacing", "100"],
+         "points near [ 1.0e+17 -1.1e+00] span too little next to their size to draw"),
+        (["--map", "moebius:sphere(0,0;1)+plane(0,1;1e100)", "--cy", "1e6", "--radius", "1", "--spacing", "0.1"],
+         "points near [-5.05e-011  2.00e+100] span too little next to their size to draw"),
+    ],
+    ids=["radius-1e200", "center-1e300", "box-1e17", "image-box-2e100"],
+)
+def test_render_grid_past_the_float_range_exits_two_with_one_line_and_no_file(tmp_path, extra, message):
+    # the radius ended in an OverflowError traceback; the center wrote a degenerate SVG, or
+    # ended in an "overflow encountered in vecdot" traceback under warnings as errors; the
+    # boxes ended in "divide by zero" tracebacks there
+    out = tmp_path / "g.svg"
+    code, err = run_quietly(["render-grid", "--out", str(out), *extra])
+    assert code == 2 and err.splitlines()[-1] == "confmech render-grid: error: " + message
+    assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    center=st.lists(repr_number(300), min_size=2, max_size=2),
+    radius=repr_number(300, signs=(1.0,)),
+    # spacings from radius / 40 up: at most about 7 000 vertices a picture
+    stretch=st.floats(-1.61, 3.0),
+    spec=st.sampled_from(["phi2d", "moebius:sphere(0.3,-0.2;1.5)+plane(0.6,0.8;0.1)"]),
+)
+def test_render_grid_writes_an_svg_or_exits_two_with_one_line(center, radius, stretch, spec):
+    spacing = repr(float(radius) * 10.0**stretch)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "g.svg")
+        # --cx=-1e+20: argparse takes a separate -1e+20 for an option
+        argv = ["render-grid", "--map", spec, "--out", out, "--cx=" + center[0], "--cy=" + center[1],
+                "--radius", radius, "--spacing", spacing]
+        code, err = run_quietly(argv)
+        assert code in (0, 2), argv
+        if code == 0:
+            assert open(out).read().endswith("</svg>\n"), argv
+        else:
+            assert err.count(": error: ") == 1 and err.splitlines()[-1].startswith("confmech render-grid: error: ")
+            assert not os.path.exists(out), argv
 
 
 @pytest.mark.parametrize("command", [["check-conformal"], ["stress-field", "--energy", "iso2d-klin2"]])

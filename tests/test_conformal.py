@@ -339,6 +339,22 @@ def test_geometry_near_the_float_range_is_refused_without_a_warning():
     assert cm.HyperplaneReflection([0.0, 1.0], -1e100).evaluate(np.zeros(2))[1] == -2e100
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inversion_flip_refuses_a_point_whose_square_overflows_without_a_warning(dim):
+    # |x|^2 overflowed in vecdot ("overflow encountered", an error under pytest's
+    # filterwarnings) and the image of such a point was 0
+    phi = cm.InversionFlip(dim)
+    x = np.zeros((3, dim))
+    x[:, 0] = (1.0, 1e200, -1e300)
+    for call in (phi.evaluate, phi.gradient):
+        with pytest.raises(cm.ConfmechError, match=r"^\|x\|\^2 overflows at \[ ?1\.e\+200"):
+            call(x)
+    # the largest point whose square is finite keeps its image
+    edge = np.zeros(dim)
+    edge[0] = 1e154
+    assert phi.evaluate(edge)[0] == 1.0 / 1e154
+
+
 def two_pass_chain(steps, x):
     """The image and chain-rule derivative of reflection steps at x (..., dim), one step at a time.
 

@@ -383,6 +383,114 @@ def test_render_grid_svg(tmp_path):
     assert len(ref) == len(img)
 
 
+def per_chord_polylines(region, spacing, samples_per_line):
+    """grid_polylines one chord at a time in Python floats: a copy of the loop the array formulas replaced."""
+    cx, cy = region.center
+    r = region.radius
+    lines = []
+    for axis, (a, b) in enumerate(((cx, cy), (cy, cx))):
+        for k in range(int(np.ceil((a - r) / spacing)), int(np.floor((a + r) / spacing)) + 1):
+            level = k * spacing
+            half = r * r - (level - a) ** 2
+            if half <= 0.0:
+                continue
+            half = np.sqrt(half)
+            along = np.linspace(b - half, b + half, samples_per_line)
+            chord = [np.full_like(along, level), along]
+            lines.append(np.column_stack(chord[::-1] if axis else chord))
+    ang = np.linspace(0.0, 2.0 * np.pi, 2 * samples_per_line)
+    lines.append(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
+    return lines
+
+
+def assert_grid_polylines_match_the_per_chord_loop(region, spacing, n):
+    lines, want = cm.grid_polylines(region, spacing, n), per_chord_polylines(region, spacing, n)
+    assert len(lines) == len(want), (region, spacing, n)
+    for got, line in zip(lines, want):
+        assert got.shape == line.shape and got.tobytes() == line.tobytes(), (region, spacing, n)
+    return want
+
+
+def test_array_grid_polylines_match_the_per_chord_loop_bit_for_bit():
+    # a disk so far from the axis that its rim chords have b - half == b + half: there one
+    # np.linspace over all chords takes its zero-step route for every chord, and moves
+    # points of the others by an ulp of b
+    far = cm.DiskRegion((0.0, 4503599627382841.0), 25.0)
+    assert_grid_polylines_match_the_per_chord_loop(far, 1.2499999999999991, 41)
+    rng = np.random.default_rng(2020)
+    rim = flat = 0
+    for i in range(1200):
+        r = float(10.0 ** rng.uniform(-3.0, 3.0))
+        spacing = r / int(rng.integers(1, 9)) if i % 2 else r / rng.uniform(0.3, 8.0)
+        spacing *= 1.0 + 2.0**-52 * int(rng.integers(-2, 3))
+        # a center on the grid and a spacing of r / k, or next to it, put levels on and next to the rim
+        center = rng.integers(-3, 4, 2) * spacing if i % 3 else rng.uniform(-3.0, 3.0, 2) * r
+        if i % 4 == 1:
+            # so far from the axis that b - half == b + half on a chord next to the rim
+            center[1] = r * 10.0 ** rng.uniform(7.0, 12.0)
+        region = cm.DiskRegion(center if i % 5 else tuple(center.tolist()), r)
+        n = int(rng.choice([1, 2, 7, 41, 42]))
+        want = assert_grid_polylines_match_the_per_chord_loop(region, spacing, n)
+        extents = [np.ptp(line, axis=0).max() for line in want[:-1] if n > 1]
+        rim += any(0.0 < e <= 1e-6 * r for e in extents)
+        flat += any(e == 0.0 for e in extents)
+    # both edge cases were drawn
+    assert rim > 10 and flat > 10, (rim, flat)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.1, np.inf, np.nan])
+def test_grid_polylines_refuses_a_spacing_not_finite_and_above_zero(spacing):
+    # 0.0 raised ZeroDivisionError; -0.1 drew the outline alone
+    with pytest.raises(cm.ConfmechError, match=r"^grid spacing must be finite and greater than 0, got "):
+        cm.grid_polylines(cm.DiskRegion((0.5, 0.0), 0.21), spacing)
+
+
+def test_grid_polylines_refuses_a_chord_index_past_two_to_the_53():
+    # k spacing is not exact past 2^53; at 1e300 the grid was one degenerate chord
+    message = r"^spacing 0\.1: chord index \(\|c\| \+ r\) / spacing = 1e\+301 > 2\^53$"
+    with pytest.raises(cm.ConfmechError, match=message):
+        cm.grid_polylines(cm.DiskRegion((1e300, 0.0), 1.0), 0.1)
+    assert len(cm.grid_polylines(cm.DiskRegion((0.0, 2.0**52), 1.0), 1.0)) == 3
+
+
+def test_disk_region_refuses_a_center_not_finite_and_a_radius_whose_square_overflows():
+    for center in ((np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(cm.ConfmechError, match=r"^disk needs a finite center and a radius > 0 of finite square"):
+            cm.DiskRegion(center, 1.0)
+    # 1e200 squared raised OverflowError in grid_polylines; the next float above sqrt(max) overflows too
+    for radius in (0.0, -1.0, np.nan, 1e200, 1.3407807929942597e154):
+        with pytest.raises(cm.ConfmechError, match=r"^disk needs a finite center and a radius > 0 of finite square"):
+            cm.DiskRegion((0.0, 0.0), radius)
+    # the largest radius whose square is finite
+    assert len(cm.grid_polylines(cm.DiskRegion((0.0, 0.0), 1.3407807929942596e154), 1e153)) > 20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "phi2d",
+        "moebius:sphere(0,0;1)+plane(0,1;0)",
+        "moebius:sphere(0.1,0.2;0.7)",
+        "moebius:sphere(-0.3,0.1;0.9)+plane(0.6,0.8;0.1)+sphere(1,-1;2)+plane(0,1;0.3)",
+    ],
+)
+def test_render_grid_svg_maps_each_picture_in_one_evaluate_call(tmp_path, spec):
+    mapping, _ = cm.cli.parse_map_spec(spec)
+    evaluate, calls = mapping.evaluate, []
+    mapping.evaluate = lambda x: calls.append(np.shape(x)) or evaluate(x)
+    pictures = ((cm.DiskRegion((0.5, 0.0), 0.21), 0.0147), (cm.DiskRegion((0.4, -0.6), 0.3), 0.05))
+    for region, spacing in pictures:
+        calls.clear()
+        ref, img = cm.render_grid_svg(mapping, region, tmp_path / "g.svg", spacing=spacing)
+        # the polylines, the markers and the center: one stack, where each was one call
+        assert calls == [(sum(map(len, ref)) + 8 + 1, 2)]
+        assert len(img) == len(ref)
+        for line, image in zip(ref, img):
+            assert image.tobytes() == evaluate(line).tobytes()
+    # the default picture took 61 calls: 58 polylines, the markers and the center
+    assert len(cm.grid_polylines(cm.DiskRegion((0.5, 0.0), 0.21), 0.0147)) + 2 == 61
+
+
 def scalar_rejection(dom, n, seed):
     """The sampler one next_uniform draw at a time, as the stream defines it."""
     gen = cm.Lcg64(seed)
