@@ -62,6 +62,9 @@ from .linearized import (
 )
 from .tensors import dev, frobenius_norm, sym
 
+# a word that argparse must take as a negative number; its own pattern misses -1e+20
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+_LONG_OPTION = re.compile(r"--\w[\w-]*")
 _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
 # a '+' joins two steps only where the next step starts; 1e+100 keeps its sign
 _STEP_JOIN = re.compile(r"\+(?=\s*(?:sphere|plane)\()")
@@ -337,6 +340,22 @@ def _strict_json(payload):
         raise ConfmechError("the result is not valid JSON: %s" % exc) from None
 
 
+def _negative_values_joined(argv):
+    """argv with each word that starts as a negative number joined to the long option before it by '='.
+
+    argparse reads a word such as -1e+20 or -1,0,0,1 after an option as an
+    unknown option, not as its value; --cx=-1e+20 it reads as the value.
+    No option of this parser starts with '-' and a digit.
+    """
+    words = []
+    for word in argv:
+        if words and _NEGATIVE_NUMBER.match(word) and _LONG_OPTION.fullmatch(words[-1]):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None):
     """Run one subcommand, write its payload and return its exit code.
 
@@ -347,7 +366,7 @@ def main(argv=None):
     its own parser; stdout is written outside that route, so a closed pipe is
     not reported as a usage error.
     """
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     try:
         payload, ok = args.func(args)
         text = payload if isinstance(payload, str) else _strict_json(payload)

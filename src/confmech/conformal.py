@@ -12,7 +12,8 @@ body.  A Moebius composition takes each chain-rule step as one stacked
 matmul, with each step's image and derivative from one pass over its parts
 and no image of the last step.  The finite-difference gradient (fd_gradient)
 makes one evaluate call on x + h e_j and one on x - h e_j for each axis j,
-with h = FD_STEP.
+with h = FD_STEP, and refuses a point where the images' rounding swallows
+the step.
 
 A map built from an odd number of reflections reverses orientation; its
 gradient is refused (the chain-rule derivative is available to compositions
@@ -42,6 +43,8 @@ from .tensors import (
 SINGULAR_RADIUS = 1e-14
 RADIUS_CEILING = float(np.sqrt(np.finfo(float).max))  # the largest radius whose square is finite
 FD_STEP = 1e-5  # of fd_gradient, for the conformality checks and stress fields alike
+# the share of a central difference that the images' rounding may hold: 20 bits are kept
+FD_ROUNDING_MAX = 2.0**-20
 
 
 def _as_point(x, dim=None, stack=False):
@@ -250,14 +253,25 @@ def fd_gradient(mapping, x):
     """Central-difference derivative matrix of a map at x, or at each point of a stack x (..., dim).
 
     Column j is d(map)/d(x_j), from one evaluate call on x + h e_j and one
-    on x - h e_j, h = FD_STEP.
+    on x - h e_j, h = FD_STEP.  Where the images' rounding, eps times their
+    largest entry, is above FD_ROUNDING_MAX of the differences' largest
+    entry, the step is lost next to the images' size: a ConfmechError names
+    the first such point.
     """
     x = _as_point(x, mapping.dim, stack=True)
-    columns = [
-        (mapping.evaluate(x + FD_STEP * e) - mapping.evaluate(x - FD_STEP * e)) / (2.0 * FD_STEP)
-        for e in np.eye(mapping.dim)
-    ]
-    return np.stack(columns, axis=-1)
+    steps = (FD_STEP, -FD_STEP)
+    images = np.array([[mapping.evaluate(x + h * e) for h in steps] for e in np.eye(mapping.dim)])
+    differences = np.stack(list(images[:, 0] - images[:, 1]), axis=-1)
+    size = np.max(np.abs(images), axis=(0, 1, -1))
+    spread = np.max(np.abs(differences), axis=(-2, -1))
+    i = first_true(~(np.finfo(float).eps * size <= FD_ROUNDING_MAX * spread))
+    if i is not None:
+        at = (FD_STEP, float(np.ravel(size)[i]), x.reshape(-1, mapping.dim)[i], float(np.ravel(spread)[i]))
+        raise ConfmechError(
+            "finite-difference step %r is lost next to images of size %.3g at %s: their difference "
+            "%.3g keeps fewer than 20 bits" % at
+        )
+    return differences / (2.0 * FD_STEP)
 
 
 def is_conformal_at(mapping, x, tol=1e-10, use_fd=False):

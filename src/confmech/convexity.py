@@ -29,6 +29,7 @@ count as "elliptic" only when the energy's second_form is analytic
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,7 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     return LineScanResult(verdict=verdict, min_second_difference=worst, t_at_min=float(ts[k + 1]))
 
 
-@dataclass(frozen=True)
-class KSReport:
+class KSReport(NamedTuple):
     """Left-hand sides of the planar ellipticity conditions at one (l1, l2).
 
     cond_i and cond_iii hold their two expressions as pairs; cond_ii and

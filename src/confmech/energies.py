@@ -521,9 +521,11 @@ def builtin_energy(name, c=DEFAULT_C):
 
     iso2d-klin2 is W(F) = (lmax/lmin)^2 - 1, in the distortion K
     (K + sqrt(K^2 - 1))^2 - 1: it vanishes exactly on CSO(2) and is strictly
-    rank-one convex.  iso2d-psi is W(F) = K(F) - 1, rank-one convex but not
-    strictly.  composite2d and composite3d add VolumetricTerm(c) to
-    iso2d-klin2 and iso3d.
+    rank-one convex.  iso2d-psi is W(F) = K(F) - 1, strictly rank-one convex
+    too: its ratio profile (s - 1)^2 / (2 s), non-decreasing with
+    h'' = 1 / s^3 > 0, passes h_criterion as strictly rank-one convex.
+    composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
+    iso3d.
     """
     if name == "iso2d-psi":
         return DistortionEnergy(

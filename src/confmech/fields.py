@@ -15,6 +15,9 @@ and the points are the first n accepted, in stream order.
 jump_check measures rank-one compatibility of one pair of gradients
 through numpy's SVD of F1 - F2, which resolves a zero singular value to
 rounding level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).
+Past F1 - F2 and unpacking the entries, that LAPACK call is its one numpy
+call per pair: the rest is Python-float arithmetic with numpy's bits, and
+the JumpReport is an immutable NamedTuple.
 For planar conformal pairs it also reports det(F1 - F2) as the sum of two
 squares, the reason two distinct conformal states can never form a laminate.
 """
@@ -23,13 +26,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
 from .conformal import fd_gradient
-from .tensors import as_square, det, require_gl_plus
+from .tensors import as_square, det_of_entries, require_gl_plus
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -237,8 +241,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
 JUMP_NORM_MAX = 1e100
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     difference_singular_values: np.ndarray
     rank: int
     det_difference: float
@@ -256,7 +259,8 @@ def jump_check(F1, F2, tol=1e-9):
     jump has full rank and the two states are never rank-one connected.
     The report holds no copy of F1 and F2.  |F1| + |F2| above JUMP_NORM_MAX
     (or NaN) is refused with a ConfmechError before any product of entries
-    could overflow.
+    could overflow.  The norms, the rank, det(F1 - F2) and the square terms
+    are Python-float arithmetic on the entries, with numpy's bits.
     """
     F1 = as_square(F1)
     F2 = as_square(F2)
@@ -267,23 +271,19 @@ def jump_check(F1, F2, tol=1e-9):
     if not n1 + n2 <= JUMP_NORM_MAX:
         raise ConfmechError("jump too large: |F1| + |F2| = %r, not at most %r" % (n1 + n2, JUMP_NORM_MAX))
     D = F1 - F2
+    d = D.ravel().tolist()
     # LAPACK's bits are the reported singular values
     svals = np.linalg.svd(D, compute_uv=False)
     thresh = tol * (1.0 + n1 + n2)
-    rank = sum(v > thresh for v in svals.tolist())
+    rank = len([v for v in svals.tolist() if v > thresh])
     square_terms = None
-    if len(e1) == 4:
+    if len(d) == 4:
         s1, s2 = 1e-8 * max(1.0, n1), 1e-8 * max(1.0, n2)
         if (abs(e1[0] - e1[3]) <= s1 and abs(e1[1] + e1[2]) <= s1
                 and abs(e2[0] - e2[3]) <= s2 and abs(e2[1] + e2[2]) <= s2):
-            square_terms = ((e1[0] - e2[0]) ** 2, (e1[1] - e2[1]) ** 2)
-    return JumpReport(
-        difference_singular_values=svals,
-        rank=rank,
-        det_difference=det(D),
-        rank_one_connected=rank == 1,
-        det_square_terms=square_terms,
-    )
+            square_terms = (d[0] ** 2, d[1] ** 2)
+    # by position, in field order, which builds the NamedTuple faster than by keyword
+    return JumpReport(svals, rank, np.float64(det_of_entries(d)), rank == 1, square_terms)
 
 
 CSV_DIGITS = "%.17g"

@@ -9,6 +9,7 @@ on one stack, and each polyline is formatted as one array.  A grid past
 GRID_VERTEX_BUDGET vertices or a chord index of 2^53 is refused first.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,19 @@ GAP = 40.0  # between the two panels
 
 @dataclass(frozen=True)
 class DiskRegion:
-    """The disk |x - center| <= radius: a finite center, and a radius > 0 whose square is finite."""
+    """The disk |x - center| <= radius: a center of two finite numbers, a radius > 0 of finite square."""
 
     center: tuple
     radius: float
 
     def __post_init__(self):
+        try:
+            pair = [isinstance(c, numbers.Real) for c in self.center]
+        except TypeError:
+            pair = []
+        if pair != [True, True]:
+            shown = " ".join(repr(self.center).split())  # one line, also for an array
+            raise ConfmechError("disk center must be two numbers, got %s" % shown)
         if not (np.all(np.isfinite(self.center)) and 0.0 < self.radius <= RADIUS_CEILING):
             at = (np.asarray(self.center, dtype=float), float(self.radius))
             raise ConfmechError("disk needs a finite center and a radius > 0 of finite square: %s, %r" % at)

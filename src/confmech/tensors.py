@@ -2,7 +2,9 @@
 
 Determinants and cofactors are written out entry by entry on the matrix
 axes moved to the front, so they take one matrix or a stack of shape
-(..., n, n) alike, with scalar arithmetic for one matrix.
+(..., n, n) alike.  det_of_entries is the one det formula: det takes it in
+Python floats for one matrix and in arrays for a stack, and jump_check in
+Python floats on the entries it has already unpacked.
 The planar ratio energy takes its singular values from a closed-form 2x2
 route (_singular_values, svd) whose arithmetic pins field CSV bytes;
 elsewhere from numpy's SVD of the matrix itself (jump_check), never from
@@ -77,16 +79,28 @@ def transpose(M):
     return np.ascontiguousarray(np.swapaxes(M, -2, -1))
 
 
-def det(M):
-    """Determinant by cofactor expansion, of one matrix or of each in a stack."""
-    m = _entries(as_square(M, stack=True))
-    if m.shape[0] == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def det_of_entries(m):
+    """det by cofactor expansion along the first row, from the 4 or 9 row-major entries m[k].
+
+    The entries are Python floats for one matrix, which round each product
+    and difference as numpy scalars do, or arrays, one value per matrix of
+    a stack.
+    """
+    if len(m) == 4:
+        return m[0] * m[3] - m[1] * m[2]
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m[0] * (m[4] * m[8] - m[5] * m[7])
+        - m[1] * (m[3] * m[8] - m[5] * m[6])
+        + m[2] * (m[3] * m[7] - m[4] * m[6])
     )
+
+
+def det(M):
+    """Determinant of one matrix, an np.float64, or of each in a stack, with the same bits."""
+    M = as_square(M, stack=True)
+    if M.ndim == 2:
+        return np.float64(det_of_entries(M.ravel().tolist()))
+    return det_of_entries(_entries(M).reshape((M.shape[-1] ** 2,) + M.shape[:-2]))
 
 
 def cofactor(M):

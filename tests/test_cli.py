@@ -519,8 +519,7 @@ def test_render_grid_writes_an_svg_or_exits_two_with_one_line(center, radius, st
     spacing = repr(float(radius) * 10.0**stretch)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "g.svg")
-        # --cx=-1e+20: argparse takes a separate -1e+20 for an option
-        argv = ["render-grid", "--map", spec, "--out", out, "--cx=" + center[0], "--cy=" + center[1],
+        argv = ["render-grid", "--map", spec, "--out", out, "--cx", center[0], "--cy", center[1],
                 "--radius", radius, "--spacing", spacing]
         code, err = run_quietly(argv)
         assert code in (0, 2), argv
@@ -542,6 +541,61 @@ def test_moebius_numbers_take_a_signed_exponent(capsys, command):
         assert code in (0, 1) and payload.pop("map") == spec
         payloads.append(payload)
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+FLOAT_FLAGS = [
+    ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "5", "--c"],
+    ["stress-field", "--energy", "composite2d", "--map", "phi2d", "--n", "5", "--tol"],
+    ["check-convexity", "--energy", "composite3d", "--samples", "5", "--c"],
+    ["check-conformal", "--map", "phi2d", "--n", "5", "--tol"],
+    ["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1", "--tol"],
+    ["render-grid", "--map", "phi2d", "--out", "g.svg", "--spacing"],
+    ["render-grid", "--map", "phi2d", "--out", "g.svg", "--cx"],
+    ["render-grid", "--map", "phi2d", "--out", "g.svg", "--cy"],
+    ["render-grid", "--map", "phi2d", "--out", "g.svg", "--radius"],
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_FLAGS, ids=lambda argv: argv[0] + " " + argv[-1])
+def test_float_flags_take_a_negative_value_with_an_exponent(tmp_path, monkeypatch, argv):
+    # argparse took -1e+20 for an option: "argument --cx: expected one argument"
+    monkeypatch.chdir(tmp_path)
+    for value in ("-1e+20", "-2.5e-3", "-.5", "-3"):
+        joined = run_quietly(argv[:-1] + [argv[-1] + "=" + value])
+        assert run_quietly(argv + [value]) == joined
+        assert "expected one argument" not in joined[1]
+
+
+def test_a_negative_center_with_an_exponent_reaches_the_chord_index_refusal(tmp_path):
+    code, err = run_quietly(["render-grid", "--map", "phi2d", "--out", str(tmp_path / "g.svg"),
+                             "--cx", "-1e+20"])
+    assert code == 2 and err.splitlines()[-1] == (
+        "confmech render-grid: error: spacing 0.0147: chord index (|c| + r) / spacing = 6.8e+21 > 2^53"
+    )
+    # the matrices of jump-check start with a minus as well
+    code, err = run_quietly(["jump-check", "--f1", "-1,0,0,-1", "--f2", "-1,1,0,-1"])
+    assert code == 0 and err == ""
+
+
+def test_fd_step_lost_next_to_a_far_plane_exits_two_naming_the_step(capsys):
+    # the step vanished in the image's rounding: "det = 0.0 is not strictly positive",
+    # while the analytic check exits 0
+    spec = "moebius:sphere(0,0;1)+plane(0,1;1e20)"
+    assert run(capsys, "check-conformal", "--map", spec, "--n", "5")[0] == 0
+    for command in (["check-conformal"], ["stress-field", "--energy", "iso2d-klin2"]):
+        code, err = run_quietly(command + ["--fd", "--map", spec, "--n", "5"])
+        assert code == 2
+        lost = "finite-difference step 1e-05 is lost next to images of size 2e+20 at ["
+        assert err.splitlines()[-1].startswith("confmech %s: error: %s" % (command[0], lost))
+
+
+def test_python_dash_m_confmech_runs_the_command_line():
+    # "No module named confmech.__main__"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "confmech", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0 and proc.stdout == "confmech %s\n" % confmech.__version__
 
 
 def test_usage_error_prints_plain_floats(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -223,6 +224,90 @@ def test_jump_check_equal_pair_rank_zero():
     rep = cm.jump_check(F, F)
     assert rep.rank == 0
     assert not rep.rank_one_connected
+
+
+def numpy_scalar_jump(F1, F2, tol):
+    """(singular values, rank, det, square terms) of F1 - F2 by the formulas before the Python-float route.
+
+    The rank is a generator sum over np.linalg.svd's values, and det the
+    cofactor expansion on numpy scalars D[i, j].
+    """
+    e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
+    n1, n2 = math.hypot(*e1), math.hypot(*e2)
+    D = F1 - F2
+    svals = np.linalg.svd(D, compute_uv=False)
+    thresh = tol * (1.0 + n1 + n2)
+    rank = sum(v > thresh for v in svals.tolist())
+    if D.shape == (2, 2):
+        det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
+    else:
+        det = (
+            D[0, 0] * (D[1, 1] * D[2, 2] - D[1, 2] * D[2, 1])
+            - D[0, 1] * (D[1, 0] * D[2, 2] - D[1, 2] * D[2, 0])
+            + D[0, 2] * (D[1, 0] * D[2, 1] - D[1, 1] * D[2, 0])
+        )
+    square_terms = None
+    if len(e1) == 4:
+        s1, s2 = 1e-8 * max(1.0, n1), 1e-8 * max(1.0, n2)
+        if (abs(e1[0] - e1[3]) <= s1 and abs(e1[1] + e1[2]) <= s1
+                and abs(e2[0] - e2[3]) <= s2 and abs(e2[1] + e2[2]) <= s2):
+            square_terms = ((e1[0] - e2[0]) ** 2, (e1[1] - e2[1]) ** 2)
+    return svals, rank, det, square_terms
+
+
+def jump_pairs(rng, dim, k):
+    """(F1, F2, tol) for k random, k exactly rank-one, k nearly rank-one and, in 2D, k similarity pairs.
+
+    A nearly rank-one pair takes tol so that the rank threshold lies within
+    3 ulps of the second singular value of F1 - F2.
+    """
+    out = []
+    for _ in range(k):
+        out.append((cm.random_def_gradient(rng, dim), cm.random_def_gradient(rng, dim), 1e-9))
+        F1 = cm.random_def_gradient(rng, dim)
+        out.append((F1, F1 + np.outer(rng.standard_normal(dim), rng.standard_normal(dim)), 1e-9))
+        nudge = 10.0 ** rng.uniform(-14, -6) * rng.standard_normal((dim, dim))
+        F2 = F1 + np.outer(rng.standard_normal(dim), rng.standard_normal(dim)) + nudge
+        s2 = np.linalg.svd(F1 - F2, compute_uv=False)[1]
+        tol = s2 / (1.0 + np.linalg.norm(F1) + np.linalg.norm(F2))
+        step = int(rng.integers(-3, 4))
+        for _ in range(abs(step)):
+            tol = np.nextafter(tol, math.copysign(np.inf, step))
+        out.append((F1, F2, float(tol)))
+        if dim == 2:
+            a1, b1, a2, b2 = rng.uniform(-3.0, 3.0, size=4) * 10.0 ** rng.integers(-3, 4)
+            # a similarity on the edge of the 1e-8 band now and then
+            skew = 1e-8 * max(1.0, math.hypot(a1, b1, b1, a1)) * rng.choice([0.0, 0.5, 1.0, 1.5])
+            out.append((conformal_2x2(a1, b1) + [[skew, 0.0], [0.0, 0.0]], conformal_2x2(a2, b2), 1e-9))
+    return out
+
+
+def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
+    rng = np.random.default_rng(2024)
+    pairs = jump_pairs(rng, 2, 1500) + jump_pairs(rng, 3, 1500)
+    assert len(pairs) >= 10_000
+    ranks = set()
+    for F1, F2, tol in pairs:
+        rep = cm.jump_check(F1, F2, tol=tol)
+        svals, rank, det, square_terms = numpy_scalar_jump(F1, F2, tol)
+        assert rep.difference_singular_values.tobytes() == svals.tobytes()
+        assert rep.rank == rank and rep.rank_one_connected == (rank == 1)
+        assert type(rep.det_difference) is np.float64 and float(rep.det_difference).hex() == float(det).hex()
+        assert rep.det_square_terms == square_terms
+        assert float(cm.det(F1 - F2)).hex() == float(det).hex()
+        ranks.add((F1.shape[0], rank, square_terms is not None))
+    # every kind of pair came out: full rank, rank one, both sides of the threshold, similarities
+    assert {(2, 1, False), (2, 2, False), (2, 2, True), (3, 1, False), (3, 2, False), (3, 3, False)} <= ranks
+
+
+def test_jump_and_ks_reports_refuse_attribute_assignment():
+    rep = cm.jump_check(np.eye(2), 2.0 * np.eye(2))
+    ks = cm.knowles_sternberg(cm.ratio_minus_one_squared, 1.5, 0.5, cm.ratio_minus_one_squared_derivatives)
+    for report, name, value in ((rep, "rank", 1), (ks, "strict", False)):
+        with pytest.raises(AttributeError):
+            setattr(report, name, value)
+    assert rep.rank == 2 and rep._fields[0] == "difference_singular_values"
+    assert ks.applicable_values()[-1] == ks.cond_v
 
 
 def test_field_csv_schema_and_determinism(tmp_path):
@@ -463,6 +548,17 @@ def test_disk_region_refuses_a_center_not_finite_and_a_radius_whose_square_overf
             cm.DiskRegion((0.0, 0.0), radius)
     # the largest radius whose square is finite
     assert len(cm.grid_polylines(cm.DiskRegion((0.0, 0.0), 1.3407807929942596e154), 1e153)) > 20
+
+
+def test_disk_region_refuses_a_center_that_is_not_two_numbers():
+    # grid_polylines unpacked a 3-vector center as cx, cy: a plain "too many values to unpack"
+    bad = [((0.0, 0.0, 0.0), "(0.0, 0.0, 0.0)"), ((1.0,), "(1.0,)"), (5.0, "5.0"), ("ab", "'ab'"),
+           ((1.0, "2"), "(1.0, '2')"), (np.zeros((2, 2)), "array([[0., 0.], [0., 0.]])")]
+    for center, shown in bad:
+        with pytest.raises(cm.ConfmechError) as exc:
+            cm.grid_polylines(cm.DiskRegion(center, 1.0), 0.1)
+        assert str(exc.value) == "disk center must be two numbers, got " + shown
+    assert len(cm.grid_polylines(cm.DiskRegion((np.float64(0.5), 0), 0.21), 0.0147)) == 59
 
 
 @pytest.mark.parametrize(
