@@ -82,9 +82,7 @@ def transpose(M):
 def det_of_entries(m):
     """det by cofactor expansion along the first row, from the 4 or 9 row-major entries m[k].
 
-    The entries are Python floats for one matrix, which round each product
-    and difference as numpy scalars do, or arrays, one value per matrix of
-    a stack.
+    Python floats of one matrix round each step as numpy scalars do; arrays give a stack's dets.
     """
     if len(m) == 4:
         return m[0] * m[3] - m[1] * m[2]
@@ -100,7 +98,8 @@ def det(M):
     M = as_square(M, stack=True)
     if M.ndim == 2:
         return np.float64(det_of_entries(M.ravel().tolist()))
-    return det_of_entries(_entries(M).reshape((M.shape[-1] ** 2,) + M.shape[:-2]))
+    n = M.shape[-1]
+    return det_of_entries(M.reshape(-1, n * n).T).reshape(M.shape[:-2])
 
 
 def cofactor(M):

@@ -286,7 +286,7 @@ def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
     rng = np.random.default_rng(2024)
     pairs = jump_pairs(rng, 2, 1500) + jump_pairs(rng, 3, 1500)
     assert len(pairs) >= 10_000
-    ranks = set()
+    ranks, dets = set(), {2: [], 3: []}
     for F1, F2, tol in pairs:
         rep = cm.jump_check(F1, F2, tol=tol)
         svals, rank, det, square_terms = numpy_scalar_jump(F1, F2, tol)
@@ -296,6 +296,12 @@ def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
         assert rep.det_square_terms == square_terms
         assert float(cm.det(F1 - F2)).hex() == float(det).hex()
         ranks.add((F1.shape[0], rank, square_terms is not None))
+        dets[F1.shape[0]].append((F1 - F2, det))
+    # the stacked route, on a (k, n, n) stack and on a (k/5, 5, n, n) one, has the same bits
+    for group in dets.values():
+        stack, want = np.array([D for D, _ in group]), np.array([d for _, d in group])
+        assert cm.det(stack).tobytes() == want.tobytes()
+        assert cm.det(stack.reshape(-1, 5, *stack.shape[1:])).tobytes() == want.tobytes()
     # every kind of pair came out: full rank, rank one, both sides of the threshold, similarities
     assert {(2, 1, False), (2, 2, False), (2, 2, True), (3, 1, False), (3, 2, False), (3, 3, False)} <= ranks
 
