@@ -381,5 +381,21 @@ def main(argv=None):
     return 0 if ok else 1
 
 
+# the shell's status of a writer killed by SIGPIPE
+CLOSED_PIPE_EXIT = 128 + 13
+
+
+def run():
+    """main's exit code, for `confmech` and `python -m confmech`: a reader that closes stdout
+    early (`confmech ... | head -3`) ends the command quietly with CLOSED_PIPE_EXIT."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = None  # and no second BrokenPipeError when Python flushes stdout at exit
+        return CLOSED_PIPE_EXIT
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

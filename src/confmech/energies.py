@@ -525,8 +525,10 @@ def builtin_energy(name, c=DEFAULT_C):
     too: its ratio profile (s - 1)^2 / (2 s), non-decreasing with
     h'' = 1 / s^3 > 0, passes h_criterion as strictly rank-one convex.
     composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
-    iso3d.
+    iso3d.  Every name refuses a c that VolumetricTerm refuses, with or
+    without a volumetric part.
     """
+    vol = VolumetricTerm(c)
     if name == "iso2d-psi":
         return DistortionEnergy(
             psi=lambda K: K - 1.0,
@@ -545,4 +547,4 @@ def builtin_energy(name, c=DEFAULT_C):
         iso = IsochoricNeoHooke()
     else:
         raise ConfmechError("unknown energy %r (choose from %s)" % (name, ", ".join(BUILTIN_ENERGIES)))
-    return CompositeEnergy(iso, VolumetricTerm(c)) if name.startswith("composite") else iso
+    return CompositeEnergy(iso, vol) if name.startswith("composite") else iso

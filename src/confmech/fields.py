@@ -20,6 +20,9 @@ call per pair: the rest is Python-float arithmetic with numpy's bits, and
 the JumpReport is an immutable NamedTuple.
 For planar conformal pairs it also reports det(F1 - F2) as the sum of two
 squares, the reason two distinct conformal states can never form a laminate.
+
+write_field_csv formats each distinct value once, with a numpy kernel
+(_g17_texts) that gives the bytes of '%.17g' % v.
 """
 
 import json
@@ -286,39 +289,108 @@ def jump_check(F1, F2, tol=1e-9):
     return JumpReport(svals, rank, np.float64(det_of_entries(d)), rank == 1, square_terms)
 
 
-CSV_DIGITS = "%.17g"
-# formatting each distinct value once pays while at most this share of the cells is distinct
-CSV_DISTINCT_SHARE = 0.75
+# decimal exponents the %.17g kernel formats; others take '%.17g' % v
+G17_K_MAX = 280
+_G17_TABLES = []
 
 
-def _csv_cells(table):
-    """The table's cells in row-major order as %-arguments, with their conversion.
+def _g17_tables():
+    """[hi, lo, quads], built on first use: at k + G17_K_MAX, hi + lo is 10^(16 - k) to
+    about 2^-106 for |k| <= G17_K_MAX; quads[d] is "%04d" % d as one uint32."""
+    if not _G17_TABLES:
+        rows = []
+        for k in range(-G17_K_MAX, G17_K_MAX + 1):
+            num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+            hi = num / den  # the nearest double, and lo the nearest double to the rest
+            a, b = hi.as_integer_ratio()
+            rows.append((hi, (num * b - a * den) / (den * b)))
+        quads = np.array([b"%04d" % d for d in range(10000)]).view(np.uint32)
+        _G17_TABLES.extend([*np.array(rows).T, quads])
+    return _G17_TABLES
 
-    Cells are keyed by their 64-bit patterns, so -0.0 and 0.0, NaN payloads
-    and subnormals keep their own texts.  While at most CSV_DISTINCT_SHARE of
-    the cells are distinct, each distinct value is formatted with CSV_DIGITS
-    once and its text stands in for every cell that holds it (conversion
-    "%s"); otherwise the floats are formatted cell by cell.
+
+def _veltkamp(a):
+    """a = hi + lo with each half short enough that products of halves are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, k):
+    """Floor and fraction of a 10^(16 - k): Dekker's exact product of a and hi, plus a lo."""
+    hi, lo, _ = _g17_tables()
+    h, l = hi[k + G17_K_MAX], lo[k + G17_K_MAX]
+    p = a * h
+    a1, a2 = _veltkamp(a)
+    h1, h2 = _veltkamp(h)
+    t = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * l
+    whole = np.floor(t)
+    return p.astype(np.int64) + whole.astype(np.int64), t - whole
+
+
+def _digit_codes(N):
+    """The 17 ASCII digits of each N in [10^16, 10^17), as an (n, 17) uint8 view."""
+    high = N // 10**8
+    low = N - high * 10**8
+    hh, lh = high // 10**4, low // 10**4
+    lead = hh // 10**4
+    groups = np.stack([lead, hh - lead * 10**4, high - hh * 10**4, lh, low - lh * 10**4], 1)
+    return _g17_tables()[2][groups].view(np.uint8)[:, 3:]  # "000d" and four "dddd", less "000"
+
+
+def _run_texts(codes, k, sign):
+    """The '%.17g' texts of (n, 17) digit codes, all of decimal exponent k and sign "" or "-"."""
+    head = max(k + 1, 0) if -4 <= k < 17 else 1  # digits before the point
+    if 0 < head < 17:
+        point = np.full((len(codes), 1), ord("."), dtype=np.uint8)
+        codes = np.concatenate([codes[:, :head], point, codes[:, head:]], axis=1)
+    texts = codes.view("S%d" % codes.shape[1])[:, 0]
+    if head < 17:
+        texts = np.strings.rstrip(np.strings.rstrip(texts, b"0"), b".")
+    if -4 <= k < 0:
+        sign += "0." + "0" * (-k - 1)
+    texts = np.strings.add(sign.encode(), texts) if sign else texts
+    return texts if -4 <= k < 17 else np.strings.add(texts, b"e%+03d" % k)
+
+
+def _g17_texts(values):
+    """The bytes of '%.17g' % v for each v of a float64 array, as an array of bytes.
+
+    The digits are N = round(|v| 10^(16 - k)) from _scaled, with k = floor(log10 |v|).
+    Texts are assembled per run of equal (k, sign): values sorted by their 64-bit
+    patterns, as np.unique returns them, take one run per decade and sign.  Zeros,
+    NaNs, infinities, |k| > G17_K_MAX, products within 2^-30 of a tie (such as
+    1234567890123456.75) and N outside [10^16, 10^17), where log10 rounds across a
+    power of ten or N rounds up to 10^17, are formatted by '%.17g' % v itself.
     """
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    bits = table.view(np.uint64).ravel()
-    # a sort counts the distinct cells in a fifth of the time of np.unique with
-    # return_inverse, which only the distinct-value route needs
-    ordered = np.sort(bits)
-    if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > CSV_DISTINCT_SHARE * bits.size:
-        return tuple(table.ravel().tolist()), CSV_DIGITS
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = ((CSV_DIGITS + ",") * len(distinct) % tuple(distinct.view(np.float64).tolist())).split(",")
-    return tuple(np.array(texts, dtype=object)[inverse].tolist()), "%s"
+    v = np.asarray(values, dtype=np.float64)
+    texts = np.zeros(len(v), dtype="S24")  # '-1.2345678901234567e-100' at most
+    a = np.abs(v)
+    at = np.flatnonzero(np.isfinite(a) & (a > 0.0))
+    k = np.floor(np.log10(a[at])).astype(np.int64)
+    at, k = at[np.abs(k) <= G17_K_MAX], k[np.abs(k) <= G17_K_MAX]
+    whole, frac = _scaled(a[at], k)
+    N = whole + (frac > 0.5)
+    kept = (np.abs(frac - 0.5) > 2.0**-30) & (whole >= 10**16) & (N < 10**17)
+    at, N, k = at[kept], N[kept], k[kept]
+    codes = _digit_codes(N)
+    key = 2 * k + np.signbit(v[at])
+    runs = np.flatnonzero(np.diff(key, prepend=key[:1] - 1)).tolist() + [len(at)]
+    for s, e in zip(runs, runs[1:]):
+        texts[at[s:e]] = _run_texts(codes[s:e], int(k[s]), "-" if key[s] & 1 else "")
+    rest = np.flatnonzero(texts == b"")  # the values the kernel left
+    texts[rest] = [b"%.17g" % x for x in v[rest].tolist()]
+    return texts
 
 
 def write_field_csv(path, samples):
     """Write samples as CSV: x1,x2[,x3],detF,s11,s12,...,energy with 17 significant digits.
 
     The table is formatted as one block, with the comma separators and the
-    \\r\\n line ends of the csv module's default dialect.  A field of
-    constant stress is mostly repeats, so each distinct value is formatted
-    once (_csv_cells); the bytes are those of CSV_DIGITS on every cell.
+    \\r\\n line ends of the csv module's default dialect, and the bytes of
+    '%.17g' % v in every cell.  Cells are keyed by their 64-bit patterns, so
+    -0.0 and 0.0, NaN payloads and subnormals keep their own texts, and
+    each distinct value is formatted once by the numpy kernel _g17_texts.
     """
     n = len(samples)
     if n == 0:
@@ -331,10 +403,13 @@ def write_field_csv(path, samples):
     table = np.column_stack(
         [samples.x, samples.det_F, samples.sigma.reshape(n, -1), samples.energy]
     )
-    cells, conversion = _csv_cells(table)
-    row = ",".join([conversion] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # one bytes object per distinct value, which every cell that holds it shares
+    cells = tuple(_g17_texts(distinct.view(np.float64)).astype(object)[inverse].tolist())
+    row = b",".join([b"%s"] * len(header)) + b"\r\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         fh.write((row * n) % cells)
 
 

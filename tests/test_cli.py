@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmech
-from confmech.cli import build_parser, main
+from confmech.cli import CLOSED_PIPE_EXIT, build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -648,6 +651,52 @@ def test_closed_stdout_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     with pytest.raises(BrokenPipeError):
         main(["jump-check", "--f1", "1,0,0,1", "--f2", "1,1,0,1"])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["-m", "confmech"], ["-m", "confmech.cli"], ["-c", "import sys; from confmech.cli import run; sys.exit(run())"]],
+    ids=["python-m-confmech", "python-m-confmech-cli", "script"],
+)
+def test_a_reader_that_closes_stdout_after_one_line_ends_the_command_quietly(entry):
+    # `confmech check-convexity ... | head -3` printed a BrokenPipeError traceback and exited 1.
+    # The payload is 240 kB, more than a pipe holds, so the rest is written after the close.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    argv = ["check-convexity", "--energy", "iso2d-klin2", "--samples", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, *entry, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        code = proc.wait(timeout=60)
+        proc.stderr.close()
+    assert (code, err) == (CLOSED_PIPE_EXIT, b"")
+    # the installed script runs what the "script" case runs
+    assert 'confmech = "confmech.cli:run"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("c", ["nan", "-1e+3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check-convexity", "--energy", "iso3d", "--samples", "3"],
+        ["check-convexity", "--energy", "iso2d-psi", "--samples", "3"],
+        ["stress-field", "--energy", "iso3d", "--map", "phi3d", "--n", "3"],
+    ],
+    ids=["convexity-iso3d", "convexity-iso2d-psi", "field-iso3d"],
+)
+def test_a_bad_splice_point_exits_two_for_every_energy(capsys, command, c):
+    # check-convexity dropped --c for an energy without a volumetric part and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--c", c])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = "splice point c = %r must be finite and strictly above e" % float(c)
+    assert err.strip().splitlines()[-1] == "confmech %s: error: %s" % (command[0], message)
 
 
 @pytest.mark.parametrize(

@@ -411,6 +411,58 @@ def test_field_csv_bytes_match_one_template_per_cell(tmp_path_factory, samples):
     assert path.read_bytes() == one_template_csv(samples)
 
 
+def assert_g17_texts(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = cm.fields._g17_texts(values).tolist()
+    want = [("%.17g" % v).encode() for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+EXPONENT_BITS = np.uint64(0x7FF << 52)
+
+
+@st.composite
+def bit_batches(draw):
+    """1 000 to 4 000 distinct raw 64-bit patterns, sorted as np.unique sorts the CSV cells.
+
+    Half the batches keep their exponents in a drawn window, so that runs of
+    one decade and sign are long in any part of the range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, size=draw(st.integers(1000, 4000)), dtype=np.uint64)
+    if draw(st.booleans()):
+        low, high = sorted([draw(st.integers(0, 0x7FF)), draw(st.integers(0, 0x7FF))])
+        exponents = rng.integers(low, high + 1, size=len(bits)).astype(np.uint64)
+        bits = (bits & ~EXPONENT_BITS) | (exponents << np.uint64(52))
+    return np.unique(bits)
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(bit_batches())
+def test_g17_kernel_gives_the_texts_of_percent_17g(bits):
+    assert_g17_texts(bits.view(np.float64))
+
+
+def test_g17_kernel_at_zeros_nans_subnormals_powers_of_ten_and_ties():
+    special = np.array(
+        [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+         0x7FF0000000000001, 0xFFF4000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+         0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(np.float64)
+    powers = np.array([float("1e%d" % k) for k in range(-300, 301)])
+    near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
+    # exact ties at the 17th digit: the kernel leaves them to '%.17g' itself
+    ties = [1234567890123456.75, 1234567890123456.25, -1234567890123456.25]
+    values = np.concatenate([special, near, -near, ties])
+    assert_g17_texts(values)  # in this order: runs of one value
+    assert_g17_texts(np.unique(values.view(np.uint64)).view(np.float64))
+    assert cm.fields._g17_texts(np.array(ties)).tolist() == [
+        b"1234567890123456.8", b"1234567890123456.2", b"-1234567890123456.2"
+    ]
+
+
 def test_summary_json_round_trip(tmp_path):
     E = cm.builtin_energy("composite2d")
     phi = cm.InversionFlip(2)
