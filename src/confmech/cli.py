@@ -15,11 +15,14 @@ reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
 e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is exactly phi2d.  Möbius maps are
 sampled on the default annulus 0.5 <= |x| <= 0.9 since no admissible
 determinant band is known for them.
+
+Payloads are written by fields.json_text, with the bytes of
+json.dumps(payload, indent=2); a payload that holds a NaN or an infinity is
+refused with exit 2 and one line, "the result is not valid JSON: ...".
 """
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -44,6 +47,7 @@ from .exceptions import ConfmechError
 from .fields import (
     AnnulusDomain,
     admissible_annulus,
+    json_text,
     jump_check,
     sample_annulus,
     stress_field,
@@ -131,7 +135,7 @@ def _cmd_stress_field(args):
     payload["energy"] = args.energy
     payload["map"] = args.map
     payload["domain"] = {"r_min": dom.r_min, "r_max": dom.r_max, "dim": dom.dim}
-    text = _strict_json(payload)  # a field that is not finite is refused before any file is written
+    text = json_text(payload)  # a field that is not finite is refused before any file is written
     if args.out:
         write_field_csv(args.out, samples)
     if args.summary:
@@ -161,7 +165,7 @@ def _cmd_check_convexity(args):
             {
                 "lambda1": r.lambda1,
                 "lambda2": r.lambda2,
-                "values": [v for v in r.applicable_values()],
+                "values": r.applicable_values(),
                 "strict": r.strict,
             }
             for r in grid
@@ -332,14 +336,6 @@ def build_parser():
     return parser
 
 
-def _strict_json(payload):
-    """payload as indented JSON; a ConfmechError if it holds NaN or an infinity, not JSON."""
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ConfmechError("the result is not valid JSON: %s" % exc) from None
-
-
 def _negative_values_joined(argv):
     """argv with each word that starts as a negative number joined to the long option before it by '='.
 
@@ -359,7 +355,7 @@ def _negative_values_joined(argv):
 def main(argv=None):
     """Run one subcommand, write its payload and return its exit code.
 
-    A dict payload goes out as strict indented JSON, to the JSON --out file
+    A dict payload goes out as indented JSON (fields.json_text), to the JSON --out file
     (dest json_out) or to stdout; a text payload (stress-field's JSON, made
     before its files are written, or a line) is printed.  A ConfmechError
     or OSError, from the command, the JSON or the file write, exits 2 through
@@ -369,7 +365,7 @@ def main(argv=None):
     args = build_parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     try:
         payload, ok = args.func(args)
-        text = payload if isinstance(payload, str) else _strict_json(payload)
+        text = payload if isinstance(payload, str) else json_text(payload)
         out = getattr(args, "json_out", None)
         if out:
             with open(out, "w") as fh:

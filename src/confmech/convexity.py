@@ -164,16 +164,10 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
     off_band = holds(cond_ii) & holds(cond_iv)
     strict = holds(g11) & holds(g22) & np.where(on_diagonal, on_band, off_band) & holds(cond_v)
     columns = (l1, l2, g11, g22, cond_ii, *cond_iii, cond_iv, cond_v, strict, on_diagonal)
+    # by position, in field order, which builds the NamedTuple faster than by keyword
     reports = [
         KSReport(
-            lambda1=a,
-            lambda2=b,
-            cond_i=(i1, i2),
-            cond_ii=None if diag else ii,
-            cond_iii=(iii1, iii2) if diag else None,
-            cond_iv=None if diag else iv,
-            cond_v=v,
-            strict=ok,
+            a, b, (i1, i2), None if diag else ii, (iii1, iii2) if diag else None, None if diag else iv, v, ok
         )
         # tolist: Python floats and bools, as the CLI's JSON needs them
         for a, b, i1, i2, ii, iii1, iii2, iv, v, ok, diag in zip(

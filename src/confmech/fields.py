@@ -22,13 +22,17 @@ For planar conformal pairs it also reports det(F1 - F2) as the sum of two
 squares, the reason two distinct conformal states can never form a laminate.
 
 write_field_csv formats each distinct value once, with a numpy kernel
-(_g17_texts) that gives the bytes of '%.17g' % v.
+(_g17_texts) that gives the bytes of '%.17g' % v.  json_text, the one JSON
+writer of the package (the CLI payloads and write_summary_json), gives the
+text of json.dumps(obj, indent=2, allow_nan=False) with each distinct float
+formatted once, and refuses a NaN, an infinity or a type JSON has no text for
+with a one-line ConfmechError.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -413,6 +417,91 @@ def write_field_csv(path, samples):
         fh.write((row * n) % cells)
 
 
+def _float_text(v, texts):
+    """float.__repr__(v), kept in texts for a nonzero v; a NaN or an infinity is refused."""
+    text = texts.get(v)
+    if text is None:
+        text = float.__repr__(v)
+        if not -math.inf < v < math.inf:
+            raise ConfmechError(
+                "the result is not valid JSON: Out of range float values are not JSON compliant: " + text
+            )
+        # 0.0 and -0.0 are equal keys with different texts
+        if v:
+            texts[v] = text
+    return text
+
+
+def _json_pieces(o, newline, put, texts):
+    """put each piece of the text of o, whose inner lines start with newline and two more spaces."""
+    if isinstance(o, str):
+        put(encode_basestring_ascii(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_float_text(o, texts))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            # a float in a container, the bulk of a payload, takes one piece and no call
+            if type(item) is float:
+                put(sep + (texts.get(item) or _float_text(item, texts)))
+            else:
+                put(sep)
+                _json_pieces(item, inner, put, texts)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in o.items():
+            if not isinstance(key, str):
+                raise ConfmechError(
+                    "the result is not valid JSON: keys must be str, not %s" % type(key).__name__
+                )
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(item) is float:
+                put(head + (texts.get(item) or _float_text(item, texts)))
+            else:
+                put(head)
+                _json_pieces(item, inner, put, texts)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise ConfmechError(
+            "the result is not valid JSON: Object of type %s is not JSON serializable" % type(o).__name__
+        )
+
+
+def json_text(obj):
+    """The text of json.dumps(obj, indent=2, allow_nan=False), from pieces in one list joined once.
+
+    obj is made of dicts with str keys, lists, tuples, str (escaped by the
+    json module's own encode_basestring_ascii), int, float (np.float64 too),
+    bool and None.  Each distinct nonzero float is formatted by float.__repr__
+    once per call; zeros are not memoized, as 0.0 and -0.0 are equal keys with
+    different texts.  A NaN or an infinity, another type or a key that is not a
+    str is refused with a one-line ConfmechError, "the result is not valid
+    JSON: ...", with the json module's words for the float.
+    """
+    pieces = []
+    _json_pieces(obj, "\n", pieces.append, {})
+    return "".join(pieces)
+
+
 def summary_to_dict(summary):
     worst = summary.worst_point
     return {
@@ -433,6 +522,7 @@ def summary_to_dict(summary):
 
 
 def write_summary_json(path, summary):
+    """Write the summary as indented JSON; one that is not finite is refused before the file is opened."""
+    text = json_text(summary_to_dict(summary))
     with open(path, "w") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

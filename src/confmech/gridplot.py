@@ -105,27 +105,26 @@ class _Panel:
         self.origin = np.array([x0 + 0.5 * (width - scale * size[0]), 0.5 * (height - scale * size[1])])
 
     def to_svg(self, p):
-        """SVG (x, y) of one point, or of each point of a stack (k, 2)."""
+        """SVG (x, y) of each point of a stack (k, 2), element by element."""
         return self.origin + (p - self.anchor) * self.factor
 
-    def polyline(self, pts, stroke, width):
-        xy = self.to_svg(pts).ravel().tolist()
-        coords = " ".join(["%.3f,%.3f"] * (len(xy) // 2)) % tuple(xy)
-        return '<polyline fill="none" stroke="%s" stroke-width="%.2f" points="%s"/>' % (
-            stroke,
-            width,
-            coords,
-        )
 
-    def dot(self, p, fill):
-        x, y = self.to_svg(p).tolist()
-        return '<circle cx="%.3f" cy="%.3f" r="3.0" fill="%s"/>' % (x, y, fill)
+def _polyline(xy, stroke, width):
+    """An SVG polyline through the SVG points xy (k, 2)."""
+    xy = xy.ravel().tolist()
+    coords = " ".join(["%.3f,%.3f"] * (len(xy) // 2)) % tuple(xy)
+    return '<polyline fill="none" stroke="%s" stroke-width="%.2f" points="%s"/>' % (stroke, width, coords)
+
+
+def _dot(xy, fill):
+    return '<circle cx="%.3f" cy="%.3f" r="3.0" fill="%s"/>' % (*xy, fill)
 
 
 def render_grid_svg(mapping, region, out_path, spacing=0.0147, samples_per_line=SAMPLES_PER_LINE):
     """Write a two-panel SVG: the gridded region and its image under the map.
 
-    One evaluate call maps the polylines, 8 markers at equal angles and the center.
+    One evaluate call maps the polylines, 8 markers at equal angles and the
+    center, and one to_svg call per panel takes them into its viewport.
     Returns (reference_polylines, image_polylines) so callers can assert on
     the geometry without parsing the file.
     """
@@ -144,11 +143,11 @@ def render_grid_svg(mapping, region, out_path, spacing=0.0147, samples_per_line=
     ]
     for x0, pts in ((0.0, points), (PANEL + GAP, img)):
         # each panel's box holds its polylines and markers, not its center
-        pane = _Panel(pts[:-1], x0, PANEL, PANEL)
-        *lines, outline, dots = np.split(pts[:-1], cuts)
-        parts += [pane.polyline(line, "#bbbbbb", STROKE_GRID) for line in lines]
-        parts.append(pane.polyline(outline, "#000000", STROKE_OUTLINE))
-        parts += [pane.dot(p, "#d62728") for p in dots] + [pane.dot(pts[-1], "#1f77b4")]
+        xy = _Panel(pts[:-1], x0, PANEL, PANEL).to_svg(pts)
+        *lines, outline, dots = np.split(xy[:-1], cuts)
+        parts += [_polyline(line, "#bbbbbb", STROKE_GRID) for line in lines]
+        parts.append(_polyline(outline, "#000000", STROKE_OUTLINE))
+        parts += [_dot(p, "#d62728") for p in dots.tolist()] + [_dot(xy[-1].tolist(), "#1f77b4")]
     parts.append("</svg>")
     with open(out_path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -280,6 +280,34 @@ def test_non_finite_payload_exits_two_with_one_line(capsys, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize(
+    "value, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (np.float64("nan"), "nan")]
+)
+def test_a_non_finite_payload_value_gives_the_json_module_line(capsys, monkeypatch, value, shown):
+    def field(*args, **kwargs):
+        samples, summary = confmech.stress_field(*args, **kwargs)
+        return samples, dataclasses.replace(summary, max_deviation=value)
+
+    monkeypatch.setattr(confmech.cli, "stress_field", field)
+    with pytest.raises(SystemExit) as exc:
+        main(["stress-field", "--energy", "iso2d-klin2", "--map", "phi2d", "--n", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "confmech stress-field: error: the result is not valid JSON: "
+        "Out of range float values are not JSON compliant: " + shown
+    )
+
+
+def test_a_non_finite_summary_is_refused_before_its_file_is_opened(tmp_path):
+    # json.dump streamed the summary into the open file and stopped at the NaN, leaving a partial file
+    energy, phi, dom = confmech.builtin_energy("iso2d-klin2"), confmech.InversionFlip(2), confmech.admissible_annulus("phi2d")
+    _, summary = confmech.stress_field(energy, phi, dom, 5)
+    path = tmp_path / "s.json"
+    with pytest.raises(confmech.ConfmechError, match="Out of range float values are not JSON compliant: nan"):
+        confmech.write_summary_json(path, dataclasses.replace(summary, max_deviation=math.nan))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check-conformal", "--map", "moebius:sphere(0,0;1e200)+plane(0,1;0)", "--n", "5"],

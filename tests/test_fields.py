@@ -1,5 +1,6 @@
 """Field sampling, stress summaries, jump checks, CSV/JSON output, grid figures."""
 
+import gc
 import hashlib
 import json
 import math
@@ -461,6 +462,73 @@ def test_g17_kernel_at_zeros_nans_subnormals_powers_of_ten_and_ties():
     assert cm.fields._g17_texts(np.array(ties)).tolist() == [
         b"1234567890123456.8", b"1234567890123456.2", b"-1234567890123456.2"
     ]
+
+
+# characters the escaper must treat apart: quotes, backslashes, control characters, non-ASCII
+JSON_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\U0001f600"])
+json_keys = st.text(st.one_of(JSON_AWKWARD, st.characters()), max_size=8)
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and -0.0 too
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1.5, 0.1, 1.7976931348623157e308]),
+)
+json_scalars = st.one_of(
+    json_floats,
+    json_floats.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64, 2**200),
+    st.booleans(),
+    st.none(),
+    json_keys,
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple), st.dictionaries(json_keys, inner, max_size=6)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(json_payloads)
+def test_json_text_is_the_text_of_json_dumps(payload):
+    assert cm.fields.json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+
+def test_json_text_keeps_the_sign_of_each_zero_next_to_a_repeated_float():
+    # 0.0 == -0.0 as dict keys: a memo that held zeros would give the second one the first one's text
+    payload = {"a": [0.0, -0.0, 1.5, 1.5, -0.0, 0.0], "b": -0.0, "c": (1.5, np.float64(-0.0), np.float64(0.0)), "d": 0.0}
+    text = cm.fields.json_text(payload)
+    assert text == json.dumps(payload, indent=2, allow_nan=False)
+    assert text.count("-0.0") == 4 and text.count("1.5") == 3
+
+
+def test_json_text_leaves_no_reference_cycle():
+    # pieces held by a reference cycle stay alive until the cycle collector runs, and show in the peak RSS
+    payload = {"a": [1.5, {"b": [2.5, "c"]}], "d": (0.0, None)}
+    gc.collect()
+    gc.disable()
+    try:
+        cm.fields.json_text(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "payload, words",
+    [
+        ({1: 2.0}, "keys must be str, not int"),
+        ({"a": np.array([1.0, 2.0])}, "Object of type ndarray is not JSON serializable"),
+        ([np.float32(1.5)], "Object of type float32 is not JSON serializable"),
+        ({"a": {1.5}}, "Object of type set is not JSON serializable"),
+        ([1.0, [math.inf]], "Out of range float values are not JSON compliant: inf"),
+    ],
+)
+def test_json_text_refuses_what_json_has_no_text_for_with_one_line(payload, words):
+    with pytest.raises(cm.ConfmechError) as exc:
+        cm.fields.json_text(payload)
+    assert str(exc.value) == "the result is not valid JSON: " + words
 
 
 def test_summary_json_round_trip(tmp_path):
