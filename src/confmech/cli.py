@@ -55,7 +55,7 @@ from .fields import (
     write_summary_json,
     summary_to_dict,
 )
-from .gridplot import DiskRegion, render_grid_svg
+from .gridplot import GRID_SPACING, SAMPLES_PER_LINE, DiskRegion, render_grid_svg
 from .linearized import (
     KernelDisplacement,
     conformal_quadratic_approx,
@@ -64,7 +64,7 @@ from .linearized import (
     sigma_lin,
     w_lin_2d,
 )
-from .tensors import dev, frobenius_norm, sym
+from .tensors import dev, frobenius_norm, require_count, sym
 
 # a word that argparse must take as a negative number; its own pattern misses -1e+20
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -74,23 +74,12 @@ _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
 _STEP_JOIN = re.compile(r"\+(?=\s*(?:sphere|plane)\()")
 
 
-def _number(name, convert, ok, what):
-    """An argparse type called name: convert(text), refused unless ok(value) with "must be <what>"."""
-
-    def number(text):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError("must be %s, got %r" % (what, value))
-        return value
-
-    number.__name__ = name  # argparse names the type in "invalid <name> value"
-    return number
-
-
-count = _number("count", int, lambda v: v >= 1, "at least 1")
-tolerance = _number("tolerance", float, lambda v: v >= 0.0 and np.isfinite(v), "finite and at least 0")
-# numpy's default_rng takes seeds >= 0 only; Lcg64 takes any int
-seed = _number("seed", int, lambda v: v >= 0, "at least 0")
+def seed(text):
+    """The argparse type of a numpy seed: default_rng takes seeds >= 0 only, where Lcg64 takes any int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %r" % value)
+    return value
 
 
 def parse_map_spec(spec):
@@ -184,7 +173,7 @@ def _cmd_check_conformal(args):
     worst = _max_ignoring_nan(residuals)
     payload = {
         "map": args.map,
-        "n_samples": int(args.n),
+        "n_samples": args.n,
         "tol": tol,
         "max_residual": worst,
         "failures": failures,
@@ -244,8 +233,9 @@ def _cmd_render_grid(args):
 
 def _cmd_linearized_demo(args):
     # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
+    n = require_count(args.n, "n")
     low = np.array([-2.0] * 6 + [-1.5] * 2)
-    draws = np.random.default_rng(args.seed).uniform(low, -low, size=(args.n, len(low)))
+    draws = np.random.default_rng(args.seed).uniform(low, -low, size=(n, len(low)))
     k = KernelDisplacement(*draws[:, :4].T, b_hat=draws[:, 4:6])
     _, grads = kernel_displacement(k, draws[:, 6:])
     worst_dev = _max_ignoring_nan(frobenius_norm(dev(sym(grads))))
@@ -256,7 +246,7 @@ def _cmd_linearized_demo(args):
     at_center = x0 + kernel_displacement(approx, x0)[0]
     approx_err = quadratic_approx_error()
     payload = {
-        "kernel_samples": int(args.n),
+        "kernel_samples": n,
         "max_dev_sym_norm": worst_dev,
         "max_sigma_lin_norm": worst_sigma,
         "w_lin_2d_at_kernel": w_lin_2d(grad),
@@ -286,9 +276,9 @@ def build_parser():
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--map", required=True)
     p.add_argument("--c", type=float, default=DEFAULT_C, help="volumetric splice point")
-    p.add_argument("--n", type=count, default=10000)
+    p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=tolerance, default=None, help="homogeneity tolerance")
+    p.add_argument("--tol", type=float, default=None, help="homogeneity tolerance")
     p.add_argument("--fd", action="store_true", help="finite-difference map gradients")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--summary", default=None, help="JSON summary path")
@@ -297,16 +287,16 @@ def build_parser():
     p = sub.add_parser("check-convexity", help="Monte-Carlo rank-one convexity scan")
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--samples", type=count, default=10000)
+    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_convexity, parser=p)
 
     p = sub.add_parser("check-conformal", help="conformality residuals of a map")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=count, default=1000)
+    p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=tolerance, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--fd", action="store_true", help="check the FD gradient instead")
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_conformal, parser=p)
@@ -314,22 +304,22 @@ def build_parser():
     p = sub.add_parser("jump-check", help="rank-one compatibility of two gradients")
     p.add_argument("--f1", required=True, help="row-major entries, e.g. '1,0,0,1'")
     p.add_argument("--f2", required=True)
-    p.add_argument("--tol", type=tolerance, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_jump_check, parser=p)
 
     p = sub.add_parser("render-grid", help="SVG of a gridded disk and its image")
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=count, default=42, help="samples per grid line")
-    p.add_argument("--spacing", type=float, default=0.0147)
+    p.add_argument("--resolution", type=int, default=SAMPLES_PER_LINE, help="samples per grid line")
+    p.add_argument("--spacing", type=float, default=GRID_SPACING)
     p.add_argument("--cx", type=float, default=0.5)
     p.add_argument("--cy", type=float, default=0.0)
     p.add_argument("--radius", type=float, default=0.21)
     p.set_defaults(func=_cmd_render_grid, parser=p)
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
-    p.add_argument("--n", type=count, default=1000)
+    p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_linearized_demo, parser=p)

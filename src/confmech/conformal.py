@@ -34,10 +34,11 @@ from .tensors import (
     as_square,
     conformality_residual,
     det,
-    first_true,
     from_entries,
     libm_pow,
+    refuse_where,
     require_gl_plus,
+    require_tolerance,
 )
 
 SINGULAR_RADIUS = 1e-14
@@ -88,16 +89,10 @@ class DeformationMap:
         J = self._jacobian(x)
         with np.errstate(over="ignore", invalid="ignore"):
             d = det(J)
-        i = first_true(~np.isfinite(d) | (d == 0.0))
-        if i is not None:
-            past = "underflows to 0" if np.ravel(d)[i] == 0.0 else "overflows"
-            raise ConfmechError("det grad %s at %s" % (past, x.reshape(-1, self.dim)[i]))
-        i = first_true(~(d > 0.0))
-        if i is not None:
-            raise ConfmechError(
-                "map reverses orientation at %s (det = %r)"
-                % (x.reshape(-1, self.dim)[i], float(np.ravel(d)[i]))
-            )
+        past = ~np.isfinite(d) | (d == 0.0)
+        if past.any():
+            refuse_where(past, "det grad %s at %s", np.where(d == 0.0, "underflows to 0", "overflows"), x)
+        refuse_where(~(d > 0.0), "map reverses orientation at %s (det = %r)", x, d)
         return J
 
 
@@ -127,13 +122,9 @@ class SphereReflection(DeformationMap):
             y = x - self.center
             d2 = np.vecdot(y, y)
             scale = self.radius_sq / d2
-        i = first_true(np.sqrt(d2) < SINGULAR_RADIUS)
-        if i is not None:
-            raise ConfmechError("reflection center reached at %s" % (points.reshape(-1, self.dim)[i],))
-        i = first_true(~(scale <= DET_CEILING))
-        if i is not None:
-            at = (float(np.ravel(scale)[i]), DET_CEILING, points.reshape(-1, self.dim)[i])
-            raise ConfmechError("reflection scale radius^2 / |x - center|^2 = %r is above %r at %s" % at)
+        refuse_where(np.sqrt(d2) < SINGULAR_RADIUS, "reflection center reached at %s", points)
+        message = "reflection scale radius^2 / |x - center|^2 = %r is above %r at %s"
+        refuse_where(~(scale <= DET_CEILING), message, scale, DET_CEILING, points)
         return y, d2, scale
 
     def _image(self, y, d2, scale):
@@ -223,11 +214,8 @@ class InversionFlip(DeformationMap):
         # vecdot is BLAS ddot per point, the bits of x @ x; past the float range it is +inf, refused
         with np.errstate(over="ignore"):
             rho = np.vecdot(x, x)
-        if first_true(np.sqrt(rho) < SINGULAR_RADIUS) is not None:
-            raise ConfmechError("origin is the singular point of the inversion")
-        i = first_true(rho == np.inf)
-        if i is not None:
-            raise ConfmechError("|x|^2 overflows at %s" % (x.reshape(-1, self.dim)[i],))
+        refuse_where(np.sqrt(rho) < SINGULAR_RADIUS, "origin is the singular point of the inversion")
+        refuse_where(rho == np.inf, "|x|^2 overflows at %s", x)
         return rho
 
     def evaluate(self, x):
@@ -264,13 +252,9 @@ def fd_gradient(mapping, x):
     differences = np.stack(list(images[:, 0] - images[:, 1]), axis=-1)
     size = np.max(np.abs(images), axis=(0, 1, -1))
     spread = np.max(np.abs(differences), axis=(-2, -1))
-    i = first_true(~(np.finfo(float).eps * size <= FD_ROUNDING_MAX * spread))
-    if i is not None:
-        at = (FD_STEP, float(np.ravel(size)[i]), x.reshape(-1, mapping.dim)[i], float(np.ravel(spread)[i]))
-        raise ConfmechError(
-            "finite-difference step %r is lost next to images of size %.3g at %s: their difference "
-            "%.3g keeps fewer than 20 bits" % at
-        )
+    lost = ~(np.finfo(float).eps * size <= FD_ROUNDING_MAX * spread)
+    message = "finite-difference step %r is lost next to images of size %.3g at %s: their difference "
+    refuse_where(lost, message + "%.3g keeps fewer than 20 bits", FD_STEP, size, x, spread)
     return differences / (2.0 * FD_STEP)
 
 
@@ -279,8 +263,9 @@ def is_conformal_at(mapping, x, tol=1e-10, use_fd=False):
 
     Checks grad^T grad / det^{2/n} = id on the analytic gradient, or on the
     finite-difference one with use_fd (where tol ~ 1e-6 is appropriate).
-    A NaN residual fails.
+    A NaN residual fails; a tol that is not finite and at least 0 is refused.
     """
+    require_tolerance(tol)
     x = _as_point(x, mapping.dim, stack=True)
     F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
     residual = conformality_residual(F)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .energies import _profile, _values
 from .exceptions import ConfmechError, LeavesGLPlus
-from .tensors import as_square, first_true, from_entries, libm_pow, require_gl_plus
+from .tensors import as_square, from_entries, libm_pow, refuse_where, require_count, require_gl_plus
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 MARGIN = 1e-9  # verdict band of the LH scan, and of a line scan relative to its largest |W|
@@ -54,8 +54,7 @@ def lh_form(energy, F, xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
-    if first_true(n2 == 0.0) is not None:
-        raise ConfmechError("xi and eta must be nonzero")
+    refuse_where(n2 == 0.0, "xi and eta must be nonzero")
     return energy.second_form(F, xi[..., :, None] * eta[..., None, :]) / n2
 
 
@@ -142,8 +141,7 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
         Analytic partials, taking arrays.
     """
     l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
-    if not np.all((l1 > 0.0) & (l2 > 0.0)):
-        raise ConfmechError("principal stretches must be positive")
+    refuse_where(~((l1 > 0.0) & (l2 > 0.0)), "principal stretches must be positive")
     g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
@@ -320,10 +318,12 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     "inconclusive".  The verdict band is +-MARGIN.  A negative minimum below
     the band is re-confirmed by a 1D line scan around the witness before the
     verdict "violated" is issued; without confirmation the scan reports
-    "inconclusive" rather than guessing.
+    "inconclusive" rather than guessing.  An n_samples that is not an int of
+    at least 1 is refused with a ConfmechError.
     """
+    n_samples = require_count(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
-    U, xi, eta = _scan_draws(rng, energy.dim, int(n_samples))
+    U, xi, eta = _scan_draws(rng, energy.dim, n_samples)
     Fs = _def_gradients(U, energy.dim, STRETCH_RANGE)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
     values = lh_form(energy, Fs, xis, etas)
@@ -346,7 +346,7 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     return ConvexityReport(
         verdict=verdict,
         min_lh_form=float(min_val),
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         witnesses=witnesses,
     )
 

@@ -34,12 +34,11 @@ from .exceptions import ConfmechError
 from .tensors import (
     _entries,
     _singular_values,
-    _stack_note,
     as_square,
     cofactor,
-    first_true,
     inner,
     libm_pow,
+    refuse_where,
     require_gl_plus,
     svd,
     transpose,
@@ -55,6 +54,8 @@ DEFAULT_C = np.e + 2.0
 # singular value ratios closer to 1 than this are treated as coincident
 TIE_GAP = 1e-12
 NEAR_TIE_GAP = 1e-8
+# the scalings at which CompositeEnergy probes its iso part, the first the matrix itself
+INVARIANCE_SCALES = (1.0, 0.5, 1.7, 3.0)
 
 
 def _values(energy, F):
@@ -189,11 +190,7 @@ class DistortionEnergy(EnergyModel):
     def _psi_d(self, fn, K, name):
         """psi' or psi'' (fn, named name) at K, one value or an array of them."""
         v = _profile(fn, K)
-        i = first_true(~np.isfinite(v))
-        if i is not None:
-            raise ConfmechError(
-                "%s is not finite at K = %r%s" % (name, float(np.ravel(K)[i]), _stack_note(K, i))
-            )
+        refuse_where(~np.isfinite(v), "%s is not finite at K = %r", name, K, note=True)
         return v
 
     def value(self, F):
@@ -299,12 +296,8 @@ class PlanarRatioEnergy(EnergyModel):
         ratio = s[..., 0] / s[..., 1]
         h1 = _profile(self.dh, ratio)
         tie = ratio - 1.0 < TIE_GAP
-        i = first_true(tie & (h1 < -1e-8))
-        if i is not None:
-            raise ConfmechError(
-                "h decreases into the coincident singular values (h'(1+) = %r)%s"
-                % (float(np.ravel(h1)[i]), _stack_note(ratio, i))
-            )
+        message = "h decreases into the coincident singular values (h'(1+) = %r)"
+        refuse_where(tie & (h1 < -1e-8), message, h1, note=True)
         outer0 = U[..., :, 0, None] * V[..., None, :, 0]
         outer1 = U[..., :, 1, None] * V[..., None, :, 1]
         P = h1[..., None, None] * (outer0 - ratio[..., None, None] * outer1) / s[..., 1, None, None]
@@ -320,12 +313,9 @@ class PlanarRatioEnergy(EnergyModel):
         ratio = s[:, 0] / s[:, 1]
         h1 = _profile(self.dh, ratio)
         near = (s[:, 0] - s[:, 1]) / s[:, 0] < NEAR_TIE_GAP
-        i = first_true(near & ~(np.abs(h1) <= 1e-8))
-        if i is not None:
-            raise ConfmechError(
-                "no second derivative at coincident singular values%s"
-                % _stack_note(ratio.reshape(shape), i)
-            )
+        # the central difference serves an h with h'(1) = 0, whose energy is C^2 at the ties
+        no_form = (near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)).reshape(shape)
+        refuse_where(no_form, "no second derivative at coincident singular values", note=True)
         out = np.empty(len(F))
         if near.any():
             out[near] = fd_second_form(self, F[near], H[near])
@@ -401,10 +391,7 @@ class VolumetricTerm:
         the t > c branch in floating point.
         """
         t = np.asarray(t, dtype=float)
-        i = first_true(~(t > 0.0))
-        if i is not None:
-            bad = float(t.flat[i])
-            raise ConfmechError("volumetric argument t = %r must be positive" % (bad,))
+        refuse_where(~(t > 0.0), "volumetric argument t = %r must be positive", t)
         lo, hi = t < np.e, t > self.c
         out = np.empty(t.shape)
         for mask, formula in ((lo, low), (~(lo | hi), band)):
@@ -435,13 +422,9 @@ class VolumetricTerm:
 
     def curvature(self, t):
         """f''(t), of one t or of each entry of an array; a ConfmechError at t = e or t = c."""
-        e, c = np.e, self.c
-        i = first_true((np.asarray(t) == e) | (np.asarray(t) == c))
-        if i is not None:
-            raise ConfmechError(
-                "volumetric second derivative is one-sided at the splice point t = %r"
-                % (float(np.ravel(t)[i]),)
-            )
+        e, c, t = np.e, self.c, np.asarray(t, dtype=float)
+        message = "volumetric second derivative is one-sided at the splice point t = %r"
+        refuse_where((t == e) | (t == c), message, t)
         return self._by_branch(t, _log_curvature, lambda t: 0.0, lambda t: (2.0 / e) * np.exp(t - c))
 
 
@@ -460,9 +443,10 @@ class CompositeEnergy(EnergyModel):
     """W(F) = W_iso(F / det^{1/n}) + f(det F) for a conformally invariant W_iso.
 
     Invariance of the isochoric part makes W_iso(F / det^{1/n}) = W_iso(F),
-    so all derivative chains reduce to the iso chains plus cofactor terms;
-    the constructor probes the invariance once and refuses energies that
-    fail it.
+    so all derivative chains reduce to the iso chains plus cofactor terms.
+    The constructor refuses an iso part whose values differ by more than a
+    relative 1e-8 across the INVARIANCE_SCALES multiples of the identity, or
+    of the shear I + N (N the ones just above the diagonal), in one call.
     """
 
     def __init__(self, iso, vol):
@@ -470,9 +454,11 @@ class CompositeEnergy(EnergyModel):
         self.vol = vol
         self.dim = iso.dim
         self.label = "composite-" + iso.label
-        a, b = _values(iso, np.stack([1.7 * np.eye(self.dim), np.eye(self.dim)]))
-        if abs(a - b) > 1e-8 * (1.0 + abs(b)):
-            raise ConfmechError("iso part must be conformally invariant to compose")
+        n = self.dim
+        probe = np.multiply.outer(INVARIANCE_SCALES, np.stack([np.eye(n), np.eye(n) + np.eye(n, k=1)]))
+        v = _values(iso, probe)
+        kept = np.abs(v - v[0]) <= 1e-8 * (1.0 + np.abs(v[0]))
+        refuse_where(~kept, "iso part must be conformally invariant to compose")
         self.analytic = iso.analytic
 
     def value(self, F):
@@ -483,10 +469,8 @@ class CompositeEnergy(EnergyModel):
         """F checked, and f'(det F), refused where it is +inf (inf * 0 is NaN): past c + 709."""
         F, d = self._checked(F)
         slope = self.vol.slope(d)
-        i = first_true(np.isinf(slope))
-        if i is not None:
-            at = (float(np.ravel(d)[i]), _stack_note(d, i))
-            raise ConfmechError("det F = %r is past the volumetric exp overflow at c + 709%s" % at)
+        message = "det F = %r is past the volumetric exp overflow at c + 709"
+        refuse_where(np.isinf(slope), message, d, note=True)
         return F, slope[..., None, None]
 
     def first_derivative(self, F):

@@ -29,6 +29,7 @@ formatted once, and refuses a NaN, an infinity or a type JSON has no text for
 with a one-line ConfmechError.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,9 @@ import numpy as np
 from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
 from .conformal import fd_gradient
-from .tensors import as_square, det_of_entries, require_gl_plus
+from .tensors import (
+    as_square, det_of_entries, frobenius_norm, require_count, require_gl_plus, require_tolerance
+)
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -108,11 +111,11 @@ def admissible_annulus(map_kind, c=DEFAULT_C):
     included, r in [c^{-1/4}, e^{-1/4}] resp. [c^{-1/6}, e^{-1/6}].
     """
     c = VolumetricTerm(c).c  # which refuses a c that is not finite and above e
-    if map_kind == "phi2d":
-        return AnnulusDomain(2, float(c) ** -0.25, float(np.e) ** -0.25)
-    if map_kind == "phi3d":
-        return AnnulusDomain(3, float(c) ** (-1.0 / 6.0), float(np.e) ** (-1.0 / 6.0))
-    raise ConfmechError("map_kind must be 'phi2d' or 'phi3d', got %r" % (map_kind,))
+    dim = {"phi2d": 2, "phi3d": 3}.get(map_kind)
+    if dim is None:
+        raise ConfmechError("map_kind must be 'phi2d' or 'phi3d', got %r" % (map_kind,))
+    p = -1.0 / (2 * dim)
+    return AnnulusDomain(dim, c**p, float(np.e) ** p)
 
 
 def sample_annulus(dom, n, seed=0):
@@ -120,11 +123,11 @@ def sample_annulus(dom, n, seed=0):
 
     Each block draws about the number of points the rest of n needs at the
     domain's acceptance rate, at most SAMPLER_BLOCK; |x|^2 comes from
-    vecdot, the BLAS ddot of x @ x.  A shell so thin that n points take
-    more than SAMPLER_BUDGET expected draws is refused with a ConfmechError
-    before any draw.
+    vecdot, the BLAS ddot of x @ x.  An n that is not an int of at least 1,
+    and a shell so thin that n points take more than SAMPLER_BUDGET expected
+    draws, are refused with a ConfmechError before any draw.
     """
-    n = int(n)
+    n = require_count(n, "n")
     gen = Lcg64(seed)
     rate = dom.acceptance_rate()
     if n > SAMPLER_BUDGET * rate:
@@ -133,7 +136,7 @@ def sample_annulus(dom, n, seed=0):
             "about %.3g draws, more than the budget of %d"
             % (dom.r_min, dom.r_max, rate, n, n / rate, SAMPLER_BUDGET)
         )
-    blocks = [np.empty((0, dom.dim))]
+    blocks = []
     have = 0
     while have < n:
         size = min(SAMPLER_BLOCK, int(1.05 * (n - have) / rate) + 16)
@@ -186,22 +189,11 @@ class StressFieldSummary:
     worst_point: FieldSample  # the first point at max_deviation
 
 
-def _field(energy, x, F):
-    """The samples of an energy's field with gradients F at points x, all as stacks."""
-    det_F, value, sigma = require_gl_plus(F), _values(energy, F), energy.cauchy_stress(F)
-    if np.shape(sigma) != F.shape:
-        raise ConfmechError(
-            "cauchy_stress must take a stack of n matrices: for n = %d, cauchy_stress has "
-            "shape %s (want %s)" % (len(F), np.shape(sigma), F.shape)
-        )
-    return FieldSamples(x, F, det_F, sigma, value)
-
-
 def _summarize(samples, tol, energy):
     # a stress near the float range gives an infinite or NaN summary, which the CLI refuses
     with np.errstate(over="ignore", invalid="ignore"):
         mean = samples.sigma.mean(axis=0)
-        deviations = np.sqrt(np.sum((samples.sigma - mean) ** 2, axis=(1, 2)))
+        deviations = frobenius_norm(samples.sigma - mean)
     worst = int(np.argmax(deviations))
     deviation = float(deviations[worst])
     lo, hi = float(np.min(samples.det_F)), float(np.max(samples.det_F))
@@ -227,13 +219,21 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
     1e-5 are then appropriate).  For composite energies an
     InadmissibleDomainWarning is emitted when the determinant range leaves
     [e, c]; other energies have no band, and their summary's admissible is
-    None.
+    None.  A tol that is not finite and at least 0, and an n that is not an
+    int of at least 1, are refused with a ConfmechError before any draw.
     """
+    require_tolerance(tol)
     if energy.dim != dom.dim:
         raise ConfmechError("energy dimension %d != domain dimension %d" % (energy.dim, dom.dim))
     x = sample_annulus(dom, n, seed)
     F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
-    samples = _field(energy, x, F)
+    det_F, value, sigma = require_gl_plus(F), _values(energy, F), energy.cauchy_stress(F)
+    if np.shape(sigma) != F.shape:
+        raise ConfmechError(
+            "cauchy_stress must take a stack of n matrices: for n = %d, cauchy_stress has "
+            "shape %s (want %s)" % (len(F), np.shape(sigma), F.shape)
+        )
+    samples = FieldSamples(x, F, det_F, sigma, value)
     summary = _summarize(samples, tol, energy)
     if summary.admissible is False:
         warnings.warn(
@@ -259,7 +259,8 @@ class JumpReport(NamedTuple):
 def jump_check(F1, F2, tol=1e-9):
     """Rank-one compatibility report for the jump F1 - F2.
 
-    A singular value counts as nonzero above tol (1 + |F1| + |F2|).  When
+    A singular value counts as nonzero above tol (1 + |F1| + |F2|); a tol
+    that is not finite and at least 0 is refused with a ConfmechError.  When
     both matrices are planar similarities [[a, b], [-b, a]] (entries equal
     to 1e-8 max(1, |F|)), det(F1 - F2) decomposes as (a1-a2)^2 + (b1-b2)^2,
     reported in det_square_terms; it is positive whenever F1 != F2, so the
@@ -269,6 +270,7 @@ def jump_check(F1, F2, tol=1e-9):
     could overflow.  The norms, the rank, det(F1 - F2) and the square terms
     are Python-float arithmetic on the entries, with numpy's bits.
     """
+    require_tolerance(tol)
     F1 = as_square(F1)
     F2 = as_square(F2)
     if F1.shape != F2.shape:
@@ -295,22 +297,20 @@ def jump_check(F1, F2, tol=1e-9):
 
 # decimal exponents the %.17g kernel formats; others take '%.17g' % v
 G17_K_MAX = 280
-_G17_TABLES = []
 
 
+@functools.cache
 def _g17_tables():
-    """[hi, lo, quads], built on first use: at k + G17_K_MAX, hi + lo is 10^(16 - k) to
+    """(hi, lo, quads), built on first use: at k + G17_K_MAX, hi + lo is 10^(16 - k) to
     about 2^-106 for |k| <= G17_K_MAX; quads[d] is "%04d" % d as one uint32."""
-    if not _G17_TABLES:
-        rows = []
-        for k in range(-G17_K_MAX, G17_K_MAX + 1):
-            num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
-            hi = num / den  # the nearest double, and lo the nearest double to the rest
-            a, b = hi.as_integer_ratio()
-            rows.append((hi, (num * b - a * den) / (den * b)))
-        quads = np.array([b"%04d" % d for d in range(10000)]).view(np.uint32)
-        _G17_TABLES.extend([*np.array(rows).T, quads])
-    return _G17_TABLES
+    rows = []
+    for k in range(-G17_K_MAX, G17_K_MAX + 1):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        hi = num / den  # the nearest double, and lo the nearest double to the rest
+        a, b = hi.as_integer_ratio()
+        rows.append((hi, (num * b - a * den) / (den * b)))
+    quads = np.array([b"%04d" % d for d in range(10000)]).view(np.uint32)
+    return (*np.array(rows).T, quads)
 
 
 def _veltkamp(a):

@@ -16,9 +16,10 @@ import numpy as np
 
 from .conformal import RADIUS_CEILING
 from .exceptions import ConfmechError
-from .tensors import libm_pow
+from .tensors import libm_pow, require_count
 
 SAMPLES_PER_LINE = 42
+GRID_SPACING = 0.0147
 GRID_VERTEX_BUDGET = 1 << 20
 STROKE_GRID = 0.49
 STROKE_OUTLINE = 1.2
@@ -52,9 +53,11 @@ def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     Returns a list of (k, 2) arrays.  Vertical and horizontal chords of the
     disk at multiples of `spacing`, each sampled with samples_per_line
     points, followed by the outline sampled twice as densely.  Refused: a
-    spacing not finite and above 0, a grid past the vertex budget, and a chord
-    index (|c| + r) / spacing above 2^53, where k spacing is no longer exact.
+    samples_per_line that is not an int of at least 1, a spacing not finite
+    and above 0, a grid past the vertex budget, and a chord index
+    (|c| + r) / spacing above 2^53, where k spacing is no longer exact.
     """
+    samples_per_line = require_count(samples_per_line, "samples_per_line")
     cx, cy = region.center
     r = region.radius
     if not 0.0 < spacing < np.inf:
@@ -120,7 +123,7 @@ def _dot(xy, fill):
     return '<circle cx="%.3f" cy="%.3f" r="3.0" fill="%s"/>' % (*xy, fill)
 
 
-def render_grid_svg(mapping, region, out_path, spacing=0.0147, samples_per_line=SAMPLES_PER_LINE):
+def render_grid_svg(mapping, region, out_path, spacing=GRID_SPACING, samples_per_line=SAMPLES_PER_LINE):
     """Write a two-panel SVG: the gridded region and its image under the map.
 
     One evaluate call maps the polylines, 8 markers at equal angles and the

@@ -3,8 +3,8 @@
 Determinants and cofactors are written out entry by entry on the matrix
 axes moved to the front, so they take one matrix or a stack of shape
 (..., n, n) alike.  det_of_entries is the one det formula: det takes it in
-Python floats for one matrix and in arrays for a stack, and jump_check in
-Python floats on the entries it has already unpacked.
+arrays, on one matrix as on a stack, and jump_check in Python floats on
+the entries it has already unpacked.
 The planar ratio energy takes its singular values from a closed-form 2x2
 route (_singular_values, svd) whose arithmetic pins field CSV bytes;
 elsewhere from numpy's SVD of the matrix itself (jump_check), never from
@@ -16,6 +16,9 @@ vecdot, so each matrix of a stack gets the bits it gets alone.
 GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
 refuses a det outside it, the line scan leaves GL+ there, and transpose_inverse
 takes |det| below it as singular.
+refuse_where raises the library's refusals at the first failing entry of a
+stack, and those of the count rule (require_count) and the tolerance rule
+(require_tolerance) of the entry points that take a count or a tolerance.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -24,6 +27,7 @@ axes, which adds each matrix's entries in the order np.sum takes for one.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -54,13 +58,6 @@ def libm_pow(a, p):
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
     return np.fromiter(map(math.pow, flat, [p] * len(flat)), float, len(flat)).reshape(a.shape)[()]
-
-
-def first_true(mask):
-    """Index of the first True entry of a boolean scalar or array, or None if none is."""
-    if not mask.any():
-        return None
-    return int(np.argmax(mask))
 
 
 def _entries(M):
@@ -96,10 +93,8 @@ def det_of_entries(m):
 def det(M):
     """Determinant of one matrix, an np.float64, or of each in a stack, with the same bits."""
     M = as_square(M, stack=True)
-    if M.ndim == 2:
-        return np.float64(det_of_entries(M.ravel().tolist()))
     n = M.shape[-1]
-    return det_of_entries(M.reshape(-1, n * n).T).reshape(M.shape[:-2])
+    return det_of_entries(M.reshape(-1, n * n).T).reshape(M.shape[:-2])[()]
 
 
 def cofactor(M):
@@ -128,9 +123,34 @@ def cofactor(M):
     return from_entries(rows)
 
 
-def _stack_note(a, i):
-    """Where entry i of a, one value per matrix, sits: nothing for one matrix."""
-    return " (matrix %d of the stack)" % i if np.ndim(a) else ""
+def refuse_where(bad, message, *at, note=False):
+    """Raise a ConfmechError at the first True entry of bad, a boolean scalar or stack, if it has one.
+
+    The line is message % (the entry of each of at there): each of at that
+    is an array holds one value or point per entry of bad, a scalar is a
+    constant, and one value is given as a Python float, int or str.  With
+    note, a stack's entry adds its index, " (matrix i of the stack)".  A
+    Python bool, such as a plain float comparison gives, takes no numpy call.
+    """
+    if not (bad if type(bad) is bool else bad.any()):
+        return
+    bad = np.asarray(bad)
+    i = int(np.argmax(bad))
+    entries = [np.asarray(v).reshape(bad.size, -1)[i] if np.ndim(v) else np.asarray(v) for v in at]
+    text = message % tuple(v.item() if v.size == 1 else v for v in entries)
+    raise ConfmechError(text + (" (matrix %d of the stack)" % i if note and bad.ndim else ""))
+
+
+def require_count(n, name):
+    """n as an int, refused unless it is an int (a float such as 2.0 is not) of at least 1."""
+    ok = isinstance(n, numbers.Integral) and n >= 1
+    refuse_where(not ok, "%s must be an int of at least 1, got %r", name, n)
+    return int(n)
+
+
+def require_tolerance(tol):
+    """Refuse a tol that is not finite and at least 0, by one float comparison."""
+    refuse_where(not 0.0 <= tol < math.inf, "tol must be finite and at least 0, got %r", tol)
 
 
 def require_gl_plus(F):
@@ -144,23 +164,18 @@ def require_gl_plus(F):
     with np.errstate(over="ignore", invalid="ignore"):
         d = det(F)
     inside = (d >= 1.0 / DET_CEILING) & (d <= DET_CEILING)
-    if inside.all():
-        return d
-    i = int(np.argmin(inside))
-    at = float(np.ravel(d)[i])
-    if not at > 0.0:
-        raise ConfmechError("det = %r is not strictly positive%s" % (at, _stack_note(d, i)))
-    side = (at, "above", DET_CEILING) if at > 1.0 else (at, "below", 1.0 / DET_CEILING)
-    raise ConfmechError("det = %r is %s %r%s" % (*side, _stack_note(d, i)))
+    if not inside.all():
+        side = np.where(d > 1.0, "above %r" % DET_CEILING, "below %r" % (1.0 / DET_CEILING))
+        side = np.where(d > 0.0, side, "not strictly positive")
+        refuse_where(~inside, "det = %r is %s", d, side, note=True)
+    return d
 
 
 def transpose_inverse(F):
     """F^{-T} = Cof(F) / det(F), of one matrix or each in a stack; singular if |det| < 1 / DET_CEILING."""
     F = as_square(F, stack=True)
     d = det(F)
-    i = first_true(np.abs(d) < 1.0 / DET_CEILING)
-    if i is not None:
-        raise ConfmechError("matrix is numerically singular, det = %r" % (float(np.ravel(d)[i]),))
+    refuse_where(np.abs(d) < 1.0 / DET_CEILING, "matrix is numerically singular, det = %r", d)
     return cofactor(F) / d[..., None, None]
 
 
@@ -259,5 +274,4 @@ def conformality_residual(F):
     n = F.shape[-1]
     d = require_gl_plus(F)
     C = transpose(F) @ F
-    r = np.sqrt(np.sum((C / libm_pow(d, 2.0 / n)[..., None, None] - np.eye(n)) ** 2, axis=(-2, -1)))
-    return float(r) if F.ndim == 2 else r
+    return frobenius_norm(C / libm_pow(d, 2.0 / n)[..., None, None] - np.eye(n))

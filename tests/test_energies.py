@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmech as cm
 from confmech.energies import fd_first_derivative, fd_second_form
@@ -509,3 +511,99 @@ def test_stack_bits_do_not_depend_on_memory_layout(name):
     assert np.array_equal(F_t, F) and not F_t.flags.c_contiguous
     for method in (E.value, E.cauchy_stress):
         assert method(F_t).tobytes() == method(F).tobytes()
+
+
+def test_composite_refuses_an_iso_part_that_is_invariant_only_on_the_identity():
+    # (K(F) - 1) det F is 0 on every multiple of the identity, the one matrix the
+    # probe used to scale, and 0.5 s^2 on s times a shear
+    class DistortionTimesDet(cm.EnergyModel):
+        dim = 2
+
+        def value(self, F):
+            F, d = self._checked(F)
+            return (0.5 * inner(F, F) / d - 1.0) * d
+
+    with pytest.raises(cm.ConfmechError, match=r"^iso part must be conformally invariant to compose$"):
+        cm.CompositeEnergy(DistortionTimesDet(), cm.VolumetricTerm())
+    for name in ("composite2d", "composite3d"):
+        assert cm.builtin_energy(name).label.startswith("composite-")
+
+
+def ulps_from(a, k):
+    """The float k steps of np.nextafter from a."""
+    for _ in range(abs(k)):
+        a = np.nextafter(a, np.inf if k > 0 else -np.inf)
+    return float(a)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    c=st.floats(np.e + 0.05, 20.0),
+    k=st.integers(-6, 6),
+    band=st.floats(0.0, 1.0),
+    far=st.floats(700.0, 720.0),
+)
+def test_volumetric_splice_at_its_ends_and_past_the_exp_overflow(c, k, band, far):
+    vol = cm.VolumetricTerm(c)
+    two_over_e = 2.0 / np.e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for end in (np.e, vol.c):
+            t = ulps_from(end, k)
+            # value and slope are continuous at the splice points, with slopes 2/e and 0 or 2/e
+            assert abs(vol.value(t) - vol.value(end)) <= abs(t - end) + 4.0 * np.spacing(vol.value(end))
+            assert abs(vol.slope(t) - two_over_e) <= abs(t - end) + 1e-15
+            if k == 0:
+                with pytest.raises(cm.ConfmechError, match=r"^volumetric second derivative is one-sided at "):
+                    vol.curvature(t)
+            else:
+                assert np.isfinite(vol.curvature(t))
+        # the slope is exactly 2/e on the whole band [e, c]
+        inside = [np.e, ulps_from(np.e, abs(k)), np.e + band * (vol.c - np.e), ulps_from(vol.c, -abs(k)), vol.c]
+        assert np.all(vol.slope(np.array(inside)) == two_over_e)
+        # past c + 709.78, exp(t - c) overflows to +inf, the branch's value, quietly
+        t = vol.c + far
+        value, slope = vol.value(t), vol.slope(t)
+        if t - vol.c > 709.79:
+            assert value == np.inf and slope == np.inf
+        elif t - vol.c < 709.78:
+            assert np.isfinite(value) and np.isfinite(slope) and value >= slope
+
+
+def ratio_minus_one_squared_energy():
+    return cm.PlanarRatioEnergy(lambda s: (s - 1.0) ** 2, dh=lambda s: 2.0 * (s - 1.0), d2h=lambda s: 2.0)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    # s - 1 on [0, 3] TIE_GAP, or on NEAR_TIE_GAP times [0.1, 3] taken log-uniformly
+    gap=st.one_of(
+        st.floats(0.0, 3.0).map(lambda u: u * cm.energies.TIE_GAP),
+        st.floats(-1.0, 0.5).map(lambda u: 10.0**u * cm.energies.NEAR_TIE_GAP),
+    ),
+    scale=st.floats(0.5, 2.0),
+    angles=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+)
+def test_planar_ratio_energies_next_to_the_tie_gaps(gap, scale, angles):
+    R1, R2 = (conformal_2x2(1.0, a) for a in angles)
+    F = scale * R1 @ np.diag([1.0 + gap, 1.0]) @ R2
+    s, _ = cm.tensors._singular_values(F)
+    tie = s[0] / s[1] - 1.0 < cm.energies.TIE_GAP
+    near = (s[0] - s[1]) / s[0] < cm.energies.NEAR_TIE_GAP
+    H = np.array([[0.3, -1.0], [0.7, 0.2]])
+    smooth, klin2 = ratio_minus_one_squared_energy(), cm.builtin_energy("iso2d-klin2")
+    if tie:
+        # the minimal-norm subgradient on the conformal set, for a corner (klin2) and a smooth h alike
+        assert np.all(smooth.cauchy_stress(F) == 0.0) and np.all(klin2.cauchy_stress(F) == 0.0)
+    # h = (s - 1)^2 has h'(1) = 0: its energy is C^2 at the ties, and its derivatives those of value()
+    assert np.max(np.abs(smooth.first_derivative(F) - fd_first_derivative(smooth, F))) <= 1e-8
+    # the second difference's step, about 1e-4, is wider than the gap, where W has two derivatives
+    # only: it is off by up to about 4e-5 relative there
+    form = smooth.second_form(F, H)
+    assert abs(form - fd_second_form(smooth, F, H)) <= 1e-4 * abs(form)
+    if near:
+        with pytest.raises(cm.ConfmechError) as exc:
+            klin2.second_form(F, H)
+        assert str(exc.value) == "no second derivative at coincident singular values"
+    else:
+        assert np.isfinite(klin2.second_form(F, H))

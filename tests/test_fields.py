@@ -823,3 +823,48 @@ def test_disk_region_rejects_nonpositive_radius():
     for radius in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             cm.DiskRegion((0.5, 0.0), radius)
+
+
+
+def _composite2d_field(n, tol=1e-10):
+    energy, domain = cm.builtin_energy("composite2d"), cm.admissible_annulus("phi2d")
+    return cm.stress_field(energy, cm.InversionFlip(2), domain, n, tol=tol)
+
+
+COUNT_LINE = "%s must be an int of at least 1, got %r"
+TOL_LINE = "tol must be finite and at least 0, got %r"
+# each failed at the parent: for n = 0 and -3, numpy's ValueError; n = 2.5 took 2 points;
+# the tolerances refuted a field or a map that holds; the jump from I to I had rank 2, the
+# scan of no samples was "inconclusive", and samples_per_line 0 drew empty polylines and -2
+# raised numpy's ValueError
+LIBRARY_REFUSALS = [
+    *[pytest.param(lambda n=n: _composite2d_field(n), COUNT_LINE % ("n", n), id="stress_field-n=%r" % n)
+      for n in (0, -3, 2.5)],
+    *[pytest.param(lambda n=n: cm.sample_annulus(cm.AnnulusDomain(2, 0.5, 0.9), n), COUNT_LINE % ("n", n),
+                   id="sample_annulus-n=%r" % n) for n in (0, -3, 2.5)],
+    *[pytest.param(lambda tol=tol: _composite2d_field(5, tol), TOL_LINE % tol, id="stress_field-tol=%r" % tol)
+      for tol in (np.nan, -1.0)],
+    *[pytest.param(lambda tol=tol: cm.is_conformal_at(cm.InversionFlip(2), [[0.6, 0.2]], tol=tol), TOL_LINE % tol,
+                   id="is_conformal_at-tol=%r" % tol) for tol in (np.nan, -1.0)],
+    pytest.param(lambda: cm.jump_check(np.eye(2), np.eye(2), tol=-1), TOL_LINE % -1, id="jump_check-tol=-1"),
+    pytest.param(lambda: cm.scan_rank_one_convexity(cm.builtin_energy("iso3d"), n_samples=0),
+                 COUNT_LINE % ("n_samples", 0), id="scan_rank_one_convexity-n_samples=0"),
+    *[pytest.param(lambda k=k: cm.grid_polylines(cm.DiskRegion((0.5, 0.0), 0.21), 0.0147, samples_per_line=k),
+                   COUNT_LINE % ("samples_per_line", k), id="grid_polylines-samples_per_line=%d" % k)
+      for k in (0, -2)],
+]
+
+
+@pytest.mark.parametrize("call, line", LIBRARY_REFUSALS)
+def test_the_library_refuses_a_count_or_a_tolerance_out_of_its_rule_with_one_line(call, line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cm.ConfmechError) as exc:
+            call()
+    assert str(exc.value) == line
+
+
+def test_counts_of_numpy_integer_types_are_taken():
+    dom = cm.AnnulusDomain(2, 0.5, 0.9)
+    assert np.array_equal(cm.sample_annulus(dom, np.int64(7), seed=3), cm.sample_annulus(dom, 7, seed=3))
+    assert cm.jump_check(np.eye(2), np.eye(2), tol=0.0).rank == 0

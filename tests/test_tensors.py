@@ -324,3 +324,13 @@ def test_contiguous_transpose_keeps_the_matmul_bits(dim):
         assert bits(T(f) @ f) == bits(np.swapaxes(f, -2, -1) @ f)
         assert bits(f @ T(f)) == bits(f @ np.swapaxes(f, -2, -1))
         assert bits(a @ T(h) @ a) == bits(a @ np.swapaxes(h, -2, -1) @ a)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_det_of_one_matrix_is_an_np_float64_with_the_bits_of_python_floats(dim):
+    # det takes det_of_entries on arrays alone; jump_check takes it on Python floats
+    rng = np.random.default_rng(50 + dim)
+    for F in [cm.random_def_gradient(rng, dim) for _ in range(200)] + [np.eye(dim)]:
+        d = cm.det(F)
+        assert type(d) is np.float64
+        assert d == cm.tensors.det_of_entries(F.ravel().tolist())
