@@ -37,6 +37,7 @@ from .tensors import (
     from_entries,
     libm_pow,
     refuse_where,
+    require_dim,
     require_gl_plus,
     require_tolerance,
 )
@@ -206,8 +207,7 @@ class InversionFlip(DeformationMap):
     """
 
     def __init__(self, dim):
-        if dim not in (2, 3):
-            raise ConfmechError("dim must be 2 or 3")
+        require_dim(dim)
         self.dim = dim
 
     def _rho(self, x):

@@ -35,7 +35,9 @@ import numpy as np
 
 from .energies import _profile, _values
 from .exceptions import ConfmechError, LeavesGLPlus
-from .tensors import as_square, from_entries, libm_pow, refuse_where, require_count, require_gl_plus
+from .tensors import (
+    as_square, from_entries, libm_pow, refuse_where, require_count, require_dim, require_gl_plus
+)
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
 MARGIN = 1e-9  # verdict band of the LH scan, and of a line scan relative to its largest |W|
@@ -72,9 +74,11 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     tensors.require_gl_plus, where the energies refuse F; the
     classification margin is MARGIN times the largest sampled |W|, at least
     1.  value is called once, on the stack of the LINE_SAMPLES sample points.
+    A t_max that is not finite is refused with a ConfmechError.
     """
     F = as_square(F)
     H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+    refuse_where(not math.isfinite(t_max), "t_max must be finite, got %r", float(t_max))
     ts = np.linspace(0.0, float(t_max), LINE_SAMPLES)
     Ft = F + ts[:, None, None] * H
     try:
@@ -281,6 +285,7 @@ def _def_gradients(U, dim, stretch_range):
 
 def random_def_gradient(rng, dim, stretch_range=STRETCH_RANGE):
     """Q1 diag(l) Q2 with log-uniform stretches, from one rng.random call; always in GL+."""
+    require_dim(dim)
     return _def_gradients(rng.random(dim + 2 * ANGLES[dim]), dim, stretch_range)
 
 
@@ -290,6 +295,7 @@ def _scan_draws(rng, dim, n_samples):
     Two generator calls per sample: the rng.random call of
     random_def_gradient, then one rng.standard_normal for xi and eta.
     """
+    require_dim(dim)
     U = np.empty((n_samples, dim + 2 * ANGLES[dim]))
     N = np.empty((n_samples, 2 * dim))
     for i in range(n_samples):

@@ -8,11 +8,12 @@ Four families:
 * CompositeEnergy      -- isochoric part plus a volumetric splice f(det F)
 
 Every energy exposes value / first_derivative / second_form / cauchy_stress.
-The four families take closed-form profile derivatives and set the boolean
-`analytic`; an EnergyModel subclass that defines value() only inherits the
-finite-difference routes and keeps analytic = False.  The module level fd_*
-functions are the independent oracles: they touch nothing but value() and
-are the comparison side of every derivative test.
+The four families take closed-form profile derivatives, nearly coincident
+planar singular values included (the closed form's limit), and set the
+boolean `analytic`; an EnergyModel subclass that defines value() only
+inherits the finite-difference routes and keeps analytic = False.  The
+module level fd_* functions are the independent oracles: they touch nothing
+but value() and are the comparison side of every derivative test.
 
 Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
@@ -128,6 +129,7 @@ class EnergyModel:
         C-contiguous one, so a stack's bits would depend on its layout.
         """
         F = as_square(F, stack=True)
+        refuse_where(self.dim not in (2, 3), "%s must set dim to 2 or 3, got dim = %r", self.label, self.dim)
         if F.shape[-1] != self.dim:
             raise ConfmechError(
                 "%s is a %dD energy, got a %dx%d matrix"
@@ -224,40 +226,6 @@ class DistortionEnergy(EnergyModel):
         return dpsi * (F @ transpose(F) / det_sq - (K / d)[..., None, None] * np.eye(2))
 
 
-def _ratio_g_partials(h1, h2, s, lam2):
-    """Partials of g(l1, l2) = h(l1/l2) on the l1 >= l2 branch; arrays or scalars."""
-    lam2_sq = libm_pow(lam2, 2.0)
-    g1 = h1 / lam2
-    g2 = -h1 * s / lam2
-    g11 = h2 / lam2_sq
-    g22 = (h2 * s * s + 2.0 * h1 * s) / lam2_sq
-    g12 = -(h2 * s + h1) / lam2_sq
-    return g1, g2, g11, g22, g12
-
-
-def _principal_second_form(g1, g2, g11, g22, g12, U, s, V, H):
-    """Second derivative of an isotropic energy, assembled in the SVD frame.
-
-    For W(F) = g(singular values) with distinct singular values,
-    D^2 W[H, H] in the frame Ht = U^T H V is the quadratic form with
-    diagonal block g_ij and the classical off-diagonal coefficients
-    (li gi - lj gj)/(li^2 - lj^2) and (lj gi - li gj)/(li^2 - lj^2).
-    U, V, H are stacks (..., 2, 2), s (..., 2), the g's one value per matrix.
-    """
-    Ht = _entries(transpose(U) @ H @ V)
-    s0, s1 = s[..., 0], s[..., 1]
-    quad = (
-        g11 * libm_pow(Ht[0, 0], 2.0)
-        + g22 * libm_pow(Ht[1, 1], 2.0)
-        + 2.0 * g12 * Ht[0, 0] * Ht[1, 1]
-    )
-    denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
-    a = (s0 * g1 - s1 * g2) / denom
-    b = (s1 * g1 - s0 * g2) / denom
-    quad += a * (libm_pow(Ht[0, 1], 2.0) + libm_pow(Ht[1, 0], 2.0)) + 2.0 * b * Ht[0, 1] * Ht[1, 0]
-    return quad
-
-
 class PlanarRatioEnergy(EnergyModel):
     """Planar isotropic energy W(F) = h(lmax/lmin).
 
@@ -273,9 +241,9 @@ class PlanarRatioEnergy(EnergyModel):
     value, first_derivative, cauchy_stress and second_form take one matrix
     or a stack (..., 2, 2) through the closed-form 2x2 SVD, so h, dh and
     d2h are called on an array of ratios and must broadcast (a constant is
-    broadcast to the ratios' shape).  second_form has no closed form at
-    nearly coincident singular values: such a matrix gets a central second
-    difference of the value when h'(1) = 0, and a ConfmechError otherwise.
+    broadcast to the ratios' shape).  At nearly coincident singular values,
+    inside NEAR_TIE_GAP, second_form takes its closed form's limit when
+    h'(1) = 0, and raises a ConfmechError otherwise.
     """
 
     dim = 2
@@ -306,25 +274,32 @@ class PlanarRatioEnergy(EnergyModel):
         return P
 
     def second_form(self, F, H):
-        F, H = np.broadcast_arrays(self._check_dim(F), as_square(H, stack=True))
-        shape = F.shape[:-2]
-        F, H = F.reshape(-1, 2, 2), H.reshape(-1, 2, 2)
-        U, s, V = svd(F)
-        ratio = s[:, 0] / s[:, 1]
-        h1 = _profile(self.dh, ratio)
-        near = (s[:, 0] - s[:, 1]) / s[:, 0] < NEAR_TIE_GAP
-        # the central difference serves an h with h'(1) = 0, whose energy is C^2 at the ties
-        no_form = (near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)).reshape(shape)
+        """D^2 W[H, H] of g(l1, l2) = h(l1 / l2), l1 >= l2, in the SVD frame Ht = U^T H V.
+
+        The form has diagonal block g_ij and off-diagonal coefficients
+        (l1 g1 - l2 g2)/(l1^2 - l2^2) and (l2 g1 - l1 g2)/(l1^2 - l2^2), whose
+        common limit as l1 -> l2 is g11 = h''/l2^2 when h'(1) = 0.
+        """
+        U, s, V = svd(self._check_dim(F))
+        s0, s1 = s[..., 0], s[..., 1]
+        near = (s0 - s1) / s0 < NEAR_TIE_GAP
+        no_form = near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)
         refuse_where(no_form, "no second derivative at coincident singular values", note=True)
-        out = np.empty(len(F))
-        if near.any():
-            out[near] = fd_second_form(self, F[near], H[near])
-        far = ~near
-        if far.any():
-            h2 = _profile(self.d2h, ratio[far])
-            g = _ratio_g_partials(h1[far], h2, ratio[far], s[far, 1])
-            out[far] = _principal_second_form(*g, U[far], s[far], V[far], H[far])
-        return out.reshape(shape)[()]
+        ratio = s0 / s1
+        h1, h2 = _profile(self.dh, ratio), _profile(self.d2h, ratio)
+        s1_sq = libm_pow(s1, 2.0)
+        g1, g2 = h1 / s1, -h1 * ratio / s1
+        g11 = h2 / s1_sq
+        g22 = (h2 * ratio * ratio + 2.0 * h1 * ratio) / s1_sq
+        g12 = -(h2 * ratio + h1) / s1_sq
+        Ht = _entries(transpose(U) @ np.ascontiguousarray(as_square(H, stack=True)) @ V)
+        denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a tie, where g11 is taken
+            a = np.where(near, g11, (s0 * g1 - s1 * g2) / denom)
+            b = np.where(near, g11, (s1 * g1 - s0 * g2) / denom)
+        (h00, h01), (h10, h11) = Ht[0], Ht[1]
+        quad = g11 * libm_pow(h00, 2.0) + g22 * libm_pow(h11, 2.0) + 2.0 * g12 * h00 * h11
+        return quad + (a * (libm_pow(h01, 2.0) + libm_pow(h10, 2.0)) + 2.0 * b * h01 * h10)
 
 
 class IsochoricNeoHooke(EnergyModel):

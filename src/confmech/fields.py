@@ -40,9 +40,9 @@ import numpy as np
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
-from .conformal import fd_gradient
+from .conformal import RADIUS_CEILING, fd_gradient
 from .tensors import (
-    as_square, det_of_entries, frobenius_norm, require_count, require_gl_plus, require_tolerance
+    as_square, det_of_entries, frobenius_norm, require_count, require_dim, require_gl_plus, require_tolerance
 )
 
 LCG_MULT = 6364136223846793005
@@ -88,15 +88,25 @@ class Lcg64:
 
 @dataclass(frozen=True)
 class AnnulusDomain:
+    """The shell r_min <= |x| <= r_max of dimension dim, the int 2 or 3.
+
+    Refused unless 0 < r_min < r_max, r_min >= 2^-511 and r_max sqrt(dim) <=
+    RADIUS_CEILING: past them |x|^2 overflows or underflows to 0, and no draw is kept.
+    """
+
     dim: int
     r_min: float
     r_max: float
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ConfmechError("dim must be 2 or 3")
+        require_dim(self.dim)
         if not (0.0 < self.r_min < self.r_max):
             raise ConfmechError("need 0 < r_min < r_max")
+        if not (self.r_min >= 2.0**-511 and self.r_max * math.sqrt(self.dim) <= RADIUS_CEILING):
+            raise ConfmechError(
+                "annulus %r <= |x| <= %r needs r_min >= 2^-511 and r_max sqrt(dim) <= %r"
+                % (self.r_min, self.r_max, RADIUS_CEILING)
+            )
 
     def acceptance_rate(self):
         """Share of the bounding box [-r_max, r_max]^dim inside the annulus."""

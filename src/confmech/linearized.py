@@ -19,7 +19,7 @@ import numpy as np
 
 from .conformal import InversionFlip, _as_point
 from .exceptions import ConfmechError
-from .tensors import as_square, dev, from_entries, sym
+from .tensors import as_square, dev, from_entries, refuse_where, sym
 
 VOL_CURVATURE_AT_ONE = 2.0  # f''(1) of the volumetric splice
 
@@ -109,8 +109,10 @@ def quadratic_approx_error(radius=0.15):
 
     Sampled at 500 uniform points of the disk, seed 0, around the expansion
     point (0.5, 0); the approximation is exact there and degrades like the
-    cube of the distance from it.
+    cube of the distance from it.  A radius outside [0, 0.5), where the disk
+    would reach the map's singular point at the origin, is refused.
     """
+    refuse_where(not 0.0 <= radius < 0.5, "radius must be at least 0 and below 0.5, got %r", radius)
     # per sample a radius draw in [0, 1) then an angle draw in [0, 2 pi)
     draws = np.random.default_rng(0).uniform([0.0, 0.0], [1.0, 2.0 * np.pi], (500, 2))
     r, a = radius * np.sqrt(draws[:, 0]), draws[:, 1]

@@ -17,8 +17,9 @@ GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
 refuses a det outside it, the line scan leaves GL+ there, and transpose_inverse
 takes |det| below it as singular.
 refuse_where raises the library's refusals at the first failing entry of a
-stack, and those of the count rule (require_count) and the tolerance rule
-(require_tolerance) of the entry points that take a count or a tolerance.
+stack, and those of the count rule (require_count), the tolerance rule
+(require_tolerance) and the dimension rule (require_dim) of the entry points
+that take a count, a tolerance or a dimension.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -146,6 +147,12 @@ def require_count(n, name):
     ok = isinstance(n, numbers.Integral) and n >= 1
     refuse_where(not ok, "%s must be an int of at least 1, got %r", name, n)
     return int(n)
+
+
+def require_dim(dim):
+    """Refuse a dim that is not the int 2 or 3 (a float such as 2.0 is not)."""
+    ok = isinstance(dim, numbers.Integral) and dim in (2, 3)
+    refuse_where(not ok, "dim must be the int 2 or 3, got %r", dim)
 
 
 def require_tolerance(tol):

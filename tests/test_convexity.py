@@ -380,3 +380,30 @@ def test_random_rotation_and_def_gradient():
         F = cm.random_def_gradient(rng, dim, (0.5, 2.0))
         s = np.linalg.svd(F, compute_uv=False)
         assert s[0] <= 2.0 + 1e-9 and s[-1] >= 0.5 - 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line():
+    # KeyError: 4, KeyError: None and a TypeError from "%d" % None; an infinite t_max
+    # warned in linspace, and a NaN one said "leaves GL+: det = nan"
+    class Dimless(cm.EnergyModel):
+        def value(self, F):
+            return np.zeros(np.shape(F)[:-2])
+
+    rng = np.random.default_rng(0)
+    E = cm.builtin_energy("iso3d")
+    cases = [
+        (lambda: cm.random_def_gradient(rng, 4), "dim must be the int 2 or 3, got 4"),
+        (lambda: cm.random_def_gradient(rng, 2.0), "dim must be the int 2 or 3, got 2.0"),
+        (lambda: cm.scan_rank_one_convexity(Dimless(), 5), "dim must be the int 2 or 3, got None"),
+        (lambda: Dimless().first_derivative(np.eye(2)), "energy must set dim to 2 or 3, got dim = None"),
+        (lambda: cm.rank_one_line_scan(E, np.eye(3), [1.0, 0, 0], [0, 1.0, 0], t_max=np.inf),
+         "t_max must be finite, got inf"),
+        (lambda: cm.rank_one_line_scan(E, np.eye(3), [1.0, 0, 0], [0, 1.0, 0], t_max=np.nan),
+         "t_max must be finite, got nan"),
+    ]
+    for call, line in cases:
+        with pytest.raises(cm.ConfmechError) as exc:
+            call()
+        assert str(exc.value) == line
+    assert cm.random_def_gradient(rng, np.int64(3)).shape == (3, 3)

@@ -1,5 +1,6 @@
 """Energy models: values, derivative chains, tie handling, volumetric splice."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import confmech as cm
 from confmech.energies import fd_first_derivative, fd_second_form
-from confmech.tensors import as_square, frobenius_norm, inner
+from confmech.tensors import as_square, frobenius_norm, inner, require_gl_plus
 
 F21 = np.diag([2.0, 1.0])
 
@@ -479,15 +480,30 @@ def test_stacked_ratio_energy_names_first_nondifferentiable_matrix():
     assert str(exc.value).endswith("(h'(1+) = -1.0)")
 
 
-def test_ratio_energy_second_form_at_near_coincident_singular_values_is_the_fd_oracle():
-    # with h'(1) = 0 the closed form has no limit to take at (s1 - s2) / s1 < NEAR_TIE_GAP:
-    # such a matrix gets fd_second_form's central difference, the others the closed form
-    E = cm.PlanarRatioEnergy(lambda s: (s - 1.0) ** 2, dh=lambda s: 2.0 * (s - 1.0), d2h=lambda s: 2.0)
-    near = conformal_2x2(1.3, 0.2) @ np.diag([1.0 + 1e-10, 1.0])
+def test_ratio_energy_second_form_at_near_coincident_singular_values_is_the_closed_form_limit():
+    # with h'(1) = 0 both off-diagonal coefficients tend to g11 = h''/l2^2 as l1 -> l2, the
+    # value second_form takes inside NEAR_TIE_GAP; a central difference there is off by 3.5e-5
+    E = ratio_minus_one_squared_energy()
     H = np.array([[0.3, -1.0], [0.7, 0.2]])
+    for lam, angle in ((1.0, 0.0), (1.3, 0.2), (0.02, 2.5), (40.0, -1.1)):
+        # at F = lam R, D^2 W[H, H] = 2 ((K00 - K11)^2 + (K01 + K10)^2) with K = R^T H / lam
+        R = conformal_2x2(1.0, angle)
+        K = R.T @ H / lam
+        exact = 2.0 * ((K[0, 0] - K[1, 1]) ** 2 + (K[0, 1] + K[1, 0]) ** 2)
+        assert abs(E.second_form(lam * R, H) - exact) <= 1e-13 * exact
+    # the limit meets the closed form at the band's edge
+    R = conformal_2x2(1.3, 0.2)
+    edge = [E.second_form(R @ np.diag([1.0 + k * cm.energies.NEAR_TIE_GAP, 1.0]), H) for k in (0.99, 1.01)]
+    assert abs(edge[0] - edge[1]) <= 1e-7 * abs(edge[1])
+    # one pass over a stack: each matrix, near or far, and each direction gets its bits alone
+    near = R @ np.diag([1.0 + 1e-10, 1.0])
     forms = E.second_form(np.stack([near, F21]), H)
-    assert forms[0] == fd_second_form(E, near, H)
-    assert forms[1] == E.second_form(F21, H) and forms[1] != fd_second_form(E, F21, H)
+    assert forms[0] == E.second_form(near, H) and forms[1] == E.second_form(F21, H)
+    assert np.array_equal(E.second_form(near, np.stack([H, 2.0 * H])), [forms[0], E.second_form(near, 2.0 * H)])
+    # klin2 (h'(1) = 2) has a corner there, and names the matrix of F's stack
+    with pytest.raises(cm.ConfmechError, match=r"^no second derivative at coincident singular values "
+                       r"\(matrix 1 of the stack\)$"):
+        cm.builtin_energy("iso2d-klin2").second_form(np.stack([F21, near]), H)
 
 
 def test_distortion_energy_refuses_a_psi_derivative_that_is_not_finite():
@@ -607,3 +623,86 @@ def test_planar_ratio_energies_next_to_the_tie_gaps(gap, scale, angles):
         assert str(exc.value) == "no second derivative at coincident singular values"
     else:
         assert np.isfinite(klin2.second_form(F, H))
+
+
+# the one-line refusals an energy may give inside the det band: klin2's corner at the
+# ties, and the composite's first derivative and stress past the exp overflow at c + 709
+BAND_EDGE_REFUSALS = (
+    r"^no second derivative at coincident singular values$",
+    r"^det F = \S+ is past the volumetric exp overflow at c \+ 709$",
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(cm.BUILTIN_ENERGIES),
+    edge=st.sampled_from([1e-100, 1e100]),
+    angles=st.tuples(*[st.floats(0.0, 6.0)] * 3),
+    stretch=st.sampled_from([0.0, 1e-9, 0.3]),
+)
+def test_builtins_at_the_edges_of_the_det_band(name, edge, angles, stretch):
+    E = cm.builtin_energy(name)
+    n = E.dim
+    R = cm.convexity._rotations(np.array(angles[: 1 if n == 2 else 3]))
+    Q = R @ np.diag([1.0 + stretch] + [1.0] * (n - 1))
+    lam = edge ** (1.0 / n)
+    lam *= (edge / cm.det(lam * Q)) ** (1.0 / n)  # a power of a ratio near 1 is right to an ulp
+    sides = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # lam a few ulps either way moves det F a few ulps across the edge
+        for k in range(-3, 4):
+            F = ulps_from(lam, k) * Q
+            d = cm.det(F)
+            inside = 1e-100 <= d <= 1e100
+            sides.add(inside)
+            methods = (E.value, E.first_derivative, E.cauchy_stress, lambda F: E.second_form(F, F))
+            if not inside:
+                side = "below 1e-100" if d < 1.0 else r"above 1e\+100"
+                with pytest.raises(cm.ConfmechError, match=r"^det = \S+ is %s \(matrix 0 of the stack\)$" % side):
+                    require_gl_plus(F[None])
+                for method in methods:
+                    with pytest.raises(cm.ConfmechError, match=r"^det = \S+ is (below|above) "):
+                        method(F)
+                continue
+            assert require_gl_plus(F) == d
+            for method in methods:
+                try:
+                    out = method(F)
+                except cm.ConfmechError as exc:
+                    assert any(re.match(p, str(exc)) for p in BAND_EDGE_REFUSALS), str(exc)
+                    continue
+                if name.startswith("composite") and edge > 1.0 and method in (methods[0], methods[3]):
+                    # past c + 709 the volumetric part is +inf, and so are these (H = F has cof_h > 0)
+                    assert out == np.inf
+                else:
+                    assert np.all(np.isfinite(out))
+    assert sides == {True, False}
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(["iso2d-klin2", "iso2d-psi", "iso3d"]),
+    drift=st.sampled_from([np.log, np.sin, lambda d: d - 1.0 / d]),
+    factor=st.floats(0.5, 2.0),
+)
+def test_composite_probe_tells_an_iso_part_invariant_to_1e_10_from_one_invariant_to_1e_6(name, drift, factor):
+    # W + eps (1 + |W|) g(det F) changes by a relative eps g under the probe's scalings
+    base = cm.builtin_energy(name)
+
+    class Drifting(cm.EnergyModel):
+        dim = base.dim
+
+        def __init__(self, eps):
+            self.eps = eps
+
+        def value(self, F):
+            F, d = self._checked(F)
+            w = base.value(F)
+            return w + self.eps * (1.0 + np.abs(w)) * drift(d)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cm.CompositeEnergy(Drifting(factor * 1e-10), cm.VolumetricTerm())
+        with pytest.raises(cm.ConfmechError, match=r"^iso part must be conformally invariant to compose$"):
+            cm.CompositeEnergy(Drifting(factor * 1e-6), cm.VolumetricTerm())

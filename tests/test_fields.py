@@ -51,6 +51,31 @@ def test_annulus_domain_validation():
         cm.AnnulusDomain(2, 0.5, 0.5)  # sample_annulus would never return
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, line", [
+    # |x|^2 overflowed in vecdot: sample_annulus warned, kept no draw and never returned
+    ((2, 0.5, 1e300), "annulus 0.5 <= |x| <= 1e+300 needs r_min >= 2^-511 and r_max sqrt(dim) <= "),
+    # |x|^2 underflowed to 0 below every r_min: no draw was kept either
+    ((2, 1e-300, 2e-300), "annulus 1e-300 <= |x| <= 2e-300 needs r_min >= 2^-511 "),
+    # the box corners' |x|^2 overflowed, with a warning
+    ((3, 0.5, 1e154), "annulus 0.5 <= |x| <= 1e+154 needs "),
+    # accepted, then numpy's TypeError in sample_annulus
+    ((2.0, 0.5, 0.9), "dim must be the int 2 or 3, got 2.0"),
+], ids=["square-overflows", "square-underflows", "box-corner-overflows", "float-dim"])
+def test_annulus_domain_refuses_what_the_sampler_cannot_draw(args, line):
+    with pytest.raises(cm.ConfmechError) as exc:
+        cm.AnnulusDomain(*args)
+    assert str(exc.value).startswith(line) and "\n" not in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_annulus_domain_at_its_radius_limits_samples():
+    ceiling = cm.conformal.RADIUS_CEILING
+    for dom in (cm.AnnulusDomain(2, 2.0**-511, 2.0**-510), cm.AnnulusDomain(np.int64(3), 1.0, ceiling / 2.0)):
+        r = np.linalg.norm(cm.sample_annulus(dom, 50, seed=1), axis=1)
+        assert np.all((r >= dom.r_min * (1.0 - 1e-14)) & (r <= dom.r_max * (1.0 + 1e-14)))
+
+
 def test_admissible_annulus_radii():
     dom2 = cm.admissible_annulus("phi2d")
     assert dom2.dim == 2

@@ -128,3 +128,12 @@ def test_quadratic_approx_error_small_on_disk():
 
 def test_quadratic_approx_error_deterministic():
     assert cm.quadratic_approx_error() == cm.quadratic_approx_error()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -0.1, 0.5])
+def test_quadratic_approx_error_refuses_a_disk_off_its_rule(radius):
+    # a NaN radius returned nan; from 0.5 on the disk reaches the map's singular origin
+    with pytest.raises(cm.ConfmechError, match=r"^radius must be at least 0 and below 0\.5, got "):
+        cm.quadratic_approx_error(radius=radius)
+    assert cm.quadratic_approx_error(radius=0.0) == 0.0
