@@ -29,23 +29,26 @@ print("min over 2000 random (F, xi, eta): %.4e" % worst)
 # 2. Stretch-space conditions for W(F) = g(lam1, lam2).  For the squared
 #    ratio g(l1, l2) = (l1/l2 - 1)^2 every applicable condition value is
 #    positive on a wide logarithmic grid, which certifies strict rank-one
-#    convexity of the planar squared-ratio energy.
+#    convexity of the planar squared-ratio energy.  One pair gives one
+#    report of numpy scalars, a grid one report of grid-shaped arrays; the
+#    five values of a point are g_11, g_22, the shear condition and the one
+#    beside it (or, on coincident stretches, the two that replace them), and
+#    the last condition.
 rep = cm.knowles_sternberg(
     cm.ratio_minus_one_squared, 2.0, 1.0,
     derivatives=cm.ratio_minus_one_squared_derivatives,
 )
-print("at (2, 1): g_11 = %s, g_22 = %s, shear condition = %s"
-      % (rep.cond_i[0], rep.cond_i[1], rep.cond_ii))
-print("remaining conditions: %.6f, %.6f" % (rep.cond_iv, rep.cond_v))
+g11, g22, shear, other, last = rep.values
+print("at (2, 1): g_11 = %s, g_22 = %s, shear condition = %s" % (g11, g22, shear))
+print("remaining conditions: %.6f, %.6f" % (other, last))
 
 lams = np.logspace(-1.0, 1.0, 30)
-reports = cm.ks_grid_scan(
+grid = cm.ks_grid_scan(
     cm.ratio_minus_one_squared, lams,
     derivatives=cm.ratio_minus_one_squared_derivatives,
 )
-vals = [v for r in reports for v in r.applicable_values()]
-print("grid: %d points, min condition value %.4e, all positive: %s"
-      % (len(reports), min(vals), all(v > 0 for v in vals)))
+print("grid: %d points (%d on coincident stretches), min condition value %.4e, all strict: %s"
+      % (grid.strict.size, np.count_nonzero(grid.coincident), np.min(grid.values), np.all(grid.strict)))
 
 # 3. Scalar criterion for h(s) with W = h(lam_max / lam_min): convexity
 #    plus a monotonicity margin of s h'(s) decides the planar case.

@@ -70,7 +70,6 @@ from .linearized import (
 )
 from .fields import (
     AnnulusDomain,
-    FieldSample,
     FieldSamples,
     JumpReport,
     Lcg64,

@@ -150,16 +150,13 @@ def _cmd_check_convexity(args):
         grid = ks_grid_scan(
             ratio_minus_one_squared, lams, derivatives=ratio_minus_one_squared_derivatives
         )
+        # tolist: Python floats and bools, one row per point in C order
+        a, b, ok = (c.ravel().tolist() for c in (grid.lambda1, grid.lambda2, grid.strict))
         payload["ks_grid"] = [
-            {
-                "lambda1": r.lambda1,
-                "lambda2": r.lambda2,
-                "values": r.applicable_values(),
-                "strict": r.strict,
-            }
-            for r in grid
+            {"lambda1": x, "lambda2": y, "values": v, "strict": s}
+            for x, y, v, s in zip(a, b, grid.values.reshape(-1, 5).tolist(), ok)
         ]
-        payload["ks_all_strict"] = all(r.strict for r in grid)
+        payload["ks_all_strict"] = bool(grid.strict.all())
     return payload, report.verdict in ("strictly-elliptic", "elliptic")
 
 

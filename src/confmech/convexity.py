@@ -15,10 +15,11 @@ call.  random_def_gradient draws its stretches and angles in one
 rng.random call, scaled by Generator.uniform's own formula; the scan draws
 each sample in the same call and one more for xi and eta, builds F as a
 stack and evaluates the LH form once.  knowles_sternberg takes analytic
-partials and one pair of stretches or arrays of them, in one body, so
-ks_grid_scan evaluates its whole grid at once.  A line scan evaluates the
-energy once, on the stack of its LINE_SAMPLES points, and the h criterion
-calls h once, on the array of its H_SAMPLES samples.
+partials and one pair of stretches or arrays of them, in one body, into one
+KSReport of arrays, so ks_grid_scan evaluates its whole grid at once.  A
+line scan evaluates the energy once, on the stack of its LINE_SAMPLES
+points, and the h criterion calls h once, on the array of its H_SAMPLES
+samples.
 
 A line scan whose segment leaves the det band of tensors.require_gl_plus
 raises LeavesGLPlus, which scan_rank_one_convexity catches.  That scan never
@@ -74,13 +75,17 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     tensors.require_gl_plus, where the energies refuse F; the
     classification margin is MARGIN times the largest sampled |W|, at least
     1.  value is called once, on the stack of the LINE_SAMPLES sample points.
-    A t_max that is not finite is refused with a ConfmechError.
+    A t_max that is not finite, or one so large that a sample point F +
+    t xi eta^T is not finite, is refused with a ConfmechError.
     """
     F = as_square(F)
-    H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     refuse_where(not math.isfinite(t_max), "t_max must be finite, got %r", float(t_max))
     ts = np.linspace(0.0, float(t_max), LINE_SAMPLES)
-    Ft = F + ts[:, None, None] * H
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+        Ft = F + ts[:, None, None] * H
+    message = "F + t xi eta^T is not finite for 0 <= t <= t_max = %r"
+    refuse_where(not np.isfinite(Ft).all(), message, float(t_max))
     try:
         require_gl_plus(Ft)
     except ConfmechError as exc:
@@ -100,43 +105,30 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
 
 
 class KSReport(NamedTuple):
-    """Left-hand sides of the planar ellipticity conditions at one (l1, l2).
+    """The planar ellipticity conditions at one pair of stretches, or at each point of arrays of them.
 
-    cond_i and cond_iii hold their two expressions as pairs; cond_ii and
-    cond_iv apply only off the coincident-stretch band, cond_iii only on it.
-    NaN entries mean the square root of g11 g22 was undefined, which already
-    violates cond_i.
+    lambda1, lambda2, coincident and strict have the shape of the broadcast
+    stretches (numpy scalars for one pair), and values one more axis of the
+    5 applicable values: g11, g22, then cond_ii and cond_iv off the
+    coincident-stretch band or cond_iii's two expressions on it, then cond_v.
+    A NaN value means the square root of g11 g22 was undefined, which
+    already violates g11 > 0 or g22 > 0.
     """
 
-    lambda1: float
-    lambda2: float
-    cond_i: tuple
-    cond_ii: float | None
-    cond_iii: tuple | None
-    cond_iv: float | None
-    cond_v: float
-    strict: bool
-
-    def applicable_values(self):
-        vals = list(self.cond_i)
-        if self.cond_ii is not None:
-            vals.append(self.cond_ii)
-        if self.cond_iii is not None:
-            vals.extend(self.cond_iii)
-        if self.cond_iv is not None:
-            vals.append(self.cond_iv)
-        vals.append(self.cond_v)
-        return vals
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    values: np.ndarray  # (..., 5)
+    coincident: np.ndarray  # |l1 - l2| <= EQ_BAND (l1 + l2), where cond_iii applies
+    strict: np.ndarray  # every value finite and above its point's margin
 
 
 def knowles_sternberg(g, lam1, lam2, derivatives):
     """Evaluate the planar strict-ellipticity conditions for W = g(l1, l2).
 
-    lam1 and lam2 are one pair of stretches, giving one KSReport, or arrays
-    that broadcast together, giving the list of reports of their points in
-    C order; either way the conditions are evaluated once, on arrays.
-    Strictness requires every applicable value above the margin
-    1e-10 (1 + |g| + |g1| + |g2|) of its point.
+    lam1 and lam2 are one pair of stretches or arrays that broadcast
+    together; either way the conditions are evaluated once, on arrays, into
+    one KSReport.  Strictness requires every applicable value above the
+    margin 1e-10 (1 + |g| + |g1| + |g2|) of its point.
 
     Parameters
     ----------
@@ -149,34 +141,17 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
     g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 
-    on_diagonal = np.abs(l1 - l2) <= EQ_BAND * (l1 + l2)
+    coincident = np.abs(l1 - l2) <= EQ_BAND * (l1 + l2)
     # cond_ii and cond_iv do not apply on the band: divide there by 1, not by l1 - l2 = 0
-    gap = np.where(on_diagonal, 1.0, l1 - l2)
-    cond_ii = (l1 * g1 - l2 * g2) / gap
-    cond_iii = (g11 - g12 + g1 / l1, g22 - g12 + g2 / l2)
+    gap = np.where(coincident, 1.0, l1 - l2)
     radicand = g11 * g22
     root = np.sqrt(np.where(radicand < 0.0, np.nan, radicand))
-    cond_iv = root + g12 + (g1 - g2) / gap
+    cond_ii_or_iii = np.where(coincident, g11 - g12 + g1 / l1, (l1 * g1 - l2 * g2) / gap)
+    cond_iv_or_iii = np.where(coincident, g22 - g12 + g2 / l2, root + g12 + (g1 - g2) / gap)
     cond_v = root - g12 + (g1 + g2) / (l1 + l2)
-
-    def holds(v):
-        return np.isfinite(v) & (v > margin)
-
-    on_band = holds(cond_iii[0]) & holds(cond_iii[1])
-    off_band = holds(cond_ii) & holds(cond_iv)
-    strict = holds(g11) & holds(g22) & np.where(on_diagonal, on_band, off_band) & holds(cond_v)
-    columns = (l1, l2, g11, g22, cond_ii, *cond_iii, cond_iv, cond_v, strict, on_diagonal)
-    # by position, in field order, which builds the NamedTuple faster than by keyword
-    reports = [
-        KSReport(
-            a, b, (i1, i2), None if diag else ii, (iii1, iii2) if diag else None, None if diag else iv, v, ok
-        )
-        # tolist: Python floats and bools, as the CLI's JSON needs them
-        for a, b, i1, i2, ii, iii1, iii2, iv, v, ok, diag in zip(
-            *(np.ravel(c).tolist() for c in columns)
-        )
-    ]
-    return reports if l1.ndim else reports[0]
+    values = np.stack(np.broadcast_arrays(g11, g22, cond_ii_or_iii, cond_iv_or_iii, cond_v), axis=-1)
+    strict = np.all(np.isfinite(values) & (values > margin[..., None]), axis=-1)
+    return KSReport(l1[()], l2[()], values, coincident[()], strict[()])
 
 
 def ratio_minus_one_squared(l1, l2):
@@ -361,7 +336,7 @@ def ks_grid_scan(g, lam_values, derivatives):
     """knowles_sternberg over the grid lam_values x lam_values, l1 outer and l2 inner.
 
     One knowles_sternberg call on the whole grid, so g and derivatives must
-    take arrays; returns the list of per-point reports.
+    take arrays; returns its KSReport, of grid shape (len(lam_values),) * 2.
     """
     l1, l2 = np.meshgrid(lam_values, lam_values, indexing="ij")
     return knowles_sternberg(g, l1, l2, derivatives=derivatives)

@@ -235,8 +235,10 @@ class PlanarRatioEnergy(EnergyModel):
     the gradient (hence the Cauchy stress) is reported as exactly 0 there:
     the stress of these energies must vanish identically on the conformal
     group, and 0 is the minimal-norm subgradient at a minimum even when h
-    has a corner.  h'(1+) < 0 leaves no canonical value and raises a
-    ConfmechError.
+    has a corner.  With h'(1) > 0 that 0 is a convention, not a derivative:
+    W is a cone at every conformal F, so a gradient that leaves the tie by
+    rounding (a finite-difference one) gets the cone's slope instead.
+    h'(1+) < 0 leaves no canonical value and raises a ConfmechError.
 
     value, first_derivative, cauchy_stress and second_form take one matrix
     or a stack (..., 2, 2) through the closed-form 2x2 SVD, so h, dh and
@@ -462,10 +464,13 @@ class CompositeEnergy(EnergyModel):
         # near t = c + 709, f'' * cof_h^2 may overflow to +inf, its value; past
         # it f' = f'' = inf, det_curv is rounding noise (zero for a rank-one H)
         # and inf * noise may cancel the cof_h term to NaN, so those rows take
-        # f' out as a factor; the other rows keep this expression and its bits
+        # f' out as a factor, and a factor of exactly 0 leaves the iso form;
+        # the other rows keep this expression and its bits
         with np.errstate(over="ignore", invalid="ignore"):
             form = iso + curvature * cof_h * cof_h + slope * det_curv
-            return np.where(np.isinf(slope), iso + slope * (cof_h * cof_h + det_curv), form)[()]
+            factor = cof_h * cof_h + det_curv
+            past = np.where(factor == 0.0, iso, iso + slope * factor)
+            return np.where(np.isinf(slope), past, form)[()]
 
     def cauchy_stress(self, F):
         F, slope = self._checked_slope(F)
@@ -484,8 +489,12 @@ def builtin_energy(name, c=DEFAULT_C):
     too: its ratio profile (s - 1)^2 / (2 s), non-decreasing with
     h'' = 1 / s^3 > 0, passes h_criterion as strictly rank-one convex.
     composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
-    iso3d.  Every name refuses a c that VolumetricTerm refuses, with or
-    without a volumetric part.
+    iso3d.  klin2's h'(1) = 2 is a corner on CSO(2), where its stress is
+    the minimal-norm subgradient 0 by convention, so composite2d's field on
+    phi2d is homogeneous with analytic gradients and not with
+    finite-difference ones (stress-field --fd exits 1); iso3d is smooth.
+    Every name refuses a c that VolumetricTerm refuses, with or without a
+    volumetric part.
     """
     vol = VolumetricTerm(c)
     if name == "iso2d-psi":

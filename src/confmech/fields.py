@@ -159,19 +159,12 @@ def sample_annulus(dom, n, seed=0):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One point of a sampled field."""
-
-    x: np.ndarray
-    F: np.ndarray
-    det_F: float
-    sigma: np.ndarray
-    energy: float
-
-
-@dataclass(frozen=True)
 class FieldSamples:
-    """A sampled field as stacks: point i is x[i], F[i], det_F[i], sigma[i], energy[i]."""
+    """A sampled field as stacks: point i is x[i], F[i], det_F[i], sigma[i], energy[i].
+
+    samples[i] is the FieldSamples row of point i, each stack indexed by i
+    (a slice or an index array gives the FieldSamples of those points).
+    """
 
     x: np.ndarray  # (n, dim)
     F: np.ndarray  # (n, dim, dim)
@@ -183,9 +176,7 @@ class FieldSamples:
         return len(self.x)
 
     def __getitem__(self, i):
-        return FieldSample(
-            self.x[i], self.F[i], float(self.det_F[i]), self.sigma[i], float(self.energy[i])
-        )
+        return FieldSamples(self.x[i], self.F[i], self.det_F[i], self.sigma[i], self.energy[i])
 
 
 @dataclass(frozen=True)
@@ -196,7 +187,7 @@ class StressFieldSummary:
     det_range: tuple
     admissible: bool | None  # det_range inside [e, c]; None for a non-composite energy
     homogeneous: bool  # max_deviation <= tol
-    worst_point: FieldSample  # the first point at max_deviation
+    worst_point: FieldSamples  # the row of the first point at max_deviation
 
 
 def _summarize(samples, tol, energy):

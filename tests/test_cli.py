@@ -165,6 +165,24 @@ def test_check_conformal_fd_route(capsys):
     assert payload["tol"] == 1e-6
 
 
+def test_composite2d_fd_field_shows_the_corner_of_its_iso_part_on_cso2(capsys):
+    # iso2d-klin2 has h(s) = s^2 - 1, h'(1) = 2: W is a cone at every conformal F, and its
+    # stress there is the minimal-norm subgradient 0 by convention; the FD gradients of phi2d
+    # leave the tie by about 1e-10, where the stress is the cone's slope, so the field
+    # jumps.  composite3d's iso part is smooth, and its FD field is homogeneous
+    argv = ("stress-field", "--map", "phi2d", "--energy", "composite2d", "--n", "1000", "--seed", "1")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["max_deviation"] <= 1e-10
+    code, out = run(capsys, *argv, "--fd")
+    payload = json.loads(out)
+    assert code == 1 and payload["admissible"] is True and payload["homogeneous"] is False
+    assert 1.0 <= payload["max_deviation"] <= 1.1
+    code, out = run(capsys, "stress-field", "--map", "phi3d", "--energy", "composite3d", "--n", "1000",
+                    "--seed", "1", "--fd")
+    payload = json.loads(out)
+    assert code == 0 and payload["homogeneous"] is True and payload["max_deviation"] <= 1e-9
+
+
 def test_check_conformal_moebius(capsys):
     code, out = run(
         capsys,

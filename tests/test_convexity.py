@@ -128,12 +128,9 @@ def test_knowles_sternberg_spot_values():
         1.0,
         derivatives=cm.ratio_minus_one_squared_derivatives,
     )
-    assert abs(rep.cond_i[0] - 2.0) <= 1e-12
-    assert abs(rep.cond_i[1] - 16.0) <= 1e-12
-    assert abs(rep.cond_ii - 8.0) <= 1e-12
-    assert rep.cond_iii is None  # stretches are far from coincident
-    assert abs(rep.cond_iv - np.sqrt(32.0)) <= 1e-12
-    assert abs(rep.cond_v - (np.sqrt(32.0) + 16.0 / 3.0)) <= 1e-12
+    assert not rep.coincident  # stretches are far from coincident: g11, g22, cond_ii, cond_iv, cond_v
+    want = [2.0, 16.0, 8.0, np.sqrt(32.0), np.sqrt(32.0) + 16.0 / 3.0]
+    assert np.all(np.abs(rep.values - want) <= 1e-12)
     assert rep.strict
 
 
@@ -160,9 +157,9 @@ def fd_ratio_partials(l1, l2):
 
 def test_knowles_sternberg_fd_route_agrees():
     rep = cm.knowles_sternberg(cm.ratio_minus_one_squared, 2.0, 1.0, derivatives=fd_ratio_partials)
-    assert abs(rep.cond_i[0] - 2.0) <= 1e-4
-    assert abs(rep.cond_i[1] - 16.0) <= 1e-4
-    assert abs(rep.cond_ii - 8.0) <= 1e-6
+    assert abs(rep.values[0] - 2.0) <= 1e-4
+    assert abs(rep.values[1] - 16.0) <= 1e-4
+    assert abs(rep.values[2] - 8.0) <= 1e-6
     assert rep.strict
     # the analytic partials against their oracle, on both branches and off the band
     l1, l2 = np.meshgrid(np.logspace(-1.0, 1.0, 15), np.logspace(-1.0, 1.0, 15) * 1.03)
@@ -178,12 +175,9 @@ def test_knowles_sternberg_diagonal_band():
         1.0,
         derivatives=cm.ratio_minus_one_squared_derivatives,
     )
-    # coincident stretches: conditions ii and iv are replaced by iii
-    assert rep.cond_ii is None and rep.cond_iv is None
-    assert rep.cond_iii == (4.0, 4.0)
-    assert rep.cond_i == (2.0, 2.0)
-    assert rep.strict
-    assert rep.applicable_values() == [2.0, 2.0, 4.0, 4.0, 4.0]
+    # coincident stretches: conditions ii and iv are replaced by iii's two expressions
+    assert rep.coincident and rep.strict
+    assert rep.values.tolist() == [2.0, 2.0, 4.0, 4.0, 4.0]
 
 
 def test_knowles_sternberg_symmetry_in_the_stretches():
@@ -196,18 +190,18 @@ def test_knowles_sternberg_symmetry_in_the_stretches():
         derivatives=cm.ratio_minus_one_squared_derivatives,
     )
     assert a.strict and b.strict
-    assert abs(a.cond_ii - b.cond_ii) <= 1e-10
+    assert abs(a.values[2] - b.values[2]) <= 1e-10
 
 
 def test_ks_grid_scan_log_grid_all_strict():
     lams = np.logspace(-1.0, 1.0, 12)
-    reports = cm.ks_grid_scan(
+    grid = cm.ks_grid_scan(
         cm.ratio_minus_one_squared, lams,
         derivatives=cm.ratio_minus_one_squared_derivatives,
     )
-    assert len(reports) == 144
-    assert all(r.strict for r in reports)
-    assert all(v > 0.0 for r in reports for v in r.applicable_values())
+    assert grid.strict.shape == (12, 12) and grid.values.shape == (12, 12, 5)
+    assert np.all(grid.strict)
+    assert np.all(grid.values > 0.0)
 
 
 def saddle(l1, l2):
@@ -232,28 +226,48 @@ def test_stacked_ks_grid_matches_one_point_reports(g, derivatives):
     lams = np.concatenate([np.logspace(-1.0, 1.0, 9), [1.0, 1.0 + 1e-7, 1.0 + 3e-6]])
     grid = cm.ks_grid_scan(g, lams, derivatives=derivatives)
     points = [cm.knowles_sternberg(g, a, b, derivatives=derivatives) for a in lams for b in lams]
-    assert len(grid) == len(points) == 144
-    assert any(r.cond_iii is None for r in grid) and any(r.cond_iii is not None for r in grid)
-    for r, p in zip(grid, points):
-        # repr tells float bits and Python float from np.float64 apart
-        assert repr(r) == repr(p)
-        assert all(type(v) is float for v in [r.lambda1, r.lambda2, *r.applicable_values()])
-        assert type(r.strict) is bool
-    assert all(r.strict for r in grid) == (g is not saddle)
+    assert grid.values.shape == (12, 12, 5) and len(points) == 144
+    assert np.any(grid.coincident) and not np.all(grid.coincident)
+    for field, column in zip(cm.KSReport._fields, grid, strict=True):
+        # the bits of each point's own report, NaN included
+        stacked = np.stack([getattr(p, field) for p in points])
+        assert stacked.tobytes() == column.reshape(stacked.shape).tobytes()
+        assert stacked.dtype == column.dtype
+    assert bool(np.all(grid.strict)) == (g is not saddle)
+    # strict is the rule of the conditions: g11, g22 and cond_v hold, and cond_iii's two
+    # expressions on the coincident-stretch band or cond_ii and cond_iv off it
+    l1, l2 = grid.lambda1, grid.lambda2
+    g1, g2, g11, g22, g12 = derivatives(l1, l2)
+    margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
+    root = np.sqrt(np.maximum(g11 * g22, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_ii = (l1 * g1 - l2 * g2) / (l1 - l2)
+        cond_iv = np.where(g11 * g22 < 0.0, np.nan, root + g12 + (g1 - g2) / (l1 - l2))
+    cond_iii = (g11 - g12 + g1 / l1, g22 - g12 + g2 / l2)
+    cond_v = np.where(g11 * g22 < 0.0, np.nan, root - g12 + (g1 + g2) / (l1 + l2))
+
+    def holds(v):
+        return np.isfinite(v) & (v > margin)
+
+    on_band = holds(cond_iii[0]) & holds(cond_iii[1])
+    rule = holds(g11) & holds(g22) & np.where(grid.coincident, on_band, holds(cond_ii) & holds(cond_iv))
+    assert np.array_equal(grid.strict, rule & holds(cond_v))
 
 
 def test_one_point_knowles_sternberg_keeps_its_values_and_types():
     rep = cm.knowles_sternberg(
         cm.ratio_minus_one_squared, 2.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
     )
-    assert (rep.lambda1, rep.lambda2, rep.cond_i, rep.cond_ii) == (2.0, 1.0, (2.0, 16.0), 8.0)
-    assert rep.cond_iii is None and rep.cond_iv == np.sqrt(32.0)
-    assert type(rep.cond_v) is float and rep.strict is True
+    # one pair: numpy scalars, and values one axis of 5
+    assert (rep.lambda1, rep.lambda2) == (2.0, 1.0)
+    assert type(rep.lambda1) is np.float64 and type(rep.strict) is np.bool_ and rep.strict
+    assert rep.values.shape == (5,) and rep.values[:3].tolist() == [2.0, 16.0, 8.0]
+    assert rep.values[3] == np.sqrt(32.0)
     diag = cm.knowles_sternberg(
         cm.ratio_minus_one_squared, 1.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
     )
-    assert diag.applicable_values() == [2.0, 2.0, 4.0, 4.0, 4.0]
-    assert all(type(v) is float for v in diag.applicable_values())
+    assert diag.values.tolist() == [2.0, 2.0, 4.0, 4.0, 4.0]
+    assert all(type(v) is float for v in diag.values.tolist())
 
 
 def test_ratio_minus_one_squared_derivative_closed_forms():
@@ -385,7 +399,8 @@ def test_random_rotation_and_def_gradient():
 @pytest.mark.filterwarnings("error")
 def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line():
     # KeyError: 4, KeyError: None and a TypeError from "%d" % None; an infinite t_max
-    # warned in linspace, and a NaN one said "leaves GL+: det = nan"
+    # warned in linspace, and a NaN one said "leaves GL+: det = nan"; t_max = 1e308
+    # overflowed t xi eta^T in multiply, though det(I + t e1 e2^T) = 1 stays in the band
     class Dimless(cm.EnergyModel):
         def value(self, F):
             return np.zeros(np.shape(F)[:-2])
@@ -401,6 +416,8 @@ def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line()
          "t_max must be finite, got inf"),
         (lambda: cm.rank_one_line_scan(E, np.eye(3), [1.0, 0, 0], [0, 1.0, 0], t_max=np.nan),
          "t_max must be finite, got nan"),
+        (lambda: cm.rank_one_line_scan(E, np.eye(3), [2.0, 0, 0], [0, 1.0, 0], t_max=1e308),
+         "F + t xi eta^T is not finite for 0 <= t <= t_max = 1e+308"),
     ]
     for call, line in cases:
         with pytest.raises(cm.ConfmechError) as exc:

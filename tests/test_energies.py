@@ -298,6 +298,25 @@ def test_composite_second_form_past_the_exp_overflow():
     assert q[0] == q[2] == np.inf and np.isfinite(q[1]) and np.array_equal(q, one)
 
 
+@pytest.mark.filterwarnings("error")
+def test_composite_second_form_past_the_exp_overflow_with_a_zero_factor_is_the_iso_form():
+    # past c + 709 f' = f'' = inf is taken out as a factor of cof_h^2 + det_curv; where that
+    # factor is exactly 0 (H = 0, or a rank-one H with <F^-T, H> = 0 at a multiple of I) the
+    # volumetric term is 0, and inf * 0 was NaN
+    E2, E3 = cm.builtin_energy("composite2d"), cm.builtin_energy("composite3d")
+    F2 = 30.0 * np.diag([1.1, 1.0])
+    assert E2.second_form(F2, np.zeros((2, 2))) == 0.0
+    F3, H3 = 1000.0 * np.eye(3), np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    q = E3.second_form(F3, H3)
+    assert np.isfinite(q) and q == E3.iso.second_form(F3, H3)
+    # in a stack, next to a row past the overflow with a positive factor and a finite row
+    F = np.stack([F3, F3, np.diag([2.0, 1.0, 1.5])])
+    H = np.stack([H3, np.eye(3), H3])
+    stacked = E3.second_form(F, H)
+    assert stacked[1] == np.inf and np.array_equal(stacked, [E3.second_form(f, h) for f, h in zip(F, H)])
+    assert stacked[0] == q
+
+
 @pytest.mark.parametrize("name, F", [
     ("composite3d", np.diag([10.0, 10.0, 8.0])),
     ("composite2d", np.diag([30.0, 30.0])),

@@ -339,7 +339,7 @@ def test_jump_and_ks_reports_refuse_attribute_assignment():
         with pytest.raises(AttributeError):
             setattr(report, name, value)
     assert rep.rank == 2 and rep._fields[0] == "difference_singular_values"
-    assert ks.applicable_values()[-1] == ks.cond_v
+    assert ks._fields == ("lambda1", "lambda2", "values", "coincident", "strict")
 
 
 def test_field_csv_schema_and_determinism(tmp_path):
