@@ -52,12 +52,15 @@ def lh_form(energy, F, xi, eta):
     """Normalized Legendre-Hadamard form D^2 W(F)[xi (x) eta] / (|xi|^2 |eta|^2).
 
     One matrix F with vectors xi, eta, or a stack of matrices (..., n, n)
-    with stacks of vectors (..., n): one second_form call either way.
+    with stacks of vectors (..., n): one second_form call either way.  A
+    |xi|^2 |eta|^2 that is 0 or not finite is refused with a ConfmechError.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
     refuse_where(n2 == 0.0, "xi and eta must be nonzero")
+    refuse_where(~np.isfinite(n2), "|xi|^2 |eta|^2 must be finite, got %r", n2)
     return energy.second_form(F, xi[..., :, None] * eta[..., None, :]) / n2
 
 
@@ -122,13 +125,18 @@ class KSReport(NamedTuple):
     strict: np.ndarray  # every value finite and above its point's margin
 
 
+# an overflow or a 0/0 gives a value that is not finite, and so not strict
+@np.errstate(all="ignore")
 def knowles_sternberg(g, lam1, lam2, derivatives):
     """Evaluate the planar strict-ellipticity conditions for W = g(l1, l2).
 
     lam1 and lam2 are one pair of stretches or arrays that broadcast
     together; either way the conditions are evaluated once, on arrays, into
     one KSReport.  Strictness requires every applicable value above the
-    margin 1e-10 (1 + |g| + |g1| + |g2|) of its point.
+    margin 1e-10 (1 + |g| + |g1| + |g2|) of its point.  A stretch that is
+    not positive and finite is refused with a ConfmechError; a point whose
+    partials or conditions overflow has a value that is not finite, and is
+    not strict.
 
     Parameters
     ----------
@@ -137,7 +145,8 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
         Analytic partials, taking arrays.
     """
     l1, l2 = np.broadcast_arrays(np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
-    refuse_where(~((l1 > 0.0) & (l2 > 0.0)), "principal stretches must be positive")
+    ok = (0.0 < l1) & (l1 < math.inf) & (0.0 < l2) & (l2 < math.inf)
+    refuse_where(~ok, "principal stretches must be positive and finite")
     g1, g2, g11, g22, g12 = (np.asarray(v, dtype=float) for v in derivatives(l1, l2))
     margin = 1e-10 * (1.0 + np.abs(g(l1, l2)) + np.abs(g1) + np.abs(g2))
 

@@ -13,8 +13,13 @@ Trans. ANS 1994); the blocks are the exact stream of Lcg64.next_uniform,
 and the points are the first n accepted, in stream order.
 
 jump_check measures rank-one compatibility of one pair of gradients
-through numpy's SVD of F1 - F2, which resolves a zero singular value to
+through the SVD of F1 - F2, which resolves a zero singular value to
 rounding level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).
+The SVD is LAPACK's, through the gufunc that np.linalg.svd(D,
+compute_uv=False) calls for real input, called directly: the same values
+without the wrapper's checks, casts and errstate context, which took more
+time than LAPACK on one 2x2.  A non-convergence, which LAPACK reports as
+NaN singular values, is refused with a ConfmechError (exit 2 in the CLI).
 Past F1 - F2 and unpacking the entries, that LAPACK call is its one numpy
 call per pair: the rest is Python-float arithmetic with numpy's bits, and
 the JumpReport is an immutable NamedTuple.
@@ -37,6 +42,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
@@ -268,8 +274,10 @@ def jump_check(F1, F2, tol=1e-9):
     jump has full rank and the two states are never rank-one connected.
     The report holds no copy of F1 and F2.  |F1| + |F2| above JUMP_NORM_MAX
     (or NaN) is refused with a ConfmechError before any product of entries
-    could overflow.  The norms, the rank, det(F1 - F2) and the square terms
-    are Python-float arithmetic on the entries, with numpy's bits.
+    could overflow.  The singular values are LAPACK's SVD of F1 - F2, the
+    bits np.linalg.svd gives, and a ConfmechError if it did not converge.
+    The norms, the rank, det(F1 - F2) and the square terms are Python-float
+    arithmetic on the entries, with numpy's bits.
     """
     require_tolerance(tol)
     F1 = as_square(F1)
@@ -282,10 +290,13 @@ def jump_check(F1, F2, tol=1e-9):
         raise ConfmechError("jump too large: |F1| + |F2| = %r, not at most %r" % (n1 + n2, JUMP_NORM_MAX))
     D = F1 - F2
     d = D.ravel().tolist()
-    # LAPACK's bits are the reported singular values
-    svals = np.linalg.svd(D, compute_uv=False)
+    # the gufunc np.linalg.svd(D, compute_uv=False) calls, without its wrapper: LAPACK's bits
+    svals = _lapack_svd(D)
+    values = svals.tolist()
+    if any(map(math.isnan, values)):
+        raise ConfmechError("the SVD of F1 - F2 did not converge")
     thresh = tol * (1.0 + n1 + n2)
-    rank = len([v for v in svals.tolist() if v > thresh])
+    rank = len([v for v in values if v > thresh])
     square_terms = None
     if len(d) == 4:
         s1, s2 = 1e-8 * max(1.0, n1), 1e-8 * max(1.0, n2)

@@ -7,8 +7,9 @@ arrays, on one matrix as on a stack, and jump_check in Python floats on
 the entries it has already unpacked.
 The planar ratio energy takes its singular values from a closed-form 2x2
 route (_singular_values, svd) whose arithmetic pins field CSV bytes;
-elsewhere from numpy's SVD of the matrix itself (jump_check), never from
-M^T M, which would square the small ones away.  The 2x2 routes take one
+elsewhere from LAPACK's SVD of the matrix itself (jump_check calls the
+gufunc behind np.linalg.svd directly), never from M^T M, which would
+square the small ones away.  The 2x2 routes take one
 matrix or a stack (..., 2, 2) in one body: branches go through np.where,
 products through stacked matmuls on C-contiguous operands and dots through
 vecdot, so each matrix of a stack gets the bits it gets alone.

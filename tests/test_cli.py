@@ -849,6 +849,21 @@ def test_jump_check_refuses_a_jump_that_would_overflow(capsys):
         assert captured.err.splitlines()[-1].startswith("confmech jump-check: error: jump too large")
 
 
+def test_jump_check_refuses_an_svd_that_did_not_converge(capsys, monkeypatch):
+    # LAPACK reports non-convergence as NaN singular values; np.linalg.svd raised a
+    # LinAlgError there, which the CLI does not catch
+    monkeypatch.setattr(confmech.fields, "_lapack_svd", lambda D: np.full(len(D), np.nan))
+    with pytest.raises(confmech.ConfmechError) as exc:
+        confmech.jump_check(np.eye(3), 2.0 * np.eye(3))
+    assert str(exc.value) == "the SVD of F1 - F2 did not converge"
+    with pytest.raises(SystemExit) as exc:
+        main(["jump-check", "--f1", "1,0,0,1", "--f2", "2,0,0,2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "confmech jump-check: error: the SVD of F1 - F2 did not converge"
+
+
 def test_render_grid(capsys, tmp_path):
     out_path = tmp_path / "fig.svg"
     code, out = run(

@@ -424,3 +424,37 @@ def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line()
             call()
         assert str(exc.value) == line
     assert cm.random_def_gradient(rng, np.int64(3)).shape == (3, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_knowles_sternberg_refuses_stretches_that_are_not_finite_and_marks_overflow_not_strict():
+    # an infinite stretch passed the positivity check and warned in a divide, and
+    # (1e200, 1e-200) warned "divide by zero" in the partials
+    g, dg = cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives
+    for l1, l2 in ((np.inf, 1.0), (1.0, np.nan), (2.0, -np.inf), ([1.5, np.inf], 0.5)):
+        with pytest.raises(cm.ConfmechError) as exc:
+            cm.knowles_sternberg(g, l1, l2, dg)
+        assert str(exc.value) == "principal stretches must be positive and finite"
+    one = cm.knowles_sternberg(g, 1.5, 0.5, dg)
+    grid = cm.knowles_sternberg(g, [1e200, 1.5], [1e-200, 0.5], dg)
+    assert one.strict and grid.strict.tolist() == [False, True]
+    assert not np.isfinite(grid.values[0]).all()
+    assert grid.values[1].tobytes() == one.values.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_lh_form_refuses_directions_whose_squared_lengths_overflow():
+    # |xi|^2 |eta|^2 overflowed in vecdot, and the form came out NaN
+    E = cm.builtin_energy("iso3d")
+    for xi, eta, got in (
+        ((1e200, 0.0, 0.0), (1e200, 0.0, 0.0), "inf"),
+        ((np.inf, 0.0, 0.0), (0.0, 0.0, 0.0), "nan"),
+        ((np.nan, 0.0, 0.0), (1.0, 0.0, 0.0), "nan"),
+    ):
+        with pytest.raises(cm.ConfmechError) as exc:
+            cm.lh_form(E, np.eye(3), xi, eta)
+        assert str(exc.value) == "|xi|^2 |eta|^2 must be finite, got %s" % got
+    with pytest.raises(cm.ConfmechError, match="must be finite, got inf"):
+        cm.lh_form(E, np.stack([np.eye(3)] * 2), [[1.0, 0.0, 0.0], [1e200, 0.0, 0.0]], [[0.0, 1.0, 0.0]] * 2)
+    # a finite |xi|^2 |eta|^2 keeps the normalization
+    assert abs(cm.lh_form(E, np.eye(3), (1e100, 0.0, 0.0), (1e-100, 0.0, 0.0)) - 8.0 / 3.0) <= 1e-10

@@ -308,10 +308,36 @@ def jump_pairs(rng, dim, k):
     return out
 
 
+def degenerate_jump_pairs(rng, dim):
+    """(F1, F2) with F1 - F2 zero, rank one, with a zero row, diagonal or subnormal, at scales 5e-324 to 1e100.
+
+    Entries stay within scale / (3 dim), so |F1| + |F2| <= scale / 2, inside JUMP_NORM_MAX.
+    """
+    out = []
+    for scale in (5e-324, 1e-310, 1e-300, 1e-150, 1.0, 1e50, 1e100):
+        for _ in range(20):
+            F1 = rng.uniform(-1.0, 1.0, (dim, dim)) / (6 * dim)
+            row = rng.uniform(-1.0, 1.0, (dim, dim)) / (6 * dim)
+            row[int(rng.integers(dim))] = 0.0
+            differences = (
+                np.zeros((dim, dim)),
+                np.outer(rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)) / (6 * dim),
+                row,
+                np.diag(rng.uniform(-1.0, 1.0, dim)) / (6 * dim),
+            )
+            out += [(scale * F1, scale * (F1 - D)) for D in differences]
+            # subnormal entries, integer multiples of the smallest one
+            k = rng.integers(-40, 41, (2, dim, dim)).astype(float)
+            out.append((k[0] * 5e-324, k[1] * 5e-324))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
 def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
     rng = np.random.default_rng(2024)
     pairs = jump_pairs(rng, 2, 1500) + jump_pairs(rng, 3, 1500)
     assert len(pairs) >= 10_000
+    pairs += [(F1, F2, 1e-9) for F1, F2 in degenerate_jump_pairs(rng, 2) + degenerate_jump_pairs(rng, 3)]
     ranks, dets = set(), {2: [], 3: []}
     for F1, F2, tol in pairs:
         rep = cm.jump_check(F1, F2, tol=tol)
@@ -328,8 +354,9 @@ def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
         stack, want = np.array([D for D, _ in group]), np.array([d for _, d in group])
         assert cm.det(stack).tobytes() == want.tobytes()
         assert cm.det(stack.reshape(-1, 5, *stack.shape[1:])).tobytes() == want.tobytes()
-    # every kind of pair came out: full rank, rank one, both sides of the threshold, similarities
-    assert {(2, 1, False), (2, 2, False), (2, 2, True), (3, 1, False), (3, 2, False), (3, 3, False)} <= ranks
+    # every kind of pair came out: full rank, rank one, both sides of the threshold, similarities, zero jumps
+    assert {(2, 0, False), (2, 1, False), (2, 2, False), (2, 2, True), (3, 0, False), (3, 1, False), (3, 2, False),
+            (3, 3, False)} <= ranks
 
 
 def test_jump_and_ks_reports_refuse_attribute_assignment():
