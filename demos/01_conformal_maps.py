@@ -31,9 +31,8 @@ print("grad phi at (0.5, 0):\n%s" % (F,))
 print("det grad         = %s (|x|^-4 = %s)" % (cm.det(F), float(x @ x) ** -2))
 print("conformality res = %.3e" % cm.conformality_residual(F))
 
-dec = cm.decompose_conformal(F)
-print("scale, rotation angle = %.6f, %.6f rad" % (
-    dec.scale, np.arctan2(dec.rotation[1, 0], dec.rotation[0, 0])))
+# F = scale R with R a rotation: in 2D the scale is det^{1/2}, and R's angle is F's first column's
+print("scale, rotation angle = %.6f, %.6f rad" % (cm.det(F) ** 0.5, np.arctan2(F[1, 0], F[0, 0])))
 
 # 3. The same map is a sphere inversion followed by a plane reflection,
 #    which is how the three dimensional version stays conformal too.

@@ -22,13 +22,11 @@ from .tensors import (
     transpose_inverse,
 )
 from .conformal import (
-    ConformalDecomposition,
     DeformationMap,
     HyperplaneReflection,
     InversionFlip,
     MoebiusMap,
     SphereReflection,
-    decompose_conformal,
     fd_gradient,
     is_conformal_at,
 )
@@ -66,7 +64,6 @@ from .linearized import (
     quadratic_approx_error,
     sigma_lin,
     w_lin_2d,
-    w_lin_3d_composite,
 )
 from .fields import (
     AnnulusDomain,

@@ -64,7 +64,7 @@ from .linearized import (
     sigma_lin,
     w_lin_2d,
 )
-from .tensors import dev, frobenius_norm, require_count, sym
+from .tensors import dev, frobenius_norm, require_count, require_seed, sym
 
 # a word that argparse must take as a negative number; its own pattern misses -1e+20
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -72,14 +72,6 @@ _LONG_OPTION = re.compile(r"--\w[\w-]*")
 _STEP_RE = re.compile(r"^(sphere|plane)\(([^;]+);([^)]+)\)$")
 # a '+' joins two steps only where the next step starts; 1e+100 keeps its sign
 _STEP_JOIN = re.compile(r"\+(?=\s*(?:sphere|plane)\()")
-
-
-def seed(text):
-    """The argparse type of a numpy seed: default_rng takes seeds >= 0 only, where Lcg64 takes any int."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %r" % value)
-    return value
 
 
 def parse_map_spec(spec):
@@ -232,7 +224,7 @@ def _cmd_linearized_demo(args):
     # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
     n = require_count(args.n, "n")
     low = np.array([-2.0] * 6 + [-1.5] * 2)
-    draws = np.random.default_rng(args.seed).uniform(low, -low, size=(n, len(low)))
+    draws = np.random.default_rng(require_seed(args.seed, numpy=True)).uniform(low, -low, size=(n, len(low)))
     k = KernelDisplacement(*draws[:, :4].T, b_hat=draws[:, 4:6])
     _, grads = kernel_displacement(k, draws[:, 6:])
     worst_dev = _max_ignoring_nan(frobenius_norm(dev(sym(grads))))
@@ -285,7 +277,7 @@ def build_parser():
     p.add_argument("--energy", required=True, choices=BUILTIN_ENERGIES)
     p.add_argument("--c", type=float, default=DEFAULT_C)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_check_convexity, parser=p)
 
@@ -317,7 +309,7 @@ def build_parser():
 
     p = sub.add_parser("linearized-demo", help="kernel fields and the quadratic approximation")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="json_out", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_linearized_demo, parser=p)
     return parser

@@ -24,21 +24,17 @@ where the reflection is built.  Every refusal is a ConfmechError, and one at
 a point names the point the caller gave, also from a later step of a chain.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConfmechError
 from .tensors import (
     DET_CEILING,
-    as_square,
     conformality_residual,
     det,
     from_entries,
     libm_pow,
     refuse_where,
     require_dim,
-    require_gl_plus,
     require_tolerance,
 )
 
@@ -270,21 +266,3 @@ def is_conformal_at(mapping, x, tol=1e-10, use_fd=False):
     F = fd_gradient(mapping, x) if use_fd else mapping.gradient(x)
     residual = conformality_residual(F)
     return residual <= tol, residual
-
-
-@dataclass(frozen=True)
-class ConformalDecomposition:
-    scale: float  # the conformal factor lambda > 0
-    rotation: np.ndarray  # in SO(n)
-    residual: float
-
-
-def decompose_conformal(F):
-    """Split F in CSO(n) as (scale, rotation); raises a ConfmechError beyond the residual 1e-10."""
-    F = as_square(F)
-    d = require_gl_plus(F)
-    residual = conformality_residual(F)
-    if residual > 1e-10:
-        raise ConfmechError("residual %r exceeds tolerance 1e-10" % (residual,))
-    lam = d ** (1.0 / F.shape[0])
-    return ConformalDecomposition(scale=lam, rotation=F / lam, residual=residual)

@@ -37,7 +37,7 @@ import numpy as np
 from .energies import _profile, _values
 from .exceptions import ConfmechError, LeavesGLPlus
 from .tensors import (
-    as_square, from_entries, libm_pow, refuse_where, require_count, require_dim, require_gl_plus
+    as_square, from_entries, libm_pow, refuse_where, require_count, require_dim, require_gl_plus, require_seed
 )
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
@@ -309,10 +309,11 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     the band is re-confirmed by a 1D line scan around the witness before the
     verdict "violated" is issued; without confirmation the scan reports
     "inconclusive" rather than guessing.  An n_samples that is not an int of
-    at least 1 is refused with a ConfmechError.
+    at least 1, and a seed that is not an int of at least 0, are refused
+    with a ConfmechError.
     """
     n_samples = require_count(n_samples, "n_samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed, numpy=True))
     U, xi, eta = _scan_draws(rng, energy.dim, n_samples)
     Fs = _def_gradients(U, energy.dim, STRETCH_RANGE)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))

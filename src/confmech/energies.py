@@ -2,18 +2,20 @@
 
 Four families:
 
-* DistortionEnergy     -- planar W(F) = psi(K) with K = ||F||^2 / (2 det F)
-* PlanarRatioEnergy    -- planar W(F) = h(lmax/lmin) through the singular values
+* DistortionEnergy     -- planar W(F) = K - 1 with K = ||F||^2 / (2 det F)
+* PlanarRatioEnergy    -- planar W(F) = h(lmax/lmin) through the singular values,
+                          the generic planar class
 * IsochoricNeoHooke    -- W(F) = ||F||^2 / det(F)^{2/3} - 3 in three dimensions
 * CompositeEnergy      -- isochoric part plus a volumetric splice f(det F)
 
 Every energy exposes value / first_derivative / second_form / cauchy_stress.
-The four families take closed-form profile derivatives, nearly coincident
-planar singular values included (the closed form's limit), and set the
-boolean `analytic`; an EnergyModel subclass that defines value() only
-inherits the finite-difference routes and keeps analytic = False.  The
-module level fd_* functions are the independent oracles: they touch nothing
-but value() and are the comparison side of every derivative test.
+The four families are closed forms, PlanarRatioEnergy's from its profile's
+derivatives, nearly coincident planar singular values included (the closed
+form's limit), and set the boolean `analytic`; an EnergyModel subclass that
+defines value() only inherits the finite-difference routes and keeps
+analytic = False.  The module level fd_* functions are the independent
+oracles: they touch nothing but value() and are the comparison side of
+every derivative test.
 
 Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
@@ -165,65 +167,41 @@ class EnergyModel:
 
 
 class DistortionEnergy(EnergyModel):
-    """Planar isotropic energy W(F) = psi(K(F)), K = ||F||^2 / (2 det F).
+    """Planar isotropic energy W(F) = K(F) - 1, K = ||F||^2 / (2 det F) = (s + 1/s) / 2, s = lmax/lmin.
 
-    Parameters
-    ----------
-    psi : callable on [1, inf)
-    dpsi, d2psi : callables
-        Analytic first and second derivatives of psi.
-
-    psi, dpsi and d2psi are called on an array of distortion values K for a stack
-    and must broadcast (a constant is broadcast to the shape of K).
+    The builtin iso2d-psi: zero exactly on CSO(2), every derivative a closed form in F, with no SVD.
     """
 
     dim = 2
+    label = "distortion-minus-one"
     analytic = True
-
-    def __init__(self, psi, dpsi, d2psi, label="psi-distortion"):
-        self.psi = psi
-        self.dpsi = dpsi
-        self.d2psi = d2psi
-        self.label = label
 
     def _distortion(self, F, d):
         return 0.5 * inner(F, F) / d
 
-    def _psi_d(self, fn, K, name):
-        """psi' or psi'' (fn, named name) at K, one value or an array of them."""
-        v = _profile(fn, K)
-        refuse_where(~np.isfinite(v), "%s is not finite at K = %r", name, K, note=True)
-        return v
-
     def value(self, F):
-        return _profile(self.psi, self._distortion(*self._checked(F)))
+        return self._distortion(*self._checked(F)) - 1.0
 
     def first_derivative(self, F):
-        # D_F W = psi'(K) (2F - ||F||^2 F^{-T}) / (2 det F)
+        # D_F W = (2F - ||F||^2 F^{-T}) / (2 det F)
         F, d = self._checked(F)
-        K = self._distortion(F, d)
         FiT = transpose_inverse(F)
-        dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
-        return dpsi * (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
+        return (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
 
     def second_form(self, F, H):
+        # D^2 K[H, H]
         F, H, d, gh, ghh = self._second_form_terms(F, H)
-        K = self._distortion(F, d)
         n2 = inner(F, F)
         fh = inner(F, H)
         hh = inner(H, H)
-        dK = 0.5 * (2.0 * fh - n2 * gh) / d
-        d2K = 0.5 * (2.0 * hh - 4.0 * fh * gh + n2 * gh * gh + n2 * ghh) / d
-        psi_2 = self._psi_d(self.d2psi, K, "psi''")
-        return psi_2 * dK * dK + self._psi_d(self.dpsi, K, "psi'") * d2K
+        return 0.5 * (2.0 * hh - 4.0 * fh * gh + n2 * gh * gh + n2 * ghh) / d
 
     def cauchy_stress(self, F):
-        # sigma = psi'(K) [ F F^T / det^2 - (K / det) id ]
+        # sigma = F F^T / det^2 - (K / det) id
         F, d = self._checked(F)
         K = self._distortion(F, d)
-        dpsi = self._psi_d(self.dpsi, K, "psi'")[..., None, None]
         det_sq = libm_pow(d, 2.0)[..., None, None]
-        return dpsi * (F @ transpose(F) / det_sq - (K / d)[..., None, None] * np.eye(2))
+        return F @ transpose(F) / det_sq - (K / d)[..., None, None] * np.eye(2)
 
 
 class PlanarRatioEnergy(EnergyModel):
@@ -485,9 +463,10 @@ def builtin_energy(name, c=DEFAULT_C):
 
     iso2d-klin2 is W(F) = (lmax/lmin)^2 - 1, in the distortion K
     (K + sqrt(K^2 - 1))^2 - 1: it vanishes exactly on CSO(2) and is strictly
-    rank-one convex.  iso2d-psi is W(F) = K(F) - 1, strictly rank-one convex
-    too: its ratio profile (s - 1)^2 / (2 s), non-decreasing with
-    h'' = 1 / s^3 > 0, passes h_criterion as strictly rank-one convex.
+    rank-one convex.  iso2d-psi is DistortionEnergy, W(F) = K(F) - 1 in
+    closed form, strictly rank-one convex too: its ratio profile
+    (s - 1)^2 / (2 s), non-decreasing with h'' = 1 / s^3 > 0, passes
+    h_criterion as strictly rank-one convex.
     composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
     iso3d.  klin2's h'(1) = 2 is a corner on CSO(2), where its stress is
     the minimal-norm subgradient 0 by convention, so composite2d's field on
@@ -498,12 +477,7 @@ def builtin_energy(name, c=DEFAULT_C):
     """
     vol = VolumetricTerm(c)
     if name == "iso2d-psi":
-        return DistortionEnergy(
-            psi=lambda K: K - 1.0,
-            dpsi=lambda K: 1.0,
-            d2psi=lambda K: 0.0,
-            label="distortion-minus-one",
-        )
+        return DistortionEnergy()
     if name in ("iso2d-klin2", "composite2d"):
         iso = PlanarRatioEnergy(
             h=lambda s: s * s - 1.0,

@@ -48,7 +48,8 @@ from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
 from .conformal import RADIUS_CEILING, fd_gradient
 from .tensors import (
-    as_square, det_of_entries, frobenius_norm, require_count, require_dim, require_gl_plus, require_tolerance
+    as_square, det_of_entries, frobenius_norm, require_count, require_dim, require_gl_plus, require_seed,
+    require_tolerance,
 )
 
 LCG_MULT = 6364136223846793005
@@ -140,11 +141,12 @@ def sample_annulus(dom, n, seed=0):
     Each block draws about the number of points the rest of n needs at the
     domain's acceptance rate, at most SAMPLER_BLOCK; |x|^2 comes from
     vecdot, the BLAS ddot of x @ x.  An n that is not an int of at least 1,
-    and a shell so thin that n points take more than SAMPLER_BUDGET expected
-    draws, are refused with a ConfmechError before any draw.
+    a seed that is not an int, and a shell so thin that n points take more
+    than SAMPLER_BUDGET expected draws, are refused with a ConfmechError
+    before any draw.
     """
     n = require_count(n, "n")
-    gen = Lcg64(seed)
+    gen = Lcg64(require_seed(seed))
     rate = dom.acceptance_rate()
     if n > SAMPLER_BUDGET * rate:
         raise ConfmechError(

@@ -21,8 +21,6 @@ from .conformal import InversionFlip, _as_point
 from .exceptions import ConfmechError
 from .tensors import as_square, dev, from_entries, refuse_where, sym
 
-VOL_CURVATURE_AT_ONE = 2.0  # f''(1) of the volumetric splice
-
 
 def w_lin_2d(grad_u):
     """Quadratic energy |dev_2 sym grad u|^2 (shear modulus mu = 1)."""
@@ -39,16 +37,6 @@ def sigma_lin(grad_u):
     if G.shape[-1] != 2:
         raise ConfmechError("sigma_lin expects a 2x2 displacement gradient")
     return 2.0 * dev(sym(G))
-
-
-def w_lin_3d_composite(grad_u):
-    """Linearization of the composite 3D energy: 2 |dev_3 sym grad u|^2 + (f''(1)/2) tr^2."""
-    G = as_square(grad_u)
-    if G.shape[0] != 3:
-        raise ConfmechError("w_lin_3d_composite expects a 3x3 displacement gradient")
-    D = dev(sym(G))
-    tr = float(np.trace(G))
-    return 2.0 * float(np.sum(D * D)) + 0.5 * VOL_CURVATURE_AT_ONE * tr * tr
 
 
 @dataclass(frozen=True)

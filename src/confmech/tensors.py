@@ -18,9 +18,10 @@ GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
 refuses a det outside it, the line scan leaves GL+ there, and transpose_inverse
 takes |det| below it as singular.
 refuse_where raises the library's refusals at the first failing entry of a
-stack, and those of the count rule (require_count), the tolerance rule
-(require_tolerance) and the dimension rule (require_dim) of the entry points
-that take a count, a tolerance or a dimension.
+stack, and those of the count rule (require_count), the seed rule
+(require_seed), the tolerance rule (require_tolerance) and the dimension
+rule (require_dim) of the entry points that take a count, a seed, a
+tolerance or a dimension.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -55,11 +56,27 @@ def libm_pow(a, p):
     numpy's array power takes a SIMD route on AVX-512 hosts that differs
     from libm in the last bit on about 5 % of inputs, and its a ** 2 is
     a * a, which differs from pow(a, 2) on about 1 in 1000.  Stacked
-    formulas therefore take every power from here.
+    formulas therefore take every power from here.  Where math.pow raises
+    (a power past the float range, a pole such as 0 ** -1, a negative base
+    with a fractional p), the element gets C's IEEE result, +-inf or NaN,
+    from numpy's float64 scalar power; every other element keeps its bits.
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
-    return np.fromiter(map(math.pow, flat, [p] * len(flat)), float, len(flat)).reshape(a.shape)[()]
+    try:
+        out = np.fromiter(map(math.pow, flat, [p] * len(flat)), float, len(flat))
+    except (OverflowError, ValueError):
+        out = np.array([_ieee_pow(v, p) for v in flat])
+    return out.reshape(a.shape)[()]
+
+
+def _ieee_pow(v, p):
+    """math.pow(v, p), or C's IEEE result (+-inf or NaN) where math.pow raises."""
+    try:
+        return math.pow(v, p)
+    except (OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            return float(np.float64(v) ** p)
 
 
 def _entries(M):
@@ -148,6 +165,16 @@ def require_count(n, name):
     ok = isinstance(n, numbers.Integral) and n >= 1
     refuse_where(not ok, "%s must be an int of at least 1, got %r", name, n)
     return int(n)
+
+
+def require_seed(seed, numpy=False):
+    """seed as an int, refused unless it is an int (a float such as 2.0 is not); with numpy, of at least 0.
+
+    numpy's default_rng takes seeds >= 0 only, where the Lcg64 sampler takes any int.
+    """
+    ok = isinstance(seed, numbers.Integral) and not (numpy and seed < 0)
+    refuse_where(not ok, "seed must be an int%s, got %r", " of at least 0" if numpy else "", seed)
+    return int(seed)
 
 
 def require_dim(dim):

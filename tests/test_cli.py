@@ -252,7 +252,7 @@ def test_negative_seed_is_a_usage_error_where_numpy_draws(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         line = capsys.readouterr().err.strip().splitlines()[-1]
-        assert line.endswith("argument --seed: must be at least 0, got -1"), line
+        assert line.endswith("seed must be an int of at least 0, got -1"), line
     code, _ = run(capsys, "check-conformal", "--map", "phi2d", "--n", "5", "--seed", "-1")
     assert code == 0
 

@@ -259,16 +259,6 @@ def test_is_conformal_fd_option_agrees():
     assert ok_f or res_f <= 1e-6  # fd residual is step-limited
 
 
-def test_decompose_conformal():
-    dec = cm.decompose_conformal(np.array([[1.0, -1.0], [1.0, 1.0]]))
-    assert abs(dec.scale - np.sqrt(2.0)) <= 1e-14
-    c = np.cos(np.pi / 4.0)
-    assert np.allclose(dec.rotation, [[c, -c], [c, c]], atol=1e-14)
-    assert dec.residual <= 1e-14
-    with pytest.raises(cm.ConfmechError, match=r"^residual \S+ exceeds tolerance 1e-10$"):
-        cm.decompose_conformal(np.diag([2.0, 1.0]))
-
-
 def test_gradient_field_of_map_is_everywhere_conformal():
     rng = np.random.default_rng(31)
     for dim in (2, 3):

@@ -443,6 +443,14 @@ def test_knowles_sternberg_refuses_stretches_that_are_not_finite_and_marks_overf
 
 
 @pytest.mark.filterwarnings("error")
+def test_knowles_sternberg_past_the_float_range_of_a_power_is_not_strict():
+    # b^4 = 1e400 in the partials: libm_pow raised "OverflowError: math range error"
+    g, dg = cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives
+    report = cm.knowles_sternberg(g, 1e100, 1e100, dg)
+    assert isinstance(report, cm.KSReport) and not report.strict
+
+
+@pytest.mark.filterwarnings("error")
 def test_lh_form_refuses_directions_whose_squared_lengths_overflow():
     # |xi|^2 |eta|^2 overflowed in vecdot, and the form came out NaN
     E = cm.builtin_energy("iso3d")

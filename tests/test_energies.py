@@ -1,5 +1,6 @@
 """Energy models: values, derivative chains, tie handling, volumetric splice."""
 
+import hashlib
 import re
 import warnings
 
@@ -79,21 +80,20 @@ def test_klin2_first_derivative_closed_form():
     assert np.allclose(P, [[4.0, 0.0], [0.0, -8.0]], atol=1e-12)
 
 
-def test_klin2_matches_psi_representation_off_ties():
-    # same energy through the smooth-distortion route, where both are defined
-    def psi(K):
+class Klin2ThroughK(cm.EnergyModel):
+    """klin2 as psi(K) = (K + sqrt(K^2 - 1))^2 - 1, value only: the smooth-distortion route."""
+
+    dim = 2
+
+    def value(self, F):
+        F = as_square(F, stack=True)
+        K = 0.5 * inner(F, F) / require_gl_plus(F)
         return (K + np.sqrt(K * K - 1.0)) ** 2 - 1.0
 
-    def dpsi(K):
-        r = np.sqrt(K * K - 1.0)
-        return 2.0 * (K + r) ** 2 / r
 
-    def d2psi(K):
-        r = np.sqrt(K * K - 1.0)
-        u = K + r
-        return 4.0 * u * u / (r * r) - 2.0 * u * u * K / r**3
-
-    Epsi = cm.DistortionEnergy(psi, dpsi, d2psi)
+def test_klin2_matches_psi_representation_off_ties():
+    # same energy through the distortion K, where both are defined
+    Epsi = Klin2ThroughK()
     Ek = cm.builtin_energy("iso2d-klin2")
     rng = np.random.default_rng(44)
     for _ in range(50):
@@ -139,6 +139,29 @@ def test_psi_energy_values_and_gradient():
     assert np.allclose(P, [[0.375, 0.0], [0.0, -0.75]], atol=1e-14)
     sig = E.cauchy_stress(conformal_2x2(1.7, 0.3))
     assert np.max(np.abs(sig)) <= 1e-12
+
+
+def test_psi_energy_bits_are_pinned():
+    # K - 1 in closed form keeps the bits it had as psi(K) with psi' = 1 and psi'' = 0
+    rng = np.random.default_rng(29)
+    F = np.stack([cm.random_def_gradient(rng, 2) for _ in range(498)] + [np.eye(2), [[1.5, -2.0], [2.0, 1.5]]])
+    H = rng.standard_normal((500, 2, 2))
+    E = cm.builtin_energy("iso2d-psi")
+    digests = {
+        name: hashlib.sha256(out.tobytes()).hexdigest()
+        for name, out in (
+            ("value", E.value(F)),
+            ("first_derivative", E.first_derivative(F)),
+            ("second_form", E.second_form(F, H)),
+            ("cauchy_stress", E.cauchy_stress(F)),
+        )
+    }
+    assert digests == {
+        "value": "346bb5c86e7a3c77bf77f405e674c96e608159ce11e72df67c800e76f8c9186f",
+        "first_derivative": "8e9fd4a3ae1a9441d53add3053a5f47262606b82be9c26827c008a744e290ba1",
+        "second_form": "855af904a0afdd1e97662e68fdd8d2eaf77ea11e60113b6c061a5640ba737cf9",
+        "cauchy_stress": "9603e17dc2914e2fbeefb44b065d88d3ad3b33ad02d502b8536989e045edd2f0",
+    }
 
 
 def test_iso3d_values():
@@ -523,17 +546,6 @@ def test_ratio_energy_second_form_at_near_coincident_singular_values_is_the_clos
     with pytest.raises(cm.ConfmechError, match=r"^no second derivative at coincident singular values "
                        r"\(matrix 1 of the stack\)$"):
         cm.builtin_energy("iso2d-klin2").second_form(np.stack([F21, near]), H)
-
-
-def test_distortion_energy_refuses_a_psi_derivative_that_is_not_finite():
-    E = cm.DistortionEnergy(
-        psi=lambda K: K, dpsi=lambda K: np.where(K < 1.1, np.inf, 1.0), d2psi=lambda K: np.inf
-    )
-    F = np.stack([F21, np.eye(2)])  # K = 1.25 and 1
-    with pytest.raises(cm.ConfmechError, match=r"^psi' is not finite at K = 1\.0 \(matrix 1 of the stack\)$"):
-        E.first_derivative(F)
-    with pytest.raises(cm.ConfmechError, match=r"^psi'' is not finite at K = 1\.25$"):
-        E.second_form(F21, np.eye(2))
 
 
 @pytest.mark.parametrize("name", ["composite2d", "composite3d"])

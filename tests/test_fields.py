@@ -888,7 +888,8 @@ TOL_LINE = "tol must be finite and at least 0, got %r"
 # each failed at the parent: for n = 0 and -3, numpy's ValueError; n = 2.5 took 2 points;
 # the tolerances refuted a field or a map that holds; the jump from I to I had rank 2, the
 # scan of no samples was "inconclusive", and samples_per_line 0 drew empty polylines and -2
-# raised numpy's ValueError
+# raised numpy's ValueError; sample_annulus took seed 1.5 as seed 1 and "7" as seed 7, and the
+# scan raised numpy's ValueError for seed -1 and a TypeError for seed 2.0
 LIBRARY_REFUSALS = [
     *[pytest.param(lambda n=n: _composite2d_field(n), COUNT_LINE % ("n", n), id="stress_field-n=%r" % n)
       for n in (0, -3, 2.5)],
@@ -904,6 +905,11 @@ LIBRARY_REFUSALS = [
     *[pytest.param(lambda k=k: cm.grid_polylines(cm.DiskRegion((0.5, 0.0), 0.21), 0.0147, samples_per_line=k),
                    COUNT_LINE % ("samples_per_line", k), id="grid_polylines-samples_per_line=%d" % k)
       for k in (0, -2)],
+    *[pytest.param(lambda seed=seed: cm.sample_annulus(cm.AnnulusDomain(2, 0.5, 0.9), 3, seed=seed),
+                   "seed must be an int, got %r" % seed, id="sample_annulus-seed=%r" % seed) for seed in (1.5, "7")],
+    *[pytest.param(lambda seed=seed: cm.scan_rank_one_convexity(cm.builtin_energy("iso3d"), 5, seed=seed),
+                   "seed must be an int of at least 0, got %r" % seed, id="scan_rank_one_convexity-seed=%r" % seed)
+      for seed in (-1, 2.0)],
 ]
 
 
@@ -919,4 +925,6 @@ def test_the_library_refuses_a_count_or_a_tolerance_out_of_its_rule_with_one_lin
 def test_counts_of_numpy_integer_types_are_taken():
     dom = cm.AnnulusDomain(2, 0.5, 0.9)
     assert np.array_equal(cm.sample_annulus(dom, np.int64(7), seed=3), cm.sample_annulus(dom, 7, seed=3))
+    # seeds too, negative ones included: Lcg64 takes any int
+    assert np.array_equal(cm.sample_annulus(dom, 7, seed=np.int64(-3)), cm.sample_annulus(dom, 7, seed=-3))
     assert cm.jump_check(np.eye(2), np.eye(2), tol=0.0).rank == 0

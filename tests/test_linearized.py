@@ -21,14 +21,6 @@ def test_sigma_lin_is_deviatoric_symmetric_gradient():
     assert np.array_equal(cm.sigma_lin(G), 2.0 * dev(sym(G)))
 
 
-def test_w_lin_3d_composite_value():
-    G = np.array([[0.2, 0.1, 0.0], [-0.1, 0.2, 0.3], [0.0, -0.3, 0.2]])
-    expect = 2.0 * float(np.sum(dev(sym(G)) ** 2)) + float(np.trace(G)) ** 2
-    assert abs(cm.w_lin_3d_composite(G) - expect) <= 1e-13
-    # trace term present: pure dilation is penalized in the composite model
-    assert cm.w_lin_3d_composite(np.eye(3)) == 9.0
-
-
 def test_kernel_displacement_closed_form_point():
     k = cm.KernelDisplacement(beta=1.5, gamma=-0.25, p_hat=0.75, spin=0.5, b_hat=(0.3, -0.2))
     assert np.allclose(k.w, [0.25, 1.5])

@@ -219,6 +219,18 @@ def test_libm_pow_matches_scalar_power_bits():
     assert cm.tensors.libm_pow(2.0, 0.5) == 2.0**0.5
 
 
+@pytest.mark.filterwarnings("error")
+def test_libm_pow_gives_ieee_results_where_math_pow_raises():
+    # math.pow raised OverflowError past the float range and ValueError at a pole or a
+    # negative base with a fractional p; those elements take C's pow, the others keep their bits
+    pow_ = cm.tensors.libm_pow
+    a = np.array([1e200, -1e200, 1.5, -2.0])
+    assert pow_(a, 3.0).tolist() == [np.inf, -np.inf, 1.5**3.0, -8.0]
+    assert pow_(np.array([0.0, -0.0, 4.0]), -1.0).tolist() == [np.inf, -np.inf, 0.25]
+    assert np.isnan(pow_(-2.0, 0.5)) and pow_(np.array([-2.0, 4.0]), 0.5)[1] == 2.0
+    assert pow_(1e300, 2.0) == np.inf
+
+
 def rotation(angle):
     return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 
