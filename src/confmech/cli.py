@@ -16,6 +16,11 @@ e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is exactly phi2d.  Möbius maps are
 sampled on the default annulus 0.5 <= |x| <= 0.9 since no admissible
 determinant band is known for them.
 
+The module loads conformal, energies, fields and tensors, which every
+subcommand uses.  check-convexity, render-grid and linearized-demo import
+convexity, gridplot and linearized when they run, so a process of another
+subcommand never loads those three.
+
 Payloads are written by fields.json_text, with the bytes of
 json.dumps(payload, indent=2); a payload that holds a NaN or an infinity is
 refused with exit 2 and one line, "the result is not valid JSON: ...".
@@ -36,12 +41,6 @@ from .conformal import (
     SphereReflection,
     is_conformal_at,
 )
-from .convexity import (
-    ks_grid_scan,
-    ratio_minus_one_squared,
-    ratio_minus_one_squared_derivatives,
-    scan_rank_one_convexity,
-)
 from .energies import BUILTIN_ENERGIES, DEFAULT_C, builtin_energy
 from .exceptions import ConfmechError
 from .fields import (
@@ -54,15 +53,6 @@ from .fields import (
     write_field_csv,
     write_summary_json,
     summary_to_dict,
-)
-from .gridplot import GRID_SPACING, SAMPLES_PER_LINE, DiskRegion, render_grid_svg
-from .linearized import (
-    KernelDisplacement,
-    conformal_quadratic_approx,
-    kernel_displacement,
-    quadratic_approx_error,
-    sigma_lin,
-    w_lin_2d,
 )
 from .tensors import dev, frobenius_norm, require_count, require_seed, sym
 
@@ -125,6 +115,10 @@ def _cmd_stress_field(args):
 
 
 def _cmd_check_convexity(args):
+    from .convexity import (
+        ks_grid_scan, ratio_minus_one_squared, ratio_minus_one_squared_derivatives, scan_rank_one_convexity
+    )
+
     energy = builtin_energy(args.energy, c=args.c)
     report = scan_rank_one_convexity(energy, n_samples=args.samples, seed=args.seed)
     payload = {
@@ -206,6 +200,8 @@ def _cmd_jump_check(args):
 
 
 def _cmd_render_grid(args):
+    from .gridplot import GRID_SPACING, SAMPLES_PER_LINE, DiskRegion, render_grid_svg
+
     mapping, _ = parse_map_spec(args.map)
     if mapping.dim != 2:
         raise ConfmechError("render-grid draws planar maps only")
@@ -214,13 +210,18 @@ def _cmd_render_grid(args):
         mapping,
         region,
         args.out,
-        spacing=args.spacing,
-        samples_per_line=args.resolution,
+        spacing=GRID_SPACING if args.spacing is None else args.spacing,
+        samples_per_line=SAMPLES_PER_LINE if args.resolution is None else args.resolution,
     )
     return "wrote %s" % args.out, True
 
 
 def _cmd_linearized_demo(args):
+    from .linearized import (
+        KernelDisplacement, conformal_quadratic_approx, kernel_displacement, quadratic_approx_error, sigma_lin,
+        w_lin_2d,
+    )
+
     # per sample: beta, gamma, p_hat, spin and b_hat in [-2, 2), then x in [-1.5, 1.5)^2
     n = require_count(args.n, "n")
     low = np.array([-2.0] * 6 + [-1.5] * 2)
@@ -300,8 +301,9 @@ def build_parser():
     p = sub.add_parser("render-grid", help="SVG of a gridded disk and its image")
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, default=SAMPLES_PER_LINE, help="samples per grid line")
-    p.add_argument("--spacing", type=float, default=GRID_SPACING)
+    # None: gridplot's SAMPLES_PER_LINE and GRID_SPACING, read where render-grid loads gridplot
+    p.add_argument("--resolution", type=int, default=None, help="samples per grid line")
+    p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--cx", type=float, default=0.5)
     p.add_argument("--cy", type=float, default=0.0)
     p.add_argument("--radius", type=float, default=0.21)

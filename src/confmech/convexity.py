@@ -26,10 +26,10 @@ raises LeavesGLPlus, which scan_rank_one_convexity catches.  That scan never
 silently promotes a borderline result: values inside the band +-MARGIN
 count as "elliptic" only when the energy's second_form is analytic
 (energy.analytic), otherwise the verdict is "inconclusive".
+The four reports are immutable NamedTuples.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,8 +64,7 @@ def lh_form(energy, F, xi, eta):
     return energy.second_form(F, xi[..., :, None] * eta[..., None, :]) / n2
 
 
-@dataclass(frozen=True)
-class LineScanResult:
+class LineScanResult(NamedTuple):
     verdict: str  # strictly_convex | convex | nonconvex
     min_second_difference: float
     t_at_min: float
@@ -190,8 +189,7 @@ def ratio_minus_one_squared_derivatives(l1, l2):
     return tuple(np.where(swap, x, y)[()] for x, y in pairs)
 
 
-@dataclass(frozen=True)
-class HCriterionResult:
+class HCriterionResult(NamedTuple):
     verdict: str  # strictly rank-one convex | rank-one convex | not rank-one convex
     convex: bool
     strictly_convex: bool
@@ -288,12 +286,11 @@ def _scan_draws(rng, dim, n_samples):
     return U, N[:, :dim], N[:, dim:]
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     verdict: str  # strictly-elliptic | elliptic | violated | inconclusive
     min_lh_form: float
     n_samples: int
-    witnesses: list = field(default_factory=list)  # (F, xi, eta, value) near the minimum
+    witnesses: list  # (F, xi, eta, value) near the minimum
 
 
 def scan_rank_one_convexity(energy, n_samples=1000, seed=0):

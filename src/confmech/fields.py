@@ -32,12 +32,18 @@ writer of the package (the CLI payloads and write_summary_json), gives the
 text of json.dumps(obj, indent=2, allow_nan=False) with each distinct float
 formatted once, and refuses a NaN, an infinity or a type JSON has no text for
 with a one-line ConfmechError.
+
+The records are immutable NamedTuples: AnnulusDomain refuses its bad
+shells in __new__, and StressFieldSummary copies with _replace.
+FieldSamples is a __slots__ class of five read-only stacks, since len,
+indexing and iteration take it by points.  No record is a dataclass, whose
+methods are compiled with exec when the module loads.
 """
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -93,27 +99,28 @@ class Lcg64:
         return (s >> np.uint64(11)) / float(1 << 53)
 
 
-@dataclass(frozen=True)
-class AnnulusDomain:
-    """The shell r_min <= |x| <= r_max of dimension dim, the int 2 or 3.
+class AnnulusDomain(namedtuple("AnnulusDomain", "dim r_min r_max")):
+    """The shell r_min <= |x| <= r_max of dimension dim, the int 2 or 3; an immutable NamedTuple.
 
     Refused unless 0 < r_min < r_max, r_min >= 2^-511 and r_max sqrt(dim) <=
     RADIUS_CEILING: past them |x|^2 overflows or underflows to 0, and no draw is kept.
+    _make and _replace go through the same refusals.
     """
 
-    dim: int
-    r_min: float
-    r_max: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_dim(self.dim)
-        if not (0.0 < self.r_min < self.r_max):
+    def __new__(cls, dim, r_min, r_max):
+        require_dim(dim)
+        if not (0.0 < r_min < r_max):
             raise ConfmechError("need 0 < r_min < r_max")
-        if not (self.r_min >= 2.0**-511 and self.r_max * math.sqrt(self.dim) <= RADIUS_CEILING):
+        if not (r_min >= 2.0**-511 and r_max * math.sqrt(dim) <= RADIUS_CEILING):
             raise ConfmechError(
                 "annulus %r <= |x| <= %r needs r_min >= 2^-511 and r_max sqrt(dim) <= %r"
-                % (self.r_min, self.r_max, RADIUS_CEILING)
+                % (r_min, r_max, RADIUS_CEILING)
             )
+        return super().__new__(cls, dim, r_min, r_max)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def acceptance_rate(self):
         """Share of the bounding box [-r_max, r_max]^dim inside the annulus."""
@@ -166,29 +173,29 @@ def sample_annulus(dom, n, seed=0):
     return np.concatenate(blocks)
 
 
-@dataclass(frozen=True)
 class FieldSamples:
     """A sampled field as stacks: point i is x[i], F[i], det_F[i], sigma[i], energy[i].
 
     samples[i] is the FieldSamples row of point i, each stack indexed by i
-    (a slice or an index array gives the FieldSamples of those points).
+    (a slice or an index array gives the FieldSamples of those points), and
+    len and iteration go by points.  The five stacks are read-only attributes.
     """
 
-    x: np.ndarray  # (n, dim)
-    F: np.ndarray  # (n, dim, dim)
-    det_F: np.ndarray  # (n,)
-    sigma: np.ndarray  # (n, dim, dim)
-    energy: np.ndarray  # (n,)
+    __slots__ = ("_stacks",)
+    # of shapes (n, dim), (n, dim, dim), (n,), (n, dim, dim) and (n,)
+    x, F, det_F, sigma, energy = (property(lambda self, i=i: self._stacks[i]) for i in range(5))
+
+    def __init__(self, x, F, det_F, sigma, energy):
+        self._stacks = (x, F, det_F, sigma, energy)
 
     def __len__(self):
         return len(self.x)
 
     def __getitem__(self, i):
-        return FieldSamples(self.x[i], self.F[i], self.det_F[i], self.sigma[i], self.energy[i])
+        return FieldSamples(*(stack[i] for stack in self._stacks))
 
 
-@dataclass(frozen=True)
-class StressFieldSummary:
+class StressFieldSummary(NamedTuple):
     n_samples: int
     mean_sigma: np.ndarray
     max_deviation: float  # max Frobenius distance of any sigma from the mean

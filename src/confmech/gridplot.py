@@ -10,7 +10,7 @@ GRID_VERTEX_BUDGET vertices or a chord index of 2^53 is refused first.
 """
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,24 +27,28 @@ PANEL = 380.0  # side of each square panel
 GAP = 40.0  # between the two panels
 
 
-@dataclass(frozen=True)
-class DiskRegion:
-    """The disk |x - center| <= radius: a center of two finite numbers, a radius > 0 of finite square."""
+class DiskRegion(namedtuple("DiskRegion", "center radius")):
+    """The disk |x - center| <= radius: a center of two finite numbers, a radius > 0 of finite square.
 
-    center: tuple
-    radius: float
+    An immutable NamedTuple; _make and _replace go through the same refusals.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, center, radius):
         try:
-            pair = [isinstance(c, numbers.Real) for c in self.center]
+            pair = [isinstance(c, numbers.Real) for c in center]
         except TypeError:
             pair = []
         if pair != [True, True]:
-            shown = " ".join(repr(self.center).split())  # one line, also for an array
+            shown = " ".join(repr(center).split())  # one line, also for an array
             raise ConfmechError("disk center must be two numbers, got %s" % shown)
-        if not (np.all(np.isfinite(self.center)) and 0.0 < self.radius <= RADIUS_CEILING):
-            at = (np.asarray(self.center, dtype=float), float(self.radius))
+        if not (np.all(np.isfinite(center)) and 0.0 < radius <= RADIUS_CEILING):
+            at = (np.asarray(center, dtype=float), float(radius))
             raise ConfmechError("disk needs a finite center and a radius > 0 of finite square: %s, %r" % at)
+        return super().__new__(cls, center, radius)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):

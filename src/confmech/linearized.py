@@ -13,7 +13,7 @@ member with w = (16, 0), p = -13, A = 0, b = (6, 0); its closeness to the true
 map is measured on the small disk where the approximation was derived.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,22 +39,20 @@ def sigma_lin(grad_u):
     return 2.0 * dev(sym(G))
 
 
-@dataclass(frozen=True)
-class KernelDisplacement:
+class KernelDisplacement(namedtuple("KernelDisplacement", "beta gamma p_hat spin b_hat")):
     """Parameters (beta, gamma, p_hat, spin, b_hat) of a planar conformal Killing field.
 
     The skew part is A = [[0, spin], [-spin, 0]].  One field, or a
     stack of them: beta, gamma, p_hat and spin of shape (...), b_hat (..., 2).
+    An immutable NamedTuple that takes b_hat as a point, also in _make and _replace.
     """
 
-    beta: float
-    gamma: float
-    p_hat: float
-    spin: float
-    b_hat: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b_hat", _as_point(self.b_hat, 2, stack=True))
+    def __new__(cls, beta, gamma, p_hat, spin, b_hat):
+        return super().__new__(cls, beta, gamma, p_hat, spin, _as_point(b_hat, 2, stack=True))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def w(self):

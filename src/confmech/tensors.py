@@ -160,19 +160,23 @@ def refuse_where(bad, message, *at, note=False):
     raise ConfmechError(text + (" (matrix %d of the stack)" % i if note and bad.ndim else ""))
 
 
+# which compare as 0 and 1, where a count, a seed or a tolerance is meant
+_BOOLS = (bool, np.bool_)
+
+
 def require_count(n, name):
-    """n as an int, refused unless it is an int (a float such as 2.0 is not) of at least 1."""
-    ok = isinstance(n, numbers.Integral) and n >= 1
+    """n as an int, refused unless it is an int (a float such as 2.0 is not, nor a bool) of at least 1."""
+    ok = isinstance(n, numbers.Integral) and type(n) not in _BOOLS and n >= 1
     refuse_where(not ok, "%s must be an int of at least 1, got %r", name, n)
     return int(n)
 
 
 def require_seed(seed, numpy=False):
-    """seed as an int, refused unless it is an int (a float such as 2.0 is not); with numpy, of at least 0.
+    """seed as an int, refused unless it is an int (a float such as 2.0 is not, nor a bool); with numpy, >= 0.
 
     numpy's default_rng takes seeds >= 0 only, where the Lcg64 sampler takes any int.
     """
-    ok = isinstance(seed, numbers.Integral) and not (numpy and seed < 0)
+    ok = isinstance(seed, numbers.Integral) and type(seed) not in _BOOLS and not (numpy and seed < 0)
     refuse_where(not ok, "seed must be an int%s, got %r", " of at least 0" if numpy else "", seed)
     return int(seed)
 
@@ -184,8 +188,8 @@ def require_dim(dim):
 
 
 def require_tolerance(tol):
-    """Refuse a tol that is not finite and at least 0, by one float comparison."""
-    refuse_where(not 0.0 <= tol < math.inf, "tol must be finite and at least 0, got %r", tol)
+    """Refuse a tol that is not finite and at least 0, by one float comparison, or that is a bool."""
+    refuse_where(not 0.0 <= tol < math.inf or type(tol) in _BOOLS, "tol must be finite and at least 0, got %r", tol)
 
 
 def require_gl_plus(F):

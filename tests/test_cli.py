@@ -1,7 +1,6 @@
 """Command line interface, exercised in process through main()."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -280,7 +279,7 @@ def test_non_finite_payload_exits_two_with_one_line(capsys, tmp_path, monkeypatc
     # summary were written; now it exits 2 with one line and writes no file
     def nan_field(*args, **kwargs):
         samples, summary = confmech.stress_field(*args, **kwargs)
-        return samples, dataclasses.replace(summary, max_deviation=math.nan)
+        return samples, summary._replace(max_deviation=math.nan)
 
     monkeypatch.setattr(confmech.cli, "stress_field", nan_field)
     files = ["--out", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")]
@@ -303,7 +302,7 @@ def test_non_finite_payload_exits_two_with_one_line(capsys, tmp_path, monkeypatc
 def test_a_non_finite_payload_value_gives_the_json_module_line(capsys, monkeypatch, value, shown):
     def field(*args, **kwargs):
         samples, summary = confmech.stress_field(*args, **kwargs)
-        return samples, dataclasses.replace(summary, max_deviation=value)
+        return samples, summary._replace(max_deviation=value)
 
     monkeypatch.setattr(confmech.cli, "stress_field", field)
     with pytest.raises(SystemExit) as exc:
@@ -321,7 +320,7 @@ def test_a_non_finite_summary_is_refused_before_its_file_is_opened(tmp_path):
     _, summary = confmech.stress_field(energy, phi, dom, 5)
     path = tmp_path / "s.json"
     with pytest.raises(confmech.ConfmechError, match="Out of range float values are not JSON compliant: nan"):
-        confmech.write_summary_json(path, dataclasses.replace(summary, max_deviation=math.nan))
+        confmech.write_summary_json(path, summary._replace(max_deviation=math.nan))
     assert not path.exists()
 
 
@@ -645,6 +644,44 @@ def test_python_dash_m_confmech_runs_the_command_line():
         [sys.executable, "-m", "confmech", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0 and proc.stdout == "confmech %s\n" % confmech.__version__
+
+
+# the modules that only some subcommands use, and the dataclasses no record is built with
+LAZY_MODULES = ("confmech.convexity", "confmech.linearized", "confmech.gridplot", "dataclasses")
+COLD_START = """
+import json, sys
+import confmech, confmech.cli
+{setup}
+code = confmech.cli.main({argv!r})
+print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
+"""
+
+
+def cold_start(argv, setup=""):
+    """(exit code, loaded LAZY_MODULES) of cli.main(argv) in a fresh process that imports confmech and its cli."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    code = COLD_START.format(setup=setup, argv=argv, lazy=LAZY_MODULES)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_stress_field_loads_no_module_it_does_not_use(tmp_path):
+    # the field3d-csv benchmark's objects, then its command
+    setup = 'confmech.builtin_energy("composite3d"), confmech.InversionFlip(3), confmech.admissible_annulus("phi3d")'
+    argv = ["stress-field", "--energy", "composite3d", "--map", "phi3d", "--n", "100",
+            "--out", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")]
+    assert cold_start(argv, setup) == (0, [])
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["check-convexity", "--energy", "iso2d-klin2", "--samples", "20"], "confmech.convexity"),
+    (["render-grid", "--map", "phi2d", "--out", "grid.svg"], "confmech.gridplot"),
+    (["linearized-demo", "--n", "20"], "confmech.linearized"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_cold_subcommand_loads_its_module(tmp_path, argv, module):
+    argv = [str(tmp_path / a) if a == "grid.svg" else a for a in argv]
+    assert cold_start(argv) == (0, [module])
 
 
 def test_usage_error_prints_plain_floats(capsys):

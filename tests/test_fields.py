@@ -922,6 +922,27 @@ def test_the_library_refuses_a_count_or_a_tolerance_out_of_its_rule_with_one_lin
     assert str(exc.value) == line
 
 
+# each was taken while the rules let a bool through, since a bool is a numbers.Integral and
+# compares as 0 or 1: one point, "strictly-elliptic" from one sample, a field checked at tolerance 1.0
+BOOL_REFUSALS = [
+    (lambda: cm.sample_annulus(cm.admissible_annulus("phi2d"), True, seed=False), COUNT_LINE % ("n", True)),
+    (lambda: cm.sample_annulus(cm.admissible_annulus("phi2d"), 3, seed=False), "seed must be an int, got False"),
+    (lambda: cm.scan_rank_one_convexity(cm.builtin_energy("iso3d"), True, seed=True),
+     COUNT_LINE % ("n_samples", True)),
+    (lambda: cm.scan_rank_one_convexity(cm.builtin_energy("iso3d"), 3, seed=True),
+     "seed must be an int of at least 0, got True"),
+    (lambda: _composite2d_field(5, tol=True), TOL_LINE % True),
+    (lambda: cm.jump_check(np.eye(2), np.eye(2), tol=np.True_), TOL_LINE % True),
+]
+
+
+def test_a_bool_is_refused_as_a_count_a_seed_and_a_tolerance():
+    for call, line in BOOL_REFUSALS:
+        with pytest.raises(cm.ConfmechError) as exc:
+            call()
+        assert str(exc.value) == line
+
+
 def test_counts_of_numpy_integer_types_are_taken():
     dom = cm.AnnulusDomain(2, 0.5, 0.9)
     assert np.array_equal(cm.sample_annulus(dom, np.int64(7), seed=3), cm.sample_annulus(dom, 7, seed=3))

@@ -6,9 +6,11 @@ import pathlib
 
 import pytest
 
+import confmech
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "confmech"
-# __init__ imports its names to re-export them
+# __init__ holds the table of the names it re-exports, imported on first access
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # what a user runs: the package's other modules, the demos and the benchmark
 READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
@@ -38,13 +40,34 @@ def test_module_uses_every_name_it_imports(path):
 
 
 def exported_names(source):
-    """The names that source binds by `from ... import`, in source order."""
-    return [
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    """The names that source binds by `from ... import` or lists in its _EXPORTS table {module: names}."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+            names += [name for group in ast.literal_eval(node.value).values() for name in group]
+    return names
+
+
+def test_exported_names_reads_imports_and_the_export_table():
+    source = (
+        "import math\nfrom .tensors import det, svd as singular_values\n"
+        "_EXPORTS = {'fields': ('stress_field', 'jump_check'), 'gridplot': ('DiskRegion',)}\n"
+        "_OTHER = {'tensors': ('sym',)}\n"
+    )
+    assert exported_names(source) == ["det", "singular_values", "stress_field", "jump_check", "DiskRegion"]
+
+
+def test_the_export_table_is_what_the_package_serves():
+    names = exported_names((SRC / "__init__.py").read_text())
+    assert sorted(names) == sorted(confmech.__all__) and len(names) == len(set(names)) > 50
+    listed = dir(confmech)
+    for name in names:
+        assert name in listed, name
+        value = getattr(confmech, name)
+        assert value is getattr(getattr(confmech, confmech._MODULE_OF[name]), name), name
+    assert not hasattr(confmech, "no_such_name") and "no_such_name" not in listed
 
 
 def read_names(source):
