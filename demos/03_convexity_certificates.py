@@ -33,20 +33,17 @@ print("min over 2000 random (F, xi, eta): %.4e" % worst)
 #    report of numpy scalars, a grid one report of grid-shaped arrays; the
 #    five values of a point are g_11, g_22, the shear condition and the one
 #    beside it (or, on coincident stretches, the two that replace them), and
-#    the last condition.
-rep = cm.knowles_sternberg(
-    cm.ratio_minus_one_squared, 2.0, 1.0,
-    derivatives=cm.ratio_minus_one_squared_derivatives,
-)
+#    the last condition.  ratio_profile turns any profile h, with its h' and
+#    h'', into g and its analytic partials, by the chain rule the planar
+#    ratio energy uses.
+g, partials = cm.ratio_profile(lambda s: (s - 1)**2, lambda s: 2*(s - 1), lambda s: 2.0)
+rep = cm.knowles_sternberg(g, 2.0, 1.0, derivatives=partials)
 g11, g22, shear, other, last = rep.values
 print("at (2, 1): g_11 = %s, g_22 = %s, shear condition = %s" % (g11, g22, shear))
 print("remaining conditions: %.6f, %.6f" % (other, last))
 
 lams = np.logspace(-1.0, 1.0, 30)
-grid = cm.ks_grid_scan(
-    cm.ratio_minus_one_squared, lams,
-    derivatives=cm.ratio_minus_one_squared_derivatives,
-)
+grid = cm.ks_grid_scan(g, lams, derivatives=partials)
 print("grid: %d points (%d on coincident stretches), min condition value %.4e, all strict: %s"
       % (grid.strict.size, np.count_nonzero(grid.coincident), np.min(grid.values), np.all(grid.strict)))
 

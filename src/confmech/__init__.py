@@ -33,8 +33,8 @@ _EXPORTS = {
     ),
     "convexity": (
         "ConvexityReport", "HCriterionResult", "KSReport", "LineScanResult", "h_criterion", "knowles_sternberg",
-        "ks_grid_scan", "lh_form", "random_def_gradient", "rank_one_line_scan", "ratio_minus_one_squared",
-        "ratio_minus_one_squared_derivatives", "scan_rank_one_convexity",
+        "ks_grid_scan", "lh_form", "random_def_gradient", "rank_one_line_scan", "ratio_profile",
+        "scan_rank_one_convexity",
     ),
     "linearized": (
         "KernelDisplacement", "conformal_quadratic_approx", "kernel_displacement", "quadratic_approx_error",

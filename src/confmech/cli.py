@@ -115,9 +115,7 @@ def _cmd_stress_field(args):
 
 
 def _cmd_check_convexity(args):
-    from .convexity import (
-        ks_grid_scan, ratio_minus_one_squared, ratio_minus_one_squared_derivatives, scan_rank_one_convexity
-    )
+    from .convexity import scan_rank_one_convexity
 
     energy = builtin_energy(args.energy, c=args.c)
     report = scan_rank_one_convexity(energy, n_samples=args.samples, seed=args.seed)
@@ -131,18 +129,6 @@ def _cmd_check_convexity(args):
             for F, xi, eta, v in report.witnesses
         ],
     }
-    if args.energy == "iso2d-klin2":
-        lams = np.logspace(-1.0, 1.0, 30)
-        grid = ks_grid_scan(
-            ratio_minus_one_squared, lams, derivatives=ratio_minus_one_squared_derivatives
-        )
-        # tolist: Python floats and bools, one row per point in C order
-        a, b, ok = (c.ravel().tolist() for c in (grid.lambda1, grid.lambda2, grid.strict))
-        payload["ks_grid"] = [
-            {"lambda1": x, "lambda2": y, "values": v, "strict": s}
-            for x, y, v, s in zip(a, b, grid.values.reshape(-1, 5).tolist(), ok)
-        ]
-        payload["ks_all_strict"] = bool(grid.strict.all())
     return payload, report.verdict in ("strictly-elliptic", "elliptic")
 
 

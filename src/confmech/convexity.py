@@ -7,8 +7,10 @@ Three complementary instruments:
 * 1D restrictions W(F + t xi (x) eta) classified by second differences
   (rank_one_line_scan),
 * the classical two-dimensional ellipticity conditions on the principal
-  stretch representation g(l1, l2) (knowles_sternberg), together with the
-  convex/non-decreasing criterion on the ratio profile h (h_criterion).
+  stretch representation g(l1, l2) (knowles_sternberg), whose g and
+  analytic partials ratio_profile builds from any planar profile h with
+  energies' one chain rule, together with the convex/non-decreasing
+  criterion on the ratio profile h (h_criterion).
 
 lh_form takes one (F, xi, eta) or stacks of them, in one second_form
 call.  random_def_gradient draws its stretches and angles in one
@@ -34,10 +36,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energies import _profile, _values
+from .energies import _profile, _ratio_partials, _values
 from .exceptions import ConfmechError, LeavesGLPlus
 from .tensors import (
-    as_square, from_entries, libm_pow, refuse_where, require_count, require_dim, require_gl_plus, require_seed
+    as_square, from_entries, refuse_where, require_count, require_dim, require_gl_plus, require_seed
 )
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
@@ -162,31 +164,25 @@ def knowles_sternberg(g, lam1, lam2, derivatives):
     return KSReport(l1[()], l2[()], values, coincident[()], strict[()])
 
 
-def ratio_minus_one_squared(l1, l2):
-    """g(l1, l2) = (max/min - 1)^2, one pair or arrays of stretches.
+def ratio_profile(h, dh, d2h):
+    """(g, partials) of W = h(lmax/lmin) in the stretches: the inputs of knowles_sternberg and ks_grid_scan.
 
-    This is the g whose Knowles-Sternberg grid check-convexity reports for
-    iso2d-klin2; that energy's own profile is h(s) = s^2 - 1, not (s - 1)^2.
+    g(l1, l2) = h(max/min), and partials gives its (g1, g2, g11, g22, g12)
+    by energies' one chain rule, swapped with the stretches where l1 < l2;
+    both take one pair or arrays, and call h, dh and d2h once on the ratios
+    (a pair gets a grid point's bits if h's powers go through libm_pow).
     """
-    s = np.where(l1 >= l2, l1 / l2, l2 / l1)
-    return libm_pow(s - 1.0, 2.0)
 
+    def g(l1, l2):
+        return _profile(h, np.maximum(l1, l2) / np.minimum(l1, l2))
 
-def ratio_minus_one_squared_derivatives(l1, l2):
-    """Analytic partials of ratio_minus_one_squared, one pair or arrays of stretches.
+    def partials(l1, l2):
+        swap = l1 < l2
+        ga, gb, gaa, gbb, gab = _ratio_partials(dh, d2h, np.maximum(l1, l2), np.minimum(l1, l2))
+        pairs = ((gb, ga), (ga, gb), (gbb, gaa), (gaa, gbb), (gab, gab))
+        return tuple(np.where(swap, x, y)[()] for x, y in pairs)
 
-    The branch formulas hold for l1 >= l2; the other branch follows by symmetry.
-    """
-    swap = l1 < l2
-    a = np.where(swap, l2, l1)
-    b = np.where(swap, l1, l2)
-    ga = 2.0 * (a - b) / libm_pow(b, 2.0)
-    gb = -2.0 * a * (a - b) / libm_pow(b, 3.0)
-    gaa = 2.0 / libm_pow(b, 2.0)
-    gbb = 2.0 * a * (3.0 * a - 2.0 * b) / libm_pow(b, 4.0)
-    g12 = 2.0 * (b - 2.0 * a) / libm_pow(b, 3.0)
-    pairs = ((gb, ga), (ga, gb), (gbb, gaa), (gaa, gbb), (g12, g12))
-    return tuple(np.where(swap, x, y)[()] for x, y in pairs)
+    return g, partials
 
 
 class HCriterionResult(NamedTuple):

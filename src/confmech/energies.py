@@ -10,12 +10,13 @@ Four families:
 
 Every energy exposes value / first_derivative / second_form / cauchy_stress.
 The four families are closed forms, PlanarRatioEnergy's from its profile's
-derivatives, nearly coincident planar singular values included (the closed
-form's limit), and set the boolean `analytic`; an EnergyModel subclass that
-defines value() only inherits the finite-difference routes and keeps
-analytic = False.  The module level fd_* functions are the independent
-oracles: they touch nothing but value() and are the comparison side of
-every derivative test.
+derivatives through _ratio_partials, the one chain rule to the stretch
+partials, which convexity.ratio_profile shares, nearly coincident planar
+singular values included (the closed form's limit), and set `analytic`;
+an EnergyModel subclass that defines value() only inherits the
+finite-difference routes and keeps analytic = False.  The module level
+fd_* functions are the independent oracles: they touch nothing but
+value() and are the comparison side of every derivative test.
 
 Throughout, first_derivative returns the Frechet derivative D_F W (same
 shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
@@ -106,11 +107,30 @@ def fd_second_form(energy, F, H):
 
 
 def _profile(fn, x):
-    """fn at each x, as floats in the shape of x (a constant result is broadcast)."""
+    """fn at each x, as floats in the shape of x: a constant is broadcast, a result that cannot be is refused."""
     v = np.asarray(fn(x), dtype=float)
     if v.shape != np.shape(x):
-        v = np.broadcast_to(v, np.shape(x))
+        try:
+            v = np.broadcast_to(v, np.shape(x))
+        except ValueError:
+            message = "a profile must return a constant or one value per ratio: shape %s (want %s)"
+            raise ConfmechError(message % (v.shape, np.shape(x))) from None
     return v[()]
+
+
+def _ratio_partials(dh, d2h, l1, l2):
+    """(g1, g2, g11, g22, g12) of g(l1, l2) = h(l1 / l2) at l1 >= l2, one pair or arrays, from dh and d2h.
+
+    The one chain rule of PlanarRatioEnergy.second_form and convexity.ratio_profile.
+    """
+    ratio = l1 / l2
+    h1, h2 = _profile(dh, ratio), _profile(d2h, ratio)
+    l2_sq = libm_pow(l2, 2.0)
+    g1, g2 = h1 / l2, -h1 * ratio / l2
+    g11 = h2 / l2_sq
+    g22 = (h2 * ratio * ratio + 2.0 * h1 * ratio) / l2_sq
+    g12 = -(h2 * ratio + h1) / l2_sq
+    return g1, g2, g11, g22, g12
 
 
 class EnergyModel:
@@ -265,13 +285,7 @@ class PlanarRatioEnergy(EnergyModel):
         near = (s0 - s1) / s0 < NEAR_TIE_GAP
         no_form = near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)
         refuse_where(no_form, "no second derivative at coincident singular values", note=True)
-        ratio = s0 / s1
-        h1, h2 = _profile(self.dh, ratio), _profile(self.d2h, ratio)
-        s1_sq = libm_pow(s1, 2.0)
-        g1, g2 = h1 / s1, -h1 * ratio / s1
-        g11 = h2 / s1_sq
-        g22 = (h2 * ratio * ratio + 2.0 * h1 * ratio) / s1_sq
-        g12 = -(h2 * ratio + h1) / s1_sq
+        g1, g2, g11, g22, g12 = _ratio_partials(self.dh, self.d2h, s0, s1)
         Ht = _entries(transpose(U) @ np.ascontiguousarray(as_square(H, stack=True)) @ V)
         denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a tie, where g11 is taken
@@ -466,7 +480,9 @@ def builtin_energy(name, c=DEFAULT_C):
     rank-one convex.  iso2d-psi is DistortionEnergy, W(F) = K(F) - 1 in
     closed form, strictly rank-one convex too: its ratio profile
     (s - 1)^2 / (2 s), non-decreasing with h'' = 1 / s^3 > 0, passes
-    h_criterion as strictly rank-one convex.
+    h_criterion as strictly rank-one convex.  A planar builtin's
+    Knowles-Sternberg grid is that of convexity.ratio_profile of its own
+    profile; check-convexity reports the LH scan alone, for every name.
     composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
     iso3d.  klin2's h'(1) = 2 is a corner on CSO(2), where its stress is
     the minimal-norm subgradient 0 by convention, so composite2d's field on

@@ -84,18 +84,10 @@ def test_criterion_03_strict_rank_one_convexity_3d():
 def test_criterion_04_strict_rank_one_convexity_2d():
     """Two-sided stretch criteria for the squared ratio energy on a log grid."""
     lams = np.logspace(-1.0, 1.0, 30)
-    grid = cm.ks_grid_scan(
-        cm.ratio_minus_one_squared,
-        lams,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
-    )
+    g, partials = cm.ratio_profile(lambda s: (s - 1.0) ** 2, lambda s: 2.0 * (s - 1.0), lambda s: 2.0)
+    grid = cm.ks_grid_scan(g, lams, derivatives=partials)
     all_positive = bool(np.all(grid.values > 0.0))
-    spot = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared,
-        2.0,
-        1.0,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
-    )
+    spot = cm.knowles_sternberg(g, 2.0, 1.0, derivatives=partials)
     # g11, g22 and cond_ii: off the coincident-stretch band
     spot_ok = not spot.coincident and bool(np.all(np.abs(spot.values[:3] - [2.0, 16.0, 8.0]) <= 1e-6))
     ok = all_positive and spot_ok and grid.strict.shape == (30, 30)

@@ -130,20 +130,19 @@ def test_check_convexity_klin2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "strictly-elliptic"
-    assert payload["ks_all_strict"] is True
-    assert len(payload["ks_grid"]) == 900
     assert len(payload["witnesses"]) == 3
 
 
-def test_check_convexity_other_energies(capsys):
-    for name in ("iso2d-psi", "iso3d", "composite2d", "composite3d"):
+def test_check_convexity_payload_has_one_shape_for_every_builtin(capsys):
+    # iso2d-klin2's payload carried a Knowles-Sternberg grid of (s - 1)^2, not of its own s^2 - 1
+    for name in confmech.BUILTIN_ENERGIES:
         code, out = run(
             capsys, "check-convexity", "--energy", name, "--samples", "200"
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "strictly-elliptic"
-        assert "ks_grid" not in payload
+        assert list(payload) == ["energy", "verdict", "min_lh_form", "n_samples", "witnesses"]
 
 
 def test_check_conformal_phi_maps(capsys):
@@ -176,6 +175,13 @@ def test_composite2d_fd_field_shows_the_corner_of_its_iso_part_on_cso2(capsys):
     payload = json.loads(out)
     assert code == 1 and payload["admissible"] is True and payload["homogeneous"] is False
     assert 1.0 <= payload["max_deviation"] <= 1.1
+    # the iso parts alone: klin2's zero stress on phi2d holds only by that convention, and
+    # iso2d-psi = K - 1, with h'(1) = 0, is stress free with a true derivative
+    iso_argv = ("stress-field", "--map", "phi2d", "--n", "1000", "--seed", "1", "--fd")
+    code, out = run(capsys, *iso_argv, "--energy", "iso2d-psi")
+    assert code == 0 and json.loads(out)["max_deviation"] <= 1e-9
+    code, out = run(capsys, *iso_argv, "--energy", "iso2d-klin2")
+    assert code == 1 and json.loads(out)["max_deviation"] >= 1.0
     code, out = run(capsys, "stress-field", "--map", "phi3d", "--energy", "composite3d", "--n", "1000",
                     "--seed", "1", "--fd")
     payload = json.loads(out)
@@ -741,21 +747,21 @@ def test_closed_stdout_is_not_a_usage_error(monkeypatch):
     [["-m", "confmech"], ["-m", "confmech.cli"], ["-c", "import sys; from confmech.cli import run; sys.exit(run())"]],
     ids=["python-m-confmech", "python-m-confmech-cli", "script"],
 )
-def test_a_reader_that_closes_stdout_after_one_line_ends_the_command_quietly(entry):
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(entry):
     # `confmech check-convexity ... | head -3` printed a BrokenPipeError traceback and exited 1.
-    # The payload is 240 kB, more than a pipe holds, so the rest is written after the close.
+    # No payload is larger than a pipe holds, so the reader closes its end before the command
+    # writes: the write fails however small the payload is.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
     argv = ["check-convexity", "--energy", "iso2d-klin2", "--samples", "3"]
-    proc = subprocess.Popen(
-        [sys.executable, *entry, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
+        proc = subprocess.Popen([sys.executable, *entry, *argv], stdout=write_end, stderr=subprocess.PIPE, env=env)
     finally:
+        os.close(write_end)
+    with proc:
+        err = proc.stderr.read()
         code = proc.wait(timeout=60)
-        proc.stderr.close()
     assert (code, err) == (CLOSED_PIPE_EXIT, b"")
     # the installed script runs what the "script" case runs
     assert 'confmech = "confmech.cli:run"' in (ROOT / "pyproject.toml").read_text()
@@ -1006,8 +1012,8 @@ def test_main_reuses_its_parser_across_calls(capsys):
 # stdout SHA-256 of the certificate commands, recorded before the certificates
 # were evaluated as stacks; every value printed is a full-precision float
 CERTIFICATE_PAYLOADS = {
-    "check-convexity --energy iso2d-klin2 --samples 500 --seed 0": "8031caeb4644face4ca4583f51645a3e7414ffe01608e3014fd5293e5c1ff620",
-    "check-convexity --energy iso2d-klin2 --samples 500 --seed 3": "276832dc23e42fd801fd4a3e6d5dded3b3d511b08eff04ea4d44ad9ab02a1029",
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 0": "eb08786168e769fb0b5158939e19a99a95a33f7504595cb4ca475e6aedaef6c1",
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 3": "0018d9d0eff4a8e635ff69b4c07794c47294bca4ff99a2156bbcee9b40f7768a",
     "check-convexity --energy iso2d-psi --samples 500 --seed 0": "baa7980e66924293a168a8a6f9c06279e5a6532e2bb5381ba20b47317be75b27",
     "check-convexity --energy iso2d-psi --samples 500 --seed 3": "b592c53e42831cc7e3b995be0d189b7b091d7feab9b94c0d85c18318e4b15de8",
     "check-convexity --energy iso3d --samples 500 --seed 0": "eb547f0adc2927dab1b1c717b374ead5206346f6c3d011d371e57ea3bf2d8629",

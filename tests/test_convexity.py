@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import confmech as cm
+from confmech.tensors import libm_pow
 
 
 class NegFrobenius(cm.EnergyModel):
@@ -27,6 +28,30 @@ class Det2(cm.EnergyModel):
 
     def second_form(self, F, H):
         return 2.0 * cm.det(H)
+
+
+# g = (lmax/lmin - 1)^2 through the one route for any planar profile; h squares through
+# libm_pow, since numpy's array ** 2 is x * x, so that one pair and a grid get the same bits
+RATIO_G, RATIO_PARTIALS = cm.ratio_profile(
+    lambda s: libm_pow(s - 1.0, 2.0), lambda s: 2.0 * (s - 1.0), lambda s: 2.0
+)
+
+
+def ratio_minus_one_squared_derivatives(l1, l2):
+    """The partials of (max/min - 1)^2 derived by hand: the oracle of ratio_profile's chain rule.
+
+    The branch formulas hold for l1 >= l2; the other branch follows by symmetry.
+    """
+    swap = l1 < l2
+    a = np.where(swap, l2, l1)
+    b = np.where(swap, l1, l2)
+    ga = 2.0 * (a - b) / libm_pow(b, 2.0)
+    gb = -2.0 * a * (a - b) / libm_pow(b, 3.0)
+    gaa = 2.0 / libm_pow(b, 2.0)
+    gbb = 2.0 * a * (3.0 * a - 2.0 * b) / libm_pow(b, 4.0)
+    g12 = 2.0 * (b - 2.0 * a) / libm_pow(b, 3.0)
+    pairs = ((gb, ga), (ga, gb), (gbb, gaa), (gaa, gbb), (g12, g12))
+    return tuple(np.where(swap, x, y)[()] for x, y in pairs)
 
 
 class OverflowingForm(cm.EnergyModel):
@@ -123,10 +148,10 @@ def test_rank_one_line_scan_leaves_gl_plus_on_both_sides_of_the_det_band(scale, 
 
 def test_knowles_sternberg_spot_values():
     rep = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared,
+        RATIO_G,
         2.0,
         1.0,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
+        derivatives=RATIO_PARTIALS,
     )
     assert not rep.coincident  # stretches are far from coincident: g11, g22, cond_ii, cond_iv, cond_v
     want = [2.0, 16.0, 8.0, np.sqrt(32.0), np.sqrt(32.0) + 16.0 / 3.0]
@@ -137,7 +162,7 @@ def test_knowles_sternberg_spot_values():
 def fd_g_partials(g, l1, l2):
     """Central-difference (g1, g2, g11, g22, g12) of g at stretches l1, l2, relative step 1e-5 per axis.
 
-    The oracle of analytic stretch partials such as ratio_minus_one_squared_derivatives.
+    The oracle of analytic stretch partials such as ratio_profile's.
     """
     h1 = 1e-5 * l1
     h2 = 1e-5 * l2
@@ -152,28 +177,28 @@ def fd_g_partials(g, l1, l2):
 
 
 def fd_ratio_partials(l1, l2):
-    return fd_g_partials(cm.ratio_minus_one_squared, l1, l2)
+    return fd_g_partials(RATIO_G, l1, l2)
 
 
 def test_knowles_sternberg_fd_route_agrees():
-    rep = cm.knowles_sternberg(cm.ratio_minus_one_squared, 2.0, 1.0, derivatives=fd_ratio_partials)
+    rep = cm.knowles_sternberg(RATIO_G, 2.0, 1.0, derivatives=fd_ratio_partials)
     assert abs(rep.values[0] - 2.0) <= 1e-4
     assert abs(rep.values[1] - 16.0) <= 1e-4
     assert abs(rep.values[2] - 8.0) <= 1e-6
     assert rep.strict
     # the analytic partials against their oracle, on both branches and off the band
     l1, l2 = np.meshgrid(np.logspace(-1.0, 1.0, 15), np.logspace(-1.0, 1.0, 15) * 1.03)
-    analytic = cm.ratio_minus_one_squared_derivatives(l1, l2)
+    analytic = RATIO_PARTIALS(l1, l2)
     for got, want in zip(analytic, fd_ratio_partials(l1, l2), strict=True):
         assert np.all(np.abs(got - want) <= 1e-4 * (1.0 + np.abs(got)))
 
 
 def test_knowles_sternberg_diagonal_band():
     rep = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared,
+        RATIO_G,
         1.0,
         1.0,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
+        derivatives=RATIO_PARTIALS,
     )
     # coincident stretches: conditions ii and iv are replaced by iii's two expressions
     assert rep.coincident and rep.strict
@@ -182,12 +207,12 @@ def test_knowles_sternberg_diagonal_band():
 
 def test_knowles_sternberg_symmetry_in_the_stretches():
     a = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared, 3.0, 0.5,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
+        RATIO_G, 3.0, 0.5,
+        derivatives=RATIO_PARTIALS,
     )
     b = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared, 0.5, 3.0,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
+        RATIO_G, 0.5, 3.0,
+        derivatives=RATIO_PARTIALS,
     )
     assert a.strict and b.strict
     assert abs(a.values[2] - b.values[2]) <= 1e-10
@@ -196,8 +221,8 @@ def test_knowles_sternberg_symmetry_in_the_stretches():
 def test_ks_grid_scan_log_grid_all_strict():
     lams = np.logspace(-1.0, 1.0, 12)
     grid = cm.ks_grid_scan(
-        cm.ratio_minus_one_squared, lams,
-        derivatives=cm.ratio_minus_one_squared_derivatives,
+        RATIO_G, lams,
+        derivatives=RATIO_PARTIALS,
     )
     assert grid.strict.shape == (12, 12) and grid.values.shape == (12, 12, 5)
     assert np.all(grid.strict)
@@ -216,8 +241,8 @@ def fd_saddle_partials(l1, l2):
 @pytest.mark.parametrize(
     "g, derivatives",
     [
-        (cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives),
-        (cm.ratio_minus_one_squared, fd_ratio_partials),
+        (RATIO_G, RATIO_PARTIALS),
+        (RATIO_G, fd_ratio_partials),
         (saddle, fd_saddle_partials),
     ],
 )
@@ -256,7 +281,7 @@ def test_stacked_ks_grid_matches_one_point_reports(g, derivatives):
 
 def test_one_point_knowles_sternberg_keeps_its_values_and_types():
     rep = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared, 2.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
+        RATIO_G, 2.0, 1.0, derivatives=RATIO_PARTIALS
     )
     # one pair: numpy scalars, and values one axis of 5
     assert (rep.lambda1, rep.lambda2) == (2.0, 1.0)
@@ -264,15 +289,35 @@ def test_one_point_knowles_sternberg_keeps_its_values_and_types():
     assert rep.values.shape == (5,) and rep.values[:3].tolist() == [2.0, 16.0, 8.0]
     assert rep.values[3] == np.sqrt(32.0)
     diag = cm.knowles_sternberg(
-        cm.ratio_minus_one_squared, 1.0, 1.0, derivatives=cm.ratio_minus_one_squared_derivatives
+        RATIO_G, 1.0, 1.0, derivatives=RATIO_PARTIALS
     )
     assert diag.values.tolist() == [2.0, 2.0, 4.0, 4.0, 4.0]
     assert all(type(v) is float for v in diag.values.tolist())
 
 
 def test_ratio_minus_one_squared_derivative_closed_forms():
-    g1, g2, g11, g22, g12 = cm.ratio_minus_one_squared_derivatives(2.0, 1.0)
-    assert (g1, g2, g11, g22, g12) == (2.0, -4.0, 2.0, 16.0, -6.0)
+    assert RATIO_PARTIALS(2.0, 1.0) == ratio_minus_one_squared_derivatives(2.0, 1.0) == (2.0, -4.0, 2.0, 16.0, -6.0)
+    assert RATIO_PARTIALS(1.0, 1.0) == ratio_minus_one_squared_derivatives(1.0, 1.0) == (0.0, 0.0, 2.0, 2.0, -2.0)
+    lams = np.logspace(-1.0, 1.0, 30)
+    l1, l2 = np.meshgrid(lams, lams, indexing="ij")
+    for a, b in ((l1, l2), (l2, l1)):  # each holds l1 < l2, l1 = l2 and l1 > l2
+        for got, want in zip(RATIO_PARTIALS(a, b), ratio_minus_one_squared_derivatives(a, b), strict=True):
+            assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    g = RATIO_G(l1, l2)
+    assert np.array_equal(g, RATIO_G(l2, l1)) and g.shape == (30, 30) and g[0, 0] == 0.0
+
+
+def test_ratio_profile_of_k_minus_one_is_strict_on_the_whole_grid():
+    # iso2d-psi's profile: (s - 1)^2 / (2 s) = K - 1, h' = (1 - s^-2) / 2, h'' = s^-3
+    g, dg = cm.ratio_profile(
+        lambda s: (s - 1.0) ** 2 / (2.0 * s), lambda s: 0.5 * (1.0 - s**-2), lambda s: s**-3
+    )
+    grid = cm.ks_grid_scan(g, np.logspace(-1.0, 1.0, 30), derivatives=dg)
+    assert grid.strict.shape == (30, 30) and np.all(grid.strict)
+    assert np.min(grid.values) >= 0.99e-4
+    F = np.array([[2.0, 1.0], [0.0, 0.5]])
+    s, _ = cm.tensors._singular_values(F)
+    assert abs(g(*s) - cm.builtin_energy("iso2d-psi").value(F)) <= 1e-15
 
 
 def test_h_criterion_accepts_square_families():
@@ -430,7 +475,7 @@ def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line()
 def test_knowles_sternberg_refuses_stretches_that_are_not_finite_and_marks_overflow_not_strict():
     # an infinite stretch passed the positivity check and warned in a divide, and
     # (1e200, 1e-200) warned "divide by zero" in the partials
-    g, dg = cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives
+    g, dg = RATIO_G, RATIO_PARTIALS
     for l1, l2 in ((np.inf, 1.0), (1.0, np.nan), (2.0, -np.inf), ([1.5, np.inf], 0.5)):
         with pytest.raises(cm.ConfmechError) as exc:
             cm.knowles_sternberg(g, l1, l2, dg)
@@ -444,9 +489,9 @@ def test_knowles_sternberg_refuses_stretches_that_are_not_finite_and_marks_overf
 
 @pytest.mark.filterwarnings("error")
 def test_knowles_sternberg_past_the_float_range_of_a_power_is_not_strict():
-    # b^4 = 1e400 in the partials: libm_pow raised "OverflowError: math range error"
-    g, dg = cm.ratio_minus_one_squared, cm.ratio_minus_one_squared_derivatives
-    report = cm.knowles_sternberg(g, 1e100, 1e100, dg)
+    # l2^2 = 1e400 in the partials: libm_pow raised "OverflowError: math range error"
+    g, dg = RATIO_G, RATIO_PARTIALS
+    report = cm.knowles_sternberg(g, 1e200, 1e200, dg)
     assert isinstance(report, cm.KSReport) and not report.strict
 
 

@@ -484,6 +484,27 @@ def test_value_of_one_matrix_only_is_refused_with_one_line():
         assert "value has shape ()" in str(exc.value)
 
 
+def test_a_profile_whose_result_does_not_broadcast_is_refused_with_one_line():
+    # a plain ValueError, "operands could not be broadcast", escaped from _profile
+    def pair(s):
+        return np.array([1.0, 2.0])
+
+    g, partials = cm.ratio_profile(pair, pair, pair)
+    for call, shapes in (
+        (lambda: cm.h_criterion(pair), "(2,) (want (2000,))"),
+        (lambda: cm.PlanarRatioEnergy(h=pair, dh=pair, d2h=pair).value(np.diag([2.0, 1.0])), "(2,) (want ())"),
+        (lambda: g(np.ones(3), np.ones(3)), "(2,) (want (3,))"),
+        (lambda: partials(np.ones(3), np.ones(3)), "(2,) (want (3,))"),
+    ):
+        with pytest.raises(cm.ConfmechError) as exc:
+            call()
+        assert str(exc.value) == "a profile must return a constant or one value per ratio: shape " + shapes
+    # a constant, and one value per ratio, are taken as before
+    E = cm.PlanarRatioEnergy(h=lambda s: 1.0, dh=lambda s: 0.0, d2h=lambda s: 0.0)
+    assert E.value(np.stack([np.eye(2), np.diag([2.0, 1.0])])).tolist() == [1.0, 1.0]
+    assert cm.h_criterion(lambda s: s).verdict == "rank-one convex"
+
+
 def test_volumetric_curvature_below_e_overflows_to_inf_without_a_warning():
     # t^2 is subnormal at 1e-160 (the quotient overflows) and 0 at 1e-300
     vol = cm.VolumetricTerm()

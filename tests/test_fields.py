@@ -361,7 +361,8 @@ def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
 
 def test_jump_and_ks_reports_refuse_attribute_assignment():
     rep = cm.jump_check(np.eye(2), 2.0 * np.eye(2))
-    ks = cm.knowles_sternberg(cm.ratio_minus_one_squared, 1.5, 0.5, cm.ratio_minus_one_squared_derivatives)
+    g, partials = cm.ratio_profile(lambda s: (s - 1.0) ** 2, lambda s: 2.0 * (s - 1.0), lambda s: 2.0)
+    ks = cm.knowles_sternberg(g, 1.5, 0.5, partials)
     for report, name, value in ((rep, "rank", 1), (ks, "strict", False)):
         with pytest.raises(AttributeError):
             setattr(report, name, value)
@@ -949,3 +950,28 @@ def test_counts_of_numpy_integer_types_are_taken():
     # seeds too, negative ones included: Lcg64 takes any int
     assert np.array_equal(cm.sample_annulus(dom, 7, seed=np.int64(-3)), cm.sample_annulus(dom, 7, seed=-3))
     assert cm.jump_check(np.eye(2), np.eye(2), tol=0.0).rank == 0
+
+
+def test_strictness_is_sharp_a_rank_one_convex_energy_has_equal_stress_across_rank_one_jumps():
+    # W = (lmax/lmin - 1) + f(det F): h = s - 1 is convex and increasing, so W is rank-one
+    # convex, but h'' = 0, so not strictly.  On F = Q diag(l, 1) Q^T with l in [e, c],
+    # sigma = Q diag(1, -1) Q^T + (2/e) id for every l, and the F differ by rank-one jumps
+    W = cm.CompositeEnergy(
+        cm.PlanarRatioEnergy(h=lambda s: s - 1.0, dh=lambda s: 1.0, d2h=lambda s: 0.0), cm.VolumetricTerm()
+    )
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.array([[c, -s], [s, c]])
+    F = np.stack([Q @ np.diag([lam, 1.0]) @ Q.T for lam in (np.e, 3.0, 3.5, 4.0, cm.energies.DEFAULT_C)])
+    sigma = W.cauchy_stress(F)
+    assert np.max(np.abs(sigma[:, None] - sigma[None])) <= 1e-14
+    assert np.max(np.abs(sigma - Q @ np.diag([1.0, -1.0]) @ Q.T - (2.0 / np.e) * np.eye(2))) <= 1e-14
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert [cm.jump_check(F[i], F[j]).rank for i, j in pairs] == [1] * 10
+    assert cm.h_criterion(lambda s: s - 1.0).verdict == "rank-one convex"
+    # no point meets the Knowles-Sternberg conditions: g is linear in the larger stretch, whose g_ii is 0
+    g, partials = cm.ratio_profile(lambda s: s - 1.0, lambda s: 1.0, lambda s: 0.0)
+    grid = cm.ks_grid_scan(g, np.logspace(-1.0, 1.0, 30), derivatives=partials)
+    assert not grid.strict.any() and np.all(np.min(grid.values[..., :2], axis=-1) == 0.0)
+    # composite2d, strictly rank-one convex, has no such family: its stress differs on the same F
+    sigma2 = cm.builtin_energy("composite2d").cauchy_stress(F)
+    assert np.max(np.abs(sigma2[:, None] - sigma2[None])) > 1.0
