@@ -108,14 +108,15 @@ def fd_second_form(energy, F, H):
 
 def _profile(fn, x):
     """fn at each x, as floats in the shape of x: a constant is broadcast, a result that cannot be is refused."""
-    v = np.asarray(fn(x), dtype=float)
-    if v.shape != np.shape(x):
+    flat = np.reshape(x, -1)  # one ratio too: numpy's scalar x ** 2 is pow, its array x ** 2 is x * x
+    v = np.asarray(fn(flat), dtype=float)
+    if v.shape != flat.shape:
         try:
-            v = np.broadcast_to(v, np.shape(x))
+            v = np.broadcast_to(v, flat.shape)
         except ValueError:
             message = "a profile must return a constant or one value per ratio: shape %s (want %s)"
             raise ConfmechError(message % (v.shape, np.shape(x))) from None
-    return v[()]
+    return v.reshape(np.shape(x))[()]
 
 
 def _ratio_partials(dh, d2h, l1, l2):

@@ -15,14 +15,14 @@ and the points are the first n accepted, in stream order.
 jump_check measures rank-one compatibility of one pair of gradients
 through the SVD of F1 - F2, which resolves a zero singular value to
 rounding level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).
-The SVD is LAPACK's, through the gufunc that np.linalg.svd(D,
-compute_uv=False) calls for real input, called directly: the same values
-without the wrapper's checks, casts and errstate context, which took more
-time than LAPACK on one 2x2.  A non-convergence, which LAPACK reports as
-NaN singular values, is refused with a ConfmechError (exit 2 in the CLI).
-Past F1 - F2 and unpacking the entries, that LAPACK call is its one numpy
-call per pair: the rest is Python-float arithmetic with numpy's bits, and
-the JumpReport is an immutable NamedTuple.
+The SVD is the LAPACK gufunc that np.linalg.svd(D, compute_uv=False) calls,
+called directly: the same bits without the wrapper's checks, casts and
+errstate context (a numpy without that private name gets the wrapper).  NaN
+singular values, LAPACK's non-convergence, are refused with a ConfmechError
+(exit 2 in the CLI).  A float tol and float64 arrays pass the input checks
+without a call, and one pair then takes F1 - F2, that LAPACK call and one
+pass over the singular values: the rest is Python-float arithmetic with
+numpy's bits, and the JumpReport is an immutable NamedTuple.
 For planar conformal pairs it also reports det(F1 - F2) as the sum of two
 squares, the reason two distinct conformal states can never form a laminate.
 
@@ -48,7 +48,15 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import svd as _lapack_svd
+
+try:  # the gufunc np.linalg.svd(D, compute_uv=False) calls for real input, without its wrapper
+    from numpy.linalg._umath_linalg import svd as _lapack_svd
+except ImportError:  # a numpy without that private name: the wrapper, the same bits, and NaN where it fails
+    def _lapack_svd(D):
+        try:
+            return np.linalg.svd(D, compute_uv=False)
+        except np.linalg.LinAlgError:
+            return np.full(len(D), np.nan)
 
 from .exceptions import ConfmechError, InadmissibleDomainWarning
 from .energies import DEFAULT_C, CompositeEnergy, VolumetricTerm, _values
@@ -262,6 +270,7 @@ def stress_field(energy, mapping, dom, n, seed=0, tol=1e-10, use_fd=False):
 
 # |F1| + |F2| at most: det(F1 - F2) and the squared similarity terms stay finite
 JUMP_NORM_MAX = 1e100
+_F64, _SQUARE_SHAPES = np.dtype(float), ((2, 2), (3, 3))  # the arrays as_square returns as they are
 
 
 class JumpReport(NamedTuple):
@@ -282,33 +291,38 @@ def jump_check(F1, F2, tol=1e-9):
     reported in det_square_terms; it is positive whenever F1 != F2, so the
     jump has full rank and the two states are never rank-one connected.
     The report holds no copy of F1 and F2.  |F1| + |F2| above JUMP_NORM_MAX
-    (or NaN) is refused with a ConfmechError before any product of entries
-    could overflow.  The singular values are LAPACK's SVD of F1 - F2, the
-    bits np.linalg.svd gives, and a ConfmechError if it did not converge.
-    The norms, the rank, det(F1 - F2) and the square terms are Python-float
-    arithmetic on the entries, with numpy's bits.
+    (or NaN) is refused with a ConfmechError before F1 - F2 is taken.  A float
+    tol and float64 np.ndarrays of shape (2, 2) or (3, 3) skip the calls of
+    require_tolerance and as_square.  One pass over LAPACK's singular values of
+    F1 - F2 (np.linalg.svd's bits) refuses a NaN, its non-convergence, and
+    counts the rank; the rest is Python-float arithmetic with numpy's bits.
     """
-    require_tolerance(tol)
-    F1 = as_square(F1)
-    F2 = as_square(F2)
-    if F1.shape != F2.shape:
-        raise ConfmechError("gradients must have the same shape")
+    if type(tol) is not float or not 0.0 <= tol < math.inf:
+        require_tolerance(tol)
+    if type(F1) is not np.ndarray or F1.dtype is not _F64 or F1.shape not in _SQUARE_SHAPES:
+        F1 = as_square(F1)
+    if type(F2) is not np.ndarray or F2.dtype is not _F64 or F2.shape not in _SQUARE_SHAPES:
+        F2 = as_square(F2)
     e1, e2 = F1.ravel().tolist(), F2.ravel().tolist()
+    if len(e1) != len(e2):  # both 2x2 or 3x3 by now
+        raise ConfmechError("gradients must have the same shape")
     n1, n2 = math.hypot(*e1), math.hypot(*e2)
     if not n1 + n2 <= JUMP_NORM_MAX:
         raise ConfmechError("jump too large: |F1| + |F2| = %r, not at most %r" % (n1 + n2, JUMP_NORM_MAX))
     D = F1 - F2
     d = D.ravel().tolist()
-    # the gufunc np.linalg.svd(D, compute_uv=False) calls, without its wrapper: LAPACK's bits
     svals = _lapack_svd(D)
-    values = svals.tolist()
-    if any(map(math.isnan, values)):
-        raise ConfmechError("the SVD of F1 - F2 did not converge")
     thresh = tol * (1.0 + n1 + n2)
-    rank = len([v for v in values if v > thresh])
+    rank = 0
+    for v in svals.tolist():
+        if v > thresh:
+            rank += 1
+        elif v != v:
+            raise ConfmechError("the SVD of F1 - F2 did not converge")
     square_terms = None
     if len(d) == 4:
-        s1, s2 = 1e-8 * max(1.0, n1), 1e-8 * max(1.0, n2)
+        # max(1.0, n) as an expression, which saves two builtin calls
+        s1, s2 = 1e-8 * (n1 if n1 > 1.0 else 1.0), 1e-8 * (n2 if n2 > 1.0 else 1.0)
         if (abs(e1[0] - e1[3]) <= s1 and abs(e1[1] + e1[2]) <= s1
                 and abs(e2[0] - e2[3]) <= s2 and abs(e2[1] + e2[2]) <= s2):
             square_terms = (d[0] ** 2, d[1] ** 2)

@@ -1041,3 +1041,41 @@ def test_certificate_payload_bytes(capsys):
         code, out = run(capsys, *command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == want, command
+
+
+# numpy.linalg is loaded with numpy; a None in sys.modules makes the import of its private
+# gufunc module raise ImportError, as in a numpy that no longer has that name
+HIDDEN_GUFUNC = """
+import contextlib, hashlib, io, sys
+import numpy as np
+sys.modules["numpy.linalg._umath_linalg"] = None
+from confmech import fields
+from confmech.cli import main
+assert not isinstance(fields._lapack_svd, np.ufunc)
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+def fails(D, compute_uv):
+    raise np.linalg.LinAlgError("SVD did not converge")
+np.linalg.svd = fails
+try:
+    fields.jump_check(np.eye(3), 2.0 * np.eye(3))
+except fields.ConfmechError as exc:
+    print(exc)
+"""
+
+
+def test_jump_check_without_the_private_gufunc_prints_the_pinned_bytes():
+    # the fallback is np.linalg.svd, whose LinAlgError is the gufunc's NaN: the same refusal
+    commands = [command for command in CERTIFICATE_PAYLOADS if command.startswith("jump-check")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confmech.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", HIDDEN_GUFUNC, *commands],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(commands) == 3
+    want = [CERTIFICATE_PAYLOADS[command] for command in commands] + ["the SVD of F1 - F2 did not converge"]
+    assert proc.stdout.splitlines() == want

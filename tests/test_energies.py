@@ -642,6 +642,17 @@ def ratio_minus_one_squared_energy():
     return cm.PlanarRatioEnergy(lambda s: (s - 1.0) ** 2, dh=lambda s: 2.0 * (s - 1.0), d2h=lambda s: 2.0)
 
 
+def test_a_user_profile_gives_a_matrix_of_a_stack_the_bits_it_gets_alone():
+    # numpy's scalar x ** 2 is pow and its array x ** 2 is x * x: a profile called on a
+    # scalar for one matrix gave 2 of these matrices another last bit than in the stack
+    E = ratio_minus_one_squared_energy()
+    rng = np.random.default_rng(0)
+    F = np.array([cm.random_def_gradient(rng, 2) for _ in range(2000)])
+    alone = [E.value(f) for f in F]
+    assert {type(v) for v in alone} == {np.float64}
+    assert E.value(F).tobytes() == np.array(alone).tobytes()
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(
     # s - 1 on [0, 3] TIE_GAP, or on NEAR_TIE_GAP times [0.1, 3] taken log-uniformly

@@ -359,6 +359,68 @@ def test_jump_check_has_the_bits_of_the_numpy_scalar_formulas():
             (3, 3, False)} <= ranks
 
 
+def strided(M):
+    """M as a non-contiguous view: every other row and column of a larger array."""
+    big = np.zeros((2 * len(M), 2 * len(M)))
+    big[::2, ::2] = M
+    return big[::2, ::2]
+
+
+def as_matrix(M):
+    """M as an np.matrix, without numpy's warning that the subclass is not recommended."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(M)
+
+
+# inputs that skip as_square's call (a float64 np.ndarray) and inputs that go through it
+JUMP_INPUTS = {
+    "list": lambda M: M.tolist(),
+    "int": lambda M: np.rint(4.0 * M).astype(np.int64),
+    "float32": lambda M: M.astype(np.float32),
+    "big-endian": lambda M: M.astype(">f8"),
+    "fortran": np.asfortranarray,
+    "strided": strided,
+    "matrix": as_matrix,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", JUMP_INPUTS)
+def test_jump_check_takes_each_kind_of_matrix_as_its_float64_c_array(kind):
+    rng = np.random.default_rng(32)
+    pairs = [(conformal_2x2(1.0, 2.0), conformal_2x2(3.0, -1.0)), (np.eye(3), 2.0 * np.eye(3))]
+    for dim in (2, 3):
+        for _ in range(20):
+            F1 = cm.random_def_gradient(rng, dim)
+            pairs.append((F1, F1 + np.outer(rng.standard_normal(dim), rng.standard_normal(dim))))
+            pairs.append((F1, cm.random_def_gradient(rng, dim)))
+    convert = JUMP_INPUTS[kind]
+    for F1, F2 in pairs:
+        A1, A2 = convert(F1), convert(F2)
+        rep = cm.jump_check(A1, A2)
+        C1, C2 = np.ascontiguousarray(A1, dtype=float), np.ascontiguousarray(A2, dtype=float)
+        svals, rank, det, square_terms = numpy_scalar_jump(C1, C2, 1e-9)
+        assert rep.difference_singular_values.tobytes() == svals.tobytes()
+        assert type(rep.rank) is int and rep.rank == rank
+        assert type(rep.det_difference) is np.float64 and float(rep.det_difference).hex() == float(det).hex()
+        assert rep.det_square_terms == square_terms and rep.rank_one_connected == (rank == 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_jump_check_takes_each_kind_of_tolerance_as_its_float():
+    rng = np.random.default_rng(33)
+    F1 = cm.random_def_gradient(rng, 3)
+    F2 = F1 + np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    for tol in (0, 0.0, np.float64(1e-9), 1e-9, 5e-324, np.float64(5e-324), 1, np.float32(0.5)):
+        rep = cm.jump_check(F1, F2, tol=tol)
+        svals, rank, det, _ = numpy_scalar_jump(F1, F2, float(tol))
+        assert rep.difference_singular_values.tobytes() == svals.tobytes()
+        assert type(rep.rank) is int and rep.rank == rank, tol
+        assert type(rep.det_difference) is np.float64 and float(rep.det_difference).hex() == float(det).hex()
+    assert [cm.jump_check(F1, F2, tol=tol).rank for tol in (0, 5e-324, 1e-9, 1)] == [3, 3, 1, 0]
+
+
 def test_jump_and_ks_reports_refuse_attribute_assignment():
     rep = cm.jump_check(np.eye(2), 2.0 * np.eye(2))
     g, partials = cm.ratio_profile(lambda s: (s - 1.0) ** 2, lambda s: 2.0 * (s - 1.0), lambda s: 2.0)
@@ -900,7 +962,18 @@ LIBRARY_REFUSALS = [
       for tol in (np.nan, -1.0)],
     *[pytest.param(lambda tol=tol: cm.is_conformal_at(cm.InversionFlip(2), [[0.6, 0.2]], tol=tol), TOL_LINE % tol,
                    id="is_conformal_at-tol=%r" % tol) for tol in (np.nan, -1.0)],
-    pytest.param(lambda: cm.jump_check(np.eye(2), np.eye(2), tol=-1), TOL_LINE % -1, id="jump_check-tol=-1"),
+    *[pytest.param(lambda tol=tol: cm.jump_check(np.eye(2), np.eye(2), tol=tol), TOL_LINE % tol,
+                   id="jump_check-tol=%r" % tol) for tol in (-1, True, np.nan, np.inf)],
+    # and, refused at the parent too, what jump_check's fast paths leave to as_square and the
+    # norm guard; a 2x2 and a 3x3 would meet numpy's broadcast error if F1 - F2 came first
+    *[pytest.param(lambda F1=F1, F2=F2: cm.jump_check(F1, F2), line, id="jump_check-" + name)
+      for name, F1, F2, line in (
+          ("2x2-3x3", np.eye(2), np.eye(3), "gradients must have the same shape"),
+          ("3x3-int-2x2", np.eye(3), [[1, 0], [0, 1]], "gradients must have the same shape"),
+          ("stack", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), "expected a 2x2 or 3x3 matrix, got shape (2, 2, 2)"),
+          ("4x4", np.eye(4), np.eye(4), "expected a 2x2 or 3x3 matrix, got shape (4, 4)"),
+          ("nan", np.eye(2), np.full((2, 2), np.nan), "jump too large: |F1| + |F2| = nan, not at most 1e+100"),
+      )],
     pytest.param(lambda: cm.scan_rank_one_convexity(cm.builtin_energy("iso3d"), n_samples=0),
                  COUNT_LINE % ("n_samples", 0), id="scan_rank_one_convexity-n_samples=0"),
     *[pytest.param(lambda k=k: cm.grid_polylines(cm.DiskRegion((0.5, 0.0), 0.21), 0.0147, samples_per_line=k),
