@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # each exported name under the module that defines it
 _EXPORTS = {
     "exceptions": ("ConfmechError", "InadmissibleDomainWarning", "LeavesGLPlus"),
-    "tensors": ("cofactor", "conformality_residual", "det", "dev", "frobenius_norm", "svd", "sym", "transpose_inverse"),
+    "tensors": ("cofactor", "conformality_residual", "det", "dev", "frobenius_norm", "svd", "sym"),
     "conformal": (
         "DeformationMap", "HyperplaneReflection", "InversionFlip", "MoebiusMap", "SphereReflection", "fd_gradient",
         "is_conformal_at",

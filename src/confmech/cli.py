@@ -12,7 +12,7 @@ commands re-check none of the rules that the library refuses.
 Map argument grammar: `phi2d`, `phi3d`, or `moebius:<spec>` where <spec> is
 reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
 `plane(nx,ny[,nz];offset)`, numbers as Python writes them (1e+100 too);
-e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is exactly phi2d.  Möbius maps are
+e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is phi2d up to rounding.  Möbius maps are
 sampled on the default annulus 0.5 <= |x| <= 0.9 since no admissible
 determinant band is known for them.
 

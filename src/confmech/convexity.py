@@ -39,7 +39,7 @@ import numpy as np
 from .energies import _profile, _ratio_partials, _values
 from .exceptions import ConfmechError, LeavesGLPlus
 from .tensors import (
-    as_square, from_entries, refuse_where, require_count, require_dim, require_gl_plus, require_seed
+    as_square, from_entries, refuse_where, require_count, require_dim, require_direction, require_gl_plus, require_seed
 )
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
@@ -79,14 +79,15 @@ def rank_one_line_scan(energy, F, xi, eta, t_max=1.0):
     tensors.require_gl_plus, where the energies refuse F; the
     classification margin is MARGIN times the largest sampled |W|, at least
     1.  value is called once, on the stack of the LINE_SAMPLES sample points.
-    A t_max that is not finite, or one so large that a sample point F +
-    t xi eta^T is not finite, is refused with a ConfmechError.
+    A t_max that is not finite, one so large that a sample point F +
+    t xi eta^T is not finite, and xi eta^T of another size than F, are
+    refused with a ConfmechError.
     """
     F = as_square(F)
     refuse_where(not math.isfinite(t_max), "t_max must be finite, got %r", float(t_max))
     ts = np.linspace(0.0, float(t_max), LINE_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+        H = require_direction(F, np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)))
         Ft = F + ts[:, None, None] * H
     message = "F + t xi eta^T is not finite for 0 <= t <= t_max = %r"
     refuse_where(not np.isfinite(Ft).all(), message, float(t_max))
@@ -245,7 +246,7 @@ def _rotations(angles):
     return Rz1 @ Ry @ Rz2
 
 
-def _def_gradients(U, dim, stretch_range):
+def _def_gradients(U, dim):
     """Q1 diag(l) Q2 of one draw U, or of each draw of a stack U (..., dim + 2 a) of uniforms.
 
     U holds the dim log-stretches, then the a angles of Q1 and the a of Q2
@@ -253,7 +254,7 @@ def _def_gradients(U, dim, stretch_range):
     own formula low + (high - low) u: the values one uniform call each would draw.
     """
     a = ANGLES[dim]
-    lo, hi = np.log(stretch_range[0]), np.log(stretch_range[1])
+    lo, hi = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
     low = np.array([lo] * dim + [0.0] * (2 * a))
     high = np.array([hi] * dim + [2.0 * np.pi] * (2 * a))
     U = low + (high - low) * U
@@ -261,10 +262,10 @@ def _def_gradients(U, dim, stretch_range):
     return Q1 @ (lams[..., None, :] * np.eye(dim)) @ Q2
 
 
-def random_def_gradient(rng, dim, stretch_range=STRETCH_RANGE):
-    """Q1 diag(l) Q2 with log-uniform stretches, from one rng.random call; always in GL+."""
+def random_def_gradient(rng, dim):
+    """Q1 diag(l) Q2 with stretches log-uniform in STRETCH_RANGE, from one rng.random call; always in GL+."""
     require_dim(dim)
-    return _def_gradients(rng.random(dim + 2 * ANGLES[dim]), dim, stretch_range)
+    return _def_gradients(rng.random(dim + 2 * ANGLES[dim]), dim)
 
 
 def _scan_draws(rng, dim, n_samples):
@@ -308,7 +309,7 @@ def scan_rank_one_convexity(energy, n_samples=1000, seed=0):
     n_samples = require_count(n_samples, "n_samples")
     rng = np.random.default_rng(require_seed(seed, numpy=True))
     U, xi, eta = _scan_draws(rng, energy.dim, n_samples)
-    Fs = _def_gradients(U, energy.dim, STRETCH_RANGE)
+    Fs = _def_gradients(U, energy.dim)
     xis, etas = (v / np.sqrt(np.vecdot(v, v))[:, None] for v in (xi, eta))
     values = lh_form(energy, Fs, xis, etas)
     order = np.argsort(values, kind="stable")  # NaN last

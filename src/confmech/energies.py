@@ -23,14 +23,17 @@ shape as F) and second_form returns the scalar D^2 W(F)[H, H].  The Cauchy
 stress is sigma = (1/det F) D_F W F^T.
 
 value, first_derivative, cauchy_stress and second_form take one matrix or
-a stack (..., n, n) in one body; second_form takes directions H that
-broadcast against F.  Inner products sum over the two matrix axes, in the
+a stack (..., n, n) in one body; second_form takes directions H of F's
+size (tensors.require_direction refuses another) that broadcast against
+F.  Inner products sum over the two matrix axes, in the
 order np.sum takes for one matrix, and every power goes through
 tensors.libm_pow, so a matrix of a stack gets the bits it gets alone.  Every
 energy's value, a value-only subclass's too, maps (..., n, n) to (...): the
 fd_* oracles, the line scan and the composite's invariance probe call it on
 stacks through _values, which refuses a value that does not.
 """
+
+import numbers
 
 import numpy as np
 
@@ -43,10 +46,10 @@ from .tensors import (
     inner,
     libm_pow,
     refuse_where,
+    require_direction,
     require_gl_plus,
     svd,
     transpose,
-    transpose_inverse,
 )
 
 FD_STEP_FIRST = 1e-5
@@ -97,7 +100,7 @@ def fd_second_form(energy, F, H):
     along H / |H| is FD_STEP_SECOND max(1, |F|).
     """
     F = as_square(F, stack=True)
-    H = as_square(H, stack=True)
+    H = require_direction(F, H)
     nrm = np.sqrt(inner(H, H))
     zero = nrm == 0.0
     step = FD_STEP_SECOND * np.maximum(1.0, np.sqrt(inner(F, F)))
@@ -165,11 +168,15 @@ class EnergyModel:
         F = self._check_dim(F)
         return F, require_gl_plus(F)
 
+    def _checked_inverse(self, F):
+        """(F, det F, F^{-T}): F^{-T} = Cof F / det F, from the det that _checked has band-checked."""
+        F, d = self._checked(F)
+        return F, d, cofactor(F) / d[..., None, None]
+
     def _second_form_terms(self, F, H):
         """F checked, H, det F, <F^{-T}, H> and <F^{-T} H^T F^{-T}, H>: the closed forms' terms."""
-        F, d = self._checked(F)
-        H = as_square(H, stack=True)
-        FiT = transpose_inverse(F)
+        F, d, FiT = self._checked_inverse(F)
+        H = require_direction(F, H)
         return F, H, d, inner(FiT, H), inner(FiT @ transpose(H) @ FiT, H)
 
     def value(self, F):
@@ -205,8 +212,7 @@ class DistortionEnergy(EnergyModel):
 
     def first_derivative(self, F):
         # D_F W = (2F - ||F||^2 F^{-T}) / (2 det F)
-        F, d = self._checked(F)
-        FiT = transpose_inverse(F)
+        F, d, FiT = self._checked_inverse(F)
         return (2.0 * F - inner(F, F)[..., None, None] * FiT) / (2.0 * d)[..., None, None]
 
     def second_form(self, F, H):
@@ -281,13 +287,15 @@ class PlanarRatioEnergy(EnergyModel):
         (l1 g1 - l2 g2)/(l1^2 - l2^2) and (l2 g1 - l1 g2)/(l1^2 - l2^2), whose
         common limit as l1 -> l2 is g11 = h''/l2^2 when h'(1) = 0.
         """
-        U, s, V = svd(self._check_dim(F))
+        F = self._check_dim(F)
+        H = require_direction(F, H)
+        U, s, V = svd(F)
         s0, s1 = s[..., 0], s[..., 1]
         near = (s0 - s1) / s0 < NEAR_TIE_GAP
         no_form = near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)
         refuse_where(no_form, "no second derivative at coincident singular values", note=True)
         g1, g2, g11, g22, g12 = _ratio_partials(self.dh, self.d2h, s0, s1)
-        Ht = _entries(transpose(U) @ np.ascontiguousarray(as_square(H, stack=True)) @ V)
+        Ht = _entries(transpose(U) @ np.ascontiguousarray(H) @ V)
         denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a tie, where g11 is taken
             a = np.where(near, g11, (s0 * g1 - s1 * g2) / denom)
@@ -309,8 +317,7 @@ class IsochoricNeoHooke(EnergyModel):
         return inner(F, F) / libm_pow(d, 2.0 / 3.0) - 3.0
 
     def first_derivative(self, F):
-        F, d = self._checked(F)
-        FiT = transpose_inverse(F)
+        F, d, FiT = self._checked_inverse(F)
         n2 = inner(F, F)[..., None, None]
         return (2.0 * F - (2.0 / 3.0) * n2 * FiT) / libm_pow(d, 2.0 / 3.0)[..., None, None]
 
@@ -349,7 +356,7 @@ class VolumetricTerm:
     """
 
     def __init__(self, c=DEFAULT_C):
-        if not (np.isfinite(c) and c > np.e):
+        if not (isinstance(c, numbers.Real) and np.isfinite(c) and c > np.e):
             raise ConfmechError("splice point c = %r must be finite and strictly above e" % (c,))
         self.c = float(c)
 

@@ -142,7 +142,7 @@ def admissible_annulus(map_kind, c=DEFAULT_C):
     map_kind "phi2d" (det = |x|^{-4}) or "phi3d" (det = |x|^{-6}); endpoints
     included, r in [c^{-1/4}, e^{-1/4}] resp. [c^{-1/6}, e^{-1/6}].
     """
-    c = VolumetricTerm(c).c  # which refuses a c that is not finite and above e
+    c = VolumetricTerm(c).c  # which refuses a c that is not a real number, finite and above e
     dim = {"phi2d": 2, "phi3d": 3}.get(map_kind)
     if dim is None:
         raise ConfmechError("map_kind must be 'phi2d' or 'phi3d', got %r" % (map_kind,))

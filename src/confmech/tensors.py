@@ -15,13 +15,12 @@ products through stacked matmuls on C-contiguous operands and dots through
 vecdot, so each matrix of a stack gets the bits it gets alone.
 
 GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
-refuses a det outside it, the line scan leaves GL+ there, and transpose_inverse
-takes |det| below it as singular.
+refuses a det outside it, and the line scan leaves GL+ there.
 refuse_where raises the library's refusals at the first failing entry of a
 stack, and those of the count rule (require_count), the seed rule
-(require_seed), the tolerance rule (require_tolerance) and the dimension
-rule (require_dim) of the entry points that take a count, a seed, a
-tolerance or a dimension.
+(require_seed), the tolerance rule (require_tolerance), the dimension
+rule (require_dim) and the direction rule (require_direction) of the entry
+points that take a count, a seed, a tolerance, a dimension or a direction.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -122,23 +121,9 @@ def cofactor(M):
     if m.shape[0] == 2:
         rows = [[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]]
     else:
-        rows = [
-            [
-                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-                -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0]),
-                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-            ],
-            [
-                -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1]),
-                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-                -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0]),
-            ],
-            [
-                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
-                -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0]),
-                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
-            ],
-        ]
+        # the minor of the two rows and columns after (i, j), cyclically, carries the sign
+        rows = [[m[(i + 1) % 3, (j + 1) % 3] * m[(i + 2) % 3, (j + 2) % 3]
+                 - m[(i + 1) % 3, (j + 2) % 3] * m[(i + 2) % 3, (j + 1) % 3] for j in range(3)] for i in range(3)]
     return from_entries(rows)
 
 
@@ -188,8 +173,16 @@ def require_dim(dim):
 
 
 def require_tolerance(tol):
-    """Refuse a tol that is not finite and at least 0, by one float comparison, or that is a bool."""
-    refuse_where(not 0.0 <= tol < math.inf or type(tol) in _BOOLS, "tol must be finite and at least 0, got %r", tol)
+    """Refuse a tol that is not a real number (a str, None or a complex is not, nor a bool), finite and at least 0."""
+    ok = isinstance(tol, numbers.Real) and type(tol) not in _BOOLS and 0.0 <= tol < math.inf
+    refuse_where(not ok, "tol must be finite and at least 0, got %r", tol)
+
+
+def require_direction(F, H):
+    """H as a matrix or stack, refused with one line unless its matrices are the size of F's."""
+    H = as_square(H, stack=True)
+    refuse_where(H.shape[-1] != F.shape[-1], "direction H is %dx%d, F is %dx%d", *H.shape[-2:], *F.shape[-2:])
+    return H
 
 
 def require_gl_plus(F):
@@ -208,14 +201,6 @@ def require_gl_plus(F):
         side = np.where(d > 0.0, side, "not strictly positive")
         refuse_where(~inside, "det = %r is %s", d, side, note=True)
     return d
-
-
-def transpose_inverse(F):
-    """F^{-T} = Cof(F) / det(F), of one matrix or each in a stack; singular if |det| < 1 / DET_CEILING."""
-    F = as_square(F, stack=True)
-    d = det(F)
-    refuse_where(np.abs(d) < 1.0 / DET_CEILING, "matrix is numerically singular, det = %r", d)
-    return cofactor(F) / d[..., None, None]
 
 
 def sym(M):

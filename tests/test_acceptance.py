@@ -13,6 +13,7 @@ import pytest
 import confmech as cm
 from confmech.energies import fd_first_derivative, fd_second_form
 from confmech.tensors import dev, sym
+from test_convexity import def_gradient
 from test_energies import fd_second_form_from_first
 
 TWO_OVER_E = 2.0 / np.e
@@ -63,7 +64,7 @@ def test_criterion_03_strict_rank_one_convexity_3d():
     # (0.1, 10)), then xi and eta, each standard normal
     conv = cm.convexity
     U, xi, eta = conv._scan_draws(np.random.default_rng(7), 3, 10000)
-    min_q = np.min(cm.lh_form(E, conv._def_gradients(U, 3, conv.STRETCH_RANGE), xi, eta))
+    min_q = np.min(cm.lh_form(E, conv._def_gradients(U, 3), xi, eta))
     e1 = np.array([1.0, 0.0, 0.0])
     q_an = cm.lh_form(E, np.eye(3), e1, e1)
     H = np.outer(e1, e1)
@@ -107,7 +108,7 @@ def _fd_valid_sample(rng, E):
     splice point (the composite energies are only C^1 there).
     """
     while True:
-        F = cm.random_def_gradient(rng, E.dim, (0.5, 2.0))
+        F = def_gradient(rng, E.dim, (0.5, 2.0))
         if E.dim == 2:
             s = np.linalg.svd(F, compute_uv=False)
             if (s[0] - s[1]) / s[0] < 0.05:

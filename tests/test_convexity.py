@@ -91,7 +91,7 @@ def test_lh_form_positive_on_random_samples():
     E = cm.builtin_energy("iso3d")
     rng = np.random.default_rng(15)
     for _ in range(300):
-        F = cm.random_def_gradient(rng, 3, (0.1, 10.0))
+        F = cm.random_def_gradient(rng, 3)
         xi = rng.standard_normal(3)
         eta = rng.standard_normal(3)
         assert cm.lh_form(E, F, xi, eta) > 0.0
@@ -394,18 +394,23 @@ def test_scan_is_deterministic_for_fixed_seed():
     assert a.min_lh_form == b.min_lh_form
 
 
-def sequential_draws(rng, dim, n):
-    """The scan's (F, xi, eta), one sample at a time: F = Q1 diag(l) Q2 from Generator.uniform
-    draws of the log-stretches and of the angles of Q1 and Q2, then xi, then eta."""
+def def_gradient(rng, dim, stretch_range):
+    """F = Q1 diag(l) Q2 from Generator.uniform draws of the log-stretches, in stretch_range, and
+    of the angles of Q1 and Q2: random_def_gradient's draws, in the range a test chooses."""
     conv = cm.convexity
-    lo, hi = np.log(conv.STRETCH_RANGE[0]), np.log(conv.STRETCH_RANGE[1])
+    lo, hi = np.log(stretch_range[0]), np.log(stretch_range[1])
     a = conv.ANGLES[dim]
+    logs = rng.uniform(lo, hi, size=dim)
+    Q1 = conv._rotations(rng.uniform(0.0, 2.0 * np.pi, size=a))
+    Q2 = conv._rotations(rng.uniform(0.0, 2.0 * np.pi, size=a))
+    return Q1 @ (np.exp(logs)[None, :] * np.eye(dim)) @ Q2
+
+
+def sequential_draws(rng, dim, n):
+    """The scan's (F, xi, eta), one sample at a time: F from def_gradient, then xi, then eta."""
     draws = []
     for _ in range(n):
-        logs = rng.uniform(lo, hi, size=dim)
-        Q1 = conv._rotations(rng.uniform(0.0, 2.0 * np.pi, size=a))
-        Q2 = conv._rotations(rng.uniform(0.0, 2.0 * np.pi, size=a))
-        F = Q1 @ (np.exp(logs)[None, :] * np.eye(dim)) @ Q2
+        F = def_gradient(rng, dim, cm.convexity.STRETCH_RANGE)
         draws.append((F, rng.standard_normal(dim), rng.standard_normal(dim)))
     return [np.array(column) for column in zip(*draws)]
 
@@ -419,7 +424,7 @@ def test_scan_block_draws_equal_the_one_sample_stream(dim, n):
         ref = np.random.default_rng(seed)
         one = np.random.default_rng(seed)
         U, xi, eta = conv._scan_draws(rng, dim, n)
-        got = [conv._def_gradients(U, dim, conv.STRETCH_RANGE), xi, eta]
+        got = [conv._def_gradients(U, dim), xi, eta]
         singles = [
             (cm.random_def_gradient(one, dim), one.standard_normal(dim), one.standard_normal(dim))
             for _ in range(n)
@@ -436,7 +441,7 @@ def test_random_rotation_and_def_gradient():
         R = cm.convexity._rotations(rng.uniform(0.0, 2.0 * np.pi, size=cm.convexity.ANGLES[dim]))
         assert np.allclose(R.T @ R, np.eye(dim), atol=1e-12)
         assert abs(cm.det(R) - 1.0) <= 1e-12
-        F = cm.random_def_gradient(rng, dim, (0.5, 2.0))
+        F = def_gradient(rng, dim, (0.5, 2.0))
         s = np.linalg.svd(F, compute_uv=False)
         assert s[0] <= 2.0 + 1e-9 and s[-1] >= 0.5 - 1e-9
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import confmech as cm
 from confmech.energies import fd_first_derivative, fd_second_form
 from confmech.tensors import as_square, frobenius_norm, inner, require_gl_plus
+from test_convexity import def_gradient
 
 F21 = np.diag([2.0, 1.0])
 
@@ -97,7 +98,7 @@ def test_klin2_matches_psi_representation_off_ties():
     Ek = cm.builtin_energy("iso2d-klin2")
     rng = np.random.default_rng(44)
     for _ in range(50):
-        F = cm.random_def_gradient(rng, 2, (0.3, 4.0))
+        F = def_gradient(rng, 2, (0.3, 4.0))
         if stretch_ratio(F) < 1.01:
             continue
         a, b = Ek.value(F), Epsi.value(F)
@@ -174,7 +175,7 @@ def test_iso3d_values():
     assert abs(E.value(2.2 * R)) <= 1e-12
     assert np.max(np.abs(E.cauchy_stress(2.2 * R))) <= 1e-12
     # ||F||^2 / det^{2/3} >= 3 by AM-GM on the squared stretches: never negative
-    F = np.stack([cm.random_def_gradient(rng, 3, (0.1, 10.0)) for _ in range(200)])
+    F = np.stack([cm.random_def_gradient(rng, 3) for _ in range(200)])
     assert np.all(E.value(F) >= -3e-12)
 
 
@@ -208,7 +209,7 @@ def test_first_derivative_matches_fd():
     for name in cm.BUILTIN_ENERGIES:
         E = cm.builtin_energy(name)
         for _ in range(10):
-            F = cm.random_def_gradient(rng, E.dim, (0.5, 2.0))
+            F = def_gradient(rng, E.dim, (0.5, 2.0))
             if E.dim == 2 and stretch_ratio(F) < 1.05:
                 continue
             d = cm.det(F)
@@ -224,7 +225,7 @@ def test_second_form_matches_both_fd_oracles():
     for name in cm.BUILTIN_ENERGIES:
         E = cm.builtin_energy(name)
         for _ in range(10):
-            F = cm.random_def_gradient(rng, E.dim, (0.5, 2.0))
+            F = def_gradient(rng, E.dim, (0.5, 2.0))
             if E.dim == 2 and stretch_ratio(F) < 1.05:
                 continue
             d = cm.det(F)
@@ -242,7 +243,7 @@ def test_cauchy_stress_consistent_with_first_derivative():
     rng = np.random.default_rng(79)
     for name in cm.BUILTIN_ENERGIES:
         E = cm.builtin_energy(name)
-        F = cm.random_def_gradient(rng, E.dim, (0.6, 1.8))
+        F = def_gradient(rng, E.dim, (0.6, 1.8))
         sig = E.cauchy_stress(F)
         expect = (E.first_derivative(F) @ F.T) / cm.det(F)
         assert np.max(np.abs(sig - expect)) <= 1e-9 * max(1.0, np.max(np.abs(expect)))
@@ -364,7 +365,7 @@ def test_composite_value_splits():
         iso = cm.builtin_energy(iso_name)
         vol = cm.VolumetricTerm()
         rng = np.random.default_rng(3)
-        F = cm.random_def_gradient(rng, E.dim, (0.6, 1.9))
+        F = def_gradient(rng, E.dim, (0.6, 1.9))
         d = cm.det(F)
         expect = iso.value(F / d ** (1.0 / E.dim)) + vol.value(d)
         assert abs(E.value(F) - expect) <= 1e-12 * max(1.0, abs(expect))
@@ -373,7 +374,7 @@ def test_composite_value_splits():
 def test_composite_iso_part_is_scale_invariant_under_the_hood():
     E = cm.builtin_energy("composite2d")
     rng = np.random.default_rng(13)
-    F = cm.random_def_gradient(rng, 2, (0.6, 1.9))
+    F = def_gradient(rng, 2, (0.6, 1.9))
     # the isochoric summand ignores pure volume changes entirely
     a = E.value(F) - cm.VolumetricTerm().value(cm.det(F))
     G = 1.9 * F
@@ -503,6 +504,34 @@ def test_a_profile_whose_result_does_not_broadcast_is_refused_with_one_line():
     E = cm.PlanarRatioEnergy(h=lambda s: 1.0, dh=lambda s: 0.0, d2h=lambda s: 0.0)
     assert E.value(np.stack([np.eye(2), np.diag([2.0, 1.0])])).tolist() == [1.0, 1.0]
     assert cm.h_criterion(lambda s: s).verdict == "rank-one convex"
+
+
+def _second_form_along_the_other_size(name):
+    """The builtin's second form at the identity of its size, along the identity of the other size."""
+    E = cm.builtin_energy(name)
+    return E.second_form(np.eye(E.dim), np.eye(5 - E.dim))
+
+
+ISO3D = cm.builtin_energy("iso3d")
+SIZES = "direction H is %dx%d, F is %dx%d"
+
+
+# each raised numpy's ValueError, "operands could not be broadcast together", not a ConfmechError
+@pytest.mark.parametrize("call, line", [
+    *[pytest.param(lambda name=name: _second_form_along_the_other_size(name),
+                   SIZES % ((3, 3, 2, 2) if "2d" in name else (2, 2, 3, 3)), id=name + ".second_form")
+      for name in cm.BUILTIN_ENERGIES],
+    pytest.param(lambda: fd_second_form(ISO3D, np.eye(3), np.eye(2)), SIZES % (2, 2, 3, 3), id="fd_second_form"),
+    pytest.param(lambda: cm.lh_form(ISO3D, np.eye(3), [1, 0], [0, 1]), SIZES % (2, 2, 3, 3), id="lh_form"),
+    pytest.param(lambda: cm.rank_one_line_scan(ISO3D, np.eye(3), [1, 0], [0, 1]), SIZES % (2, 2, 3, 3),
+                 id="rank_one_line_scan-3d"),
+    pytest.param(lambda: cm.rank_one_line_scan(cm.DistortionEnergy(), np.eye(2), [1, 0, 0], [0, 1, 0]),
+                 SIZES % (3, 3, 2, 2), id="rank_one_line_scan-2d"),
+])
+def test_a_direction_of_another_size_than_f_is_refused_with_one_line(call, line):
+    with pytest.raises(cm.ConfmechError) as exc:
+        call()
+    assert str(exc.value) == line
 
 
 def test_volumetric_curvature_below_e_overflows_to_inf_without_a_warning():

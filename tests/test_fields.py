@@ -135,6 +135,19 @@ def test_stress_field_klin2_is_stress_free():
     assert all(np.all(s.sigma == 0.0) for s in samples)
 
 
+def test_the_smooth_planar_composite_is_homogeneous_on_phi2d_with_and_without_fd_gradients():
+    # (K - 1) + f(det F): its iso part is smooth on CSO(2), where composite2d's klin2 has a corner,
+    # so its field holds with finite-difference gradients too, and composite2d's does not
+    E, phi, dom = cm.CompositeEnergy(cm.DistortionEnergy(), cm.VolumetricTerm()), cm.InversionFlip(2), \
+        cm.admissible_annulus("phi2d")
+    _, exact = cm.stress_field(E, phi, dom, n=1000, seed=1, tol=1e-10)
+    assert exact.homogeneous and exact.admissible and exact.max_deviation <= 1e-13
+    _, fd = cm.stress_field(E, phi, dom, n=1000, seed=1, tol=1e-5, use_fd=True)
+    assert fd.homogeneous and fd.max_deviation <= 1e-9
+    _, corner = cm.stress_field(cm.builtin_energy("composite2d"), phi, dom, n=1000, seed=1, tol=1e-5, use_fd=True)
+    assert not corner.homogeneous and corner.max_deviation > 1.0
+
+
 def test_stress_field_warns_and_reports_inhomogeneous_outside_band():
     E = cm.builtin_energy("composite2d")
     phi = cm.InversionFlip(2)
@@ -952,18 +965,27 @@ TOL_LINE = "tol must be finite and at least 0, got %r"
 # the tolerances refuted a field or a map that holds; the jump from I to I had rank 2, the
 # scan of no samples was "inconclusive", and samples_per_line 0 drew empty polylines and -2
 # raised numpy's ValueError; sample_annulus took seed 1.5 as seed 1 and "7" as seed 7, and the
-# scan raised numpy's ValueError for seed -1 and a TypeError for seed 2.0
+# scan raised numpy's ValueError for seed -1 and a TypeError for seed 2.0; a tol or a splice
+# point c that is not a real number (a str, None, a complex) met Python's or numpy's TypeError
+NOT_REAL = ("1e-9", None, 1j)
+C_LINE = "splice point c = %r must be finite and strictly above e"
 LIBRARY_REFUSALS = [
     *[pytest.param(lambda n=n: _composite2d_field(n), COUNT_LINE % ("n", n), id="stress_field-n=%r" % n)
       for n in (0, -3, 2.5)],
     *[pytest.param(lambda n=n: cm.sample_annulus(cm.AnnulusDomain(2, 0.5, 0.9), n), COUNT_LINE % ("n", n),
                    id="sample_annulus-n=%r" % n) for n in (0, -3, 2.5)],
     *[pytest.param(lambda tol=tol: _composite2d_field(5, tol), TOL_LINE % tol, id="stress_field-tol=%r" % tol)
-      for tol in (np.nan, -1.0)],
+      for tol in (np.nan, -1.0, *NOT_REAL)],
     *[pytest.param(lambda tol=tol: cm.is_conformal_at(cm.InversionFlip(2), [[0.6, 0.2]], tol=tol), TOL_LINE % tol,
-                   id="is_conformal_at-tol=%r" % tol) for tol in (np.nan, -1.0)],
+                   id="is_conformal_at-tol=%r" % tol) for tol in (np.nan, -1.0, *NOT_REAL)],
     *[pytest.param(lambda tol=tol: cm.jump_check(np.eye(2), np.eye(2), tol=tol), TOL_LINE % tol,
-                   id="jump_check-tol=%r" % tol) for tol in (-1, True, np.nan, np.inf)],
+                   id="jump_check-tol=%r" % tol) for tol in (-1, True, np.nan, np.inf, *NOT_REAL)],
+    *[pytest.param(lambda c=c: cm.VolumetricTerm(c), C_LINE % (c,), id="VolumetricTerm-c=%r" % (c,))
+      for c in NOT_REAL],
+    *[pytest.param(lambda c=c: cm.builtin_energy("iso3d", c=c), C_LINE % (c,), id="builtin_energy-c=%r" % (c,))
+      for c in NOT_REAL],
+    *[pytest.param(lambda c=c: cm.admissible_annulus("phi2d", c=c), C_LINE % (c,),
+                   id="admissible_annulus-c=%r" % (c,)) for c in NOT_REAL],
     # and, refused at the parent too, what jump_check's fast paths leave to as_square and the
     # norm guard; a 2x2 and a 3x3 would meet numpy's broadcast error if F1 - F2 came first
     *[pytest.param(lambda F1=F1, F2=F2: cm.jump_check(F1, F2), line, id="jump_check-" + name)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import confmech as cm
 from confmech.tensors import eig_sym
+from test_convexity import def_gradient
 
 
 def random_rotation(rng, dim):
@@ -36,18 +37,13 @@ def test_det_and_cofactor_3x3():
     assert np.allclose(F @ C.T, d * np.eye(3), atol=1e-12)
 
 
-def test_inverse_and_transpose_inverse():
-    F = np.array([[2.0, 1.0], [0.5, 3.0]])
-    assert np.allclose(cm.transpose_inverse(F), np.linalg.inv(F).T, atol=1e-15)
-
-
-def test_transpose_inverse_refuses_a_singular_matrix():
-    # |det| below 1 / DET_CEILING, the det band's floor, is singular; a negative det is not
-    with pytest.raises(cm.ConfmechError, match=r"^matrix is numerically singular, det = 0\.0$"):
-        cm.transpose_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(cm.ConfmechError, match=r"^matrix is numerically singular, det = 9\.9+7e-103$"):
-        cm.transpose_inverse(np.stack([np.eye(3), 1e-34 * np.eye(3)]))
-    assert np.array_equal(cm.transpose_inverse(np.diag([-2.0, 1.0])), np.diag([-0.5, 1.0]))
+def test_cofactor_over_det_is_the_inverse_transpose():
+    # F^{-T} as the energies take it, from Cof F and det F; a negative det too
+    F3 = np.random.default_rng(6).standard_normal((3, 3))
+    for F in (np.array([[2.0, 1.0], [0.5, 3.0]]), np.diag([-2.0, 1.0]), F3):
+        assert np.allclose(cm.cofactor(F) / cm.det(F), np.linalg.inv(F).T, rtol=1e-14, atol=1e-15)
+    F = np.diag([-2.0, 1.0])
+    assert np.array_equal(cm.cofactor(F) / cm.det(F), np.diag([-0.5, 1.0]))
 
 
 def test_gl_plus_guard():
@@ -107,7 +103,7 @@ def test_singular_values_and_operator_norm():
 def test_svd_reconstruction_random():
     rng = np.random.default_rng(23)
     for _ in range(30):
-        F = cm.random_def_gradient(rng, 2, (0.2, 5.0))
+        F = def_gradient(rng, 2, (0.2, 5.0))
         U, s, V = cm.svd(F)
         assert np.allclose(U @ np.diag(s) @ V.T, F, atol=1e-11 * max(1.0, s[0]))
         assert np.allclose(U.T @ U, np.eye(2), atol=1e-12)
@@ -148,7 +144,7 @@ def test_distortions_planar_identity_links_big_and_lin():
     # the two builtin planar families agree: with K = ||F||^2 / (2 det F) from
     # iso2d-psi = K - 1 and s = lmax / lmin from iso2d-klin2 = s^2 - 1, s = K + sqrt(K^2 - 1)
     rng = np.random.default_rng(3)
-    F = np.stack([cm.random_def_gradient(rng, 2, (0.2, 5.0)) for _ in range(200)])
+    F = np.stack([def_gradient(rng, 2, (0.2, 5.0)) for _ in range(200)])
     K = cm.builtin_energy("iso2d-psi").value(F) + 1.0
     s = np.sqrt(cm.builtin_energy("iso2d-klin2").value(F) + 1.0)
     assert np.all(K >= 1.0) and np.all(s >= 1.0)
@@ -244,7 +240,7 @@ def svd_cases(rng):
     cases = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]  # d > 0, d < 0
     cases += [a * np.eye(2) for a in (0.5, 3.0)] + [np.array([[0.0, -2.0], [2.0, 0.0]])]  # r == 0
     cases += [a * rotation(t) for a, t in zip(rng.uniform(0.2, 5.0, 20), rng.uniform(-3, 3, 20))]
-    cases += [cm.random_def_gradient(rng, 2, (0.2, 5.0)) for _ in range(100)]
+    cases += [def_gradient(rng, 2, (0.2, 5.0)) for _ in range(100)]
     for grade in (1e-2, 1e-4, 1e-6):
         cases += [rotation(t) @ np.diag([1.0, grade]) @ rotation(u) for t, u in rng.uniform(-3, 3, (10, 2))]
     return np.stack(cases)
