@@ -13,8 +13,8 @@ Map argument grammar: `phi2d`, `phi3d`, or `moebius:<spec>` where <spec> is
 reflection steps joined by '+', each `sphere(cx,cy[,cz];r)` or
 `plane(nx,ny[,nz];offset)`, numbers as Python writes them (1e+100 too);
 e.g.  moebius:sphere(0,0;1)+plane(0,1;0) is phi2d up to rounding.  Möbius maps are
-sampled on the default annulus 0.5 <= |x| <= 0.9 since no admissible
-determinant band is known for them.
+sampled on the fixed annulus 0.5 <= |x| <= 0.9: the shell where their det F
+lies in [e, c] has a closed form, but the commands do not use it yet.
 
 The module loads conformal, energies, fields and tensors, which every
 subcommand uses.  check-convexity, render-grid and linearized-demo import

@@ -1,27 +1,25 @@
 """Conformal deformations in two and three dimensions.
 
 Maps are small objects with evaluate/gradient methods: reflections across
-spheres and hyperplanes, their compositions (Moebius maps, which the
-command line's moebius: grammar builds, every planar fractional-linear map
-among them), and the inversion-with-flip map (x1, -x2 [, x3]) / |x|^2,
+spheres and hyperplanes, the inversion-with-flip map (x1, -x2 [, x3]) / |x|^2,
 whose gradient S (|x|^2 id - 2 x (x) x) / |x|^4, S negating the x2 row, is
-one closed form in 2D and 3D.
+one closed form in 2D and 3D, and Moebius maps, chains of these steps (the
+command line's moebius: grammar builds them, every planar fractional-linear
+map among them).  Any other map is the one step of its own chain.
 
 evaluate and gradient take one point or a stack of points (..., dim) in one
-body.  A Moebius composition takes each chain-rule step as one stacked
-matmul, with each step's image and derivative from one pass over its parts
-and no image of the last step.  The finite-difference gradient (fd_gradient)
-makes one evaluate call on x + h e_j and one on x - h e_j for each axis j,
-with h = FD_STEP, and refuses a point where the images' rounding swallows
-the step.
+body, and run the chain once: each step's image and derivative from one
+pass over its parts, each chain-rule step one stacked matmul, and no image
+of the last step.  The finite-difference gradient (fd_gradient) makes one
+evaluate call on x + h e_j and one on x - h e_j for each axis j, with
+h = FD_STEP, and refuses a point where the images' rounding swallows the step.
 
-A map built from an odd number of reflections reverses orientation; its
-gradient is refused (the chain-rule derivative is available to compositions
-internally, but a deformation gradient must have positive determinant), as
-is one whose det overflows or underflows to 0.  A plane offset above
-DET_CEILING in size, and a sphere radius whose square overflows, are refused
-where the reflection is built.  Every refusal is a ConfmechError, and one at
-a point names the point the caller gave, also from a later step of a chain.
+A map whose derivative has a negative det (an odd number of reflections)
+reverses orientation; its gradient is refused, as is one whose det
+overflows or underflows to 0.  A plane offset above DET_CEILING in size,
+and a sphere radius whose square overflows, are refused where the
+reflection is built.  Every refusal is a ConfmechError, and one at a point
+names the point the caller gave, also from a later step of a chain.
 """
 
 import numpy as np
@@ -56,22 +54,33 @@ def _as_point(x, dim=None, stack=False):
 
 
 class DeformationMap:
-    """Common behaviour: orientation-checked gradient on top of a raw derivative matrix.
+    """Common behaviour: one chain rule, and an orientation-checked gradient on top of it.
 
-    A map overrides evaluate and _jacobian, or gives the parts both share:
+    A map is the chain of its steps, or its own one step.  A step gives
     _parts(x, points), then the image _image(*parts) and the matrix
     _derivative(*parts).  A refusal in _parts names the point of points, a
-    stack in x's order, where x fails: x itself, or a Moebius chain's input.
+    stack in x's order, where x fails: the caller's point, also at a later
+    step.  A map may instead override evaluate and _jacobian.
     """
 
     dim = None
 
     def evaluate(self, x):
-        x = _as_point(x, self.dim, stack=True)
-        return self._image(*self._parts(x, x))
+        y = x = _as_point(x, self.dim, stack=True)
+        for s in getattr(self, "steps", (self,)):
+            y = s._image(*s._parts(y, x))
+        return y
 
     def _jacobian(self, x):
-        return self._derivative(*self._parts(x, x))
+        # one pass: each step's image and derivative from one _parts call, and no last image;
+        # every step keeps the order of the stack, so a refusal at an image names x
+        steps = getattr(self, "steps", (self,))
+        parts = steps[0]._parts(x, x)
+        J = steps[0]._derivative(*parts)
+        for before, s in zip(steps, steps[1:]):
+            parts = s._parts(before._image(*parts), x)
+            J = s._derivative(*parts) @ J
+        return J
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -160,9 +169,10 @@ class HyperplaneReflection(DeformationMap):
 
 
 class MoebiusMap(DeformationMap):
-    """Composition of stacked reflections, applied first-to-last.
+    """Composition of steps (reflections, InversionFlips), applied first-to-last.
 
-    Orientation-preserving exactly when the number of steps is even.
+    Orientation-preserving exactly when the number of reflections is even,
+    an InversionFlip counting as two.
     """
 
     def __init__(self, steps):
@@ -175,22 +185,6 @@ class MoebiusMap(DeformationMap):
         self.steps = steps
         self.dim = dims.pop()
 
-    def evaluate(self, x):
-        y = x = _as_point(x, self.dim, stack=True)
-        for s in self.steps:
-            y = s._image(*s._parts(y, x))
-        return y
-
-    def _jacobian(self, x):
-        # one pass: each step's image and derivative from one _parts call, and no last image;
-        # every step keeps the order of the stack, so a refusal at an image names x
-        J, y = np.eye(self.dim), x
-        for s in self.steps[:-1]:
-            parts = s._parts(y, x)
-            J = s._derivative(*parts) @ J
-            y = s._image(*parts)
-        return self.steps[-1]._derivative(*self.steps[-1]._parts(y, x)) @ J
-
 
 class InversionFlip(DeformationMap):
     """The conformal map (x1, -x2)/|x|^2, and its 3D analogue (x1, -x2, x3)/|x|^2.
@@ -198,30 +192,28 @@ class InversionFlip(DeformationMap):
     In 2D this is the complex reciprocal z -> 1/z. Equals the unit-sphere
     inversion followed by a reflection of the second coordinate, hence
     orientation preserving, with det grad = |x|^{-4} in 2D and |x|^{-6} in
-    3D.  The gradient is hard coded; evaluate and gradient take stacks of points,
-    and refuse the origin and a point whose |x|^2 overflows.
+    3D.  The gradient is hard coded; it refuses the origin and a point whose
+    |x|^2 overflows, and is a MoebiusMap step too.
     """
 
     def __init__(self, dim):
         require_dim(dim)
         self.dim = dim
 
-    def _rho(self, x):
-        # vecdot is BLAS ddot per point, the bits of x @ x; past the float range it is +inf, refused
+    def _parts(self, x, points):
+        # rho = |x|^2 by vecdot, BLAS ddot per point, the bits of x @ x; past the float range it is +inf
         with np.errstate(over="ignore"):
             rho = np.vecdot(x, x)
         refuse_where(np.sqrt(rho) < SINGULAR_RADIUS, "origin is the singular point of the inversion")
-        refuse_where(rho == np.inf, "|x|^2 overflows at %s", x)
-        return rho
+        refuse_where(rho == np.inf, "|x|^2 overflows at %s", points)
+        return x, rho
 
-    def evaluate(self, x):
-        x = _as_point(x, self.dim, stack=True)
-        y = x / self._rho(x)[..., None]
+    def _image(self, x, rho):
+        y = x / rho[..., None]
         y[..., 1] *= -1.0
         return y
 
-    def _jacobian(self, x):
-        rho = self._rho(x)
+    def _derivative(self, x, rho):
         coords = x.transpose(-1, *range(x.ndim - 1))  # a view, the coordinates first
         # S (rho id - 2 x (x) x) / rho^2, S negating the x2 row, entry by entry:
         # row i is s_i rho e_i + (-2 s_i x_i) x, with the products in this order

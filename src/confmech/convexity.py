@@ -39,7 +39,8 @@ import numpy as np
 from .energies import _profile, _ratio_partials, _values
 from .exceptions import ConfmechError, LeavesGLPlus
 from .tensors import (
-    as_square, from_entries, refuse_where, require_count, require_dim, require_direction, require_gl_plus, require_seed
+    as_square, from_entries, refuse_where, require_broadcast, require_count, require_dim, require_direction,
+    require_gl_plus, require_seed,
 )
 
 EQ_BAND = 1e-6  # relative |l1 - l2| band switching to the coincident-stretch condition
@@ -55,10 +56,12 @@ def lh_form(energy, F, xi, eta):
 
     One matrix F with vectors xi, eta, or a stack of matrices (..., n, n)
     with stacks of vectors (..., n): one second_form call either way.  A
-    |xi|^2 |eta|^2 that is 0 or not finite is refused with a ConfmechError.
+    |xi|^2 |eta|^2 that is 0 or not finite, and stacks that do not broadcast,
+    are refused with a ConfmechError.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    require_broadcast("xi, eta and F", xi.shape[:-1], eta.shape[:-1], np.shape(F)[:-2])
     with np.errstate(over="ignore", invalid="ignore"):
         n2 = np.vecdot(xi, xi) * np.vecdot(eta, eta)
     refuse_where(n2 == 0.0, "xi and eta must be nonzero")

@@ -484,20 +484,13 @@ def builtin_energy(name, c=DEFAULT_C):
     """Construct one of the named energies used by the command line tools.
 
     iso2d-klin2 is W(F) = (lmax/lmin)^2 - 1, in the distortion K
-    (K + sqrt(K^2 - 1))^2 - 1: it vanishes exactly on CSO(2) and is strictly
-    rank-one convex.  iso2d-psi is DistortionEnergy, W(F) = K(F) - 1 in
-    closed form, strictly rank-one convex too: its ratio profile
-    (s - 1)^2 / (2 s), non-decreasing with h'' = 1 / s^3 > 0, passes
-    h_criterion as strictly rank-one convex.  A planar builtin's
-    Knowles-Sternberg grid is that of convexity.ratio_profile of its own
-    profile; check-convexity reports the LH scan alone, for every name.
-    composite2d and composite3d add VolumetricTerm(c) to iso2d-klin2 and
-    iso3d.  klin2's h'(1) = 2 is a corner on CSO(2), where its stress is
-    the minimal-norm subgradient 0 by convention, so composite2d's field on
-    phi2d is homogeneous with analytic gradients and not with
-    finite-difference ones (stress-field --fd exits 1); iso3d is smooth.
-    Every name refuses a c that VolumetricTerm refuses, with or without a
-    volumetric part.
+    (K + sqrt(K^2 - 1))^2 - 1, and iso2d-psi is DistortionEnergy,
+    W(F) = K(F) - 1 in closed form: both vanish exactly on CSO(2) and are
+    strictly rank-one convex.  composite2d and composite3d add
+    VolumetricTerm(c) to iso2d-klin2 and iso3d.  klin2's h'(1) = 2 is a
+    corner on CSO(2), where its stress is the minimal-norm subgradient 0 by
+    convention; iso2d-psi and iso3d are smooth.  Every name refuses a c that
+    VolumetricTerm refuses, with or without a volumetric part.
     """
     vol = VolumetricTerm(c)
     if name == "iso2d-psi":

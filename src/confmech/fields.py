@@ -17,12 +17,8 @@ through the SVD of F1 - F2, which resolves a zero singular value to
 rounding level (eigenvalues of (F1 - F2)^T (F1 - F2) would square it away).
 The SVD is the LAPACK gufunc that np.linalg.svd(D, compute_uv=False) calls,
 called directly: the same bits without the wrapper's checks, casts and
-errstate context (a numpy without that private name gets the wrapper).  NaN
-singular values, LAPACK's non-convergence, are refused with a ConfmechError
-(exit 2 in the CLI).  A float tol and float64 arrays pass the input checks
-without a call, and one pair then takes F1 - F2, that LAPACK call and one
-pass over the singular values: the rest is Python-float arithmetic with
-numpy's bits, and the JumpReport is an immutable NamedTuple.
+errstate context (a numpy without that private name gets the wrapper);
+jump_check's docstring states its refusals and fast paths.
 For planar conformal pairs it also reports det(F1 - F2) as the sum of two
 squares, the reason two distinct conformal states can never form a laminate.
 

@@ -19,8 +19,9 @@ refuses a det outside it, and the line scan leaves GL+ there.
 refuse_where raises the library's refusals at the first failing entry of a
 stack, and those of the count rule (require_count), the seed rule
 (require_seed), the tolerance rule (require_tolerance), the dimension
-rule (require_dim) and the direction rule (require_direction) of the entry
-points that take a count, a seed, a tolerance, a dimension or a direction.
+rule (require_dim) and the direction rule (require_direction, whose stacks
+must broadcast: require_broadcast) of the entry points that take a count, a
+seed, a tolerance, a dimension or a direction.
 
 Powers of stacks go through libm_pow, one libm call per element: a stack
 then gives the bits that a scalar power of each element gives.  Inner
@@ -178,10 +179,20 @@ def require_tolerance(tol):
     refuse_where(not ok, "tol must be finite and at least 0, got %r", tol)
 
 
+def require_broadcast(names, *shapes):
+    """Refuse with one line stack shapes that do not broadcast together; names names their operands."""
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        shapes = ", ".join(map(str, shapes))
+        raise ConfmechError("stacks of %s do not broadcast: shapes %s" % (names, shapes)) from None
+
+
 def require_direction(F, H):
-    """H as a matrix or stack, refused with one line unless its matrices are the size of F's."""
+    """H as a matrix or stack, refused with one line unless it is F's size and its stack broadcasts with F's."""
     H = as_square(H, stack=True)
     refuse_where(H.shape[-1] != F.shape[-1], "direction H is %dx%d, F is %dx%d", *H.shape[-2:], *F.shape[-2:])
+    require_broadcast("F and H", F.shape[:-2], H.shape[:-2])
     return H
 
 

@@ -31,7 +31,7 @@ def inversion_flip_rows(x):
     """The gradient of InversionFlip at points x (..., dim), each entry written out by hand.
 
     The bit-for-bit oracle of the one formula S (rho id - 2 x (x) x) / rho^2 that
-    InversionFlip._jacobian takes in 2D and 3D.
+    InversionFlip._derivative takes in 2D and 3D.
     """
     rho = np.vecdot(x, x)
     coords = x.transpose(-1, *range(x.ndim - 1))
@@ -396,6 +396,22 @@ def test_one_pass_moebius_gradient_matches_the_two_pass_chain_bit_for_bit(dim, m
         assert mo.evaluate(pts).tobytes() == image.tobytes()
         for p in pts[:5]:
             assert mo.gradient(p).tobytes() == two_pass_chain(steps, p)[1].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inversion_flip_is_a_moebius_step(dim):
+    # one step: the chain gives the map's own bits; two steps: x -> 1/conj(1/conj(x)) is the identity
+    phi = cm.InversionFlip(dim)
+    pts = cm.sample_annulus(cm.AnnulusDomain(dim, 0.3, 1.2), 500, seed=dim)
+    one, two = cm.MoebiusMap([phi]), cm.MoebiusMap([phi] * 2)
+    assert one.evaluate(pts).tobytes() == phi.evaluate(pts).tobytes()
+    assert one.gradient(pts).tobytes() == phi.gradient(pts).tobytes()
+    size = np.sqrt(np.vecdot(pts, pts))
+    assert np.all(np.max(np.abs(two.evaluate(pts) - pts), axis=-1) <= 1e-15 * size)
+    assert np.max(np.abs(two.gradient(pts) - np.eye(dim))) <= 1e-14
+    assert np.all(cm.is_conformal_at(two, pts)[0])
+    with pytest.raises(cm.ConfmechError, match=r"^\|x\|\^2 overflows at \[ ?1\.e\+200"):
+        cm.MoebiusMap([phi, phi]).gradient(np.r_[1e200, np.zeros(dim - 1)])
 
 
 def test_stacked_gradient_names_first_orientation_reversing_point():

@@ -534,6 +534,33 @@ def test_a_direction_of_another_size_than_f_is_refused_with_one_line(call, line)
     assert str(exc.value) == line
 
 
+def _stretches(dim, n):
+    """n copies of diag(2, 1 [, 1]), off the coincident stretches where iso2d-klin2 has no second form."""
+    return np.stack([np.diag([2.0, 1.0, 1.0][:dim])] * n)
+
+
+STACKS = "stacks of %s do not broadcast: shapes %s"
+
+
+# each raised numpy's ValueError, "operands could not be broadcast together", not a ConfmechError
+@pytest.mark.parametrize("call, line", [
+    *[pytest.param(lambda E=cm.builtin_energy(name): E.second_form(_stretches(E.dim, 5), _stretches(E.dim, 4)),
+                   STACKS % ("F and H", "(5,), (4,)"), id=name + ".second_form")
+      for name in cm.BUILTIN_ENERGIES],
+    *[pytest.param(lambda E=cm.builtin_energy(name): fd_second_form(E, _stretches(E.dim, 5), _stretches(E.dim, 4)),
+                   STACKS % ("F and H", "(5,), (4,)"), id=name + ".fd_second_form")
+      for name in cm.BUILTIN_ENERGIES],
+    pytest.param(lambda: cm.lh_form(ISO3D, _stretches(3, 5), np.ones((4, 3)), np.ones((4, 3))),
+                 STACKS % ("xi, eta and F", "(4,), (4,), (5,)"), id="lh_form-F"),
+    pytest.param(lambda: cm.lh_form(ISO3D, np.eye(3), np.ones((5, 3)), np.ones((4, 3))),
+                 STACKS % ("xi, eta and F", "(5,), (4,), ()"), id="lh_form-xi-eta"),
+])
+def test_stacks_that_do_not_broadcast_are_refused_with_one_line(call, line):
+    with pytest.raises(cm.ConfmechError) as exc:
+        call()
+    assert str(exc.value) == line
+
+
 def test_volumetric_curvature_below_e_overflows_to_inf_without_a_warning():
     # t^2 is subnormal at 1e-160 (the quotient overflows) and 0 at 1e-300
     vol = cm.VolumetricTerm()

@@ -1070,3 +1070,42 @@ def test_strictness_is_sharp_a_rank_one_convex_energy_has_equal_stress_across_ra
     # composite2d, strictly rank-one convex, has no such family: its stress differs on the same F
     sigma2 = cm.builtin_energy("composite2d").cauchy_stress(F)
     assert np.max(np.abs(sigma2[:, None] - sigma2[None])) > 1.0
+
+
+def test_equal_stress_across_a_rank_one_jump_zeroes_the_product_that_strictness_makes_positive():
+    # Mihai & Neff (2017): across F_j = F_i + a (x) n, Cof F_j n = Cof F_i n, so equal sigma gives
+    # equal Piola tractions DW n, and <DW(F_j) - DW(F_i), a (x) n> = 0, which strictness forbids
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.array([[c, -s], [s, c]])
+    F = np.stack([Q @ np.diag([lam, 1.0]) @ Q.T for lam in (np.e, 3.0, 3.5, 4.0, cm.energies.DEFAULT_C)])
+    n = Q[:, 0]
+    i, j = np.triu_indices(5, 1)
+    jumps = F[j] - F[i]
+    cof_n = cm.cofactor(F) @ n
+    assert np.max(np.abs(cof_n[j] - cof_n[i])) <= 1e-14
+
+    def product_and_stress_gap(W):
+        P, sigma = W.first_derivative(F), W.cauchy_stress(F)
+        product = np.sum((P[j] - P[i]) * jumps, axis=(-2, -1)) / np.sum(jumps * jumps, axis=(-2, -1))
+        return product, np.max(np.abs(sigma[j] - sigma[i]), axis=(-2, -1))
+
+    # h = s - 1, rank-one convex but not strictly: equal stress, and the product is 0
+    sharp = cm.CompositeEnergy(
+        cm.PlanarRatioEnergy(h=lambda s: s - 1.0, dh=lambda s: 1.0, d2h=lambda s: 0.0), cm.VolumetricTerm()
+    )
+    product, gap = product_and_stress_gap(sharp)
+    assert np.max(np.abs(product)) <= 1e-14 and np.max(gap) <= 1e-14
+    # the smooth strictly rank-one convex composite and composite2d: a positive product, unequal stress
+    product, gap = product_and_stress_gap(cm.CompositeEnergy(cm.DistortionEnergy(), cm.VolumetricTerm()))
+    assert np.min(product) >= 5e-3 and np.min(gap) >= 4e-3
+    product, gap = product_and_stress_gap(cm.builtin_energy("composite2d"))
+    assert np.min(product) >= 1.9 and np.min(gap) >= 0.5
+
+
+@pytest.mark.parametrize("name", ["composite2d", "composite3d"])
+def test_the_affine_map_a_id_with_a_to_the_n_in_the_band_has_the_conformal_fields_stress(name):
+    # x -> a x with a^n in [e, c] has sigma = (2/e) id, the constant stress of phi2d and phi3d
+    E = cm.builtin_energy(name)
+    t = np.linspace(np.e, cm.energies.DEFAULT_C, 7)
+    F = (t ** (1.0 / E.dim))[:, None, None] * np.eye(E.dim)
+    assert np.max(np.abs(E.cauchy_stress(F) - (2.0 / np.e) * np.eye(E.dim))) <= 1e-15
