@@ -66,7 +66,6 @@ for name in cm.BUILTIN_ENERGIES:
 
 class NegFrobenius(cm.EnergyModel):
     dim = 2
-    label = "neg-frob"
 
     def value(self, F):
         return -np.sum(F * F, axis=(-2, -1))

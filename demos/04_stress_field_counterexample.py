@@ -4,8 +4,10 @@ Non-affine equilibria with constant stress
 
 Uniform Cauchy stress usually forces an affine deformation.  The conformal
 inversion-flip breaks that expectation for isotropic energies whose minimum
-sits on the conformal group: the planar squared-ratio energy is stress free
-along the whole map, and the composite energies produce the constant stress
+sits on the conformal group: the planar distortion energy K - 1 is stress
+free along the whole map, with a true derivative; the squared-ratio energy
+is too, but only by the subgradient convention at its corner on the
+conformal group.  The composite energies produce the constant stress
 (2/e) id on an annulus chosen so every local determinant stays inside the
 constant-slope band of the volumetric term.  Laminates cannot rescue the
 affine intuition either, because two distinct conformal gradients are never
@@ -22,15 +24,23 @@ import confmech as cm
 out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 os.makedirs(out_dir, exist_ok=True)
 
-# 1. Stress free and visibly non-affine: squared-ratio energy, planar map.
-E = cm.builtin_energy("iso2d-klin2")
+# 1. Stress free and visibly non-affine, on the planar map.  iso2d-psi,
+#    W = K - 1, is smooth: its zero stress is a true derivative, and
+#    finite-difference gradients keep the field homogeneous.  iso2d-klin2,
+#    W = (lmax/lmin)^2 - 1, has h'(1) = 2, a corner on CSO(2): its zero stress
+#    rests on the subgradient convention, and gradients that leave the tie by
+#    rounding get the cone's slope instead.
 phi = cm.InversionFlip(2)
 dom = cm.admissible_annulus("phi2d")
-samples, summary = cm.stress_field(E, phi, dom, n=2000, seed=42)
-worst = max(np.max(np.abs(s.sigma)) for s in samples)
-spread = np.sqrt(np.sum((samples[0].F - samples[1].F) ** 2))
 print("planar annulus r in [%.6f, %.6f]" % (dom.r_min, dom.r_max))
-print("max |sigma| over %d points: %s" % (summary.n_samples, worst))
+for name, rests_on in (("iso2d-psi", "a true derivative"), ("iso2d-klin2", "the subgradient convention")):
+    E = cm.builtin_energy(name)
+    samples, summary = cm.stress_field(E, phi, dom, n=2000, seed=42)
+    _, fd = cm.stress_field(E, phi, dom, n=2000, seed=42, tol=1e-5, use_fd=True)
+    print("%s: max |sigma| over %d points %.3e (max deviation %.3e), stress free by %s"
+          % (name, summary.n_samples, np.max(np.abs(samples.sigma)), summary.max_deviation, rests_on))
+    print("  with fd gradients: homogeneous %s (max deviation %.3e)" % (fd.homogeneous, fd.max_deviation))
+spread = np.sqrt(np.sum((samples[0].F - samples[1].F) ** 2))
 print("two sampled gradients differ by %.3f, so the map is not affine" % spread)
 
 # 2. Constant but nonzero: the composite energies on the admissible annuli.

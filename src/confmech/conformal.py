@@ -60,7 +60,8 @@ class DeformationMap:
     _parts(x, points), then the image _image(*parts) and the matrix
     _derivative(*parts).  A refusal in _parts names the point of points, a
     stack in x's order, where x fails: the caller's point, also at a later
-    step.  A map may instead override evaluate and _jacobian.
+    step.  A map may instead override evaluate and _jacobian; it is then
+    not a step that a MoebiusMap takes.
     """
 
     dim = None
@@ -171,12 +172,19 @@ class HyperplaneReflection(DeformationMap):
 class MoebiusMap(DeformationMap):
     """Composition of steps (reflections, InversionFlips), applied first-to-last.
 
+    A MoebiusMap given as a step adds its own steps, so a chain of chains is
+    one chain.  A map without _parts, _image and _derivative (one that
+    overrides evaluate and _jacobian) is not a step and is refused here.
     Orientation-preserving exactly when the number of reflections is even,
     an InversionFlip counting as two.
     """
 
     def __init__(self, steps):
-        steps = list(steps)
+        steps = [s for m in steps for s in getattr(m, "steps", (m,))]
+        for s in steps:
+            if not all(hasattr(s, name) for name in ("_parts", "_image", "_derivative")):
+                message = "%s is not a Moebius step: it needs _parts, _image and _derivative"
+                raise ConfmechError(message % type(s).__name__)
         if not steps:
             raise ConfmechError("need at least one reflection step")
         dims = {s.dim for s in steps}
@@ -204,7 +212,7 @@ class InversionFlip(DeformationMap):
         # rho = |x|^2 by vecdot, BLAS ddot per point, the bits of x @ x; past the float range it is +inf
         with np.errstate(over="ignore"):
             rho = np.vecdot(x, x)
-        refuse_where(np.sqrt(rho) < SINGULAR_RADIUS, "origin is the singular point of the inversion")
+        refuse_where(np.sqrt(rho) < SINGULAR_RADIUS, "origin is the singular point of the inversion at %s", points)
         refuse_where(rho == np.inf, "|x|^2 overflows at %s", points)
         return x, rho
 

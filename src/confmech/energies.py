@@ -145,7 +145,6 @@ class EnergyModel:
     """
 
     dim = None
-    label = "energy"
     analytic = False  # True when first_derivative and second_form are closed forms
 
     def _check_dim(self, F):
@@ -155,11 +154,11 @@ class EnergyModel:
         C-contiguous one, so a stack's bits would depend on its layout.
         """
         F = as_square(F, stack=True)
-        refuse_where(self.dim not in (2, 3), "%s must set dim to 2 or 3, got dim = %r", self.label, self.dim)
+        refuse_where(self.dim not in (2, 3), "%s must set dim to 2 or 3, got dim = %r", type(self).__name__, self.dim)
         if F.shape[-1] != self.dim:
             raise ConfmechError(
                 "%s is a %dD energy, got a %dx%d matrix"
-                % (self.label, self.dim, F.shape[-1], F.shape[-1])
+                % (type(self).__name__, self.dim, F.shape[-1], F.shape[-1])
             )
         return np.ascontiguousarray(F)
 
@@ -201,7 +200,6 @@ class DistortionEnergy(EnergyModel):
     """
 
     dim = 2
-    label = "distortion-minus-one"
     analytic = True
 
     def _distortion(self, F, d):
@@ -256,11 +254,10 @@ class PlanarRatioEnergy(EnergyModel):
     dim = 2
     analytic = True
 
-    def __init__(self, h, dh, d2h, label="ratio-energy"):
+    def __init__(self, h, dh, d2h):
         self.h = h
         self.dh = dh
         self.d2h = d2h
-        self.label = label
 
     def value(self, F):
         s, _ = _singular_values(self._check_dim(F))
@@ -309,7 +306,6 @@ class IsochoricNeoHooke(EnergyModel):
     """W(F) = ||F||^2 / det(F)^{2/3} - 3 on GL+(3); vanishes exactly on CSO(3)."""
 
     dim = 3
-    label = "isochoric-neo-hooke"
     analytic = True
 
     def value(self, F):
@@ -430,7 +426,6 @@ class CompositeEnergy(EnergyModel):
         self.iso = iso
         self.vol = vol
         self.dim = iso.dim
-        self.label = "composite-" + iso.label
         n = self.dim
         probe = np.multiply.outer(INVARIANCE_SCALES, np.stack([np.eye(n), np.eye(n) + np.eye(n, k=1)]))
         v = _values(iso, probe)
@@ -500,7 +495,6 @@ def builtin_energy(name, c=DEFAULT_C):
             h=lambda s: s * s - 1.0,
             dh=lambda s: 2.0 * s,
             d2h=lambda s: 2.0,
-            label="linear-distortion-squared",
         )
     elif name in ("iso3d", "composite3d"):
         iso = IsochoricNeoHooke()

@@ -477,40 +477,31 @@ def _json_pieces(o, newline, put, texts):
         put(int.__repr__(o))
     elif isinstance(o, float):
         put(_float_text(o, texts))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, dict)):
+        pair = isinstance(o, dict)
+        opening, closing = "{}" if pair else "[]"
         if not o:
-            put("[]")
+            put(opening + closing)
             return
         inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
+        sep = opening + inner
+        for item in o.items() if pair else o:
+            head = sep
+            if pair:
+                key, item = item
+                if not isinstance(key, str):
+                    raise ConfmechError(
+                        "the result is not valid JSON: keys must be str, not %s" % type(key).__name__
+                    )
+                head += encode_basestring_ascii(key) + ": "
             # a float in a container, the bulk of a payload, takes one piece and no call
-            if type(item) is float:
-                put(sep + (texts.get(item) or _float_text(item, texts)))
-            else:
-                put(sep)
-                _json_pieces(item, inner, put, texts)
-            sep = "," + inner
-        put(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in o.items():
-            if not isinstance(key, str):
-                raise ConfmechError(
-                    "the result is not valid JSON: keys must be str, not %s" % type(key).__name__
-                )
-            head = sep + encode_basestring_ascii(key) + ": "
             if type(item) is float:
                 put(head + (texts.get(item) or _float_text(item, texts)))
             else:
                 put(head)
                 _json_pieces(item, inner, put, texts)
             sep = "," + inner
-        put(newline + "}")
+        put(newline + closing)
     else:
         raise ConfmechError(
             "the result is not valid JSON: Object of type %s is not JSON serializable" % type(o).__name__

@@ -95,25 +95,18 @@ def grid_polylines(region, spacing, samples_per_line=SAMPLES_PER_LINE):
     return lines
 
 
-class _Panel:
-    """Maps data coordinates into one SVG viewport (y axis flipped); a box with no extent is refused."""
-
-    def __init__(self, points, x0, width, height):
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        pad = 0.05 * np.maximum(hi - lo, 1e-9)  # the box of the points, 5 % of its span wider on each side
-        lo, hi = lo - pad, hi + pad
-        size = hi - lo
-        if not np.all(size > 0.0):
-            raise ConfmechError("points near %s span too little next to their size to draw" % (lo,))
-        scale = min(width / size[0], height / size[1])
-        # the bits of x0 + scale (x - lo_x) and y0 + scale (hi_y - y): negating both factors is exact
-        self.anchor = np.array([lo[0], hi[1]])
-        self.factor = np.array([scale, -scale])
-        self.origin = np.array([x0 + 0.5 * (width - scale * size[0]), 0.5 * (height - scale * size[1])])
-
-    def to_svg(self, p):
-        """SVG (x, y) of each point of a stack (k, 2), element by element."""
-        return self.origin + (p - self.anchor) * self.factor
+def _svg_points(p, box, x0):
+    """SVG (x, y) of each point of p (k, 2) in the panel at x0 (y flipped); a box with no extent is refused."""
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    pad = 0.05 * np.maximum(hi - lo, 1e-9)  # the bounding box of box, 5 % of its span wider on each side
+    lo, hi = lo - pad, hi + pad
+    size = hi - lo
+    if not np.all(size > 0.0):
+        raise ConfmechError("points near %s span too little next to their size to draw" % (lo,))
+    scale = min(PANEL / size[0], PANEL / size[1])
+    # the bits of x0 + scale (x - lo_x) and y0 + scale (hi_y - y): negating both factors is exact
+    origin = np.array([x0 + 0.5 * (PANEL - scale * size[0]), 0.5 * (PANEL - scale * size[1])])
+    return origin + (p - np.array([lo[0], hi[1]])) * np.array([scale, -scale])
 
 
 def _polyline(xy, stroke, width):
@@ -131,7 +124,7 @@ def render_grid_svg(mapping, region, out_path, spacing=GRID_SPACING, samples_per
     """Write a two-panel SVG: the gridded region and its image under the map.
 
     One evaluate call maps the polylines, 8 markers at equal angles and the
-    center, and one to_svg call per panel takes them into its viewport.
+    center, and one _svg_points call per panel takes them into its viewport.
     Returns (reference_polylines, image_polylines) so callers can assert on
     the geometry without parsing the file.
     """
@@ -150,7 +143,7 @@ def render_grid_svg(mapping, region, out_path, spacing=GRID_SPACING, samples_per
     ]
     for x0, pts in ((0.0, points), (PANEL + GAP, img)):
         # each panel's box holds its polylines and markers, not its center
-        xy = _Panel(pts[:-1], x0, PANEL, PANEL).to_svg(pts)
+        xy = _svg_points(pts, pts[:-1], x0)
         *lines, outline, dots = np.split(xy[:-1], cuts)
         parts += [_polyline(line, "#bbbbbb", STROKE_GRID) for line in lines]
         parts.append(_polyline(outline, "#000000", STROKE_OUTLINE))

@@ -117,8 +117,11 @@ def test_inversion_flip_equals_two_reflections():
 
 def test_inversion_flip_singularity_raises():
     phi = cm.InversionFlip(2)
-    with pytest.raises(cm.ConfmechError, match=r"^origin is the singular point of the inversion$"):
+    with pytest.raises(cm.ConfmechError, match=r"^origin is the singular point of the inversion at \[0\. 0\.\]$"):
         phi(np.zeros(2))
+    # in a stack, the line names the row that reaches the origin
+    with pytest.raises(cm.ConfmechError, match=r"^origin is the singular point of the inversion at \[0\. 0\.\]$"):
+        cm.MoebiusMap([phi] * 2).gradient(np.array([[0.5, 0.2], [0.0, 0.0]]))
 
 
 def test_sphere_reflection_fixes_sphere_and_involutes():
@@ -412,6 +415,20 @@ def test_inversion_flip_is_a_moebius_step(dim):
     assert np.all(cm.is_conformal_at(two, pts)[0])
     with pytest.raises(cm.ConfmechError, match=r"^\|x\|\^2 overflows at \[ ?1\.e\+200"):
         cm.MoebiusMap([phi, phi]).gradient(np.r_[1e200, np.zeros(dim - 1)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_chain_of_chains_is_one_chain_and_a_map_that_is_not_a_step_is_refused(dim):
+    phi = cm.InversionFlip(dim)
+    pts = cm.sample_annulus(cm.AnnulusDomain(dim, 0.3, 1.2), 500, seed=dim)
+    flat, nested = cm.MoebiusMap([phi] * 2), cm.MoebiusMap([cm.MoebiusMap([phi])] * 2)
+    assert nested.steps == [phi] * 2
+    assert nested.evaluate(pts).tobytes() == flat.evaluate(pts).tobytes()
+    assert nested.gradient(pts).tobytes() == flat.gradient(pts).tobytes()
+    affine = AffineMap(np.eye(dim), np.zeros(dim))
+    message = r"^AffineMap is not a Moebius step: it needs _parts, _image and _derivative$"
+    with pytest.raises(cm.ConfmechError, match=message):
+        cm.MoebiusMap([phi, affine])
 
 
 def test_stacked_gradient_names_first_orientation_reversing_point():

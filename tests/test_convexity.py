@@ -11,7 +11,6 @@ class NegFrobenius(cm.EnergyModel):
     """Concave control energy; every rank-one direction violates ellipticity."""
 
     dim = 2
-    label = "neg-frob"
 
     def value(self, F):
         return -np.sum(F * F, axis=(-2, -1))
@@ -21,7 +20,6 @@ class Det2(cm.EnergyModel):
     """Null Lagrangian: D^2 det(F)[H, H] = 2 det H vanishes on every rank-one H."""
 
     dim = 2
-    label = "det"
 
     def value(self, F):
         return cm.det(F)
@@ -58,7 +56,6 @@ class OverflowingForm(cm.EnergyModel):
     """Stacked second form |H|^2 / det F, NaN where det F > bound (as an overflowing exp gives)."""
 
     dim = 2
-    label = "overflowing"
     analytic = True
 
     def __init__(self, bound):
@@ -461,7 +458,7 @@ def test_dimensions_and_line_ends_out_of_their_rules_are_refused_with_one_line()
         (lambda: cm.random_def_gradient(rng, 4), "dim must be the int 2 or 3, got 4"),
         (lambda: cm.random_def_gradient(rng, 2.0), "dim must be the int 2 or 3, got 2.0"),
         (lambda: cm.scan_rank_one_convexity(Dimless(), 5), "dim must be the int 2 or 3, got None"),
-        (lambda: Dimless().first_derivative(np.eye(2)), "energy must set dim to 2 or 3, got dim = None"),
+        (lambda: Dimless().first_derivative(np.eye(2)), "Dimless must set dim to 2 or 3, got dim = None"),
         (lambda: cm.rank_one_line_scan(E, np.eye(3), [1.0, 0, 0], [0, 1.0, 0], t_max=np.inf),
          "t_max must be finite, got inf"),
         (lambda: cm.rank_one_line_scan(E, np.eye(3), [1.0, 0, 0], [0, 1.0, 0], t_max=np.nan),

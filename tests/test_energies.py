@@ -123,7 +123,6 @@ def test_ratio_energy_with_smooth_minimum_is_differentiable_at_ties():
         lambda s: (s - 1.0) ** 2,
         dh=lambda s: 2.0 * (s - 1.0),
         d2h=lambda s: 2.0,
-        label="ratio-minus-one-squared",
     )
     assert np.all(E.first_derivative(np.eye(2)) == 0.0)
     P = E.first_derivative(F21)
@@ -385,7 +384,6 @@ def test_composite_iso_part_is_scale_invariant_under_the_hood():
 def test_composite_refuses_noninvariant_iso_part():
     class Frobenius2(cm.EnergyModel):
         dim = 2
-        label = "frob"
 
         def value(self, F):
             return np.sum(F * F, axis=(-2, -1))
@@ -649,8 +647,6 @@ def test_composite_refuses_an_iso_part_that_is_invariant_only_on_the_identity():
 
     with pytest.raises(cm.ConfmechError, match=r"^iso part must be conformally invariant to compose$"):
         cm.CompositeEnergy(DistortionTimesDet(), cm.VolumetricTerm())
-    for name in ("composite2d", "composite3d"):
-        assert cm.builtin_energy(name).label.startswith("composite-")
 
 
 def ulps_from(a, k):

@@ -651,6 +651,10 @@ def test_json_text_leaves_no_reference_cycle():
         ([np.float32(1.5)], "Object of type float32 is not JSON serializable"),
         ({"a": {1.5}}, "Object of type set is not JSON serializable"),
         ([1.0, [math.inf]], "Out of range float values are not JSON compliant: inf"),
+        # a key at depth, inside a tuple, a list and a dict
+        ([({"a": {(1, 2): 0.5}},)], "keys must be str, not tuple"),
+        # json.dumps writes the key True as "true"; json_text refuses it
+        ({True: 1.0}, "keys must be str, not bool"),
     ],
 )
 def test_json_text_refuses_what_json_has_no_text_for_with_one_line(payload, words):
