@@ -180,6 +180,7 @@ class MoebiusMap(DeformationMap):
     """
 
     def __init__(self, steps):
+        refuse_where(not hasattr(steps, "__iter__"), "%s is not a list of Moebius steps", type(steps).__name__)
         steps = [s for m in steps for s in getattr(m, "steps", (m,))]
         for s in steps:
             if not all(hasattr(s, name) for name in ("_parts", "_image", "_derivative")):

@@ -40,7 +40,8 @@ import numpy as np
 from .exceptions import ConfmechError
 from .tensors import (
     _entries,
-    _singular_values,
+    _planar_svd,
+    _split,
     as_square,
     cofactor,
     inner,
@@ -48,7 +49,6 @@ from .tensors import (
     refuse_where,
     require_direction,
     require_gl_plus,
-    svd,
     transpose,
 )
 
@@ -244,11 +244,10 @@ class PlanarRatioEnergy(EnergyModel):
     h'(1+) < 0 leaves no canonical value and raises a ConfmechError.
 
     value, first_derivative, cauchy_stress and second_form take one matrix
-    or a stack (..., 2, 2) through the closed-form 2x2 SVD, so h, dh and
-    d2h are called on an array of ratios and must broadcast (a constant is
-    broadcast to the ratios' shape).  At nearly coincident singular values,
-    inside NEAR_TIE_GAP, second_form takes its closed form's limit when
-    h'(1) = 0, and raises a ConfmechError otherwise.
+    or a stack (..., 2, 2) through tensors' split, s = 1 + 2 |a| / (|c| - |a|),
+    so h, dh and d2h are called on an array of ratios and must broadcast (a
+    constant is broadcast).  Inside NEAR_TIE_GAP of a tie, second_form takes
+    its closed form's limit when h'(1) = 0, and raises a ConfmechError otherwise.
     """
 
     dim = 2
@@ -260,19 +259,19 @@ class PlanarRatioEnergy(EnergyModel):
         self.d2h = d2h
 
     def value(self, F):
-        s, _ = _singular_values(self._check_dim(F))
-        return _profile(self.h, s[..., 0] / s[..., 1])
+        (c, _, _), (a, _, _) = _split(self._checked(F)[0])
+        return _profile(self.h, 1.0 + 2.0 * a / (c - a))
 
     def first_derivative(self, F):
-        U, s, V = svd(self._check_dim(F))
-        ratio = s[..., 0] / s[..., 1]
+        U, c, a, V = _planar_svd(self._check_dim(F))
+        gap = 2.0 * a / (c - a)  # s - 1, without cancellation
+        ratio, tie = 1.0 + gap, gap < TIE_GAP
         h1 = _profile(self.dh, ratio)
-        tie = ratio - 1.0 < TIE_GAP
         message = "h decreases into the coincident singular values (h'(1+) = %r)"
         refuse_where(tie & (h1 < -1e-8), message, h1, note=True)
         outer0 = U[..., :, 0, None] * V[..., None, :, 0]
         outer1 = U[..., :, 1, None] * V[..., None, :, 1]
-        P = h1[..., None, None] * (outer0 - ratio[..., None, None] * outer1) / s[..., 1, None, None]
+        P = h1[..., None, None] * (outer0 - ratio[..., None, None] * outer1) / (c - a)[..., None, None]
         # a minimum of the energy on the conformal set: the stress must vanish
         P[tie] = 0.0
         return P
@@ -282,24 +281,26 @@ class PlanarRatioEnergy(EnergyModel):
 
         The form has diagonal block g_ij and off-diagonal coefficients
         (l1 g1 - l2 g2)/(l1^2 - l2^2) and (l2 g1 - l1 g2)/(l1^2 - l2^2), whose
-        common limit as l1 -> l2 is g11 = h''/l2^2 when h'(1) = 0.
+        common limit as l1 -> l2 is g11 = h''/l2^2 when h'(1) = 0.  The split
+        gives l1^2 - l2^2 = 4 |c| |a| and (l1 - l2) / l1 = 2 |a| / l1 without cancellation.
         """
         F = self._check_dim(F)
         H = require_direction(F, H)
-        U, s, V = svd(F)
-        s0, s1 = s[..., 0], s[..., 1]
-        near = (s0 - s1) / s0 < NEAR_TIE_GAP
+        U, c, a, V = _planar_svd(F)
+        s0, s1 = c + a, c - a
+        near = 2.0 * a / s0 < NEAR_TIE_GAP
         no_form = near & ~(np.abs(_profile(self.dh, 1.0)) <= 1e-8)
         refuse_where(no_form, "no second derivative at coincident singular values", note=True)
         g1, g2, g11, g22, g12 = _ratio_partials(self.dh, self.d2h, s0, s1)
         Ht = _entries(transpose(U) @ np.ascontiguousarray(H) @ V)
-        denom = libm_pow(s0, 2.0) - libm_pow(s1, 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a tie, where g11 is taken
-            a = np.where(near, g11, (s0 * g1 - s1 * g2) / denom)
-            b = np.where(near, g11, (s1 * g1 - s0 * g2) / denom)
+        # 0 / 0 at a tie, where g11 is taken; 4 |c| |a| past the float range is inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = 4.0 * c * a
+            p = np.where(near, g11, (s0 * g1 - s1 * g2) / denom)
+            q = np.where(near, g11, (s1 * g1 - s0 * g2) / denom)
         (h00, h01), (h10, h11) = Ht[0], Ht[1]
         quad = g11 * libm_pow(h00, 2.0) + g22 * libm_pow(h11, 2.0) + 2.0 * g12 * h00 * h11
-        return quad + (a * (libm_pow(h01, 2.0) + libm_pow(h10, 2.0)) + 2.0 * b * h01 * h10)
+        return quad + (p * (libm_pow(h01, 2.0) + libm_pow(h10, 2.0)) + 2.0 * q * h01 * h10)
 
 
 class IsochoricNeoHooke(EnergyModel):

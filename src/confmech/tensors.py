@@ -5,14 +5,13 @@ axes moved to the front, so they take one matrix or a stack of shape
 (..., n, n) alike.  det_of_entries is the one det formula: det takes it in
 arrays, on one matrix as on a stack, and jump_check in Python floats on
 the entries it has already unpacked.
-The planar ratio energy takes its singular values from a closed-form 2x2
-route (_singular_values, svd) whose arithmetic pins field CSV bytes;
-elsewhere from LAPACK's SVD of the matrix itself (jump_check calls the
-gufunc behind np.linalg.svd directly), never from M^T M, which would
-square the small ones away.  The 2x2 routes take one
-matrix or a stack (..., 2, 2) in one body: branches go through np.where,
-products through stacked matmuls on C-contiguous operands and dots through
-vecdot, so each matrix of a stack gets the bits it gets alone.
+The planar ratio energy reads a 2x2 F through its split F z = c z + a conj(z)
+(_split, _planar_svd): singular values |c| +- |a| and rotations from half
+angles, never from F^T F.  Elsewhere singular values come from LAPACK's SVD
+of the matrix itself (jump_check calls np.linalg.svd's gufunc directly).
+These routes take one matrix or a stack in one body: branches go through
+np.where, products through stacked matmuls on C-contiguous operands and dots
+through vecdot, so each matrix of a stack gets the bits it gets alone.
 
 GL+ is taken as the det band [1 / DET_CEILING, DET_CEILING]: require_gl_plus
 refuses a det outside it, and the line scan leaves GL+ there.
@@ -39,7 +38,6 @@ from .exceptions import ConfmechError
 # the det band [1 / DET_CEILING, DET_CEILING] of GL+: dets outside it are refused,
 # so the energies' powers of det F, up to det^2, neither overflow nor underflow
 DET_CEILING = 1e100
-SMALLEST_NORMAL = 2.0**-1022
 
 
 def as_square(M, stack=False):
@@ -53,13 +51,11 @@ def as_square(M, stack=False):
 def libm_pow(a, p):
     """a ** p element by element through libm pow, as a scalar power computes it.
 
-    numpy's array power takes a SIMD route on AVX-512 hosts that differs
-    from libm in the last bit on about 5 % of inputs, and its a ** 2 is
-    a * a, which differs from pow(a, 2) on about 1 in 1000.  Stacked
-    formulas therefore take every power from here.  Where math.pow raises
-    (a power past the float range, a pole such as 0 ** -1, a negative base
-    with a fractional p), the element gets C's IEEE result, +-inf or NaN,
-    from numpy's float64 scalar power; every other element keeps its bits.
+    numpy's array power may take a SIMD route that differs from libm in the
+    last bit, and its a ** 2 is a * a, so stacked formulas take every power
+    from here.  Where math.pow raises (past the float range, a pole such as
+    0 ** -1, a negative base with a fractional p), the element gets C's IEEE
+    result, +-inf or NaN; every other element keeps its bits.
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
@@ -241,66 +237,66 @@ def inner(A, B):
     return np.sum(np.asarray(A) * np.asarray(B), axis=(-2, -1))
 
 
-def _eigenvalues(S):
-    """Descending eigenvalues w (..., 2) of a symmetric 2x2 S or stack, and its half-gap (d, b, r)."""
-    s = _entries(S)
-    m, d, b = 0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 0] - s[1, 1]), 0.5 * (s[0, 1] + s[1, 0])
-    r = np.hypot(d, b)  # never sqrt(m^2 - det), which cancels near multiples of the identity
-    return np.stack([m + r, m - r], axis=-1), (d, b, r)
+def _polar(x, y):
+    """|z| and z / |z| as (cos, sin), of z = x + i y or of stacks; (1, 0), its zero positive, where z = 0."""
+    r = np.hypot(x, y)
+    zero = r == 0.0
+    r1 = np.where(zero, 1.0, r)
+    return r, np.where(zero, 1.0, x / r1), np.where(zero, 0.0, y / r1)
 
 
-def _eigenvectors(d, b, r):
-    """The orthonormal eigenvectors, as columns, of the symmetric 2x2 with half-gap (d, b, r)."""
-    # pick the larger-norm solution (x, y) of (S - w1 I) v = 0 for stability;
-    # it is (0, 0) exactly when r == 0, and V is then the identity
-    tie = r == 0.0
-    x = np.where(d >= 0.0, d + r, b)
-    y = np.where(d >= 0.0, b, r - d)
-    # hypot keeps few digits of subnormal x and y (an off-diagonal of rounding
-    # size at a near-tie); scaling both by 2^600 is exact and keeps V orthonormal
-    up = np.where(r < SMALLEST_NORMAL, 2.0**600, 1.0)
-    x, y = x * up, y * up
-    nrm = np.where(tie, 1.0, np.hypot(x, y))
-    x = np.where(tie, 1.0, x / nrm)
-    y = y / nrm
-    return from_entries([[x, np.where(tie, 0.0, -y)], [np.where(tie, 0.0, y), x]])
+def _split(F):
+    """(_polar(c), _polar(a)) of a 2x2 F or stack, acting on z = x1 + i x2 as F z = c z + a conj(z).
+
+    c = ((F11 + F22) + i (F21 - F12)) / 2 and a = ((F11 - F22) + i (F21 + F12)) / 2: the singular
+    values are |c| +- |a|, and s - 1 = 2 |a| / (|c| - |a|) does not cancel next to the tie a = 0.
+    """
+    refuse_where(F.shape[-2:] != (2, 2), "expected a 2x2 matrix or stack, got shape %s", str(F.shape))
+    f = _entries(F)
+    c = _polar(0.5 * (f[0, 0] + f[1, 1]), 0.5 * (f[1, 0] - f[0, 1]))
+    return c, _polar(0.5 * (f[0, 0] - f[1, 1]), 0.5 * (f[1, 0] + f[0, 1]))
 
 
-def eig_sym(S):
-    """Descending eigenvalues w and orthonormal eigenvector columns V of a symmetric 2x2 or stack."""
-    S = np.asarray(S, dtype=float)
-    if S.shape[-2:] != (2, 2):
-        raise ConfmechError("eig_sym takes 2x2 matrices, got shape %s" % (S.shape,))
-    w, gap = _eigenvalues(S)
-    return w, _eigenvectors(*gap)
+def _half_turn(x, y):
+    """The unit vector at half the angle in (-pi, pi] of (x, y) != 0: (r + x, y), or for x < 0 its parallel."""
+    r = np.hypot(x, y)
+    right = x >= 0.0
+    hx = np.where(right, r + x, np.abs(y))
+    hy = np.where(right, y, np.where(y < 0.0, x - r, r - x))  # no cancellation on either side
+    return _polar(hx, hy)[1:]
 
 
-def _singular_values(F):
-    """Descending singular values s (..., 2) of a float F in GL+(2) or stack, and F^T F's half-gap."""
-    d = require_gl_plus(F)
-    w, gap = _eigenvalues(transpose(F) @ F)
-    s = np.sqrt(np.maximum(w, 0.0))
-    # where w2 < 1e-8 w1, sqrt(w2) holds the rounding of w1 more than s2: s2 = det F / s1
-    s[..., 1] = np.where(w[..., 1] < 1e-8 * w[..., 0], d / s[..., 0], s[..., 1])
-    return s, gap
+def _rotation(x, y):
+    """The rotation [[x, -y], [y, x]], one or a stack; 0.0 - y keeps a zero positive."""
+    return from_entries([[x, 0.0 - y], [y, x]])
+
+
+def _planar_svd(F):
+    """(U, |c|, |a|, V) of F in GL+(2) or a stack: F = U diag(|c| + |a|, |c| - |a|) V^T.
+
+    V turns by half the angle of a conj(c) and U by arg c more: with z = V w, F z = U (|c| w + |a| conj(w)).
+    """
+    (c, cx, cy), (a, ax, ay) = _split(F)
+    require_gl_plus(F)
+    vx, vy = _half_turn(ax * cx + ay * cy, ay * cx - ax * cy)
+    return _rotation(*_polar(vx * cx - vy * cy, vy * cx + vx * cy)[1:]), c, a, _rotation(vx, vy)
 
 
 def svd(F):
-    """Deterministic SVD of F in GL+(2), or of each matrix of a stack (..., 2, 2).
+    """(U, s, V) with F = U diag(s) V^T, s = (|c| + |a|, |c| - |a|), of F in GL+(2) or a stack (..., 2, 2)."""
+    U, c, a, V = _planar_svd(as_square(F, stack=True))
+    return U, np.stack([c + a, c - a], axis=-1), V
 
-    Returns (U, s, V) with F = U diag(s) V^T: s from _singular_values, V the
-    eigenvectors of F^T F, U = F V / s re-orthonormalized by Gram-Schmidt,
-    which matters only when the singular values are strongly graded.
+
+def eig_sym(S):
+    """Eigenvalues m +- |a|, m = tr S / 2, and eigenvector columns V of a symmetric 2x2 or stack.
+
+    V turns by arg(a) / 2: at a tie a = 0 it is the identity, with positive zeros.
     """
-    F = as_square(F, stack=True)
-    s, gap = _singular_values(F)
-    V = _eigenvectors(*gap)
-    U = (F @ V) / s[..., None, :]
-    u0, u1 = U[..., :, 0], U[..., :, 1]  # views: Gram-Schmidt writes into U
-    u0 /= np.sqrt(np.vecdot(u0, u0))[..., None]
-    u1 -= np.vecdot(u0, u1)[..., None] * u0
-    u1 /= np.sqrt(np.vecdot(u1, u1))[..., None]
-    return U, s, V
+    S = as_square(S, stack=True)
+    _, (r, x, y) = _split(S)
+    m = 0.5 * np.trace(S, axis1=-2, axis2=-1)
+    return np.stack([m + r, m - r], axis=-1), _rotation(*_half_turn(x, y))
 
 
 def conformality_residual(F):

@@ -1012,14 +1012,14 @@ def test_main_reuses_its_parser_across_calls(capsys):
 # stdout SHA-256 of the certificate commands, recorded before the certificates
 # were evaluated as stacks; every value printed is a full-precision float
 CERTIFICATE_PAYLOADS = {
-    "check-convexity --energy iso2d-klin2 --samples 500 --seed 0": "eb08786168e769fb0b5158939e19a99a95a33f7504595cb4ca475e6aedaef6c1",
-    "check-convexity --energy iso2d-klin2 --samples 500 --seed 3": "0018d9d0eff4a8e635ff69b4c07794c47294bca4ff99a2156bbcee9b40f7768a",
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 0": "75c6b9a365e05d4a0ad8170fd484b84cba4ece44cc9ff70443b4640f217cd52e",
+    "check-convexity --energy iso2d-klin2 --samples 500 --seed 3": "bb84bbc54892606f76dd3ec1a79990dabf822fe9904cd57f369060769283f6ab",
     "check-convexity --energy iso2d-psi --samples 500 --seed 0": "baa7980e66924293a168a8a6f9c06279e5a6532e2bb5381ba20b47317be75b27",
     "check-convexity --energy iso2d-psi --samples 500 --seed 3": "b592c53e42831cc7e3b995be0d189b7b091d7feab9b94c0d85c18318e4b15de8",
     "check-convexity --energy iso3d --samples 500 --seed 0": "eb547f0adc2927dab1b1c717b374ead5206346f6c3d011d371e57ea3bf2d8629",
     "check-convexity --energy iso3d --samples 500 --seed 3": "100f1d41841fb7ed3487b0b161919fa0aa70adbdbe8a80b9e120c7c9c0ee1aa6",
-    "check-convexity --energy composite2d --samples 500 --seed 0": "a7c7f4196b501c3af2b284f506a1e0921fe295c12cccbb1af58066f10e10781d",
-    "check-convexity --energy composite2d --samples 500 --seed 3": "3459ca045a088ab48bee00591ba1ebff73128fdd054b758589c46005deba275b",
+    "check-convexity --energy composite2d --samples 500 --seed 0": "f6c2b8d55a82541adea520834a45c50e9aa2f7528e2b99e965db81d3174b4c6f",
+    "check-convexity --energy composite2d --samples 500 --seed 3": "f9cf850ee6b405ae61fe17b79630065893335fb0bf082e731376f09fa3643828",
     "check-convexity --energy composite3d --samples 500 --seed 0": "65a869a033b23c5ee3cd9fc0ddee78e1f8e9bc55eb06a5de2a508fc456c2230d",
     # one sample has det F > c + 709: exp(t - c) overflows and its LH value is +inf
     "check-convexity --energy composite3d --samples 500 --seed 3": "0d2ce57c4f6b730d68938df91570cb49966949bec151da8eb7530a4cebee3cb6",

@@ -431,6 +431,17 @@ def test_a_chain_of_chains_is_one_chain_and_a_map_that_is_not_a_step_is_refused(
         cm.MoebiusMap([phi, affine])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_map_in_place_of_a_list_of_steps_is_refused_with_one_line(dim):
+    # a map is not iterable: MoebiusMap(InversionFlip(2)) raised Python's TypeError
+    with pytest.raises(cm.ConfmechError, match=r"^InversionFlip is not a list of Moebius steps$"):
+        cm.MoebiusMap(cm.InversionFlip(dim))
+    with pytest.raises(cm.ConfmechError, match=r"^int is not a list of Moebius steps$"):
+        cm.MoebiusMap(3)
+    with pytest.raises(cm.ConfmechError, match=r"^int is not a Moebius step: "):
+        cm.MoebiusMap([3])
+
+
 def test_stacked_gradient_names_first_orientation_reversing_point():
     odd = cm.MoebiusMap([cm.SphereReflection([0.0, 0.0], 1.0)])
     pts = np.array([[0.5, 0.25], [0.75, 0.5]])

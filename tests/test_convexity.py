@@ -313,8 +313,8 @@ def test_ratio_profile_of_k_minus_one_is_strict_on_the_whole_grid():
     assert grid.strict.shape == (30, 30) and np.all(grid.strict)
     assert np.min(grid.values) >= 0.99e-4
     F = np.array([[2.0, 1.0], [0.0, 0.5]])
-    s, _ = cm.tensors._singular_values(F)
-    assert abs(g(*s) - cm.builtin_energy("iso2d-psi").value(F)) <= 1e-15
+    (c, _, _), (a, _, _) = cm.tensors._split(F)
+    assert abs(g(c + a, c - a) - cm.builtin_energy("iso2d-psi").value(F)) <= 1e-15
 
 
 def test_h_criterion_accepts_square_families():

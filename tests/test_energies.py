@@ -718,9 +718,10 @@ def test_a_user_profile_gives_a_matrix_of_a_stack_the_bits_it_gets_alone():
 def test_planar_ratio_energies_next_to_the_tie_gaps(gap, scale, angles):
     R1, R2 = (conformal_2x2(1.0, a) for a in angles)
     F = scale * R1 @ np.diag([1.0 + gap, 1.0]) @ R2
-    s, _ = cm.tensors._singular_values(F)
-    tie = s[0] / s[1] - 1.0 < cm.energies.TIE_GAP
-    near = (s[0] - s[1]) / s[0] < cm.energies.NEAR_TIE_GAP
+    # the two tests of the library: s - 1 and (s1 - s2) / s1 from the split, free of cancellation
+    (c, _, _), (a, _, _) = cm.tensors._split(F)
+    tie = 2.0 * a / (c - a) < cm.energies.TIE_GAP
+    near = 2.0 * a / (c + a) < cm.energies.NEAR_TIE_GAP
     H = np.array([[0.3, -1.0], [0.7, 0.2]])
     smooth, klin2 = ratio_minus_one_squared_energy(), cm.builtin_energy("iso2d-klin2")
     if tie:

@@ -459,7 +459,7 @@ def test_field_csv_schema_and_determinism(tmp_path):
     header = b1.decode().splitlines()[0]
     assert header == "x1,x2,detF,s11,s12,s21,s22,energy"
     assert len(b1.decode().splitlines()) == 26
-    assert sha256(p1) == "344c2087b076f3a71fd4649864394047d0d4e5fed48eaac86c3517a198d00370"
+    assert sha256(p1) == "b429798bb12057c6920e4fa6ef9360d84d361341ce91daf0c5015123b28ab3aa"
 
 
 def test_field_csv_3d_header(tmp_path):
@@ -481,7 +481,7 @@ def test_field_csv_demo_bytes(tmp_path):
     samples, _ = cm.stress_field(E, cm.InversionFlip(2), cm.admissible_annulus("phi2d"), n=200, seed=0)
     path = tmp_path / "composite2d_field.csv"
     cm.write_field_csv(path, samples)
-    assert sha256(path) == "6a3347f223d8dcabd4f0d81304d771bdd141778d378a049c6b27ba5b49b45f48"
+    assert sha256(path) == "ff3c8a2fe963d6640c5001be1f73d8da17aa1e688a9aacba0c65c819daccf73b"
 
 
 def test_field_csv_rejects_empty():
@@ -919,15 +919,15 @@ def test_field_csv_1000_point_bytes(tmp_path, seed, digest, use_fd):
 @pytest.mark.parametrize(
     "seed, dom, digest, use_fd",
     [
-        (0, cm.admissible_annulus("phi2d"), "8b25d7ffcccae077a12600df47b86ec379ecdc657110e3886893dc50d660b9eb", False),
-        (10, cm.admissible_annulus("phi2d"), "8147a72cba20541b640f6acdccf272620cfb7a318d962bd33a8bfef322231e24", False),
-        (11, cm.AnnulusDomain(2, 0.5, 0.95), "7c6a0bc8601eadf17a2e69260f52494e5555b5ae93e4dd972b30f130134a79d5", False),
+        (0, cm.admissible_annulus("phi2d"), "1647258c53a97a035de43f1eb0004bb1ec37da2a3556c983885c4e4093a651a8", False),
+        (10, cm.admissible_annulus("phi2d"), "9300c18389eb46c9671179d8534ff28c3fd59a5f0321ffa982d06e178e441ca4", False),
+        (11, cm.AnnulusDomain(2, 0.5, 0.95), "cc48d77313e1cc4ab9661918423bea1ad23f5b6eba3b30cef338daa2020dab06", False),
         # FD gradients, 95 % distinct cells: recorded with one %.17g per cell
-        (0, cm.admissible_annulus("phi2d"), "cfe8b3589c4b950a37c81d6e69b8eebe569a0f711e08d9e8fe32630bf0adea01", True),
+        (0, cm.admissible_annulus("phi2d"), "cb6c8740e2b3bd339dedd9471cc9980d0201b93e769763513aac873808253c78", True),
     ],
 )
 def test_field_csv_2d_1000_point_bytes(tmp_path, seed, dom, digest, use_fd):
-    # recorded with the one-matrix closed-form 2x2 SVD; the stacked one must agree
+    # recorded with the planar split F z = c z + a conj(z), one matrix at a time; the stack must agree
     E = cm.builtin_energy("composite2d")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cm.InadmissibleDomainWarning)

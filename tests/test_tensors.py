@@ -1,5 +1,7 @@
 """Tensor utilities: determinants, eigen/SVD routines, distortion measures."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -84,7 +86,7 @@ def test_eig_sym_2_near_multiple_eigenvalue_is_stable():
 def test_eig_sym_dispatch():
     w2, _ = eig_sym(np.eye(2) * 3.0)
     assert np.allclose(w2, [3.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(cm.ConfmechError, match=r"^expected a 2x2 matrix or stack, got shape \(3, 3\)$"):
         eig_sym(np.eye(3) * 3.0)
 
 
@@ -109,7 +111,7 @@ def test_svd_reconstruction_random():
         assert np.allclose(U.T @ U, np.eye(2), atol=1e-12)
         assert np.allclose(V.T @ V, np.eye(2), atol=1e-12)
         assert s[0] >= s[-1] > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(cm.ConfmechError, match=r"^expected a 2x2 matrix or stack, got shape \(3, 3\)$"):
         cm.svd(2.0 * np.eye(3))
 
 
@@ -127,7 +129,7 @@ def test_graded_singular_values_are_not_squared_away():
 
 
 def test_closed_form_svd_of_graded_matrices():
-    # sqrt of the small eigenvalue of F^T F squares 1e-9 into rounding: the
+    # the sqrt of F^T F's small eigenvalue squared 1e-9 into rounding: the
     # ratio energy read 1.8e16 (or inf, with a divide by zero) for 1e18
     rng = np.random.default_rng(32)
     E = cm.builtin_energy("iso2d-klin2")
@@ -236,9 +238,9 @@ def bits(a):
 
 
 def svd_cases(rng):
-    """GL+(2) matrices for both eig_sym branches, ties (r == 0) and graded singular values."""
-    cases = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]  # d > 0, d < 0
-    cases += [a * np.eye(2) for a in (0.5, 3.0)] + [np.array([[0.0, -2.0], [2.0, 0.0]])]  # r == 0
+    """GL+(2) matrices for both half-turn branches, ties (a = 0) and graded singular values."""
+    cases = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]  # a > 0, a < 0 on the real axis
+    cases += [a * np.eye(2) for a in (0.5, 3.0)] + [np.array([[0.0, -2.0], [2.0, 0.0]])]  # a == 0
     cases += [a * rotation(t) for a, t in zip(rng.uniform(0.2, 5.0, 20), rng.uniform(-3, 3, 20))]
     cases += [def_gradient(rng, 2, (0.2, 5.0)) for _ in range(100)]
     for grade in (1e-2, 1e-4, 1e-6):
@@ -257,11 +259,14 @@ def test_stacked_eig_sym_and_svd_match_one_matrix_bits():
     for i, (f, c) in enumerate(zip(F, C)):
         assert bits(w[i]) + bits(V[i]) == b"".join(map(bits, eig_sym(c)))
         assert bits(U[i]) + bits(s[i]) + bits(W[i]) == b"".join(map(bits, cm.svd(f)))
-    # r == 0: the identity frame, with positive zeros
+    # a == 0: the identity frame, with positive zeros
     ties = np.abs(gap) + np.abs(C[:, 0, 1]) == 0.0
     assert ties.sum() == 3 and bits(V[ties]) == bits(np.broadcast_to(np.eye(2), V[ties].shape))
-    with pytest.raises(ValueError):
-        eig_sym(np.stack([np.eye(3)] * 2))
+    assert not np.any(np.signbit(V[ties]))
+    for A in (np.stack([np.eye(3)] * 2), 2.0 * np.eye(3), -np.eye(3)):
+        for refused in (eig_sym, cm.svd):
+            with pytest.raises(cm.ConfmechError, match=r"^expected a 2x2 matrix or stack, got shape \("):
+                refused(A)
 
 
 @st.composite
@@ -278,7 +283,7 @@ def gl_plus_2(draw):
 
 @st.composite
 def graded_gl_plus_2(draw):
-    """a R(t) diag(1, g) R(u), 1e-12 <= g <= 1e-5: s2 = det F / s1, as below w2 = 1e-8 w1."""
+    """a R(t) diag(1, g) R(u), 1e-12 <= g <= 1e-5: |c| and |a| agree to g."""
     scale = draw(st.floats(0.1, 10.0))
     t, u = draw(st.floats(-np.pi, np.pi)), draw(st.floats(-np.pi, np.pi))
     F = scale * rotation(t) @ np.diag([1.0, 10.0 ** draw(st.floats(-12.0, -5.0))]) @ rotation(u)
@@ -291,16 +296,66 @@ def graded_gl_plus_2(draw):
 def test_stacked_svd_properties_on_gl_plus(matrices):
     F = np.stack(matrices)
     U, s, V = cm.svd(F)
-    # the singular-values step alone, on both sides of the w2 < 1e-8 w1 switch
-    assert bits(cm.tensors._singular_values(F)[0]) == bits(s)
+    C = cm.tensors.transpose(F) @ F
+    w, Q = eig_sym(C)
+    eps = np.finfo(float).eps
     for i, f in enumerate(F):
         assert abs(s[i, 1] - np.linalg.svd(f, compute_uv=False)[1]) <= 1e-11 * s[i, 0]
         assert bits(U[i]) + bits(s[i]) + bits(V[i]) == b"".join(map(bits, cm.svd(f)))
-        assert bits(cm.tensors._singular_values(f)[0]) == bits(s[i])
-        assert np.allclose(U[i].T @ U[i], np.eye(2), rtol=0.0, atol=1e-14)
-        assert np.allclose(V[i].T @ V[i], np.eye(2), rtol=0.0, atol=1e-14)
-        assert np.allclose(U[i] @ np.diag(s[i]) @ V[i].T, f, rtol=0.0, atol=1e-12 * s[i, 0])
+        assert bits(w[i]) + bits(Q[i]) == b"".join(map(bits, eig_sym(C[i])))
+        assert np.allclose(U[i].T @ U[i], np.eye(2), rtol=0.0, atol=4.0 * eps)
+        assert np.allclose(V[i].T @ V[i], np.eye(2), rtol=0.0, atol=4.0 * eps)
+        assert np.allclose(U[i] @ np.diag(s[i]) @ V[i].T, f, rtol=0.0, atol=4.0 * eps * cm.frobenius_norm(f))
         assert s[i, 0] >= s[i, 1] > 0.0
+
+
+def split_reference(F):
+    """(|c|, |a|) of F z = c z + a conj(z), z = x1 + i x2, to 50 digits from F's float entries taken exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        (f11, f12), (f21, f22) = ([decimal.Decimal(v) for v in row] for row in F.tolist())
+        return [(x * x + y * y).sqrt() / 2 for x, y in ((f11 + f22, f21 - f12), (f11 - f22, f21 + f12))]
+
+
+def scaled_rotated(rng, stretches, n):
+    """n matrices t Q1 diag(stretches) Q2 per stretch pair, t log-uniform in [1e-3, 1e3]."""
+    return [
+        t * rotation(u) @ np.diag(pair) @ rotation(v)
+        for pair in stretches
+        for t, u, v in zip(10.0 ** rng.uniform(-3.0, 3.0, n), *rng.uniform(-np.pi, np.pi, (2, n)))
+    ]
+
+
+def test_ratio_energy_reads_s_minus_one_without_cancellation_next_to_the_tie():
+    # through the eigenvalues of F^T F, s - 1 lost up to 3.3e-4 of itself at delta = 1e-12 and
+    # 3.2e-2 at 1e-14; the split's 2 |a| / (|c| - |a|) has no cancellation
+    rng = np.random.default_rng(80)
+    E = cm.PlanarRatioEnergy(lambda s: s - 1.0, dh=lambda s: 1.0, d2h=lambda s: 0.0)
+    D = decimal.Decimal
+    F = np.stack(scaled_rotated(rng, [(1.0 + delta, 1.0) for delta in (1e-2, 1e-6, 1e-9, 1e-12, 1e-14)], 100))
+    gaps = [2 * ar / (cr - ar) for cr, ar in map(split_reference, F)]
+    for f, gap, v in zip(F, gaps, E.value(F)):
+        # the profile takes s as a double: s - 1 is exact up to the rounding of s, half its spacing
+        assert abs(D(float(v)) - gap) <= D(0.5 * np.spacing(1.0 + float(gap))) + D(1e-15) * gap
+        # the corner convention: the stress is 0 exactly where s - 1 < TIE_GAP (delta = 1e-12 straddles it)
+        assert np.all(E.first_derivative(f) == 0.0) == (gap < D(cm.energies.TIE_GAP))
+    # s - 1 as the tie tests read it, from the split
+    (c, _, _), (a, _, _) = cm.tensors._split(F)
+    for split_gap, gap in zip((2.0 * a / (c - a)).tolist(), gaps):
+        assert abs(D(split_gap) - gap) <= D(1e-15) * gap
+
+
+def test_svd_takes_the_small_singular_value_of_graded_matrices_to_1e_15():
+    # through F^T F, s2 carried up to 5e-13 s1 of error where w2 / w1 was just above the old
+    # det switch at 1e-8, that is s2 / s1 just above 1e-4
+    rng = np.random.default_rng(81)
+    grades = [1e-2, 1e-4, 1.0001e-4, 1.01e-4, 1e-6, 1e-8, 1e-10, 1e-12, *10.0 ** rng.uniform(-12.0, -2.0, 8)]
+    F = np.stack(scaled_rotated(rng, [(1.0, g) for g in grades], 50))
+    _, s, _ = cm.svd(F)
+    for f, (s1, s2) in zip(F, s.tolist()):
+        cr, ar = split_reference(f)
+        bound = decimal.Decimal(1e-15) * (cr + ar)
+        assert abs(decimal.Decimal(s1) - (cr + ar)) <= bound and abs(decimal.Decimal(s2) - (cr - ar)) <= bound
 
 
 def transpose_cases(rng, dim, n=2000):
