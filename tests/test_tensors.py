@@ -335,7 +335,8 @@ def test_ratio_energy_reads_s_minus_one_without_cancellation_next_to_the_tie():
     F = np.stack(scaled_rotated(rng, [(1.0 + delta, 1.0) for delta in (1e-2, 1e-6, 1e-9, 1e-12, 1e-14)], 100))
     gaps = [2 * ar / (cr - ar) for cr, ar in map(split_reference, F)]
     for f, gap, v in zip(F, gaps, E.value(F)):
-        # the profile takes s as a double: s - 1 is exact up to the rounding of s, half its spacing
+        # the profile takes s as a double: s - 1 is exact up to the rounding of s, half its spacing,
+        # which is 1.1e-2 of s - 1 at delta = 1e-14, so no relative 1e-15 holds for the value
         assert abs(D(float(v)) - gap) <= D(0.5 * np.spacing(1.0 + float(gap))) + D(1e-15) * gap
         # the corner convention: the stress is 0 exactly where s - 1 < TIE_GAP (delta = 1e-12 straddles it)
         assert np.all(E.first_derivative(f) == 0.0) == (gap < D(cm.energies.TIE_GAP))
